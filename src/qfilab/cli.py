@@ -2,11 +2,10 @@
 
 Subcommands: fig3a, fig3b, qfi, fi-scan, estimate, catalog list,
 state validate. CSV outputs are byte stable for fixed flags: floats are
-printed with 12 significant digits, rows are assembled in sweep order no
-matter how many workers computed them, and every CSV starts with a '#'
-header carrying the tool version, the flags, and the cutoff. Divergent
-bound rows print a literal 0 and their provenance goes to a JSON sidecar
-next to the CSV.
+printed with 12 significant digits, rows are computed in sweep order,
+and every CSV starts with a '#' header carrying the tool version, the
+flags, and the cutoff. Divergent bound rows print a literal 0 and their
+provenance goes to a JSON sidecar next to the CSV.
 
 Exit codes: 0 success, 2 validation error, 3 when a divergence was
 encountered where a finite value was requested.
@@ -23,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,8 +32,6 @@ from .curves import SpecError
 from .estimation import default_window, run_estimation
 from .fisher import FisherReport, fi_scan, qfi_pure
 from .fock import apply_beamsplitter, load_state
-
-THREADS_ENV = "QFILAB_THREADS"
 
 _CATALOG_HELP = [
     ("noon:N", "two-branch state with N photons, N >= 1"),
@@ -49,17 +45,22 @@ _CATALOG_HELP = [
 ]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n else min(8, os.cpu_count() or 1)
-
-
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _catalog_param(spec: str, name: str, text: str):
+    """Parse one catalog parameter: photon numbers and cutoffs are
+    integers, the weight exponent x and the mean are finite floats."""
+    integral = name in ("N", "cutoff")
+    try:
+        value = int(text) if integral else float(text)
+    except ValueError:
+        kind = "an integer" if integral else "a number"
+        raise SpecError(f"parameter {name}={text!r} in {spec!r} is not {kind}") from None
+    if not math.isfinite(value):
+        raise SpecError(f"parameter {name}={text!r} in {spec!r} must be finite")
+    return value
 
 
 def resolve_state(spec: str):
@@ -68,41 +69,31 @@ def resolve_state(spec: str):
     if not spec.startswith("catalog:"):
         state = load_state(spec)
         return state, None, f"file:{spec}"
-    parts = spec.split(":")
-    family, params = parts[1], parts[2:]
+    family, *params = spec.split(":")[1:]
+    if family in ("noon", "dual_fock", "dual_fock_bs"):
+        names = ("N",)
+    elif family in ("zeta_noon", "zeta_noon_doubled", "zeta_dual_fock"):
+        names = ("x", "cutoff")
+    elif family in ("tmsv", "tmsv_noon"):
+        names = ("mean", "cutoff")
+    else:
+        raise SpecError(f"unknown catalog family in {spec!r}")
+    if not 1 <= len(params) <= len(names):
+        usage = names[0] if len(names) == 1 else f"{names[0]}[:cutoff]"
+        raise SpecError(f"{spec!r} gives {len(params)} parameters; {family} takes {usage}")
+    values = [_catalog_param(spec, n, t) for n, t in zip(names, params)]
 
-    def _int(s):
-        return int(s)
-
-    def _float(s):
-        return float(s)
-
-    try:
-        if family == "noon":
-            return cat.noon(_int(params[0])), None, spec
-        if family == "dual_fock":
-            return cat.dual_fock(_int(params[0])), None, spec
-        if family == "dual_fock_bs":
-            return cat.dual_fock_after_bs_closed_form(_int(params[0])), None, spec
-        if family in ("zeta_noon", "zeta_noon_doubled", "zeta_dual_fock"):
-            x = _float(params[0])
-            cutoff = _int(params[1]) if len(params) > 1 else 1000
-            fn = getattr(cat, family)
-            state, dist = fn(x, cutoff)
-            return state, dist, spec
-        if family in ("tmsv", "tmsv_noon"):
-            mean = _float(params[0])
-            cutoff = (
-                _int(params[1])
-                if len(params) > 1
-                else cat.tmsv_cutoff_for(mean, 1e-10)
-            )
-            fn = getattr(cat, family)
-            state, dist = fn(mean, cutoff)
-            return state, dist, spec
-    except IndexError:
-        raise SpecError(f"missing parameters in {spec!r}") from None
-    raise SpecError(f"unknown catalog family in {spec!r}")
+    if family == "noon":
+        return cat.noon(values[0]), None, spec
+    if family == "dual_fock":
+        return cat.dual_fock(values[0]), None, spec
+    if family == "dual_fock_bs":
+        return cat.dual_fock_after_bs_closed_form(values[0]), None, spec
+    if len(values) == 1:
+        default = 1000 if family.startswith("zeta") else cat.tmsv_cutoff_for(values[0], 1e-10)
+        values.append(default)
+    state, dist = getattr(cat, family)(*values)
+    return state, dist, spec
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +184,7 @@ def _run_curve(args, figure: str) -> int:
     means = _sweep(args)
     point_fn = curves.fig3a_point if figure == "fig3a" else curves.fig3b_point
     scale = 1 if figure == "fig3a" else 2
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        points = list(pool.map(lambda m: point_fn(float(m), args.tol), means))
+    points = [point_fn(float(m), args.tol) for m in means]
 
     if figure == "fig3a":
         columns = ["mean_n", "snl", "hl", "tmsv_crb", "tmsv_noon_crb", "zeta_noon_crb"]
@@ -289,8 +279,7 @@ def _cmd_fi_scan(args) -> int:
     rows = [[float(p), float(f), qfi] for p, f in zip(phis, fi)]
     meta = (
         f"fi-scan {args.state} | pipeline={args.pipeline} points={args.points} "
-        f"x_min={_fmt(args.x_min)} x_max={_fmt(args.x_max)} tol={args.tol:g} "
-        f"cutoff={state.cutoff}"
+        f"x_min={_fmt(args.x_min)} x_max={_fmt(args.x_max)} cutoff={state.cutoff}"
     )
     _write_text(args.out, _csv_text(meta, columns, rows))
     if args.svg and args.out not in (None, "-"):
@@ -367,26 +356,26 @@ def _add_common(parser, *, points, x_min, x_max):
     parser.add_argument("--x-min", dest="x_min", type=float, default=x_min)
     parser.add_argument("--x-max", dest="x_max", type=float, default=x_max)
     parser.add_argument("--out", default=None, help="output path ('-' = stdout)")
-    parser.add_argument("--tol", type=float, default=1e-12)
     parser.add_argument("--svg", action="store_true",
                         help="also write a simple SVG next to the CSV")
-    parser.add_argument("--cutoff", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfilab",
-        description="Interferometric phase-information toolbox "
-        "(set QFILAB_THREADS to cap sweep workers)",
+        description="Interferometric phase-information toolbox",
     )
     parser.add_argument("--version", action="version", version=f"qfilab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fig3a", help="benchmark bound curves, single two-branch family")
-    _add_common(p, points=200, x_min=1.01, x_max=5.0)
-
-    p = sub.add_parser("fig3b", help="doubled two-branch vs equal-occupation curves")
-    _add_common(p, points=200, x_min=2.02, x_max=5.0)
+    for figure, help_text, x_min in (
+        ("fig3a", "benchmark bound curves, single two-branch family", 1.01),
+        ("fig3b", "doubled two-branch vs equal-occupation curves", 2.02),
+    ):
+        p = sub.add_parser(figure, help=help_text)
+        _add_common(p, points=200, x_min=x_min, x_max=5.0)
+        p.add_argument("--tol", type=float, default=1e-12)
+        p.add_argument("--cutoff", type=int, default=None)
 
     p = sub.add_parser("qfi", help="information report for a state")
     p.add_argument("state", help="catalog URI or state file")

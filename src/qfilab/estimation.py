@@ -18,11 +18,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .fisher import classical_fi, likelihood
-from .fock import TwoModeState, apply_beamsplitter, beamsplitter_matrix
+from .fock import TwoModeState, apply_beamsplitter, beamsplitter_matrix, sector_blocks
 
 RNG_ALGORITHM = "philox4x64"
 MLE_GRID_POINTS = 10_000
@@ -50,12 +51,10 @@ def likelihood_period(state: TwoModeState, pipeline: str = "MMZI") -> float:
     period).
     """
     pre = apply_beamsplitter(state) if pipeline == "MZI" else state
-    nt = pre.n_total
     spread = 0
-    for n in pre.occupied_sectors():
-        idx = np.flatnonzero(nt == n)
-        na = pre.na[idx]
-        spread = max(spread, int(na.max() - na.min()))
+    for _, vec, _ in sector_blocks(pre):
+        occupied = np.flatnonzero(vec)
+        spread = max(spread, int(occupied[-1] - occupied[0]))
     return 2.0 * math.pi / spread if spread else math.inf
 
 
@@ -98,33 +97,39 @@ def sample_outcomes(
 
 def _loglik_grid(
     state: TwoModeState,
-    phis: np.ndarray,
     pipeline: str,
     outcomes: dict[tuple[int, int], int],
-) -> np.ndarray:
-    """Vectorized log-likelihood of an outcome histogram over a phase grid."""
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Log-likelihood of an outcome histogram as a function of a phase grid.
+
+    The per-histogram set-up (first splitter, observed columns, counts and
+    their splitter rows) is done once here; the returned function of phis
+    only contracts the observed columns, which is all a record needs.
+    """
     pre = apply_beamsplitter(state) if pipeline == "MZI" else state
-    nt = pre.n_total
     occupied = set(pre.occupied_sectors())
     stray = [k for k in outcomes if k[0] + k[1] not in occupied]
     if stray:
         raise ValueError(f"outcomes {stray} lie outside the occupied sectors")
-    ll = np.zeros(phis.size)
-    for n in pre.occupied_sectors():
-        idx = np.flatnonzero(nt == n)
+    blocks = []
+    for n, vec, m in sector_blocks(pre):
         wanted = [(k, cnt) for (k, cnt) in outcomes.items() if k[0] + k[1] == n]
         if not wanted:
             continue
-        vec = np.zeros(n + 1, dtype=np.complex128)
-        vec[pre.na[idx]] = pre.amps[idx]
-        m = np.arange(n + 1) - n / 2.0
         cols = np.array([k[0] for k, _ in wanted])
         counts = np.array([float(cnt) for _, cnt in wanted])
         rows = beamsplitter_matrix(n)[cols, :]  # (n_outcomes, dim)
-        amp = (np.exp(-1j * np.outer(phis, m)) * vec) @ rows.T
-        p = np.maximum(np.abs(amp) ** 2, _LOG_FLOOR)
-        ll += np.log(p) @ counts
-    return ll
+        blocks.append((vec, m, rows.T, counts))
+
+    def loglik(phis: np.ndarray) -> np.ndarray:
+        ll = np.zeros(phis.size)
+        for vec, m, rows_t, counts in blocks:
+            amp = (np.exp(-1j * np.outer(phis, m)) * vec) @ rows_t
+            p = np.maximum(np.abs(amp) ** 2, _LOG_FLOOR)
+            ll += np.log(p) @ counts
+        return ll
+
+    return loglik
 
 
 def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
@@ -173,7 +178,8 @@ def mle_phase(
     if not outcomes or sum(outcomes.values()) == 0:
         raise DegenerateLikelihoodError("empty outcome record")
     phis = np.linspace(lo, hi, grid_points)
-    ll = _loglik_grid(state, phis, pipeline, outcomes)
+    loglik = _loglik_grid(state, pipeline, outcomes)
+    ll = loglik(phis)
     span = float(ll.max() - ll.min())
     if span <= 1e-9 * max(1.0, abs(float(ll.max()))):
         raise DegenerateLikelihoodError("log-likelihood is constant over the window")
@@ -182,7 +188,7 @@ def mle_phase(
     b = phis[min(best + 1, grid_points - 1)]
 
     def scalar_ll(phi: float) -> float:
-        return float(_loglik_grid(state, np.array([phi]), pipeline, outcomes)[0])
+        return float(loglik(np.array([phi]))[0])
 
     return float(_golden_max(scalar_ll, float(a), float(b), refine_tol))
 

@@ -21,6 +21,15 @@ faithful); at an amplitude zero the contribution takes its analytic
 transversal limit 4 |dz|^2, which is finite whenever the amplitudes are
 smooth. A point is flagged singular only if the computed numbers violate
 the bound |dP| <= 2 |z| |dz| that smoothness implies.
+
+Likelihoods, outcome sampling, scalar readouts and the Fisher information
+all go through one sector kernel, _amplitudes, which yields the outcome
+amplitudes and their phase derivatives over a phase grid, sector by
+sector; this is valid because both unitaries preserve the total photon
+number. One vectorized reduction, _fi_reduce, turns them into the Fisher
+information and the singular flag for both classical_fi (one phase) and
+fi_scan (a grid). Only the estimation module's log-likelihood grid keeps
+its own contraction, because it needs just the observed outcome columns.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .fock import (
     apply_phase,
     beamsplitter_matrix,
     expect,
+    sector_blocks,
     sector_decompose,
 )
 
@@ -147,33 +157,14 @@ def _premeasurement_state(state: TwoModeState, pipeline: str) -> TwoModeState:
     return apply_beamsplitter(state) if pipeline == "MZI" else state
 
 
-def _sector_tables(state: TwoModeState):
-    """Dense per-sector (n_total, amplitudes indexed by n_a, J3 values)."""
-    nt = state.n_total
-    tables = []
-    for n in state.occupied_sectors():
-        idx = np.flatnonzero(nt == n)
-        vec = np.zeros(n + 1, dtype=np.complex128)
-        vec[state.na[idx]] = state.amps[idx]
-        m = np.arange(n + 1) - n / 2.0
-        tables.append((n, vec, m))
-    return tables
-
-
-def _outcome_terms(state: TwoModeState, phi: float, pipeline: str):
-    """Map (n_a, n_b) -> (p, dp, z, dz) over occupied sectors."""
-    pre = _premeasurement_state(state, pipeline)
-    terms = {}
-    for n, vec, m in _sector_tables(pre):
-        bs = beamsplitter_matrix(n)
-        chi = np.exp(-1j * phi * m) * vec
-        out = bs @ chi
-        dout = bs @ (-1j * m * chi)
-        p = np.abs(out) ** 2
-        dp = 2.0 * np.real(np.conj(out) * dout)
-        for k in range(n + 1):
-            terms[(k, n - k)] = (float(p[k]), float(dp[k]), out[k], dout[k])
-    return terms
+def _amplitudes(state: TwoModeState, phis: np.ndarray, pipeline: str):
+    """Yield (N, out, dout) for each occupied sector of the pre-measurement
+    state: out[i, n_a] is the amplitude of outcome (n_a, N - n_a) at phis[i]
+    and dout[i, n_a] its derivative with respect to the phase."""
+    for n, vec, m in sector_blocks(_premeasurement_state(state, pipeline)):
+        bs_t = beamsplitter_matrix(n).T
+        chi = np.exp(-1j * np.outer(phis, m)) * vec
+        yield n, chi @ bs_t, (chi * (-1j * m)) @ bs_t
 
 
 def likelihood(
@@ -184,9 +175,8 @@ def likelihood(
     The outcome set is restricted to occupied total-photon sectors; within
     a sector every port split is listed, including zero-probability ones.
     """
-    povm = povm or CountingPOVM()
-    terms = _outcome_terms(state, phi, pipeline)
-    return {povm.key(a, b): t[0] for (a, b), t in terms.items()}
+    pairs = likelihood_with_derivative(state, phi, pipeline, povm)
+    return {key: p for key, (p, _) in pairs.items()}
 
 
 def likelihood_with_derivative(
@@ -194,28 +184,47 @@ def likelihood_with_derivative(
 ) -> dict[tuple[int, int], tuple[float, float]]:
     """Outcome probabilities together with analytic d/dphi."""
     povm = povm or CountingPOVM()
-    terms = _outcome_terms(state, phi, pipeline)
-    return {povm.key(a, b): (t[0], t[1]) for (a, b), t in terms.items()}
+    pairs = {}
+    for n, out, dout in _amplitudes(state, np.array([float(phi)]), pipeline):
+        p = np.abs(out[0]) ** 2
+        dp = 2.0 * np.real(np.conj(out[0]) * dout[0])
+        for k in range(n + 1):
+            pairs[povm.key(k, n - k)] = (float(p[k]), float(dp[k]))
+    return pairs
 
 
 _AMP_NOISE = 1e-13  # amplitudes below this are eigensolver rounding noise
 
 
-def _fi_term(p: float, dp: float, z: complex, dz: complex, p_floor: float):
-    """One outcome's contribution and whether the limit algebra failed.
+def _fi_reduce(
+    state: TwoModeState, phis: np.ndarray, pipeline: str, p_floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Counting-measurement FI at each phase and whether the limit algebra
+    failed there.
 
     dp scales like sqrt(p), so dp^2/p stays numerically faithful for any
     amplitude large enough to carry a meaningful phase direction. Once the
     amplitude sits at rounding-noise scale the point is an analytic zero
     of the outcome, where the contribution tends to the transversal limit
     4 |dz|^2 (zero when the outcome is never occupied, since then dz
-    vanishes identically too).
+    vanishes identically too). Only those untrusted entries are checked
+    against |dp| <= 2 |z| |dz|. They are not rare: the binomial tails of a
+    large two-branch sector sit below the floor at every phase, so the
+    check is a masked reduction rather than a gather.
     """
-    if p >= p_floor or abs(z) > _AMP_NOISE:
-        return dp * dp / p if p > 0.0 else 0.0, False
-    # |dp| <= 2 |z| |dz| must hold; a violation means inconsistent numbers
-    singular = abs(dp) > 2.0 * _AMP_NOISE * abs(dz) + 1e-30
-    return 4.0 * abs(dz) ** 2, singular
+    fi = np.zeros(phis.size)
+    singular = np.zeros(phis.size, dtype=bool)
+    for _, out, dout in _amplitudes(state, phis, pipeline):
+        p = np.abs(out) ** 2
+        dp = 2.0 * np.real(np.conj(out) * dout)
+        trusted = (p >= p_floor) | (np.abs(out) > _AMP_NOISE)
+        plain = dp * dp / np.where(p > 0, p, 1.0)
+        abs_dout = np.abs(dout)
+        limit = 4.0 * abs_dout ** 2
+        fi += np.sum(np.where(trusted & (p > 0), plain, np.where(trusted, 0.0, limit)), axis=1)
+        violated = np.abs(dp) > 2.0 * _AMP_NOISE * abs_dout + 1e-30
+        singular |= np.any(violated, axis=1, where=~trusted)
+    return fi, singular
 
 
 def classical_fi(
@@ -229,24 +238,18 @@ def classical_fi(
 
     The companion qfi field is 4 Var(J3) of the phase-encoded state of the
     chosen pipeline, so fi <= qfi holds configuration by configuration.
+    Both outcome labelings key the same projectors, so the labeling only
+    names the POVM in the report.
     """
     povm = povm or CountingPOVM()
-    pre = _premeasurement_state(state, pipeline)
-    terms = _outcome_terms(state, phi, pipeline)
-    keyed = {povm.key(a, b): t for (a, b), t in terms.items()}
-    fi = 0.0
-    singular = False
-    for key in sorted(keyed):
-        term, bad = _fi_term(*keyed[key], p_floor)
-        fi += term
-        singular = singular or bad
+    fi, singular = _fi_reduce(state, np.array([float(phi)]), pipeline, p_floor)
     return FisherReport(
         phi=float(phi),
-        fi=float(fi),
-        qfi=qfi_pure(pre),
+        fi=float(fi[0]),
+        qfi=qfi_pure(_premeasurement_state(state, pipeline)),
         povm=povm.povm_id,
         pipeline=pipeline,
-        singular=singular,
+        singular=bool(singular[0]),
     )
 
 
@@ -257,21 +260,8 @@ def fi_scan(
     p_floor: float = FI_P_FLOOR,
 ) -> np.ndarray:
     """Vectorized counting-measurement FI over a phase grid."""
-    pre = _premeasurement_state(state, pipeline)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    fi = np.zeros(phis.size)
-    for n, vec, m in _sector_tables(pre):
-        bs_t = beamsplitter_matrix(n).T
-        chi = np.exp(-1j * np.outer(phis, m)) * vec
-        out = chi @ bs_t
-        dout = (chi * (-1j * m)) @ bs_t
-        p = np.abs(out) ** 2
-        dp = 2.0 * np.real(np.conj(out) * dout)
-        trusted = (p >= p_floor) | (np.abs(out) > _AMP_NOISE)
-        plain = dp * dp / np.where(p > 0, p, 1.0)
-        limit = 4.0 * np.abs(dout) ** 2
-        fi += np.sum(np.where(trusted & (p > 0), plain, np.where(trusted, 0.0, limit)), axis=1)
-    return fi
+    return _fi_reduce(state, phis, pipeline, p_floor)[0]
 
 
 def qfi_pure(state: TwoModeState) -> float:
@@ -321,11 +311,9 @@ def fi_observable(
     the result can only fall below the full counting measurement, with
     equality when f is injective on the occupied outcomes.
     """
-    terms = _outcome_terms(state, phi, pipeline)
     groups: dict[float, list[float]] = {}
-    for (a, b), (p, dp, _z, _dz) in terms.items():
-        val = float(f(a, b))
-        acc = groups.setdefault(val, [0.0, 0.0])
+    for (a, b), (p, dp) in likelihood_with_derivative(state, phi, pipeline).items():
+        acc = groups.setdefault(float(f(a, b)), [0.0, 0.0])
         acc[0] += p
         acc[1] += dp
     fi = 0.0

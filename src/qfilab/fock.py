@@ -238,6 +238,20 @@ def apply_phase(state: TwoModeState, phi: float) -> TwoModeState:
     )
 
 
+def sector_blocks(state: TwoModeState):
+    """Yield (N, vec, m) for each occupied sector in increasing N.
+
+    vec holds the sector's amplitudes densely indexed by n_a (zeros where
+    the state has no entry) and m = n_a - N/2 are the J3 eigenvalues.
+    """
+    nt = state.n_total
+    for n in state.occupied_sectors():
+        idx = np.flatnonzero(nt == n)
+        vec = np.zeros(n + 1, dtype=np.complex128)
+        vec[state.na[idx]] = state.amps[idx]
+        yield n, vec, np.arange(n + 1) - n / 2.0
+
+
 def apply_beamsplitter(
     state: TwoModeState, *, prune_threshold: float = DEFAULT_PRUNE_THRESHOLD
 ) -> TwoModeState:
@@ -246,16 +260,11 @@ def apply_beamsplitter(
     Commutes with total photon number, so the sector probabilities are
     untouched and the cutoff never grows.
     """
-    nt = state.n_total
     na_parts, nb_parts, amp_parts = [], [], []
-    for n in state.occupied_sectors():
-        idx = np.flatnonzero(nt == n)
-        vec = np.zeros(n + 1, dtype=np.complex128)
-        vec[state.na[idx]] = state.amps[idx]
-        out = beamsplitter_matrix(n) @ vec
+    for n, vec, _ in sector_blocks(state):
         na_parts.append(np.arange(n + 1, dtype=np.int64))
-        nb_parts.append(np.full(n + 1, n, dtype=np.int64) - np.arange(n + 1))
-        amp_parts.append(out)
+        nb_parts.append(n - na_parts[-1])
+        amp_parts.append(beamsplitter_matrix(n) @ vec)
     na = np.concatenate(na_parts)
     nb = np.concatenate(nb_parts)
     amps = np.concatenate(amp_parts)

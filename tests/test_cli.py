@@ -73,15 +73,6 @@ def test_curve_output_byte_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_curve_bytes_independent_of_threads(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("QFILAB_THREADS", "1")
-    main(["fig3b", "--points", "25", "--out", str(a)])
-    monkeypatch.setenv("QFILAB_THREADS", "4")
-    main(["fig3b", "--points", "25", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_svg_written(tmp_path):
     out = tmp_path / "fig3a.csv"
     main(["fig3a", "--points", "25", "--out", str(out), "--svg"])
@@ -119,10 +110,27 @@ def test_qfi_invalid_catalog_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "uri,named",
+    [
+        ("catalog:noon:3:junk", "noon takes N"),
+        ("catalog:zeta_noon:inf:50", "x='inf'"),
+        ("catalog:zeta_noon:nan:50", "x='nan'"),
+        ("catalog:tmsv:nan", "mean='nan'"),
+    ],
+)
+def test_qfi_malformed_catalog_uri_exits_2(capsys, uri, named):
+    assert main(["qfi", uri]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert uri in captured.err and named in captured.err
+
+
 def test_fi_scan_constant_for_single_photon(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["fi-scan", "catalog:noon:1", "--points", "41", "--out", str(out)]) == 0
-    _, columns, rows = read_csv(out)
+    header, columns, rows = read_csv(out)
+    assert "tol=" not in header  # fi-scan takes no tolerance
     assert columns == ["phi", "fi", "qfi"]
     for _, fi, qfi in rows:
         assert fi == pytest.approx(1.0, abs=1e-9)

@@ -1,0 +1,66 @@
+"""CLI outputs pinned to files under tests/golden.
+
+Outcome histograms, strings and exit codes must match exactly; floats
+agree to 1e-12 relative, so a change in summation order passes and a
+change in the numbers does not.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from qfilab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("qfi_zeta_noon_3_40.json", ["qfi", "catalog:zeta_noon:3:40"], 3),
+    ("qfi_dual_fock_5_mzi.json", ["qfi", "catalog:dual_fock:5", "--pipeline", "MZI"], 0),
+    (
+        "fi_scan_zeta_dual_fock_3_20_mzi.csv",
+        ["fi-scan", "catalog:zeta_dual_fock:3:20", "--pipeline", "MZI", "--points", "101"],
+        0,
+    ),
+    (
+        "estimate_zeta_dual_fock_3_8_mzi.jsonl",
+        ["estimate", "catalog:zeta_dual_fock:3:8", "--pipeline", "MZI", "--phi-true", "0.3",
+         "--trials", "2000", "--reps", "3", "--seed", "7"],
+        0,
+    ),
+]
+
+
+def assert_matches(got, want, where="$"):
+    if isinstance(want, float) and isinstance(got, float):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), where
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+def parse(name, text):
+    if name.endswith(".json"):
+        return json.loads(text)
+    if name.endswith(".jsonl"):
+        return [json.loads(line) for line in text.splitlines()]
+    # CSV: compare the column line and the data rows; the '#' header
+    # records flags and is covered by the CLI tests
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    return [lines[0].split(",")] + [[float(v) for v in line.split(",")] for line in lines[1:]]
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(tmp_path, name, argv, code):
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == code
+    want = parse(name, (GOLDEN / name).read_text(encoding="utf-8"))
+    assert_matches(parse(name, out.read_text(encoding="utf-8")), want)

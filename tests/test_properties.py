@@ -1,0 +1,146 @@
+"""Property tests over random small states on both pipelines.
+
+Each property ties two routes to the same number: the pointwise and the
+vectorized Fisher information, the two outcome labelings, the quantum
+bound, the sector split, and the estimation path's log-likelihood against
+the fisher path's likelihood.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from qfilab import (
+    CountingPOVM,
+    apply_beamsplitter,
+    beamsplitter_matrix,
+    classical_fi,
+    fi_scan,
+    likelihood,
+    likelihood_with_derivative,
+    make_state,
+    sector_fi_decomposition,
+)
+from qfilab.estimation import _loglik_grid
+from qfilab.fisher import FI_P_FLOOR
+
+MAX_SECTOR = 6
+AMP_NOISE = 1e-13  # amplitude scale below which an outcome sits at a zero
+
+pipelines = st.sampled_from(("MZI", "MMZI"))
+# exact multiples of pi/4 put outcomes on analytic zeros; the rest are generic
+phases = st.one_of(
+    st.integers(0, 7).map(lambda k: k * math.pi / 4),
+    st.floats(0.0, 2.0 * math.pi, allow_nan=False),
+)
+parts = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def states(draw):
+    """Up to three occupied sectors, each dense or reduced to a few entries."""
+    sectors = draw(
+        st.lists(st.integers(0, MAX_SECTOR), min_size=1, max_size=3, unique=True)
+    )
+    entries = []
+    for n in sectors:
+        picked = draw(
+            st.lists(st.integers(0, n), min_size=1, max_size=n + 1, unique=True)
+        )
+        for k in picked:
+            entries.append((k, n - k, complex(draw(parts), draw(parts))))
+    assume(max(abs(e[2]) for e in entries) > 1e-3)
+    return make_state(entries, cutoff=MAX_SECTOR)
+
+
+def reference_fi(state, phi, pipeline, p_floor=FI_P_FLOOR):
+    """Outcome-by-outcome FI and singular flag from the analytic amplitudes.
+
+    Trusted outcomes contribute dP^2/P; an outcome at an amplitude zero
+    contributes its transversal limit 4|dz|^2 and is singular when
+    |dP| > 2|z||dz| is violated at noise scale.
+    """
+    fi, singular = 0.0, False
+    for (a, b), (p, dp) in likelihood_with_derivative(state, phi, pipeline).items():
+        if p >= p_floor:
+            fi += dp * dp / p
+            continue
+        # below the floor, recover |z| and |dz| from the sector amplitudes
+        z, dz = _outcome_amplitude(state, phi, pipeline, a, b)
+        if abs(z) > AMP_NOISE:
+            fi += dp * dp / p if p > 0.0 else 0.0
+        else:
+            fi += 4.0 * abs(dz) ** 2
+            singular = singular or abs(dp) > 2.0 * AMP_NOISE * abs(dz) + 1e-30
+    return fi, singular
+
+
+def _outcome_amplitude(state, phi, pipeline, n_a, n_b):
+    """Amplitude z of one outcome and its phase derivative dz."""
+    pre = apply_beamsplitter(state) if pipeline == "MZI" else state
+    n = n_a + n_b
+    vec = np.zeros(n + 1, dtype=complex)
+    for (a, b), amp in pre.items():
+        if a + b == n:
+            vec[a] = amp
+    m = np.arange(n + 1) - n / 2.0
+    chi = np.exp(-1j * phi * m) * vec
+    row = beamsplitter_matrix(n)[n_a]
+    return complex(row @ chi), complex(row @ (-1j * m * chi))
+
+
+def close(a, b, rel=1e-12):
+    return math.isclose(a, b, rel_tol=rel, abs_tol=rel)
+
+
+@given(states(), phases, pipelines)
+def test_classical_fi_matches_scan_and_reference(state, phi, pipeline):
+    rep = classical_fi(state, phi, pipeline)
+    scan = fi_scan(state, np.array([phi]), pipeline)
+    ref_fi, ref_singular = reference_fi(state, phi, pipeline)
+    assert rep.fi == float(scan[0])  # one reduction serves both
+    assert close(rep.fi, ref_fi, rel=1e-10)
+    assert rep.singular == ref_singular
+
+
+@given(states(), phases, pipelines)
+def test_labelings_carry_equal_information(state, phi, pipeline):
+    a = classical_fi(state, phi, pipeline, povm=CountingPOVM("na_nb"))
+    b = classical_fi(state, phi, pipeline, povm=CountingPOVM("n_delta"))
+    assert close(a.fi, b.fi)
+    assert a.singular == b.singular
+
+
+@given(states(), phases, pipelines)
+def test_fi_bounded_by_qfi(state, phi, pipeline):
+    rep = classical_fi(state, phi, pipeline)
+    assert rep.fi <= rep.qfi + 1e-9 * max(1.0, rep.qfi)
+
+
+@given(states(), phases, pipelines)
+def test_sector_additivity(state, phi, pipeline):
+    rows, total = sector_fi_decomposition(state, phi, pipeline)
+    whole = classical_fi(state, phi, pipeline).fi
+    assert close(total, whole, rel=1e-9)
+    assert close(sum(p for _, p, _ in rows), 1.0)
+
+
+@given(
+    states(),
+    pipelines,
+    st.lists(phases, min_size=1, max_size=4),
+    st.lists(st.integers(1, 50), min_size=1, max_size=12),
+)
+def test_loglik_grid_matches_likelihood(state, pipeline, phis, counts):
+    # observe only outcomes that are clearly possible at every phase, so the
+    # log floor never decides the comparison
+    probs = [likelihood(state, phi, pipeline) for phi in phis]
+    possible = [k for k in probs[0] if min(p[k] for p in probs) > 1e-6]
+    assume(possible)
+    outcomes = {k: c for k, c in zip(possible, counts)}
+    grid = _loglik_grid(state, pipeline, outcomes)(np.array(phis))
+    for value, p in zip(grid, probs):
+        expected = sum(c * math.log(p[k]) for k, c in outcomes.items())
+        assert close(float(value), expected, rel=1e-10)
