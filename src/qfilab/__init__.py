@@ -64,6 +64,7 @@ from .fock import (
     save_state,
     schwinger_matrices,
     sector_decompose,
+    splitter_columns,
     state_from_json_dict,
     state_to_json_dict,
     vacuum,

@@ -7,8 +7,9 @@ and every CSV starts with a '#' header carrying the tool version, the
 flags, and the cutoff. Divergent bound rows print a literal 0 and their
 provenance goes to a JSON sidecar next to the CSV.
 
-Exit codes: 0 success, 2 validation error, 3 when a divergence was
-encountered where a finite value was requested.
+Exit codes: 0 success, 2 validation error or an input too large for the
+available memory, 3 when a divergence was encountered where a finite value
+was requested.
 
 States are addressed either by a JSON file path or by a compact catalog
 URI, catalog:<family>:<params>, for example catalog:noon:3 or
@@ -432,6 +433,13 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError:
+        subject = getattr(args, "state", args.command)
+        sys.stderr.write(
+            f"error: out of memory while evaluating {subject!r}; dense splitters "
+            "grow like the cutoff cubed, so try a smaller cutoff\n"
+        )
         return 2
     return 0
 

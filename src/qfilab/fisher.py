@@ -26,7 +26,10 @@ Likelihoods, outcome sampling, scalar readouts and the Fisher information
 all go through one sector kernel, _amplitudes, which yields the outcome
 amplitudes and their phase derivatives over a phase grid, sector by
 sector; this is valid because both unitaries preserve the total photon
-number. One vectorized reduction, _fi_reduce, turns them into the Fisher
+number. Within a sector it contracts only the occupied input columns of
+the final splitter, so a two-branch sector costs two closed-form columns
+(fock.splitter_columns) instead of a dense (N+1)x(N+1) matrix. One
+vectorized reduction, _fi_reduce, turns the amplitudes into the Fisher
 information and the singular flag for both classical_fi (one phase) and
 fi_scan (a grid). Only the estimation module's log-likelihood grid keeps
 its own contraction, because it needs just the observed outcome columns.
@@ -46,10 +49,10 @@ from .fock import (
     TwoModeState,
     apply_beamsplitter,
     apply_phase,
-    beamsplitter_matrix,
     expect,
     sector_blocks,
     sector_decompose,
+    splitter_columns,
 )
 
 PIPELINES = ("MZI", "MMZI")
@@ -162,8 +165,10 @@ def _amplitudes(state: TwoModeState, phis: np.ndarray, pipeline: str):
     state: out[i, n_a] is the amplitude of outcome (n_a, N - n_a) at phis[i]
     and dout[i, n_a] its derivative with respect to the phase."""
     for n, vec, m in sector_blocks(_premeasurement_state(state, pipeline)):
-        bs_t = beamsplitter_matrix(n).T
-        chi = np.exp(-1j * np.outer(phis, m)) * vec
+        nz = np.flatnonzero(vec)
+        bs_t = splitter_columns(n, nz).T
+        m = m[nz]
+        chi = np.exp(-1j * np.outer(phis, m)) * vec[nz]
         yield n, chi @ bs_t, (chi * (-1j * m)) @ bs_t
 
 

@@ -5,7 +5,10 @@ table of complex amplitudes over occupation pairs (n_a, n_b) with
 n_a + n_b <= cutoff. Both interferometer unitaries are block diagonal over
 total-photon-number sectors: the phase shift exp(-i*phi*J3) is diagonal in
 the occupation basis, and the 50:50 splitter exp(i*pi*J1/2) acts inside
-each sector through a precomputed (N+1)x(N+1) unitary matrix.
+each sector as an (N+1)x(N+1) unitary. Callers that only need the columns
+of the occupied inputs ask splitter_columns for them: the two-branch
+columns n_a = 0 and n_a = N are binomial laws in closed form, and only
+other supports build and cache the dense matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import gammaln
 
 DEFAULT_NORM_TOL = 1e-9
 DEFAULT_PRUNE_THRESHOLD = 1e-15  # relative to the largest |amplitude|
@@ -189,10 +193,13 @@ def _j1_offdiagonal(n_total: int) -> np.ndarray:
 
 
 def beamsplitter_matrix(n_total: int) -> np.ndarray:
-    """Unitary of exp(i*pi*J1/2) on the N-photon sector, indexed by n_a.
+    """Dense unitary of exp(i*pi*J1/2) on the N-photon sector, indexed by n_a.
 
     Built once per sector size by eigendecomposition of the symmetric
-    tridiagonal J1 block; cached read-only, safe for concurrent readers.
+    tridiagonal J1 block and cached read-only for the life of the process,
+    safe for concurrent readers. Sector N holds 16 (N+1)^2 bytes, about
+    16 K^3/3 bytes over sectors up to K; splitter_columns avoids the matrix
+    for two-branch inputs.
     """
     mat = _BS_CACHE.get(n_total)
     if mat is None:
@@ -209,6 +216,34 @@ def beamsplitter_matrix(n_total: int) -> np.ndarray:
                 mat.flags.writeable = False
                 _BS_CACHE[n_total] = mat
     return mat
+
+
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def splitter_columns(n_total: int, cols) -> np.ndarray:
+    """Columns cols of beamsplitter_matrix(n_total), shape (N+1, len(cols)).
+
+    When every column is n_a = 0 or n_a = N (a two-branch input) the
+    columns come from the closed form |U[k, 0]| = |U[k, N]| =
+    sqrt(C(N, k))/2^(N/2) with phases i^k and i^(N-k), evaluated in log
+    space, and nothing is cached. Any other support slices the cached dense
+    matrix, returned itself (read-only, no copy) when cols lists every
+    column in order. The path depends only on cols, never on the cache.
+    """
+    cols = np.asarray(cols, dtype=np.int64)
+    if np.all((cols == 0) | (cols == n_total)):
+        k = np.arange(n_total + 1)
+        mag = np.exp(
+            0.5 * (gammaln(n_total + 1.0) - gammaln(k + 1.0) - gammaln(n_total - k + 1.0))
+            - 0.5 * n_total * np.log(2.0)
+        )
+        power = np.where(cols == 0, k[:, None], n_total - k[:, None])
+        return mag[:, None] * _I_POWERS[power % 4]
+    mat = beamsplitter_matrix(n_total)
+    if np.array_equal(cols, np.arange(n_total + 1)):
+        return mat
+    return mat[:, cols]
 
 
 def schwinger_matrices(n_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,9 +1,15 @@
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import pytest
 
+import qfilab
 from qfilab import make_state, save_state
 from qfilab.cli import main, resolve_state
 
@@ -190,3 +196,37 @@ def test_resolve_state_file_and_catalog(tmp_path):
     state, dist, _ = resolve_state("catalog:tmsv:2")
     assert dist is not None
     assert state.cutoff == 2 * 33  # auto cutoff from the 1e-10 tail bound
+
+
+def _cap_address_space():
+    # runs in the child between fork and exec, so only the child is limited
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_default_zeta_noon_qfi_fits_in_one_gib(tmp_path):
+    # the default cutoff K=1000 on MMZI; a dense splitter cache would need ~5 GiB
+    out = tmp_path / "qfi.json"
+    pythonpath = [str(Path(qfilab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfilab", "qfi", "catalog:zeta_noon:3", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath))),
+        preexec_fn=_cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    with mpmath.workdps(30):
+        n = [mpmath.mpf(k) for k in range(1, 1001)]
+        expected = float(mpmath.fsum(1 / k for k in n) / mpmath.fsum(k**-3 for k in n))
+    assert math.isclose(json.loads(out.read_text())["fi"], expected, rel_tol=1e-9)
+
+
+def test_out_of_memory_exits_2_naming_the_state(monkeypatch, capsys):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("qfilab.cli.fi_scan", exhausted)
+    assert main(["qfi", "catalog:zeta_noon:3:40", "--pipeline", "MZI"]) == 2
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "catalog:zeta_noon:3:40" in err

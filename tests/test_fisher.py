@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qfilab import fock
 from qfilab import (
     CountingPOVM,
     Moment,
@@ -157,6 +158,22 @@ def test_fi_noon_saturates_squared_photon_number():
     for n in range(1, 7):
         scan = fi_scan(noon(n), phis, "MMZI")
         assert scan.max() == pytest.approx(n * n, rel=1e-9)
+
+
+@pytest.mark.parametrize("cutoff", [40, 300])
+def test_zeta_noon_scan_is_flat_at_the_photon_number_moment(cutoff):
+    # every equal-branch two-branch sector carries N^2 at every phase on MMZI,
+    # so the scan is flat at sum_N p_N N^2 = sum N^-1 / sum N^-3
+    n = np.arange(1, cutoff + 1, dtype=float)
+    expected = np.sum(1.0 / n) / np.sum(n**-3.0)
+    scan = fi_scan(zeta_noon(3.0, cutoff)[0], np.linspace(0.0, 2 * math.pi, 181), "MMZI")
+    assert np.abs(scan - expected).max() <= 1e-12 * expected
+
+
+def test_two_branch_scan_builds_no_dense_splitter():
+    cached = set(fock._BS_CACHE)
+    fi_scan(zeta_noon(3.0, 450)[0], np.linspace(0.0, 2 * math.pi, 7), "MMZI")
+    assert set(fock._BS_CACHE) == cached
 
 
 def test_fi_vacuum_zero():

@@ -18,6 +18,7 @@ from qfilab import (
     save_state,
     schwinger_matrices,
     sector_decompose,
+    splitter_columns,
     state_to_json_dict,
     vacuum,
 )
@@ -159,6 +160,23 @@ def test_beamsplitter_matches_matrix_exponential():
         j1, _, _ = schwinger_matrices(n)
         oracle = expm(0.5j * np.pi * j1)
         assert np.abs(beamsplitter_matrix(n) - oracle).max() < 1e-10
+        assert np.abs(splitter_columns(n, [0, n]) - oracle[:, [0, n]]).max() < 1e-10
+
+
+def test_two_branch_splitter_columns_closed_form():
+    # binomial magnitudes and i^k phases against the eigendecomposition
+    for n in list(range(60)) + [100, 200, 300, 400]:
+        dense = beamsplitter_matrix(n)
+        assert np.abs(splitter_columns(n, [0, n]) - dense[:, [0, n]]).max() < 1e-12
+        assert np.abs(splitter_columns(n, [n]) - dense[:, [n]]).max() < 1e-12
+
+
+def test_general_splitter_columns_slice_the_dense_matrix():
+    dense = beamsplitter_matrix(7)
+    for cols in ([1], [0, 3, 7], [2, 5], [0, 1, 2, 3, 4, 5, 6]):
+        assert np.array_equal(splitter_columns(7, cols), dense[:, cols])
+    # every column in order is the cached matrix itself, not a copy
+    assert splitter_columns(7, range(8)) is dense
 
 
 def test_schwinger_commutators():

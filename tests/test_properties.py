@@ -40,15 +40,20 @@ parts = st.floats(-1.0, 1.0, allow_nan=False)
 
 @st.composite
 def states(draw):
-    """Up to three occupied sectors, each dense or reduced to a few entries."""
+    """Up to three occupied sectors. Each is a two-branch pair n_a in {0, N},
+    which the fisher kernel serves from closed-form splitter columns, or is
+    dense or reduced to a few entries, which slice the dense splitter."""
     sectors = draw(
         st.lists(st.integers(0, MAX_SECTOR), min_size=1, max_size=3, unique=True)
     )
     entries = []
     for n in sectors:
-        picked = draw(
-            st.lists(st.integers(0, n), min_size=1, max_size=n + 1, unique=True)
-        )
+        if draw(st.booleans()):
+            picked = sorted({0, n})
+        else:
+            picked = draw(
+                st.lists(st.integers(0, n), min_size=1, max_size=n + 1, unique=True)
+            )
         for k in picked:
             entries.append((k, n - k, complex(draw(parts), draw(parts))))
     assume(max(abs(e[2]) for e in entries) > 1e-3)
