@@ -62,7 +62,6 @@ from .fock import (
     load_state,
     make_state,
     save_state,
-    schwinger_matrices,
     sector_decompose,
     splitter_columns,
     state_from_json_dict,

@@ -31,8 +31,8 @@ from . import catalog as cat
 from . import curves
 from .curves import SpecError
 from .estimation import default_window, run_estimation
-from .fisher import FisherReport, fi_scan, qfi_pure
-from .fock import apply_beamsplitter, load_state
+from .fisher import FisherReport, fi_scan, premeasurement_state, qfi_pure
+from .fock import load_state
 
 _CATALOG_HELP = [
     ("noon:N", "two-branch state with N photons, N >= 1"),
@@ -243,7 +243,6 @@ def _run_curve(args, figure: str) -> int:
 
 def _cmd_qfi(args) -> int:
     state, dist, desc = resolve_state(args.state)
-    pre = apply_beamsplitter(state) if args.pipeline == "MZI" else state
     phis = np.linspace(0.0, 2.0 * math.pi, 181)
     scan = fi_scan(state, phis, args.pipeline)
     best = int(np.argmax(scan))
@@ -251,7 +250,7 @@ def _cmd_qfi(args) -> int:
     report = FisherReport(
         phi=float(phis[best]),
         fi=float(scan[best]),
-        qfi=qfi_pure(pre),
+        qfi=qfi_pure(premeasurement_state(state, args.pipeline)),
         povm="counting:na_nb",
         pipeline=args.pipeline,
         qfi_divergent=divergent,
@@ -261,7 +260,7 @@ def _cmd_qfi(args) -> int:
     if divergent:
         payload["divergence"] = {
             "family": dist.family,
-            "truncated_qfi": qfi_pure(pre),
+            "truncated_qfi": report.qfi,
             "truncated_crb": report.crb_single,
             "note": "family QFI grows without bound with the cutoff; "
             "CRB reported as exactly 0",
@@ -274,8 +273,7 @@ def _cmd_fi_scan(args) -> int:
     state, dist, _ = resolve_state(args.state)
     phis = _sweep(args)
     fi = fi_scan(state, phis, args.pipeline)
-    pre = apply_beamsplitter(state) if args.pipeline == "MZI" else state
-    qfi = qfi_pure(pre)
+    qfi = qfi_pure(premeasurement_state(state, args.pipeline))
     columns = ["phi", "fi", "qfi"]
     rows = [[float(p), float(f), qfi] for p, f in zip(phis, fi)]
     meta = (

@@ -31,8 +31,8 @@ the final splitter, so a two-branch sector costs two closed-form columns
 (fock.splitter_columns) instead of a dense (N+1)x(N+1) matrix. One
 vectorized reduction, _fi_reduce, turns the amplitudes into the Fisher
 information and the singular flag for both classical_fi (one phase) and
-fi_scan (a grid). Only the estimation module's log-likelihood grid keeps
-its own contraction, because it needs just the observed outcome columns.
+fi_scan (a grid). The estimation module's likelihood period and
+log-likelihood grid are built on the same sectors (_sectors).
 """
 
 from __future__ import annotations
@@ -155,20 +155,27 @@ class FisherReport:
 # ---------------------------------------------------------------------------
 # pipeline internals
 
-def _premeasurement_state(state: TwoModeState, pipeline: str) -> TwoModeState:
+def premeasurement_state(state: TwoModeState, pipeline: str) -> TwoModeState:
+    """The state the phase acts on: for "MZI" the input after the first splitter."""
     _check_pipeline(pipeline)
     return apply_beamsplitter(state) if pipeline == "MZI" else state
+
+
+def _sectors(state: TwoModeState, pipeline: str):
+    """Yield (N, vec, m, bs_t) for each occupied sector of the pre-measurement
+    state, restricted to its occupied inputs: their amplitudes, their J3
+    eigenvalues, and bs_t[j, k] the final splitter from input j to n_a = k."""
+    for n, vec, m in sector_blocks(premeasurement_state(state, pipeline)):
+        nz = np.flatnonzero(vec)
+        yield n, vec[nz], m[nz], splitter_columns(n, nz).T
 
 
 def _amplitudes(state: TwoModeState, phis: np.ndarray, pipeline: str):
     """Yield (N, out, dout) for each occupied sector of the pre-measurement
     state: out[i, n_a] is the amplitude of outcome (n_a, N - n_a) at phis[i]
     and dout[i, n_a] its derivative with respect to the phase."""
-    for n, vec, m in sector_blocks(_premeasurement_state(state, pipeline)):
-        nz = np.flatnonzero(vec)
-        bs_t = splitter_columns(n, nz).T
-        m = m[nz]
-        chi = np.exp(-1j * np.outer(phis, m)) * vec[nz]
+    for n, vec, m, bs_t in _sectors(state, pipeline):
+        chi = np.exp(-1j * np.outer(phis, m)) * vec
         yield n, chi @ bs_t, (chi * (-1j * m)) @ bs_t
 
 
@@ -251,7 +258,7 @@ def classical_fi(
     return FisherReport(
         phi=float(phi),
         fi=float(fi[0]),
-        qfi=qfi_pure(_premeasurement_state(state, pipeline)),
+        qfi=qfi_pure(premeasurement_state(state, pipeline)),
         povm=povm.povm_id,
         pipeline=pipeline,
         singular=bool(singular[0]),
@@ -328,11 +335,10 @@ def fi_observable(
         # an exact zero contributes nothing at probability level
         if p > 0.0:
             fi += dp * dp / p
-    pre = _premeasurement_state(state, pipeline)
     return FisherReport(
         phi=float(phi),
         fi=float(fi),
-        qfi=qfi_pure(pre),
+        qfi=qfi_pure(premeasurement_state(state, pipeline)),
         povm="observable:f(na,nb)",
         pipeline=pipeline,
     )

@@ -246,21 +246,6 @@ def splitter_columns(n_total: int, cols) -> np.ndarray:
     return mat[:, cols]
 
 
-def schwinger_matrices(n_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (J1, J2, J3) blocks on the N-photon sector, basis indexed by n_a."""
-    dim = n_total + 1
-    c = _j1_offdiagonal(n_total)
-    k = np.arange(n_total)
-    j1 = np.zeros((dim, dim), dtype=np.complex128)
-    j1[k + 1, k] = c
-    j1[k, k + 1] = c
-    j2 = np.zeros((dim, dim), dtype=np.complex128)
-    j2[k + 1, k] = -1j * c
-    j2[k, k + 1] = 1j * c
-    j3 = np.diag(np.arange(dim) - n_total / 2.0).astype(np.complex128)
-    return j1, j2, j3
-
-
 # ---------------------------------------------------------------------------
 # unitaries and expectations
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qfilab import fock
 from qfilab import (
     DegenerateLikelihoodError,
     crb_convergence_study,
@@ -58,6 +59,28 @@ def test_likelihood_period():
     assert likelihood_period(noon(1)) == pytest.approx(2 * math.pi)
     assert likelihood_period(noon(4)) == pytest.approx(math.pi / 2)
     assert math.isinf(likelihood_period(vacuum()))
+
+
+@pytest.mark.parametrize("pipeline", ["mzi", "bogus"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: likelihood_period(noon(4), p),
+        lambda p: mle_phase({(2, 2): 30, (4, 0): 5}, noon(4), p, (0.2, 0.4)),
+        lambda p: run_estimation(noon(2), 0.4, p, 200, seed=1, window=(0.3, 0.5)),
+    ],
+    ids=["likelihood_period", "mle_phase", "run_estimation"],
+)
+def test_unknown_pipeline_rejected(call, pipeline):
+    with pytest.raises(ValueError, match="pipeline must be one of"):
+        call(pipeline)
+
+
+def test_two_branch_estimation_builds_no_dense_splitter(monkeypatch):
+    monkeypatch.setattr(fock, "_BS_CACHE", {})
+    run = run_estimation(zeta_noon(3.0, 200)[0], 0.3, "MMZI", 2000, seed=3)
+    assert run.window[0] <= run.phi_hat <= run.window[1]
+    assert list(fock._BS_CACHE) == []
 
 
 def test_mle_unique_peak_from_pure_record():

@@ -23,7 +23,6 @@ from qfilab import (
     max_qfi_bound,
     noon,
     qfi_pure,
-    schwinger_matrices,
     sector_fi_decomposition,
     tmsv,
     tmsv_noon,
@@ -33,6 +32,8 @@ from qfilab import (
     zeta_noon,
     zeta_noon_doubled,
 )
+
+from sector_operators import schwinger_matrices
 
 CATALOG = [
     ("noon1", noon(1), "MMZI"),

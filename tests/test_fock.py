@@ -16,12 +16,13 @@ from qfilab import (
     make_state,
     noon,
     save_state,
-    schwinger_matrices,
     sector_decompose,
     splitter_columns,
     state_to_json_dict,
     vacuum,
 )
+
+from sector_operators import schwinger_matrices
 
 RT2 = math.sqrt(2.0)
 

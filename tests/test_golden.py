@@ -9,8 +9,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qfilab import likelihood, zeta_dual_fock
 from qfilab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -64,3 +66,33 @@ def test_cli_output_matches_golden(tmp_path, name, argv, code):
     assert main(argv + ["--out", str(out)]) == code
     want = parse(name, (GOLDEN / name).read_text(encoding="utf-8"))
     assert_matches(parse(name, out.read_text(encoding="utf-8")), want)
+
+
+def _reference_loglik(state, pipeline, outcomes, phi):
+    probs = likelihood(state, phi, pipeline)
+    return math.fsum(count * math.log(probs[key]) for key, count in outcomes.items())
+
+
+def test_estimate_golden_phi_hat_attains_the_likelihood_maximum(tmp_path):
+    # The log-likelihood is flat to rounding over a few 1e-8 around its peak,
+    # so phi_hat is resolved to that band, not to the golden-section
+    # tolerance: it must score within a few ulps of |ll| of the best point
+    # on a 1e-9 grid of +-1e-7, summed independently from likelihood().
+    name, argv, code = CASES[3]
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == code
+    state, _ = zeta_dual_fock(3.0, 8)
+    for run in parse(name, out.read_text(encoding="utf-8")):
+        outcomes = {
+            tuple(int(v) for v in key.split(",")): count
+            for key, count in run["outcomes"].items()
+        }
+        phi_hat = run["phi_hat"]
+        grid = [
+            _reference_loglik(state, "MZI", outcomes, phi)
+            for phi in np.linspace(phi_hat - 1e-7, phi_hat + 1e-7, 201)
+        ]
+        hat = _reference_loglik(state, "MZI", outcomes, phi_hat)
+        assert hat >= max(grid) - 8 * np.finfo(float).eps * abs(hat)
+        # the band is narrow: 1e-7 off the peak is already far below it
+        assert min(grid[0], grid[-1]) < hat - 64 * np.finfo(float).eps * abs(hat)
