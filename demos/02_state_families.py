@@ -32,9 +32,9 @@ print(f"x=4: mean={dist4.mean.value:.6f} -> limit {dist4.mean.limit:.6f}; "
       f"mean_sq={dist4.mean_square.value:.6f} -> limit {dist4.mean_square.limit:.6f}\n")
 
 # Squeezed vacuum: geometric weights over equal occupations; the helper
-# picks the cutoff that meets a tail bound.
+# picks the cutoff that meets the catalog's tail bound (1e-10).
 mean = 2.0
-cutoff = tmsv_cutoff_for(mean, 1e-10)
+cutoff = tmsv_cutoff_for(mean)
 state, dist = tmsv(mean, cutoff)
 print(f"tmsv(mean=2): cutoff {cutoff}, tail {dist.tail_mass:.2e}, "
       f"mean {dist.mean.value:.9f}")

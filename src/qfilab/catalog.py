@@ -18,8 +18,8 @@ instead of being returned as float infinities.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +28,7 @@ from scipy.special import gammaln
 from .fock import TwoModeState, _canonical_state, make_state, sector_decompose
 
 ZETA_POLE_GUARD = 1e-6
+TMSV_TAIL_BOUND = 1e-10  # largest geometric tail a truncated tmsv may discard
 
 
 class PoleProximityError(ValueError):
@@ -45,10 +46,6 @@ class TailTooHeavyError(ValueError):
 # ---------------------------------------------------------------------------
 # Riemann zeta for real x > 1
 
-_ZETA_MEMO: dict[tuple[float, float], float] = {}
-_ZETA_LOCK = threading.Lock()
-
-
 def zeta(x: float, tol: float = 1e-12) -> float:
     """Riemann zeta for real argument x > 1.
 
@@ -64,20 +61,21 @@ def zeta(x: float, tol: float = 1e-12) -> float:
         raise PoleProximityError(
             f"zeta argument {x} is within {ZETA_POLE_GUARD} of the x=1 pole"
         )
-    key = (x, tol)
-    val = _ZETA_MEMO.get(key)
-    if val is not None:
-        return val
+    return _zeta_sum(x, float(tol))
+
+
+# A root solve asks for the same few arguments in a row and then never
+# again, so a small table catches the repeats without growing with the sweep.
+@functools.lru_cache(maxsize=64)
+def _zeta_sum(x: float, tol: float) -> float:
+    """zeta(x) for checked arguments: partial sum plus tail."""
     # remainder after the K^(-x-1) correction is < x(x+1)(x+2)/720 * K^(-x-3)
     k_terms = max(32, math.ceil((x * (x + 1) * (x + 2) / (180.0 * tol)) ** (1.0 / (x + 3))))
     n = np.arange(1, k_terms + 1, dtype=np.float64)
     partial = float(np.sum(n ** (-x)))
     kf = float(k_terms)
     tail = kf ** (1.0 - x) / (x - 1.0) - 0.5 * kf ** (-x) + x / 12.0 * kf ** (-x - 1.0)
-    val = partial + tail
-    with _ZETA_LOCK:
-        _ZETA_MEMO[key] = val
-    return val
+    return partial + tail
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +116,6 @@ class PhotonDistribution:
     def support_probabilities(self) -> dict[int, float]:
         total = sum(self.weights.values())
         return {n: w / total for n, w in self.weights.items()}
-
-    def support_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        n = np.fromiter(self.weights.keys(), dtype=np.float64, count=len(self.weights))
-        w = np.fromiter(self.weights.values(), dtype=np.float64, count=len(self.weights))
-        return n, w / w.sum()
 
 
 def _moments(n: np.ndarray, p: np.ndarray) -> tuple[float, float]:
@@ -211,36 +204,42 @@ def _two_branch_state(
     return _canonical_state(na, nb, amps, cutoff)
 
 
-def _zeta_weights(x: float, cutoff: int, tol: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(indices 1..cutoff, family weights N^-x / zeta(x), tail mass)."""
+def _dual_fock_state(n: np.ndarray, probs: np.ndarray, cutoff: int) -> TwoModeState:
+    """Superposition of |N,N> components with given probabilities."""
+    idx = n.astype(np.int64)
+    return _canonical_state(idx, idx, np.sqrt(probs).astype(np.complex128), cutoff)
+
+
+def _zeta_family(
+    x: float, cutoff: int, scale: int, label: str
+) -> tuple[np.ndarray, np.ndarray, PhotonDistribution]:
+    """Indices N = 1..cutoff, their weights N^-x renormalized on that
+    support, and the distribution of a zeta family whose component N
+    carries scale*N total photons (scale 1 for plain, 2 for doubled
+    families)."""
     if cutoff < 1:
         raise InvalidNError("cutoff must be >= 1")
-    z = zeta(x, tol)
+    z = zeta(x)
     n = np.arange(1, cutoff + 1, dtype=np.float64)
     w = n ** (-x) / z
-    return n, w, max(0.0, 1.0 - float(w.sum()))
-
-
-def _zeta_moments(
-    x: float, totals: np.ndarray, renorm: np.ndarray, scale: int, tol: float
-) -> tuple[Moment, Moment]:
-    """Moments of a zeta-weighted family whose component N carries
-    scale*N total photons (scale 1 for plain, 2 for doubled families)."""
-    m1, m2 = _moments(totals, renorm)
+    renorm = w / w.sum()
+    m1, m2 = _moments(scale * n, renorm)
     lim1 = lim2 = None
     if x > 2.0 + ZETA_POLE_GUARD:
-        lim1 = scale * zeta(x - 1.0, tol) / zeta(x, tol)
+        lim1 = scale * zeta(x - 1.0) / z
     if x > 3.0 + ZETA_POLE_GUARD:
-        lim2 = scale * scale * zeta(x - 2.0, tol) / zeta(x, tol)
-    return (
-        Moment(m1, divergent=x <= 2.0, limit=lim1),
-        Moment(m2, divergent=x <= 3.0, limit=lim2),
+        lim2 = scale * scale * zeta(x - 2.0) / z
+    dist = PhotonDistribution(
+        weights=_weights_dict(scale * n, w),
+        tail_mass=max(0.0, 1.0 - float(w.sum())),
+        mean=Moment(m1, divergent=x <= 2.0, limit=lim1),
+        mean_square=Moment(m2, divergent=x <= 3.0, limit=lim2),
+        family=f"{label}(x={x:g})",
     )
+    return n, renorm, dist
 
 
-def zeta_noon(
-    x: float, cutoff: int, *, tol: float = 1e-12
-) -> tuple[TwoModeState, PhotonDistribution]:
+def zeta_noon(x: float, cutoff: int) -> tuple[TwoModeState, PhotonDistribution]:
     """Superposition of two-branch states N = 1..cutoff with weights
     proportional to N^-x, renormalized on the retained support.
 
@@ -249,132 +248,83 @@ def zeta_noon(
     realizes an arbitrarily large mean-square photon number at finite
     mean, which is the whole point of this family.
     """
-    n, w, tail = _zeta_weights(x, cutoff, tol)
-    renorm = w / w.sum()
-    state = _two_branch_state(n, renorm, cutoff=cutoff)
-    mean, mean_sq = _zeta_moments(x, n, renorm, 1, tol)
-    dist = PhotonDistribution(
-        weights=_weights_dict(n, w),
-        tail_mass=tail,
-        mean=mean,
-        mean_square=mean_sq,
-        family=f"zeta_noon(x={x:g})",
-    )
-    return state, dist
+    n, renorm, dist = _zeta_family(x, cutoff, 1, "zeta_noon")
+    return _two_branch_state(n, renorm, cutoff), dist
 
 
-def zeta_noon_doubled(
-    x: float, cutoff: int, *, tol: float = 1e-12
-) -> tuple[TwoModeState, PhotonDistribution]:
+def zeta_noon_doubled(x: float, cutoff: int) -> tuple[TwoModeState, PhotonDistribution]:
     """zeta-weighted superposition whose N-th component is the two-branch
     state with 2N photons; shares its photon distribution with
     zeta_dual_fock so the two are directly comparable."""
-    n, w, tail = _zeta_weights(x, cutoff, tol)
-    renorm = w / w.sum()
-    state = _two_branch_state(2 * n, renorm, cutoff=2 * cutoff)
-    mean, mean_sq = _zeta_moments(x, 2 * n, renorm, 2, tol)
-    dist = PhotonDistribution(
-        weights=_weights_dict(2 * n, w),
-        tail_mass=tail,
-        mean=mean,
-        mean_square=mean_sq,
-        family=f"zeta_noon_doubled(x={x:g})",
-    )
-    return state, dist
+    n, renorm, dist = _zeta_family(x, cutoff, 2, "zeta_noon_doubled")
+    return _two_branch_state(2 * n, renorm, 2 * cutoff), dist
 
 
-def zeta_dual_fock(
-    x: float, cutoff: int, *, tol: float = 1e-12
-) -> tuple[TwoModeState, PhotonDistribution]:
+def zeta_dual_fock(x: float, cutoff: int) -> tuple[TwoModeState, PhotonDistribution]:
     """zeta-weighted superposition of |N,N>, N = 1..cutoff (2N photons each)."""
-    n, w, tail = _zeta_weights(x, cutoff, tol)
-    renorm = w / w.sum()
-    idx = n.astype(np.int64)
-    state = _canonical_state(
-        idx, idx, np.sqrt(renorm).astype(np.complex128), cutoff=2 * cutoff
-    )
-    mean, mean_sq = _zeta_moments(x, 2 * n, renorm, 2, tol)
-    dist = PhotonDistribution(
-        weights=_weights_dict(2 * n, w),
-        tail_mass=tail,
-        mean=mean,
-        mean_square=mean_sq,
-        family=f"zeta_dual_fock(x={x:g})",
-    )
-    return state, dist
+    n, renorm, dist = _zeta_family(x, cutoff, 2, "zeta_dual_fock")
+    return _dual_fock_state(n, renorm, 2 * cutoff), dist
 
 
-def tmsv_cutoff_for(mean_total: float, tail_bound: float) -> int:
-    """Smallest component cutoff K with geometric tail t^(K+1) <= tail_bound."""
+def tmsv_cutoff_for(mean_total: float) -> int:
+    """Smallest component cutoff K with geometric tail t^(K+1) <= TMSV_TAIL_BOUND."""
     if mean_total <= 0:
         raise ValueError("mean_total must be positive")
     t = mean_total / (mean_total + 2.0)
-    k = max(0, math.ceil(math.log(tail_bound) / math.log(t)) - 1)
-    while t ** (k + 1) > tail_bound:
+    k = max(0, math.ceil(math.log(TMSV_TAIL_BOUND) / math.log(t)) - 1)
+    while t ** (k + 1) > TMSV_TAIL_BOUND:
         k += 1
     return k
 
 
-def _tmsv_weights(
-    mean_total: float, cutoff: int, tail_bound: float
-) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _tmsv_family(
+    mean_total: float, cutoff: int, label: str
+) -> tuple[np.ndarray, np.ndarray, PhotonDistribution]:
+    """Indices N = 0..cutoff, their geometric weights renormalized on that
+    support, and the distribution of a family whose component N carries 2N
+    total photons."""
     if mean_total <= 0:
         raise ValueError("mean_total must be positive")
     if cutoff < 0:
         raise InvalidNError("cutoff must be >= 0")
     t = mean_total / (mean_total + 2.0)
     tail = t ** (cutoff + 1)
-    if tail > tail_bound:
+    if tail > TMSV_TAIL_BOUND:
         raise TailTooHeavyError(
-            f"geometric tail {tail:.3e} exceeds bound {tail_bound:.3e} at cutoff {cutoff};"
-            f" need cutoff >= {tmsv_cutoff_for(mean_total, tail_bound)}"
+            f"geometric tail {tail:.3e} exceeds bound {TMSV_TAIL_BOUND:.3e} at cutoff {cutoff};"
+            f" need cutoff >= {tmsv_cutoff_for(mean_total)}"
         )
     n = np.arange(cutoff + 1, dtype=np.float64)
     w = (1.0 - t) * t ** n
-    return n, w, float(tail), t
-
-
-def _tmsv_distribution(
-    mean_total: float, n: np.ndarray, w: np.ndarray, tail: float, label: str
-) -> PhotonDistribution:
     renorm = w / w.sum()
     m1, m2 = _moments(2 * n, renorm)
-    return PhotonDistribution(
+    dist = PhotonDistribution(
         weights=_weights_dict(2 * n, w),
-        tail_mass=tail,
+        tail_mass=float(tail),
         mean=Moment(m1, limit=mean_total),
         mean_square=Moment(m2, limit=2.0 * mean_total**2 + 2.0 * mean_total),
         family=f"{label}(mean={mean_total:g})",
     )
+    return n, renorm, dist
 
 
-def tmsv(
-    mean_total: float, cutoff: int, *, tail_bound: float = 1e-10
-) -> tuple[TwoModeState, PhotonDistribution]:
+def tmsv(mean_total: float, cutoff: int) -> tuple[TwoModeState, PhotonDistribution]:
     """Two-mode squeezed vacuum truncated at component |cutoff, cutoff>.
 
     Component |N,N> carries weight (1-t) t^N with t = 1/(1 + 2/mean_total),
     which makes the untruncated mean total photon number equal mean_total.
     Raises TailTooHeavyError when the discarded geometric tail would exceed
-    tail_bound.
+    TMSV_TAIL_BOUND; tmsv_cutoff_for gives the smallest cutoff that meets it.
     """
-    n, w, tail, _ = _tmsv_weights(mean_total, cutoff, tail_bound)
-    renorm = w / w.sum()
-    idx = n.astype(np.int64)
-    state = _canonical_state(
-        idx, idx, np.sqrt(renorm).astype(np.complex128), cutoff=2 * cutoff
-    )
-    return state, _tmsv_distribution(mean_total, n, w, tail, "tmsv")
+    n, renorm, dist = _tmsv_family(mean_total, cutoff, "tmsv")
+    return _dual_fock_state(n, renorm, 2 * cutoff), dist
 
 
-def tmsv_noon(
-    mean_total: float, cutoff: int, *, tail_bound: float = 1e-10
-) -> tuple[TwoModeState, PhotonDistribution]:
+def tmsv_noon(mean_total: float, cutoff: int) -> tuple[TwoModeState, PhotonDistribution]:
     """Two-branch superposition carrying the same photon distribution as
     tmsv(mean_total): component N is the 2N-photon two-branch state (the
     N = 0 component is the vacuum). Attains the largest sensitivity
-    compatible with that distribution."""
-    n, w, tail, _ = _tmsv_weights(mean_total, cutoff, tail_bound)
-    renorm = w / w.sum()
-    state = _two_branch_state(2 * n, renorm, cutoff=2 * cutoff)
-    return state, _tmsv_distribution(mean_total, n, w, tail, "tmsv_noon")
+    compatible with that distribution. The cutoff obeys the same
+    TMSV_TAIL_BOUND as tmsv."""
+    n, renorm, dist = _tmsv_family(mean_total, cutoff, "tmsv_noon")
+    return _two_branch_state(2 * n, renorm, 2 * cutoff), dist

@@ -32,7 +32,7 @@ from . import curves
 from .curves import SpecError
 from .estimation import default_window, run_estimation
 from .fisher import FisherReport, fi_scan, premeasurement_state, qfi_pure
-from .fock import load_state
+from .fock import DEFAULT_NORM_TOL, load_state
 
 _CATALOG_HELP = [
     ("noon:N", "two-branch state with N photons, N >= 1"),
@@ -41,7 +41,7 @@ _CATALOG_HELP = [
     ("zeta_noon:x[:cutoff]", "1/N^x weighted two-branch family, x > 1 (default cutoff 1000)"),
     ("zeta_noon_doubled:x[:cutoff]", "same weights on 2N-photon branches"),
     ("zeta_dual_fock:x[:cutoff]", "1/N^x weighted |N,N> family"),
-    ("tmsv:mean[:cutoff]", "squeezed vacuum, mean total photons > 0 (cutoff from tail bound 1e-10)"),
+    ("tmsv:mean[:cutoff]", f"squeezed vacuum, mean total photons > 0 (cutoff from tail bound {cat.TMSV_TAIL_BOUND:g})"),
     ("tmsv_noon:mean[:cutoff]", "two-branch family with the tmsv distribution"),
 ]
 
@@ -91,7 +91,7 @@ def resolve_state(spec: str):
     if family == "dual_fock_bs":
         return cat.dual_fock_after_bs_closed_form(values[0]), None, spec
     if len(values) == 1:
-        default = 1000 if family.startswith("zeta") else cat.tmsv_cutoff_for(values[0], 1e-10)
+        default = 1000 if family.startswith("zeta") else cat.tmsv_cutoff_for(values[0])
         values.append(default)
     state, dist = getattr(cat, family)(*values)
     return state, dist, spec
@@ -194,8 +194,7 @@ def _run_curve(args, figure: str) -> int:
     rows = [[p.mean_n] + [p.values[c] for c in columns[1:]] for p in points]
     meta = (
         f"{figure} | points={args.points} x_min={_fmt(args.x_min)} "
-        f"x_max={_fmt(args.x_max)} tol={args.tol:g} "
-        f"cutoff={args.cutoff if args.cutoff else 'inf'}"
+        f"x_max={_fmt(args.x_max)} tol={args.tol:g} cutoff=inf"
     )
     _write_text(args.out, _csv_text(meta, columns, rows))
 
@@ -206,8 +205,6 @@ def _run_curve(args, figure: str) -> int:
     ]
     if args.out not in (None, "-"):
         trend_cutoffs = [100, 1000, 10_000, 100_000]
-        if args.cutoff:
-            trend_cutoffs = sorted({min(c, args.cutoff) for c in trend_cutoffs})
         sidecar = {
             "figure": figure,
             "family": "zeta-weighted two-branch family"
@@ -340,7 +337,7 @@ def _cmd_state_validate(args) -> int:
         "cutoff": state.cutoff,
         "entries": len(state),
         "raw_norm": raw_norm,
-        "renormalized": abs(raw_norm - 1.0) > state.norm_tolerance,
+        "renormalized": abs(raw_norm - 1.0) > DEFAULT_NORM_TOL,
         "occupied_sectors": state.occupied_sectors(),
     }
     sys.stdout.write(json.dumps(summary, indent=1) + "\n")
@@ -374,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(figure, help=help_text)
         _add_common(p, points=200, x_min=x_min, x_max=5.0)
         p.add_argument("--tol", type=float, default=1e-12)
-        p.add_argument("--cutoff", type=int, default=None)
 
     p = sub.add_parser("qfi", help="information report for a state")
     p.add_argument("state", help="catalog URI or state file")

@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fisher import _sectors, classical_fi, likelihood
-from .fock import TwoModeState
+from .fisher import _sectors, classical_fi, likelihood, premeasurement_state
+from .fock import TwoModeState, sector_blocks
 
 RNG_ALGORITHM = "philox4x64"
 MLE_GRID_POINTS = 10_000
@@ -52,7 +52,8 @@ def likelihood_period(state: TwoModeState, pipeline: str = "MMZI") -> float:
     occupied n_a spread. A single-entry state has no fringes (infinite
     period).
     """
-    spread = max(m[-1] - m[0] for _, _, m, _ in _sectors(state, pipeline))
+    pre = premeasurement_state(state, pipeline)
+    spread = max(np.ptp(np.flatnonzero(vec)) for _, vec, _ in sector_blocks(pre))
     return 2.0 * math.pi / spread if spread else math.inf
 
 
@@ -150,15 +151,13 @@ def mle_phase(
     state: TwoModeState,
     pipeline: str,
     window: tuple[float, float],
-    grid_points: int = MLE_GRID_POINTS,
-    refine_tol: float = MLE_REFINE_TOL,
 ) -> float:
     """Maximum-likelihood phase on a window.
 
-    Coarse grid search (grid_points samples) followed by golden-section
-    refinement to refine_tol; grid ties resolve toward the smallest phase.
-    The estimate is resolved only to the log-likelihood's rounding band
-    (~1e-8 at 2000 trials), coarser than the default refine_tol. Raises
+    Coarse grid search (MLE_GRID_POINTS samples) followed by golden-section
+    refinement to MLE_REFINE_TOL; grid ties resolve toward the smallest
+    phase. The estimate is resolved only to the log-likelihood's rounding
+    band (~1e-8 at 2000 trials), coarser than MLE_REFINE_TOL. Raises
     DegenerateLikelihoodError when the outcome record carries no phase
     information over the window.
     """
@@ -173,7 +172,7 @@ def mle_phase(
         )
     if not outcomes or sum(outcomes.values()) == 0:
         raise DegenerateLikelihoodError("empty outcome record")
-    phis = np.linspace(lo, hi, grid_points)
+    phis = np.linspace(lo, hi, MLE_GRID_POINTS)
     loglik = _loglik_grid(state, pipeline, outcomes)
     ll = loglik(phis)
     span = float(ll.max() - ll.min())
@@ -181,12 +180,12 @@ def mle_phase(
         raise DegenerateLikelihoodError("log-likelihood is constant over the window")
     best = int(np.argmax(ll))  # first maximum = smallest phase
     a = phis[max(best - 1, 0)]
-    b = phis[min(best + 1, grid_points - 1)]
+    b = phis[min(best + 1, MLE_GRID_POINTS - 1)]
 
     def scalar_ll(phi: float) -> float:
         return float(loglik(np.array([phi]))[0])
 
-    return float(_golden_max(scalar_ll, float(a), float(b), refine_tol))
+    return float(_golden_max(scalar_ll, float(a), float(b), MLE_REFINE_TOL))
 
 
 @dataclass(frozen=True)
@@ -244,16 +243,20 @@ def run_estimation(
     seed: int,
     repetition: int = 0,
     window: tuple[float, float] | None = None,
-    grid_points: int = MLE_GRID_POINTS,
 ) -> EstimationRun:
     """Sample, estimate, and record one run; repetitions derive independent
-    substreams via SeedSequence spawn keys on top of the root seed."""
+    substreams via SeedSequence spawn keys on top of the root seed.
+
+    The pipeline's first splitter is applied once, and every step runs on
+    that pre-measurement state as "MMZI", which gives the same sectors.
+    """
+    pre = premeasurement_state(state, pipeline)
     if window is None:
-        window = default_window(state, phi_true, pipeline)
+        window = default_window(pre, phi_true, "MMZI")
     sub = np.random.SeedSequence(int(seed), spawn_key=(int(repetition),))
-    outcomes = sample_outcomes(state, phi_true, pipeline, m_trials, sub)
-    phi_hat = mle_phase(outcomes, state, pipeline, window, grid_points=grid_points)
-    fi = classical_fi(state, phi_true, pipeline).fi
+    outcomes = sample_outcomes(pre, phi_true, "MMZI", m_trials, sub)
+    phi_hat = mle_phase(outcomes, pre, "MMZI", window)
+    fi = classical_fi(pre, phi_true, "MMZI").fi
     crb_m = 1.0 / (m_trials * fi) if fi > 1e-12 else None
     return EstimationRun(
         phi_true=float(phi_true),
@@ -266,7 +269,7 @@ def run_estimation(
         phi_hat=float(phi_hat),
         empirical_mse=float((phi_hat - phi_true) ** 2),
         crb_m=crb_m,
-        period=likelihood_period(state, pipeline),
+        period=likelihood_period(pre, "MMZI"),
     )
 
 
@@ -287,7 +290,6 @@ def crb_convergence_study(
     repetitions: int,
     seed: int,
     window: tuple[float, float] | None = None,
-    grid_points: int = MLE_GRID_POINTS,
 ) -> list[ConvergenceRow]:
     """Empirical MSE of the windowed MLE against the m-trial bound.
 
@@ -295,27 +297,27 @@ def crb_convergence_study(
     A true phase where the measurement carries (numerically) no
     information is flagged and excluded from ratios. Each (m, repetition)
     cell draws from the substream SeedSequence(seed, spawn_key=(mi, rep)),
-    so rows are reproducible and independent.
+    so rows are reproducible and independent. Like run_estimation, it
+    applies the pipeline's first splitter once.
     """
     m_list = [int(m) for m in m_list]
     if any(m < 10 for m in m_list):
         raise ValueError("each trial count must be >= 10")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    pre = premeasurement_state(state, pipeline)
     if window is None:
-        window = default_window(state, phi_true, pipeline)
-    fi = classical_fi(state, phi_true, pipeline).fi
+        window = default_window(pre, phi_true, "MMZI")
+    fi = classical_fi(pre, phi_true, "MMZI").fi
     flagged = fi < 1e-12
     rows = []
     for mi, m in enumerate(m_list):
         sq_errors = []
         for rep in range(repetitions):
             sub = np.random.SeedSequence(int(seed), spawn_key=(mi, rep))
-            outcomes = sample_outcomes(state, phi_true, pipeline, m, sub)
+            outcomes = sample_outcomes(pre, phi_true, "MMZI", m, sub)
             try:
-                phi_hat = mle_phase(
-                    outcomes, state, pipeline, window, grid_points=grid_points
-                )
+                phi_hat = mle_phase(outcomes, pre, "MMZI", window)
             except DegenerateLikelihoodError:
                 flagged = True
                 continue

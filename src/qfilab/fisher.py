@@ -15,7 +15,7 @@ information; both are available.
 Derivatives of outcome probabilities are analytic: the derivative of the
 phase-encoded state is -i*J3 applied before the final splitter, so for an
 outcome amplitude z one has dP = 2 Re(conj(z) dz). When P falls below
-p_floor the term dP^2/P is kept as long as the amplitude itself is above
+FI_P_FLOOR the term dP^2/P is kept as long as the amplitude itself is above
 rounding-noise scale (dP scales like sqrt(P), so the ratio stays
 faithful); at an amplitude zero the contribution takes its analytic
 transversal limit 4 |dz|^2, which is finite whenever the amplitudes are
@@ -37,7 +37,6 @@ log-likelihood grid are built on the same sectors (_sectors).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -148,9 +147,6 @@ class FisherReport:
             "pipeline": self.pipeline,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 # ---------------------------------------------------------------------------
 # pipeline internals
@@ -209,7 +205,7 @@ _AMP_NOISE = 1e-13  # amplitudes below this are eigensolver rounding noise
 
 
 def _fi_reduce(
-    state: TwoModeState, phis: np.ndarray, pipeline: str, p_floor: float
+    state: TwoModeState, phis: np.ndarray, pipeline: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Counting-measurement FI at each phase and whether the limit algebra
     failed there.
@@ -229,7 +225,7 @@ def _fi_reduce(
     for _, out, dout in _amplitudes(state, phis, pipeline):
         p = np.abs(out) ** 2
         dp = 2.0 * np.real(np.conj(out) * dout)
-        trusted = (p >= p_floor) | (np.abs(out) > _AMP_NOISE)
+        trusted = (p >= FI_P_FLOOR) | (np.abs(out) > _AMP_NOISE)
         plain = dp * dp / np.where(p > 0, p, 1.0)
         abs_dout = np.abs(dout)
         limit = 4.0 * abs_dout ** 2
@@ -244,7 +240,6 @@ def classical_fi(
     phi: float,
     pipeline: str,
     povm: CountingPOVM | None = None,
-    p_floor: float = FI_P_FLOOR,
 ) -> FisherReport:
     """Fisher information of the counting measurement at phase phi.
 
@@ -254,7 +249,7 @@ def classical_fi(
     names the POVM in the report.
     """
     povm = povm or CountingPOVM()
-    fi, singular = _fi_reduce(state, np.array([float(phi)]), pipeline, p_floor)
+    fi, singular = _fi_reduce(state, np.array([float(phi)]), pipeline)
     return FisherReport(
         phi=float(phi),
         fi=float(fi[0]),
@@ -265,15 +260,10 @@ def classical_fi(
     )
 
 
-def fi_scan(
-    state: TwoModeState,
-    phis: np.ndarray,
-    pipeline: str,
-    p_floor: float = FI_P_FLOOR,
-) -> np.ndarray:
+def fi_scan(state: TwoModeState, phis: np.ndarray, pipeline: str) -> np.ndarray:
     """Vectorized counting-measurement FI over a phase grid."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    return _fi_reduce(state, phis, pipeline, p_floor)[0]
+    return _fi_reduce(state, phis, pipeline)[0]
 
 
 def qfi_pure(state: TwoModeState) -> float:
@@ -294,10 +284,7 @@ def max_qfi_bound(dist: PhotonDistribution) -> Moment:
 
 
 def sector_fi_decomposition(
-    state: TwoModeState,
-    phi: float,
-    pipeline: str,
-    p_floor: float = FI_P_FLOOR,
+    state: TwoModeState, phi: float, pipeline: str
 ) -> tuple[list[tuple[int, float, float]], float]:
     """Per-sector information split: rows (N, P(N), FI_N) and their
     probability-weighted total, which equals the whole-state FI because
@@ -305,7 +292,7 @@ def sector_fi_decomposition(
     rows = []
     total = 0.0
     for comp in sector_decompose(state):
-        rep = classical_fi(comp.state, phi, pipeline, p_floor=p_floor)
+        rep = classical_fi(comp.state, phi, pipeline)
         rows.append((comp.n_total, comp.probability, rep.fi))
         total += comp.probability * rep.fi
     return rows, total

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-DEFAULT_NORM_TOL = 1e-9
+DEFAULT_NORM_TOL = 1e-9  # `state validate` reports a file renormalized beyond this
 DEFAULT_PRUNE_THRESHOLD = 1e-15  # relative to the largest |amplitude|
 
 OBSERVABLES = ("n_total", "n_total_sq", "j3", "j3_sq", "delta", "parity_a")
@@ -50,7 +50,6 @@ class TwoModeState:
     nb: np.ndarray
     amps: np.ndarray
     cutoff: int
-    norm_tolerance: float = DEFAULT_NORM_TOL
 
     def __post_init__(self):
         for arr in (self.na, self.nb, self.amps):
@@ -102,9 +101,6 @@ def _canonical_state(
     nb: np.ndarray,
     amps: np.ndarray,
     cutoff: int,
-    *,
-    norm_tolerance: float = DEFAULT_NORM_TOL,
-    prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
 ) -> TwoModeState:
     """Merge duplicates, prune, sort by (N, n_a) and normalize."""
     if cutoff < 0:
@@ -136,26 +132,22 @@ def _canonical_state(
     peak = mags.max()
     if peak == 0.0:
         raise EmptyStateError("state needs at least one nonzero amplitude")
-    keep = mags > prune_threshold * peak
+    keep = mags > DEFAULT_PRUNE_THRESHOLD * peak
     na, nb, amps = na[keep], nb[keep], amps[keep]
 
     order = np.lexsort((na, na + nb))
     na, nb, amps = na[order], nb[order], amps[order]
     amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2))
-    return TwoModeState(na, nb, amps, int(cutoff), norm_tolerance)
+    return TwoModeState(na, nb, amps, int(cutoff))
 
 
-def make_state(
-    entries,
-    cutoff: int,
-    *,
-    norm_tolerance: float = DEFAULT_NORM_TOL,
-    prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
-) -> TwoModeState:
+def make_state(entries, cutoff: int) -> TwoModeState:
     """Build a normalized canonical state from (n_a, n_b, amplitude) triples.
 
-    Raises EmptyStateError if all amplitudes vanish and CutoffViolationError
-    for occupations outside 0 <= n_a, n_b with n_a + n_b <= cutoff.
+    Amplitudes at or below DEFAULT_PRUNE_THRESHOLD times the largest
+    |amplitude| are dropped before normalizing. Raises EmptyStateError if
+    all amplitudes vanish and CutoffViolationError for occupations outside
+    0 <= n_a, n_b with n_a + n_b <= cutoff.
     """
     entries = list(entries)
     if not entries:
@@ -165,14 +157,7 @@ def make_state(
     amps = np.array([e[2] for e in entries], dtype=np.complex128)
     if np.any(na != np.floor(na)) or np.any(nb != np.floor(nb)):
         raise CutoffViolationError("occupation numbers must be integers")
-    return _canonical_state(
-        na.astype(np.int64),
-        nb.astype(np.int64),
-        amps,
-        cutoff,
-        norm_tolerance=norm_tolerance,
-        prune_threshold=prune_threshold,
-    )
+    return _canonical_state(na.astype(np.int64), nb.astype(np.int64), amps, cutoff)
 
 
 def vacuum(cutoff: int = 0) -> TwoModeState:
@@ -253,9 +238,7 @@ def apply_phase(state: TwoModeState, phi: float) -> TwoModeState:
     """Differential phase shift exp(-i*phi*J3): amplitude at (n_a, n_b) picks
     up exp(-i*phi*(n_a - n_b)/2). Norm and photon distribution unchanged."""
     phases = np.exp(-1j * phi * state.j3_values)
-    return TwoModeState(
-        state.na, state.nb, state.amps * phases, state.cutoff, state.norm_tolerance
-    )
+    return TwoModeState(state.na, state.nb, state.amps * phases, state.cutoff)
 
 
 def sector_blocks(state: TwoModeState):
@@ -272,9 +255,7 @@ def sector_blocks(state: TwoModeState):
         yield n, vec, np.arange(n + 1) - n / 2.0
 
 
-def apply_beamsplitter(
-    state: TwoModeState, *, prune_threshold: float = DEFAULT_PRUNE_THRESHOLD
-) -> TwoModeState:
+def apply_beamsplitter(state: TwoModeState) -> TwoModeState:
     """50:50 beam splitter exp(i*pi*J1/2), applied sector by sector.
 
     Commutes with total photon number, so the sector probabilities are
@@ -288,12 +269,10 @@ def apply_beamsplitter(
     na = np.concatenate(na_parts)
     nb = np.concatenate(nb_parts)
     amps = np.concatenate(amp_parts)
-    keep = np.abs(amps) > prune_threshold * np.abs(amps).max()
+    keep = np.abs(amps) > DEFAULT_PRUNE_THRESHOLD * np.abs(amps).max()
     # sectors were visited in increasing N and filled in increasing n_a,
     # so the concatenation is already canonical
-    return TwoModeState(
-        na[keep], nb[keep], amps[keep], state.cutoff, state.norm_tolerance
-    )
+    return TwoModeState(na[keep], nb[keep], amps[keep], state.cutoff)
 
 
 def expect(state: TwoModeState, observable: str) -> float:
@@ -350,10 +329,7 @@ def sector_decompose(state: TwoModeState) -> list[SectorComponent]:
             SectorComponent(
                 n_total=int(n),
                 probability=prob,
-                state=TwoModeState(
-                    state.na[idx], state.nb[idx], amps / phase, int(n),
-                    state.norm_tolerance,
-                ),
+                state=TwoModeState(state.na[idx], state.nb[idx], amps / phase, int(n)),
                 phase=complex(phase),
             )
         )
@@ -373,12 +349,7 @@ def state_to_json_dict(state: TwoModeState) -> dict:
     }
 
 
-def state_from_json_dict(
-    data: dict,
-    *,
-    norm_tolerance: float = DEFAULT_NORM_TOL,
-    prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
-) -> TwoModeState:
+def state_from_json_dict(data: dict) -> TwoModeState:
     """Parse, canonicalize and renormalize a state dictionary."""
     try:
         cutoff = int(data["cutoff"])
@@ -388,9 +359,7 @@ def state_from_json_dict(
         ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state file: {exc}") from exc
-    return make_state(
-        entries, cutoff, norm_tolerance=norm_tolerance, prune_threshold=prune_threshold
-    )
+    return make_state(entries, cutoff)
 
 
 def save_state(state: TwoModeState, path) -> None:
@@ -401,6 +370,6 @@ def save_state(state: TwoModeState, path) -> None:
         fh.write("\n")
 
 
-def load_state(path, **kwargs) -> TwoModeState:
+def load_state(path) -> TwoModeState:
     with open(path, "r", encoding="utf-8") as fh:
-        return state_from_json_dict(json.load(fh), **kwargs)
+        return state_from_json_dict(json.load(fh))

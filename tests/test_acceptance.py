@@ -111,8 +111,8 @@ def test_03_closed_form_vs_unitary_oracle():
 def test_04_tmsv_intermediate_qfi():
     mismatches = []
     for mean in TMSV_MEANS:
-        cutoff = tmsv_cutoff_for(mean, 1e-10)
-        state, dist = tmsv(mean, cutoff, tail_bound=1e-10)
+        cutoff = tmsv_cutoff_for(mean)
+        state, dist = tmsv(mean, cutoff)
         qfi = qfi_pure(apply_beamsplitter(state))
         target = mean * mean + 2 * mean
         assert abs(qfi - target) <= 1e-6 * target
@@ -131,8 +131,8 @@ def test_04_tmsv_intermediate_qfi():
 
 def test_05_tmsv_weighted_branch_qfi():
     for mean in TMSV_MEANS:
-        cutoff = tmsv_cutoff_for(mean, 1e-10)
-        state, _ = tmsv_noon(mean, cutoff, tail_bound=1e-10)
+        cutoff = tmsv_cutoff_for(mean)
+        state, _ = tmsv_noon(mean, cutoff)
         target = 2 * mean * mean + 2 * mean
         assert abs(qfi_pure(state) - target) <= 1e-6 * target
     _report(5, "branch family with squeezed-vacuum weights reaches 2m^2+2m")
@@ -233,8 +233,8 @@ def test_10_saturation_of_max_qfi_bound():
     bound = max_qfi_bound(dist).value
     assert fi_scan(state, phis, "MMZI").max() >= (1 - 1e-4) * bound
 
-    cutoff = tmsv_cutoff_for(2.0, 1e-10)
-    state2, dist2 = tmsv_noon(2.0, cutoff, tail_bound=1e-10)
+    cutoff = tmsv_cutoff_for(2.0)
+    state2, dist2 = tmsv_noon(2.0, cutoff)
     bound2 = max_qfi_bound(dist2).value
     assert fi_scan(state2, phis, "MMZI").max() >= (1 - 1e-4) * bound2
     _report(10, "counting measurement saturates the distribution bound")

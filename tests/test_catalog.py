@@ -1,9 +1,12 @@
+import concurrent.futures
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+from qfilab import catalog
 from qfilab import (
     InvalidNError,
     PoleProximityError,
@@ -62,6 +65,27 @@ def test_zeta_pole_guard():
 def test_zeta_bad_tol():
     with pytest.raises(ValueError):
         zeta(2.0, tol=-1.0)
+
+
+def test_zeta_threads_get_the_serial_values():
+    args = [2.0 + 0.125 * (i % 24) for i in range(480)]
+    catalog._zeta_sum.cache_clear()
+    serial = [zeta(x) for x in args]
+    catalog._zeta_sum.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(zeta, args, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_zeta_cache_stays_bounded():
+    for i in range(1000):
+        zeta(2.0 + 1e-3 * i)
+    assert catalog._zeta_sum.cache_info().currsize <= 64
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +173,8 @@ def test_tmsv_small_mean_is_nearly_vacuum():
 
 def test_tmsv_tail_guard():
     with pytest.raises(TailTooHeavyError):
-        tmsv(2.0, 5, tail_bound=1e-10)
-    k = tmsv_cutoff_for(8.0, 1e-10)
+        tmsv(2.0, 5)
+    k = tmsv_cutoff_for(8.0)
     assert (8.0 / 10.0) ** (k + 1) <= 1e-10
     assert (8.0 / 10.0) ** k > 1e-10
 

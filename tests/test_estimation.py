@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qfilab import fock
+from qfilab import fisher, fock
 from qfilab import (
     DegenerateLikelihoodError,
     crb_convergence_study,
@@ -15,6 +15,7 @@ from qfilab import (
     run_estimation,
     sample_outcomes,
     vacuum,
+    zeta_dual_fock,
     zeta_noon,
 )
 
@@ -81,6 +82,24 @@ def test_two_branch_estimation_builds_no_dense_splitter(monkeypatch):
     run = run_estimation(zeta_noon(3.0, 200)[0], 0.3, "MMZI", 2000, seed=3)
     assert run.window[0] <= run.phi_hat <= run.window[1]
     assert list(fock._BS_CACHE) == []
+
+
+def test_mzi_run_applies_the_first_splitter_once(monkeypatch):
+    calls = []
+    real = fisher.apply_beamsplitter
+    monkeypatch.setattr(fisher, "apply_beamsplitter", lambda s: calls.append(s) or real(s))
+    run = run_estimation(zeta_dual_fock(3.0, 8)[0], 0.3, "MZI", 2000, seed=7)
+    assert run.pipeline == "MZI"
+    assert len(calls) == 1
+
+
+def test_likelihood_period_builds_no_splitter_columns(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("likelihood_period asked for splitter columns")
+
+    monkeypatch.setattr(fisher, "splitter_columns", refuse)
+    assert likelihood_period(zeta_dual_fock(3.0, 8)[0], "MZI") == math.pi / 8
+    assert likelihood_period(zeta_noon(3.0, 40)[0]) == 2 * math.pi / 40
 
 
 def test_mle_unique_peak_from_pure_record():
