@@ -23,8 +23,9 @@ phi_hat = mle_phase(outcomes, state, "MMZI", window)
 print(f"windowed MLE on {tuple(round(w, 3) for w in window)}: "
       f"phi_hat = {phi_hat:.5f}\n")
 
-# One bundled run records everything needed to reproduce it.
-run = run_estimation(state, phi_true, "MMZI", m_trials=2000, seed=7)
+# One bundled run records everything needed to reproduce it; reps=3 would
+# return three records from the spawn keys (0,), (1,) and (2,) of seed 7.
+[run] = run_estimation(state, phi_true, "MMZI", m_trials=2000, seed=7)
 print("run record:", run.to_json_line(), "\n")
 
 # The bound is asymptotic: the MSE/CRB ratio drifts toward 1 from above.

@@ -30,7 +30,7 @@ from . import __version__
 from . import catalog as cat
 from . import curves
 from .curves import SpecError
-from .estimation import default_window, run_estimation
+from .estimation import run_estimation
 from .fisher import FisherReport, fi_scan, premeasurement_state, qfi_pure
 from .fock import DEFAULT_NORM_TOL, load_state
 
@@ -240,14 +240,15 @@ def _run_curve(args, figure: str) -> int:
 
 def _cmd_qfi(args) -> int:
     state, dist, desc = resolve_state(args.state)
+    pre = premeasurement_state(state, args.pipeline)
     phis = np.linspace(0.0, 2.0 * math.pi, 181)
-    scan = fi_scan(state, phis, args.pipeline)
+    scan = fi_scan(pre, phis, "MMZI")
     best = int(np.argmax(scan))
     divergent = bool(dist and dist.mean_square.divergent)
     report = FisherReport(
         phi=float(phis[best]),
         fi=float(scan[best]),
-        qfi=qfi_pure(premeasurement_state(state, args.pipeline)),
+        qfi=qfi_pure(pre),
         povm="counting:na_nb",
         pipeline=args.pipeline,
         qfi_divergent=divergent,
@@ -269,8 +270,9 @@ def _cmd_qfi(args) -> int:
 def _cmd_fi_scan(args) -> int:
     state, dist, _ = resolve_state(args.state)
     phis = _sweep(args)
-    fi = fi_scan(state, phis, args.pipeline)
-    qfi = qfi_pure(premeasurement_state(state, args.pipeline))
+    pre = premeasurement_state(state, args.pipeline)
+    fi = fi_scan(pre, phis, "MMZI")
+    qfi = qfi_pure(pre)
     columns = ["phi", "fi", "qfi"]
     rows = [[float(p), float(f), qfi] for p, f in zip(phis, fi)]
     meta = (
@@ -295,22 +297,9 @@ def _cmd_estimate(args) -> int:
         raise SpecError("--trials must be >= 1")
     if args.reps < 1:
         raise SpecError("--reps must be >= 1")
-    window = tuple(args.window) if args.window else default_window(
-        state, args.phi_true, args.pipeline
-    )
-    lines = []
-    for rep in range(args.reps):
-        run = run_estimation(
-            state,
-            args.phi_true,
-            args.pipeline,
-            args.trials,
-            seed=args.seed,
-            repetition=rep,
-            window=window,
-        )
-        lines.append(run.to_json_line())
-    _write_text(args.out, "\n".join(lines) + "\n")
+    runs = run_estimation(state, args.phi_true, args.pipeline, args.trials,
+                          seed=args.seed, reps=args.reps, window=args.window)
+    _write_text(args.out, "".join(run.to_json_line() + "\n" for run in runs))
     return 0
 
 
@@ -430,10 +419,7 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         subject = getattr(args, "state", args.command)
-        sys.stderr.write(
-            f"error: out of memory while evaluating {subject!r}; dense splitters "
-            "grow like the cutoff cubed, so try a smaller cutoff\n"
-        )
+        sys.stderr.write(f"error: out of memory while evaluating {subject!r}\n")
         return 2
     return 0
 

@@ -1,10 +1,11 @@
 """Seeded Monte-Carlo phase estimation against the Cramer-Rao bound.
 
-Sampling uses numpy's counter-based Philox generator (algorithm id
-"philox4x64"), seeded through SeedSequence so repetitions can be derived
-deterministically with spawn keys; identical seeds give bit-identical
-outcome histograms and serialized runs. Outcomes are stored as histograms
-rather than raw sequences so trial counts up to 1e8 stay cheap.
+Sampling draws from the flat probability vector of the fisher outcome
+table with numpy's counter-based Philox generator (algorithm id
+"philox4x64") seeded through SeedSequence: spawn keys (rep,) in
+run_estimation, (m_index, rep) in crb_convergence_study. Identical seeds
+give bit-identical histograms and serialized runs, and only drawn outcomes
+are keyed, so trial counts up to 1e8 stay cheap.
 
 The estimator is a windowed maximum-likelihood search: a coarse grid over
 the window followed by golden-section refinement. Windows must stay
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fisher import _sectors, classical_fi, likelihood, premeasurement_state
+from .fisher import _outcome_table, _sectors, classical_fi, premeasurement_state
 from .fock import TwoModeState, sector_blocks
 
 RNG_ALGORITHM = "philox4x64"
@@ -86,11 +87,10 @@ def sample_outcomes(
     """
     if m_trials < 1:
         raise ValueError("m_trials must be >= 1")
-    probs = likelihood(state, phi_true, pipeline)  # canonical (N, n_a) order
-    pvec = np.array(list(probs.values()))
-    pvec = pvec / pvec.sum()
-    counts = _rng(seed).multinomial(m_trials, pvec)
-    return {k: int(c) for k, c in zip(probs, counts) if c > 0}
+    na, nb, p, _ = _outcome_table(state, phi_true, pipeline)
+    counts = _rng(seed).multinomial(m_trials, p / p.sum())
+    drawn = np.flatnonzero(counts)
+    return dict(zip(zip(na[drawn].tolist(), nb[drawn].tolist()), counts[drawn].tolist()))
 
 
 def _loglik_grid(
@@ -241,36 +241,41 @@ def run_estimation(
     pipeline: str,
     m_trials: int,
     seed: int,
-    repetition: int = 0,
+    reps: int = 1,
     window: tuple[float, float] | None = None,
-) -> EstimationRun:
-    """Sample, estimate, and record one run; repetitions derive independent
-    substreams via SeedSequence spawn keys on top of the root seed.
-
-    The pipeline's first splitter is applied once, and every step runs on
-    that pre-measurement state as "MMZI", which gives the same sectors.
+) -> list[EstimationRun]:
+    """Sample, estimate, and record reps runs; run r draws from the substream
+    SeedSequence(seed, spawn_key=(r,)). The first splitter, the window, the
+    period and the FI behind crb_m are computed once; every step runs on the
+    pre-measurement state as "MMZI", which gives the same sectors.
     """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     pre = premeasurement_state(state, pipeline)
     if window is None:
         window = default_window(pre, phi_true, "MMZI")
-    sub = np.random.SeedSequence(int(seed), spawn_key=(int(repetition),))
-    outcomes = sample_outcomes(pre, phi_true, "MMZI", m_trials, sub)
-    phi_hat = mle_phase(outcomes, pre, "MMZI", window)
+    period = likelihood_period(pre, "MMZI")
     fi = classical_fi(pre, phi_true, "MMZI").fi
     crb_m = 1.0 / (m_trials * fi) if fi > 1e-12 else None
-    return EstimationRun(
-        phi_true=float(phi_true),
-        m_trials=int(m_trials),
-        seed=int(seed),
-        repetition=int(repetition),
-        window=(float(window[0]), float(window[1])),
-        pipeline=pipeline,
-        outcomes=outcomes,
-        phi_hat=float(phi_hat),
-        empirical_mse=float((phi_hat - phi_true) ** 2),
-        crb_m=crb_m,
-        period=likelihood_period(pre, "MMZI"),
-    )
+    runs = []
+    for rep in range(reps):
+        sub = np.random.SeedSequence(int(seed), spawn_key=(rep,))
+        outcomes = sample_outcomes(pre, phi_true, "MMZI", m_trials, sub)
+        phi_hat = mle_phase(outcomes, pre, "MMZI", window)
+        runs.append(EstimationRun(
+            phi_true=float(phi_true),
+            m_trials=int(m_trials),
+            seed=int(seed),
+            repetition=rep,
+            window=(float(window[0]), float(window[1])),
+            pipeline=pipeline,
+            outcomes=outcomes,
+            phi_hat=float(phi_hat),
+            empirical_mse=float((phi_hat - phi_true) ** 2),
+            crb_m=crb_m,
+            period=period,
+        ))
+    return runs
 
 
 @dataclass(frozen=True)

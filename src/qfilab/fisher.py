@@ -28,11 +28,13 @@ amplitudes and their phase derivatives over a phase grid, sector by
 sector; this is valid because both unitaries preserve the total photon
 number. Within a sector it contracts only the occupied input columns of
 the final splitter, so a two-branch sector costs two closed-form columns
-(fock.splitter_columns) instead of a dense (N+1)x(N+1) matrix. One
-vectorized reduction, _fi_reduce, turns the amplitudes into the Fisher
-information and the singular flag for both classical_fi (one phase) and
-fi_scan (a grid). The estimation module's likelihood period and
-log-likelihood grid are built on the same sectors (_sectors).
+(fock.splitter_columns) instead of a dense (N+1)x(N+1) matrix. Per
+outcome it is read as flat arrays in (N, n_a) order (_outcome_table, of
+which the likelihood dicts are views), and over a phase grid through one
+reduction to the FI and singular flag (_fi_reduce, shared by classical_fi
+and fi_scan). An MZI's first splitter is applied once
+(premeasurement_state) and the kernel runs on that state as "MMZI", as do
+the estimation module's likelihood period and log-likelihood grid.
 """
 
 from __future__ import annotations
@@ -175,30 +177,35 @@ def _amplitudes(state: TwoModeState, phis: np.ndarray, pipeline: str):
         yield n, chi @ bs_t, (chi * (-1j * m)) @ bs_t
 
 
+def _outcome_table(state: TwoModeState, phi: float, pipeline: str):
+    """Every outcome of the occupied sectors as flat arrays (na, nb, p, dp)
+    in canonical (N, n_a) order: the port counts, the probability at phi and
+    its analytic derivative. Zero-probability port splits are included."""
+    na, nb, p, dp = [], [], [], []
+    for n, out, dout in _amplitudes(state, np.array([float(phi)]), pipeline):
+        na.append(np.arange(n + 1))
+        nb.append(n - na[-1])
+        p.append(np.abs(out[0]) ** 2)
+        dp.append(2.0 * np.real(np.conj(out[0]) * dout[0]))
+    return tuple(np.concatenate(col) for col in (na, nb, p, dp))
+
+
 def likelihood(
     state: TwoModeState, phi: float, pipeline: str, povm: CountingPOVM | None = None
 ) -> dict[tuple[int, int], float]:
-    """Outcome probabilities of the counting measurement.
-
-    The outcome set is restricted to occupied total-photon sectors; within
-    a sector every port split is listed, including zero-probability ones.
-    """
-    pairs = likelihood_with_derivative(state, phi, pipeline, povm)
-    return {key: p for key, (p, _) in pairs.items()}
+    """Outcome probabilities of the counting measurement keyed by povm: a
+    dict view of _outcome_table, so every port split of each occupied
+    total-photon sector is listed, including zero-probability ones."""
+    return {k: p for k, (p, _) in likelihood_with_derivative(state, phi, pipeline, povm).items()}
 
 
 def likelihood_with_derivative(
     state: TwoModeState, phi: float, pipeline: str, povm: CountingPOVM | None = None
 ) -> dict[tuple[int, int], tuple[float, float]]:
-    """Outcome probabilities together with analytic d/dphi."""
+    """Outcome probabilities together with analytic d/dphi, keyed by povm."""
     povm = povm or CountingPOVM()
-    pairs = {}
-    for n, out, dout in _amplitudes(state, np.array([float(phi)]), pipeline):
-        p = np.abs(out[0]) ** 2
-        dp = 2.0 * np.real(np.conj(out[0]) * dout[0])
-        for k in range(n + 1):
-            pairs[povm.key(k, n - k)] = (float(p[k]), float(dp[k]))
-    return pairs
+    na, nb, p, dp = (x.tolist() for x in _outcome_table(state, phi, pipeline))
+    return {povm.key(a, b): (x, dx) for a, b, x, dx in zip(na, nb, p, dp)}
 
 
 _AMP_NOISE = 1e-13  # amplitudes below this are eigensolver rounding noise
@@ -249,11 +256,12 @@ def classical_fi(
     names the POVM in the report.
     """
     povm = povm or CountingPOVM()
-    fi, singular = _fi_reduce(state, np.array([float(phi)]), pipeline)
+    pre = premeasurement_state(state, pipeline)
+    fi, singular = _fi_reduce(pre, np.array([float(phi)]), "MMZI")
     return FisherReport(
         phi=float(phi),
         fi=float(fi[0]),
-        qfi=qfi_pure(premeasurement_state(state, pipeline)),
+        qfi=qfi_pure(pre),
         povm=povm.povm_id,
         pipeline=pipeline,
         singular=bool(singular[0]),
@@ -298,6 +306,21 @@ def sector_fi_decomposition(
     return rows, total
 
 
+def _grouped_fi(values, p, dp) -> float:
+    """Fisher information of the readout that merges outcomes sharing a value:
+    p and dp summed per value, then dp^2/p summed in sorted-value order."""
+    keys, group = np.unique(values, return_inverse=True)
+    gp = np.bincount(group, weights=p, minlength=keys.size).tolist()
+    gdp = np.bincount(group, weights=dp, minlength=keys.size).tolist()
+    fi = 0.0
+    for p_k, dp_k in zip(gp, gdp):
+        # dp scales like sqrt(p), so the ratio stays finite down to p -> 0;
+        # an exact zero contributes nothing at probability level
+        if p_k > 0.0:
+            fi += dp_k * dp_k / p_k
+    return fi
+
+
 def fi_observable(
     state: TwoModeState,
     phi: float,
@@ -310,22 +333,13 @@ def fi_observable(
     the result can only fall below the full counting measurement, with
     equality when f is injective on the occupied outcomes.
     """
-    groups: dict[float, list[float]] = {}
-    for (a, b), (p, dp) in likelihood_with_derivative(state, phi, pipeline).items():
-        acc = groups.setdefault(float(f(a, b)), [0.0, 0.0])
-        acc[0] += p
-        acc[1] += dp
-    fi = 0.0
-    for val in sorted(groups):
-        p, dp = groups[val]
-        # dp scales like sqrt(p), so the ratio stays finite down to p -> 0;
-        # an exact zero contributes nothing at probability level
-        if p > 0.0:
-            fi += dp * dp / p
+    pre = premeasurement_state(state, pipeline)
+    na, nb, p, dp = _outcome_table(pre, phi, "MMZI")
+    values = [float(f(a, b)) for a, b in zip(na.tolist(), nb.tolist())]
     return FisherReport(
         phi=float(phi),
-        fi=float(fi),
-        qfi=qfi_pure(premeasurement_state(state, pipeline)),
+        fi=_grouped_fi(values, p, dp),
+        qfi=qfi_pure(pre),
         povm="observable:f(na,nb)",
         pipeline=pipeline,
     )
@@ -342,22 +356,15 @@ def j3_measurement_fi(state: TwoModeState, phi: float) -> FisherReport:
     measurement in (N, Delta) labels.
     """
     chi = apply_phase(state, phi)
-    groups: dict[int, list[float]] = {}
-    for (a, b), amp in chi.items():
-        m2 = a - b  # twice the J3 eigenvalue, kept integer
-        acc = groups.setdefault(m2, [0.0, 0.0])
-        p = abs(amp) ** 2
-        acc[0] += p
+    m2 = chi.na - chi.nb  # twice the J3 eigenvalue, kept integer
+    p, dp = [], []
+    for amp, m in zip(chi.amps.tolist(), m2.tolist()):
+        p.append(abs(amp) ** 2)
         # d/dphi of |amp * exp(-i*phi*m)|^2 is exactly zero
-        acc[1] += 2.0 * (np.conj(amp) * (-1j * (m2 / 2.0) * amp)).real
-    fi = 0.0
-    for m2 in sorted(groups):
-        p, dp = groups[m2]
-        if p > 0:
-            fi += dp * dp / p
+        dp.append(2.0 * (np.conj(amp) * (-1j * (m / 2.0) * amp)).real)
     return FisherReport(
         phi=float(phi),
-        fi=float(fi),
+        fi=_grouped_fi(m2, p, dp),
         qfi=qfi_pure(state),
         povm="j3_intermediate",
         pipeline="MMZI",

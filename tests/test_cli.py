@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 import qfilab
-from qfilab import make_state, save_state
+from qfilab import estimation, fisher, make_state, save_state
 from qfilab.cli import main, resolve_state
 
 
@@ -157,6 +157,34 @@ def test_estimate_bytes_reproducible(tmp_path):
     assert all(r["rng"] == "philox4x64" for r in runs)
 
 
+@pytest.mark.parametrize("flag", ["--reps", "--trials"])
+def test_estimate_rejects_zero_counts(flag, capsys):
+    argv = ["estimate", "catalog:noon:1", "--phi-true", "0.3", flag, "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{flag} must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["qfi", "catalog:dual_fock:3"], fisher, "apply_beamsplitter"),
+        (["fi-scan", "catalog:zeta_dual_fock:3:8", "--points", "11"], fisher, "apply_beamsplitter"),
+        (["estimate", "catalog:zeta_dual_fock:3:8", "--phi-true", "0.3", "--trials", "200",
+          "--reps", "10"], fisher, "apply_beamsplitter"),
+        (["estimate", "catalog:zeta_dual_fock:3:8", "--phi-true", "0.3", "--trials", "200",
+          "--reps", "10"], estimation, "classical_fi"),
+    ],
+    ids=["qfi-splitter", "fi_scan-splitter", "estimate-splitter", "estimate-fi"],
+)
+def test_mzi_setup_runs_once_per_command(argv, module, name, monkeypatch, capsys):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    assert main(argv + ["--pipeline", "MZI"]) == 0
+    assert len(calls) == 1
+
+
 def test_estimate_seed_changes_bytes(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     base = ["estimate", "catalog:noon:1", "--phi-true", "0.3", "--trials", "200"]
@@ -230,3 +258,9 @@ def test_out_of_memory_exits_2_naming_the_state(monkeypatch, capsys):
     assert main(["qfi", "catalog:zeta_noon:3:40", "--pipeline", "MZI"]) == 2
     err = capsys.readouterr().err
     assert "out of memory" in err and "catalog:zeta_noon:3:40" in err
+    # estimation builds no dense splitter, so the message guesses no cause
+    monkeypatch.setattr("qfilab.cli.run_estimation", exhausted)
+    assert main(["estimate", "catalog:zeta_noon:3:40", "--phi-true", "0.3"]) == 2
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "catalog:zeta_noon:3:40" in err
+    assert "splitter" not in err

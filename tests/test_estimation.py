@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qfilab import fisher, fock
+from qfilab import CountingPOVM, fisher, fock
 from qfilab import (
     DegenerateLikelihoodError,
     crb_convergence_study,
@@ -46,6 +46,15 @@ def test_sampling_deterministic_outcome_at_unit_probability():
     assert out == {(0, 1): 500}
 
 
+def test_sampling_builds_no_outcome_keys(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("sample_outcomes keyed an outcome through the POVM")
+
+    monkeypatch.setattr(CountingPOVM, "key", refuse)
+    out = sample_outcomes(zeta_noon(3.0, 200)[0], 0.3, "MMZI", 1000, seed=0)
+    assert sum(out.values()) == 1000
+
+
 def test_sampled_frequencies_track_likelihood():
     m = 100_000
     s = noon(1)
@@ -79,7 +88,7 @@ def test_unknown_pipeline_rejected(call, pipeline):
 
 def test_two_branch_estimation_builds_no_dense_splitter(monkeypatch):
     monkeypatch.setattr(fock, "_BS_CACHE", {})
-    run = run_estimation(zeta_noon(3.0, 200)[0], 0.3, "MMZI", 2000, seed=3)
+    [run] = run_estimation(zeta_noon(3.0, 200)[0], 0.3, "MMZI", 2000, seed=3)
     assert run.window[0] <= run.phi_hat <= run.window[1]
     assert list(fock._BS_CACHE) == []
 
@@ -88,7 +97,7 @@ def test_mzi_run_applies_the_first_splitter_once(monkeypatch):
     calls = []
     real = fisher.apply_beamsplitter
     monkeypatch.setattr(fisher, "apply_beamsplitter", lambda s: calls.append(s) or real(s))
-    run = run_estimation(zeta_dual_fock(3.0, 8)[0], 0.3, "MZI", 2000, seed=7)
+    [run] = run_estimation(zeta_dual_fock(3.0, 8)[0], 0.3, "MZI", 2000, seed=7)
     assert run.pipeline == "MZI"
     assert len(calls) == 1
 
@@ -141,15 +150,20 @@ def test_mle_stays_inside_window():
 
 
 def test_run_serialization_reproducible():
-    a = run_estimation(noon(1), 0.3, "MMZI", 500, seed=7, repetition=3)
-    b = run_estimation(noon(1), 0.3, "MMZI", 500, seed=7, repetition=3)
+    a = run_estimation(noon(1), 0.3, "MMZI", 500, seed=7, reps=4)[3]
+    b = run_estimation(noon(1), 0.3, "MMZI", 500, seed=7, reps=4)[3]
     assert a.to_json_line() == b.to_json_line()
-    c = run_estimation(noon(1), 0.3, "MMZI", 500, seed=7, repetition=4)
+    c = run_estimation(noon(1), 0.3, "MMZI", 500, seed=7, reps=5)[4]
     assert a.to_json_line() != c.to_json_line()
 
 
+def test_run_estimation_rejects_zero_reps():
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        run_estimation(noon(1), 0.3, "MMZI", 500, seed=7, reps=0)
+
+
 def test_run_records_metadata():
-    run = run_estimation(noon(2), 0.4, "MMZI", 200, seed=1)
+    [run] = run_estimation(noon(2), 0.4, "MMZI", 200, seed=1)
     assert run.rng_algorithm == "philox4x64"
     assert run.period == pytest.approx(math.pi)
     assert run.window[0] <= run.phi_hat <= run.window[1]

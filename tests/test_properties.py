@@ -2,8 +2,9 @@
 
 Each property ties two routes to the same number: the pointwise and the
 vectorized Fisher information, the two outcome labelings, the quantum
-bound, the sector split, and the estimation path's log-likelihood against
-the fisher path's likelihood.
+bound, the sector split, the estimation path's log-likelihood against
+the fisher path's likelihood, and the array outcome table and the sampler
+against outcome-by-outcome references.
 """
 
 import math
@@ -17,14 +18,16 @@ from qfilab import (
     apply_beamsplitter,
     beamsplitter_matrix,
     classical_fi,
+    fi_observable,
     fi_scan,
     likelihood,
     likelihood_with_derivative,
     make_state,
+    sample_outcomes,
     sector_fi_decomposition,
 )
 from qfilab.estimation import _loglik_grid
-from qfilab.fisher import FI_P_FLOOR
+from qfilab.fisher import FI_P_FLOOR, _amplitudes, _outcome_table
 
 MAX_SECTOR = 6
 AMP_NOISE = 1e-13  # amplitude scale below which an outcome sits at a zero
@@ -149,3 +152,50 @@ def test_loglik_grid_matches_likelihood(state, pipeline, phis, counts):
     for value, p in zip(grid, probs):
         expected = sum(c * math.log(p[k]) for k, c in outcomes.items())
         assert close(float(value), expected, rel=1e-10)
+
+
+def reference_table(state, phi, pipeline):
+    """Rows (n_a, n_b, P, dP) built outcome by outcome from the sector
+    amplitudes, in canonical (N, n_a) order."""
+    rows = []
+    for n, out, dout in _amplitudes(state, np.array([float(phi)]), pipeline):
+        p = np.abs(out[0]) ** 2
+        dp = 2.0 * np.real(np.conj(out[0]) * dout[0])
+        for k in range(n + 1):
+            rows.append((k, n - k, float(p[k]), float(dp[k])))
+    return rows
+
+
+@given(states(), phases, pipelines)
+def test_outcome_table_matches_reference(state, phi, pipeline):
+    table = _outcome_table(state, phi, pipeline)
+    assert list(zip(*(col.tolist() for col in table))) == reference_table(state, phi, pipeline)
+
+
+@given(states(), phases, pipelines, st.integers(1, 10_000), st.integers(0, 2**32))
+def test_sampling_matches_multinomial_over_likelihood(state, phi, pipeline, m, seed):
+    probs = likelihood(state, phi, pipeline)
+    pvec = np.array(list(probs.values()))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    counts = rng.multinomial(m, pvec / pvec.sum())
+    expected = {k: int(c) for k, c in zip(probs, counts) if c > 0}
+    assert sample_outcomes(state, phi, pipeline, m, seed) == expected
+
+
+READOUTS = [lambda a, b: a % 3, lambda a, b: (-1) ** a, lambda a, b: a + math.sqrt(2) * b]
+
+
+@given(states(), phases, pipelines, st.sampled_from(READOUTS))
+def test_fi_observable_matches_grouped_reference(state, phi, pipeline, f):
+    # merge outcome by outcome, then sum the groups in sorted-value order
+    groups = {}
+    for (a, b), (p, dp) in likelihood_with_derivative(state, phi, pipeline).items():
+        acc = groups.setdefault(float(f(a, b)), [0.0, 0.0])
+        acc[0] += p
+        acc[1] += dp
+    expected = 0.0
+    for val in sorted(groups):
+        p, dp = groups[val]
+        if p > 0.0:
+            expected += dp * dp / p
+    assert fi_observable(state, phi, pipeline, f).fi == expected
