@@ -31,7 +31,7 @@ from . import catalog as cat
 from . import curves
 from .curves import SpecError
 from .estimation import run_estimation
-from .fisher import FisherReport, fi_scan, premeasurement_state, qfi_pure
+from .fisher import PIPELINES, FisherReport, fi_scan, premeasurement_state, qfi_pure
 from .fock import DEFAULT_NORM_TOL, load_state
 
 _CATALOG_HELP = [
@@ -187,11 +187,8 @@ def _run_curve(args, figure: str) -> int:
     scale = 1 if figure == "fig3a" else 2
     points = [point_fn(float(m), args.tol) for m in means]
 
-    if figure == "fig3a":
-        columns = ["mean_n", "snl", "hl", "tmsv_crb", "tmsv_noon_crb", "zeta_noon_crb"]
-    else:
-        columns = ["mean_n", "noon_crb", "dualfock_crb"]
-    rows = [[p.mean_n] + [p.values[c] for c in columns[1:]] for p in points]
+    columns = ["mean_n", *points[0].values]
+    rows = [[p.mean_n, *p.values.values()] for p in points]
     meta = (
         f"{figure} | points={args.points} x_min={_fmt(args.x_min)} "
         f"x_max={_fmt(args.x_max)} tol={args.tol:g} cutoff=inf"
@@ -363,17 +360,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qfi", help="information report for a state")
     p.add_argument("state", help="catalog URI or state file")
-    p.add_argument("--pipeline", choices=("MZI", "MMZI"), default="MMZI")
+    p.add_argument("--pipeline", choices=PIPELINES, default="MMZI")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("fi-scan", help="FI versus phase as CSV")
     p.add_argument("state")
-    p.add_argument("--pipeline", choices=("MZI", "MMZI"), default="MMZI")
+    p.add_argument("--pipeline", choices=PIPELINES, default="MMZI")
     _add_common(p, points=721, x_min=0.0, x_max=2.0 * math.pi)
 
     p = sub.add_parser("estimate", help="seeded Monte-Carlo estimation runs (JSON lines)")
     p.add_argument("state")
-    p.add_argument("--pipeline", choices=("MZI", "MMZI"), default="MMZI")
+    p.add_argument("--pipeline", choices=PIPELINES, default="MMZI")
     p.add_argument("--phi-true", dest="phi_true", type=float, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--reps", type=int, default=1)
@@ -411,9 +408,6 @@ def main(argv=None) -> int:
             return _cmd_catalog_list(args)
         if args.command == "state":
             return _cmd_state_validate(args)
-    except SpecError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

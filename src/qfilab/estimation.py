@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .fisher import _outcome_table, _sectors, classical_fi, premeasurement_state
-from .fock import TwoModeState, sector_blocks
+from .fock import TwoModeState, sector_slices
 
 RNG_ALGORITHM = "philox4x64"
 MLE_GRID_POINTS = 10_000
@@ -54,7 +54,7 @@ def likelihood_period(state: TwoModeState, pipeline: str = "MMZI") -> float:
     period).
     """
     pre = premeasurement_state(state, pipeline)
-    spread = max(np.ptp(np.flatnonzero(vec)) for _, vec, _ in sector_blocks(pre))
+    spread = max(pre.na[sl.stop - 1] - pre.na[sl.start] for _, sl in sector_slices(pre))
     return 2.0 * math.pi / spread if spread else math.inf
 
 
@@ -87,33 +87,34 @@ def sample_outcomes(
     """
     if m_trials < 1:
         raise ValueError("m_trials must be >= 1")
-    na, nb, p, _ = _outcome_table(state, phi_true, pipeline)
+    na, nb, p, _ = _outcome_table(premeasurement_state(state, pipeline), phi_true)
     counts = _rng(seed).multinomial(m_trials, p / p.sum())
     drawn = np.flatnonzero(counts)
     return dict(zip(zip(na[drawn].tolist(), nb[drawn].tolist()), counts[drawn].tolist()))
 
 
 def _loglik_grid(
-    state: TwoModeState,
-    pipeline: str,
-    outcomes: dict[tuple[int, int], int],
+    pre: TwoModeState, outcomes: dict[tuple[int, int], int]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Log-likelihood of an outcome histogram as a function of a phase grid.
+    """Log-likelihood of an outcome histogram on a phase grid, for the
+    pre-measurement state pre.
 
-    The per-histogram set-up (the fisher kernel's sectors, restricted to
-    their occupied inputs, and the splitter columns of the observed
-    outcomes with their counts) is done once here; the returned function of
-    phis only contracts those columns, which is all a record needs.
+    The per-histogram set-up (the histogram grouped by sector in one pass,
+    and the fisher kernel's splitter columns of the observed outcomes with
+    their counts) is done once here; the returned function of phis only
+    contracts those columns, which is all a record needs.
     """
-    blocks, occupied = [], set()
-    for n, vec, m, bs_t in _sectors(state, pipeline):
-        occupied.add(n)
-        wanted = [(k[0], cnt) for k, cnt in outcomes.items() if k[0] + k[1] == n]
+    by_sector = {}
+    for (a, b), cnt in outcomes.items():
+        by_sector.setdefault(a + b, []).append((a, cnt))
+    blocks = []
+    for n, vec, m, bs_t in _sectors(pre):
+        wanted = by_sector.pop(n, None)
         if wanted:
             cols, counts = zip(*wanted)
             blocks.append((vec, m, bs_t[:, list(cols)], np.array(counts, dtype=float)))
-    stray = [k for k in outcomes if k[0] + k[1] not in occupied]
-    if stray:
+    if by_sector:
+        stray = [k for k in outcomes if k[0] + k[1] in by_sector]
         raise ValueError(f"outcomes {stray} lie outside the occupied sectors")
 
     def loglik(phis: np.ndarray) -> np.ndarray:
@@ -164,7 +165,8 @@ def mle_phase(
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must have positive width")
-    period = likelihood_period(state, pipeline)
+    pre = premeasurement_state(state, pipeline)
+    period = likelihood_period(pre)
     if hi - lo > period + 1e-12:
         raise ValueError(
             f"window width {hi - lo:.6g} exceeds the likelihood period "
@@ -173,7 +175,7 @@ def mle_phase(
     if not outcomes or sum(outcomes.values()) == 0:
         raise DegenerateLikelihoodError("empty outcome record")
     phis = np.linspace(lo, hi, MLE_GRID_POINTS)
-    loglik = _loglik_grid(state, pipeline, outcomes)
+    loglik = _loglik_grid(pre, outcomes)
     ll = loglik(phis)
     span = float(ll.max() - ll.min())
     if span <= 1e-9 * max(1.0, abs(float(ll.max()))):

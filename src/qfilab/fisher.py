@@ -26,15 +26,17 @@ Likelihoods, outcome sampling, scalar readouts and the Fisher information
 all go through one sector kernel, _amplitudes, which yields the outcome
 amplitudes and their phase derivatives over a phase grid, sector by
 sector; this is valid because both unitaries preserve the total photon
-number. Within a sector it contracts only the occupied input columns of
-the final splitter, so a two-branch sector costs two closed-form columns
-(fock.splitter_columns) instead of a dense (N+1)x(N+1) matrix. Per
-outcome it is read as flat arrays in (N, n_a) order (_outcome_table, of
-which the likelihood dicts are views), and over a phase grid through one
-reduction to the FI and singular flag (_fi_reduce, shared by classical_fi
-and fi_scan). An MZI's first splitter is applied once
-(premeasurement_state) and the kernel runs on that state as "MMZI", as do
-the estimation module's likelihood period and log-likelihood grid.
+number. Its sectors (_sectors) are the contiguous slices of the state's
+canonical table (fock.sector_slices): the occupied inputs, their J3
+eigenvalues, and the matching columns of the final splitter, so a
+two-branch sector costs two closed-form columns (fock.splitter_columns)
+instead of a dense (N+1)x(N+1) matrix. Per outcome it is read as flat
+arrays in (N, n_a) order (_outcome_table, of which the likelihood dicts
+are views), and over a phase grid through one reduction to the FI and
+singular flag (_fi_reduce, shared by classical_fi and fi_scan). The
+kernel, like the estimation module's log-likelihood grid, takes the
+pre-measurement state and no pipeline: each public entry point applies an
+MZI's first splitter once (premeasurement_state) and passes the result on.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from .fock import (
     apply_beamsplitter,
     apply_phase,
     expect,
-    sector_blocks,
     sector_decompose,
+    sector_slices,
     splitter_columns,
 )
 
@@ -62,11 +64,6 @@ FI_P_FLOOR = 1e-12
 
 class NonpositiveQFIError(ValueError):
     """Zeno time is undefined for a vanishing or negative information."""
-
-
-def _check_pipeline(pipeline: str) -> None:
-    if pipeline not in PIPELINES:
-        raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
 
 
 @dataclass(frozen=True)
@@ -155,34 +152,35 @@ class FisherReport:
 
 def premeasurement_state(state: TwoModeState, pipeline: str) -> TwoModeState:
     """The state the phase acts on: for "MZI" the input after the first splitter."""
-    _check_pipeline(pipeline)
+    if pipeline not in PIPELINES:
+        raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
     return apply_beamsplitter(state) if pipeline == "MZI" else state
 
 
-def _sectors(state: TwoModeState, pipeline: str):
+def _sectors(pre: TwoModeState):
     """Yield (N, vec, m, bs_t) for each occupied sector of the pre-measurement
-    state, restricted to its occupied inputs: their amplitudes, their J3
+    state pre, restricted to its occupied inputs: their amplitudes, their J3
     eigenvalues, and bs_t[j, k] the final splitter from input j to n_a = k."""
-    for n, vec, m in sector_blocks(premeasurement_state(state, pipeline)):
-        nz = np.flatnonzero(vec)
-        yield n, vec[nz], m[nz], splitter_columns(n, nz).T
+    for n, sl in sector_slices(pre):
+        na = pre.na[sl]
+        yield n, pre.amps[sl], na - n / 2.0, splitter_columns(n, na).T
 
 
-def _amplitudes(state: TwoModeState, phis: np.ndarray, pipeline: str):
+def _amplitudes(pre: TwoModeState, phis: np.ndarray):
     """Yield (N, out, dout) for each occupied sector of the pre-measurement
     state: out[i, n_a] is the amplitude of outcome (n_a, N - n_a) at phis[i]
     and dout[i, n_a] its derivative with respect to the phase."""
-    for n, vec, m, bs_t in _sectors(state, pipeline):
+    for n, vec, m, bs_t in _sectors(pre):
         chi = np.exp(-1j * np.outer(phis, m)) * vec
         yield n, chi @ bs_t, (chi * (-1j * m)) @ bs_t
 
 
-def _outcome_table(state: TwoModeState, phi: float, pipeline: str):
+def _outcome_table(pre: TwoModeState, phi: float):
     """Every outcome of the occupied sectors as flat arrays (na, nb, p, dp)
     in canonical (N, n_a) order: the port counts, the probability at phi and
     its analytic derivative. Zero-probability port splits are included."""
     na, nb, p, dp = [], [], [], []
-    for n, out, dout in _amplitudes(state, np.array([float(phi)]), pipeline):
+    for n, out, dout in _amplitudes(pre, np.array([float(phi)])):
         na.append(np.arange(n + 1))
         nb.append(n - na[-1])
         p.append(np.abs(out[0]) ** 2)
@@ -204,16 +202,14 @@ def likelihood_with_derivative(
 ) -> dict[tuple[int, int], tuple[float, float]]:
     """Outcome probabilities together with analytic d/dphi, keyed by povm."""
     povm = povm or CountingPOVM()
-    na, nb, p, dp = (x.tolist() for x in _outcome_table(state, phi, pipeline))
+    na, nb, p, dp = (x.tolist() for x in _outcome_table(premeasurement_state(state, pipeline), phi))
     return {povm.key(a, b): (x, dx) for a, b, x, dx in zip(na, nb, p, dp)}
 
 
 _AMP_NOISE = 1e-13  # amplitudes below this are eigensolver rounding noise
 
 
-def _fi_reduce(
-    state: TwoModeState, phis: np.ndarray, pipeline: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _fi_reduce(pre: TwoModeState, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Counting-measurement FI at each phase and whether the limit algebra
     failed there.
 
@@ -229,7 +225,7 @@ def _fi_reduce(
     """
     fi = np.zeros(phis.size)
     singular = np.zeros(phis.size, dtype=bool)
-    for _, out, dout in _amplitudes(state, phis, pipeline):
+    for _, out, dout in _amplitudes(pre, phis):
         p = np.abs(out) ** 2
         dp = 2.0 * np.real(np.conj(out) * dout)
         trusted = (p >= FI_P_FLOOR) | (np.abs(out) > _AMP_NOISE)
@@ -257,7 +253,7 @@ def classical_fi(
     """
     povm = povm or CountingPOVM()
     pre = premeasurement_state(state, pipeline)
-    fi, singular = _fi_reduce(pre, np.array([float(phi)]), "MMZI")
+    fi, singular = _fi_reduce(pre, np.array([float(phi)]))
     return FisherReport(
         phi=float(phi),
         fi=float(fi[0]),
@@ -271,7 +267,7 @@ def classical_fi(
 def fi_scan(state: TwoModeState, phis: np.ndarray, pipeline: str) -> np.ndarray:
     """Vectorized counting-measurement FI over a phase grid."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    return _fi_reduce(state, phis, pipeline)[0]
+    return _fi_reduce(premeasurement_state(state, pipeline), phis)[0]
 
 
 def qfi_pure(state: TwoModeState) -> float:
@@ -334,7 +330,7 @@ def fi_observable(
     equality when f is injective on the occupied outcomes.
     """
     pre = premeasurement_state(state, pipeline)
-    na, nb, p, dp = _outcome_table(pre, phi, "MMZI")
+    na, nb, p, dp = _outcome_table(pre, phi)
     values = [float(f(a, b)) for a, b in zip(na.tolist(), nb.tolist())]
     return FisherReport(
         phi=float(phi),

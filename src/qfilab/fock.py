@@ -1,14 +1,14 @@
 """Truncated two-mode Fock space: sparse states, phase shifts, beam splitters.
 
 The two optical paths are bosonic modes a and b. A pure state is a sparse
-table of complex amplitudes over occupation pairs (n_a, n_b) with
-n_a + n_b <= cutoff. Both interferometer unitaries are block diagonal over
-total-photon-number sectors: the phase shift exp(-i*phi*J3) is diagonal in
-the occupation basis, and the 50:50 splitter exp(i*pi*J1/2) acts inside
-each sector as an (N+1)x(N+1) unitary. Callers that only need the columns
-of the occupied inputs ask splitter_columns for them: the two-branch
-columns n_a = 0 and n_a = N are binomial laws in closed form, and only
-other supports build and cache the dense matrix.
+table of complex amplitudes over occupation pairs (n_a, n_b), n_a + n_b <=
+cutoff, sorted by (N, n_a) with N = n_a + n_b. Both interferometer unitaries
+are block diagonal over the N sectors (the phase shift exp(-i*phi*J3) is
+diagonal, the 50:50 splitter exp(i*pi*J1/2) an (N+1)x(N+1) block), and each
+occupied sector is one contiguous slice of the table: sector_slices walks
+them for every per-sector reader. splitter_columns gives the splitter
+columns of occupied inputs, the two-branch ones (n_a = 0, N) in closed
+form; other supports build and cache the dense matrix.
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ class TwoModeState:
     Entries are kept in canonical order (sorted by total photon number,
     then by n_a), duplicates merged, and amplitudes below the prune
     threshold dropped, so two states with the same physical content have
-    identical tables. Arrays are read-only; every operation returns a new
-    state, which makes states safe to share between worker threads.
+    identical tables; direct construction rejects (ValueError) a table out
+    of that order, with duplicates or with an exact-zero amplitude. Arrays
+    are read-only; every operation returns a new state, which makes states
+    safe to share between worker threads.
     """
 
     na: np.ndarray
@@ -52,6 +54,10 @@ class TwoModeState:
     cutoff: int
 
     def __post_init__(self):
+        n_step = np.diff(self.n_total)
+        out_of_order = (n_step < 0) | ((n_step == 0) & (np.diff(self.na) <= 0))
+        if np.any(out_of_order) or np.any(self.amps == 0):
+            raise ValueError("entries need strictly increasing (N, n_a) and nonzero amplitudes")
         for arr in (self.na, self.nb, self.amps):
             arr.flags.writeable = False
 
@@ -80,7 +86,7 @@ class TwoModeState:
             yield (int(a), int(b)), complex(c)
 
     def occupied_sectors(self) -> list[int]:
-        return sorted({int(n) for n in self.n_total})
+        return [n for n, _ in sector_slices(self)]
 
     def allclose(self, other: "TwoModeState", tol: float = 1e-12) -> bool:
         keys = {k for k, _ in self.items()} | {k for k, _ in other.items()}
@@ -94,6 +100,15 @@ class TwoModeState:
         for (a, b), amp in self.items():
             acc += np.conj(amp) * other.amplitude(a, b)
         return complex(acc)
+
+
+def sector_slices(state: TwoModeState):
+    """Yield (N, sl) for each occupied sector in increasing N: sl slices the
+    sector's entries, in increasing n_a, out of the state's arrays."""
+    nt = state.n_total
+    starts = np.flatnonzero(np.diff(nt, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [nt.size]):
+        yield int(nt[lo]), slice(lo, hi)
 
 
 def _canonical_state(
@@ -241,20 +256,6 @@ def apply_phase(state: TwoModeState, phi: float) -> TwoModeState:
     return TwoModeState(state.na, state.nb, state.amps * phases, state.cutoff)
 
 
-def sector_blocks(state: TwoModeState):
-    """Yield (N, vec, m) for each occupied sector in increasing N.
-
-    vec holds the sector's amplitudes densely indexed by n_a (zeros where
-    the state has no entry) and m = n_a - N/2 are the J3 eigenvalues.
-    """
-    nt = state.n_total
-    for n in state.occupied_sectors():
-        idx = np.flatnonzero(nt == n)
-        vec = np.zeros(n + 1, dtype=np.complex128)
-        vec[state.na[idx]] = state.amps[idx]
-        yield n, vec, np.arange(n + 1) - n / 2.0
-
-
 def apply_beamsplitter(state: TwoModeState) -> TwoModeState:
     """50:50 beam splitter exp(i*pi*J1/2), applied sector by sector.
 
@@ -262,16 +263,15 @@ def apply_beamsplitter(state: TwoModeState) -> TwoModeState:
     untouched and the cutoff never grows.
     """
     na_parts, nb_parts, amp_parts = [], [], []
-    for n, vec, _ in sector_blocks(state):
+    for n, sl in sector_slices(state):
+        vec = np.zeros(n + 1, dtype=np.complex128)
+        vec[state.na[sl]] = state.amps[sl]
         na_parts.append(np.arange(n + 1, dtype=np.int64))
         nb_parts.append(n - na_parts[-1])
         amp_parts.append(beamsplitter_matrix(n) @ vec)
-    na = np.concatenate(na_parts)
-    nb = np.concatenate(nb_parts)
-    amps = np.concatenate(amp_parts)
+    na, nb, amps = (np.concatenate(p) for p in (na_parts, nb_parts, amp_parts))
     keep = np.abs(amps) > DEFAULT_PRUNE_THRESHOLD * np.abs(amps).max()
-    # sectors were visited in increasing N and filled in increasing n_a,
-    # so the concatenation is already canonical
+    # sectors in increasing N, each filled in increasing n_a: already canonical
     return TwoModeState(na[keep], nb[keep], amps[keep], state.cutoff)
 
 
@@ -316,23 +316,13 @@ class SectorComponent:
 
 def sector_decompose(state: TwoModeState) -> list[SectorComponent]:
     """Split a state into normalized fixed-N components with probabilities."""
-    nt = state.n_total
     comps = []
-    for n in state.occupied_sectors():
-        idx = np.flatnonzero(nt == n)
-        amps = state.amps[idx]
-        prob = float(np.sum(np.abs(amps) ** 2))
-        amps = amps / np.sqrt(prob)
-        lead = amps[0]
-        phase = lead / abs(lead)
-        comps.append(
-            SectorComponent(
-                n_total=int(n),
-                probability=prob,
-                state=TwoModeState(state.na[idx], state.nb[idx], amps / phase, int(n)),
-                phase=complex(phase),
-            )
-        )
+    for n, sl in sector_slices(state):
+        prob = float(np.sum(np.abs(state.amps[sl]) ** 2))
+        amps = state.amps[sl] / np.sqrt(prob)
+        phase = amps[0] / abs(amps[0])
+        sector = TwoModeState(state.na[sl], state.nb[sl], amps / phase, n)
+        comps.append(SectorComponent(n, prob, sector, complex(phase)))
     return comps
 
 

@@ -140,6 +140,15 @@ def test_mle_window_wider_than_period_rejected():
         mle_phase({(2, 0): 5}, noon(2), "MMZI", (0.0, 2 * math.pi))
 
 
+def test_mle_rejects_outcomes_outside_the_occupied_sectors():
+    # strays from sectors 2 and 3, interleaved with each other and with a
+    # valid sector-1 outcome, are named in histogram order
+    record = {(1, 0): 4, (0, 2): 1, (3, 0): 2, (0, 1): 3, (2, 0): 5}
+    with pytest.raises(ValueError) as exc:
+        mle_phase(record, noon(1), "MMZI", (0.0, 1.0))
+    assert str(exc.value) == "outcomes [(0, 2), (3, 0), (2, 0)] lie outside the occupied sectors"
+
+
 def test_mle_stays_inside_window():
     s = noon(1)
     for seed in range(5):

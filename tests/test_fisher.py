@@ -9,6 +9,7 @@ from qfilab import (
     CountingPOVM,
     Moment,
     NonpositiveQFIError,
+    TwoModeState,
     apply_beamsplitter,
     classical_fi,
     distribution_from_state,
@@ -232,6 +233,30 @@ def test_sector_additivity_catalog():
             whole = classical_fi(state, float(phi), pipeline).fi
             assert total == pytest.approx(whole, abs=1e-9)
             assert sum(p for _, p, _ in rows) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: _fi_reduce trusts outcome amplitudes of 1e-12 to 1e-10, "
+    "which carry ~1e-4 relative rounding error into dP^2/P",
+)
+def test_sector_additivity_near_amplitude_noise():
+    # whole-state FI 5.073160875639421 against a sector sum of 5.072932583322995
+    tiny = 9.703756478475513e-13
+    state = TwoModeState(
+        np.array([0, 0, 1, 2]),
+        np.array([0, 3, 2, 1]),
+        np.array([
+            0.053896986604926714 + 0.19070089464413978j,
+            0.6241299470004567j,
+            tiny * (1 + 1j),
+            tiny - 0.7557711908203701j,
+        ]),
+        6,
+    )
+    _, total = sector_fi_decomposition(state, 0.0, "MZI")
+    whole = classical_fi(state, 0.0, "MZI").fi
+    assert math.isclose(total, whole, rel_tol=1e-12)
 
 
 def test_sector_decomposition_single_sector_row():

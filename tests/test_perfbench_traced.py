@@ -1,0 +1,41 @@
+"""The benchmark's traced mode (perfbench/traced.py) replays a CLI command as
+spanned calls to qfilab's public functions. Its output files must equal the
+CLI's byte for byte, which pins the public calls it makes."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from qfilab.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEED = 7
+
+
+def _commands(workload: str):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.commands(workload, SEED)
+
+
+@pytest.mark.parametrize("workload", ["qfi_noon", "estimate_mzi"])
+def test_traced_mode_matches_cli_output(workload, tmp_path):
+    [cmd] = _commands(workload)
+    traced, cli = tmp_path / "traced", tmp_path / "cli"
+    traced.mkdir()
+    cli.mkdir()
+    src = str(PERFBENCH.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "traced.py"), workload, str(SEED), "0", str(traced)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(cmd.argv(str(cli / cmd.out_name))) == cmd.expected_exit
+    assert (traced / cmd.out_name).read_bytes() == (cli / cmd.out_name).read_bytes()

@@ -27,7 +27,7 @@ from qfilab import (
     sector_fi_decomposition,
 )
 from qfilab.estimation import _loglik_grid
-from qfilab.fisher import FI_P_FLOOR, _amplitudes, _outcome_table
+from qfilab.fisher import FI_P_FLOOR, _amplitudes, _outcome_table, premeasurement_state
 
 MAX_SECTOR = 6
 AMP_NOISE = 1e-13  # amplitude scale below which an outcome sits at a zero
@@ -148,7 +148,7 @@ def test_loglik_grid_matches_likelihood(state, pipeline, phis, counts):
     possible = [k for k in probs[0] if min(p[k] for p in probs) > 1e-6]
     assume(possible)
     outcomes = {k: c for k, c in zip(possible, counts)}
-    grid = _loglik_grid(state, pipeline, outcomes)(np.array(phis))
+    grid = _loglik_grid(premeasurement_state(state, pipeline), outcomes)(np.array(phis))
     for value, p in zip(grid, probs):
         expected = sum(c * math.log(p[k]) for k, c in outcomes.items())
         assert close(float(value), expected, rel=1e-10)
@@ -158,7 +158,7 @@ def reference_table(state, phi, pipeline):
     """Rows (n_a, n_b, P, dP) built outcome by outcome from the sector
     amplitudes, in canonical (N, n_a) order."""
     rows = []
-    for n, out, dout in _amplitudes(state, np.array([float(phi)]), pipeline):
+    for n, out, dout in _amplitudes(premeasurement_state(state, pipeline), np.array([float(phi)])):
         p = np.abs(out[0]) ** 2
         dp = 2.0 * np.real(np.conj(out[0]) * dout[0])
         for k in range(n + 1):
@@ -168,7 +168,7 @@ def reference_table(state, phi, pipeline):
 
 @given(states(), phases, pipelines)
 def test_outcome_table_matches_reference(state, phi, pipeline):
-    table = _outcome_table(state, phi, pipeline)
+    table = _outcome_table(premeasurement_state(state, pipeline), phi)
     assert list(zip(*(col.tolist() for col in table))) == reference_table(state, phi, pipeline)
 
 
