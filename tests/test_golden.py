@@ -2,7 +2,12 @@
 
 Outcome histograms, strings and exit codes must match exactly; floats
 agree to 1e-12 relative, so a change in summation order passes and a
-change in the numbers does not.
+change in the numbers does not. The estimate outputs are also pinned
+byte for byte: their draws and their windowed MLE are deterministic, and
+a speed-up of the likelihood grid must not move a single bit. The 1e-12
+estimate golden predates a change of the FI summation order that moved
+its crb_m by 2e-16, so its byte-exact twin (*.exact.jsonl) was recorded
+separately, from the same command.
 """
 
 import json
@@ -29,6 +34,17 @@ CASES = [
         "estimate_zeta_dual_fock_3_8_mzi.jsonl",
         ["estimate", "catalog:zeta_dual_fock:3:8", "--pipeline", "MZI", "--phi-true", "0.3",
          "--trials", "2000", "--reps", "3", "--seed", "7"],
+        0,
+    ),
+]
+
+
+BYTE_EXACT = [
+    ("estimate_zeta_dual_fock_3_8_mzi.exact.jsonl",) + CASES[3][1:],
+    (
+        "estimate_zeta_dual_fock_3_30_mzi.jsonl",
+        ["estimate", "catalog:zeta_dual_fock:3:30", "--pipeline", "MZI", "--phi-true", "0.3",
+         "--trials", "10000", "--reps", "10", "--seed", "1"],
         0,
     ),
 ]
@@ -66,6 +82,13 @@ def test_cli_output_matches_golden(tmp_path, name, argv, code):
     assert main(argv + ["--out", str(out)]) == code
     want = parse(name, (GOLDEN / name).read_text(encoding="utf-8"))
     assert_matches(parse(name, out.read_text(encoding="utf-8")), want)
+
+
+@pytest.mark.parametrize("name,argv,code", BYTE_EXACT, ids=[c[0] for c in BYTE_EXACT])
+def test_estimate_output_is_byte_identical_to_golden(tmp_path, name, argv, code):
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def _reference_loglik(state, pipeline, outcomes, phi):
