@@ -8,7 +8,14 @@ give bit-identical histograms and serialized runs, and only drawn outcomes
 are keyed, so trial counts up to 1e8 stay cheap.
 
 The estimator is a windowed maximum-likelihood search: a coarse grid over
-the window followed by golden-section refinement. Windows must stay
+the window followed by golden-section refinement. run_estimation and
+crb_convergence_study do their set-up once per command, before any draw
+(_setup): the first splitter, the likelihood period, the window and its
+check, the FI behind the bound, and the outcome table every repetition
+draws from. Per record, the log-likelihood grid (_loglik_grid) builds
+splitter columns only for the sectors the record observed and takes, per
+block of phases, one exponential per distinct J3 eigenvalue of those
+sectors, bit-identical to an exponential per sector input. Windows must stay
 narrower than the likelihood's fundamental period (2*pi over the largest
 occupied J3 spread), otherwise the phase is not identifiable; the bound
 being probed is local in exactly that sense. The log-likelihood is flat to
@@ -25,12 +32,13 @@ from typing import Callable
 
 import numpy as np
 
-from .fisher import _outcome_table, _sectors, classical_fi, premeasurement_state
-from .fock import TwoModeState, sector_slices
+from .fisher import _outcome_table, classical_fi, premeasurement_state
+from .fock import TwoModeState, sector_slices, splitter_columns
 
 RNG_ALGORITHM = "philox4x64"
 MLE_GRID_POINTS = 10_000
 MLE_REFINE_TOL = 1e-10
+_PHASE_BLOCK = 2048  # phases per exponential table in _loglik_grid
 _LOG_FLOOR = 1e-300
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -58,6 +66,11 @@ def likelihood_period(state: TwoModeState, pipeline: str = "MMZI") -> float:
     return 2.0 * math.pi / spread if spread else math.inf
 
 
+def _quarter_window(period: float, phi_true: float) -> tuple[float, float]:
+    half = math.pi / 2.0 if math.isinf(period) else period / 8.0
+    return (phi_true - half, phi_true + half)
+
+
 def default_window(
     state: TwoModeState, phi_true: float, pipeline: str = "MMZI"
 ) -> tuple[float, float]:
@@ -68,9 +81,36 @@ def default_window(
     the likelihood peak and the estimate may flip to it; a quarter period
     keeps the reflected peak outside for any fringe alignment.
     """
-    period = likelihood_period(state, pipeline)
-    half = math.pi / 2.0 if math.isinf(period) else period / 8.0
-    return (phi_true - half, phi_true + half)
+    return _quarter_window(likelihood_period(state, pipeline), phi_true)
+
+
+def _checked_window(window, period: float) -> tuple[float, float]:
+    """The window as floats (lo, hi), once it is known to be narrower than
+    the likelihood period."""
+    lo, hi = float(window[0]), float(window[1])
+    if not hi > lo:
+        raise ValueError("window must have positive width")
+    if hi - lo > period + 1e-12:
+        raise ValueError(
+            f"window width {hi - lo:.6g} exceeds the likelihood period "
+            f"{period:.6g}; the phase is not identifiable"
+        )
+    return lo, hi
+
+
+def _sampler(pre: TwoModeState, phi_true: float):
+    """Function (m_trials, seed) -> histogram of m_trials draws at phi_true
+    from the pre-measurement state pre; the outcome table is built here,
+    once for every draw."""
+    na, nb, p, _ = _outcome_table(pre, phi_true)
+    probs = p / p.sum()
+
+    def draw(m_trials: int, seed) -> dict[tuple[int, int], int]:
+        counts = _rng(seed).multinomial(m_trials, probs)
+        drawn = np.flatnonzero(counts)
+        return dict(zip(zip(na[drawn].tolist(), nb[drawn].tolist()), counts[drawn].tolist()))
+
+    return draw
 
 
 def sample_outcomes(
@@ -87,10 +127,7 @@ def sample_outcomes(
     """
     if m_trials < 1:
         raise ValueError("m_trials must be >= 1")
-    na, nb, p, _ = _outcome_table(premeasurement_state(state, pipeline), phi_true)
-    counts = _rng(seed).multinomial(m_trials, p / p.sum())
-    drawn = np.flatnonzero(counts)
-    return dict(zip(zip(na[drawn].tolist(), nb[drawn].tolist()), counts[drawn].tolist()))
+    return _sampler(premeasurement_state(state, pipeline), phi_true)(m_trials, seed)
 
 
 def _loglik_grid(
@@ -99,30 +136,43 @@ def _loglik_grid(
     """Log-likelihood of an outcome histogram on a phase grid, for the
     pre-measurement state pre.
 
-    The per-histogram set-up (the histogram grouped by sector in one pass,
-    and the fisher kernel's splitter columns of the observed outcomes with
-    their counts) is done once here; the returned function of phis only
-    contracts those columns, which is all a record needs.
+    The per-histogram set-up is done once here: the histogram grouped by
+    sector in one pass, the final-splitter columns of the observed outcomes
+    (built only for the sectors the record observed), and the distinct J3
+    eigenvalues of those sectors. The returned function of phis walks the
+    phases in blocks of _PHASE_BLOCK; per block it takes one exponential per
+    distinct eigenvalue, and each sector gathers its columns of that table
+    and contracts them with its amplitudes and splitter columns.
     """
     by_sector = {}
     for (a, b), cnt in outcomes.items():
         by_sector.setdefault(a + b, []).append((a, cnt))
-    blocks = []
-    for n, vec, m, bs_t in _sectors(pre):
+    observed = []
+    for n, sl in sector_slices(pre):
         wanted = by_sector.pop(n, None)
         if wanted:
+            na = pre.na[sl]
             cols, counts = zip(*wanted)
-            blocks.append((vec, m, bs_t[:, list(cols)], np.array(counts, dtype=float)))
+            cols_t = splitter_columns(n, na).T[:, list(cols)]
+            observed.append((na - n / 2.0, pre.amps[sl], cols_t, np.array(counts, dtype=float)))
     if by_sector:
         stray = [k for k in outcomes if k[0] + k[1] in by_sector]
         raise ValueError(f"outcomes {stray} lie outside the occupied sectors")
+    unique_m = np.unique(np.concatenate([m for m, *_ in observed]))
+    sectors = [(np.searchsorted(unique_m, m), *rest) for m, *rest in observed]
 
     def loglik(phis: np.ndarray) -> np.ndarray:
         ll = np.zeros(phis.size)
-        for vec, m, cols_t, counts in blocks:
-            amp = (np.exp(-1j * np.outer(phis, m)) * vec) @ cols_t
-            p = np.maximum(np.abs(amp) ** 2, _LOG_FLOOR)
-            ll += np.log(p) @ counts
+        for lo in range(0, phis.size, _PHASE_BLOCK):
+            block = phis[lo:lo + _PHASE_BLOCK]
+            table = np.exp(-1j * np.outer(block, unique_m))
+            acc = ll[lo:lo + _PHASE_BLOCK]
+            for ix, vec, cols_t, counts in sectors:
+                # take() keeps the gather C-ordered, so the matmul runs the
+                # same BLAS path as an exponential of the sector itself
+                amp = (table.take(ix, axis=1) * vec) @ cols_t
+                p = np.maximum(np.abs(amp) ** 2, _LOG_FLOOR)
+                acc += np.log(p) @ counts
         return ll
 
     return loglik
@@ -147,31 +197,8 @@ def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def mle_phase(
-    outcomes: dict[tuple[int, int], int],
-    state: TwoModeState,
-    pipeline: str,
-    window: tuple[float, float],
-) -> float:
-    """Maximum-likelihood phase on a window.
-
-    Coarse grid search (MLE_GRID_POINTS samples) followed by golden-section
-    refinement to MLE_REFINE_TOL; grid ties resolve toward the smallest
-    phase. The estimate is resolved only to the log-likelihood's rounding
-    band (~1e-8 at 2000 trials), coarser than MLE_REFINE_TOL. Raises
-    DegenerateLikelihoodError when the outcome record carries no phase
-    information over the window.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError("window must have positive width")
-    pre = premeasurement_state(state, pipeline)
-    period = likelihood_period(pre)
-    if hi - lo > period + 1e-12:
-        raise ValueError(
-            f"window width {hi - lo:.6g} exceeds the likelihood period "
-            f"{period:.6g}; the phase is not identifiable"
-        )
+def _mle(pre: TwoModeState, outcomes: dict[tuple[int, int], int], lo: float, hi: float) -> float:
+    """Grid-plus-golden maximum-likelihood search on a checked window."""
     if not outcomes or sum(outcomes.values()) == 0:
         raise DegenerateLikelihoodError("empty outcome record")
     phis = np.linspace(lo, hi, MLE_GRID_POINTS)
@@ -188,6 +215,25 @@ def mle_phase(
         return float(loglik(np.array([phi]))[0])
 
     return float(_golden_max(scalar_ll, float(a), float(b), MLE_REFINE_TOL))
+
+
+def mle_phase(
+    outcomes: dict[tuple[int, int], int],
+    state: TwoModeState,
+    pipeline: str,
+    window: tuple[float, float],
+) -> float:
+    """Maximum-likelihood phase on a window.
+
+    Coarse grid search (MLE_GRID_POINTS samples) followed by golden-section
+    refinement to MLE_REFINE_TOL; grid ties resolve toward the smallest
+    phase. The estimate is resolved only to the log-likelihood's rounding
+    band (~1e-8 at 2000 trials), coarser than MLE_REFINE_TOL. Raises
+    DegenerateLikelihoodError when the outcome record carries no phase
+    information over the window.
+    """
+    pre = premeasurement_state(state, pipeline)
+    return _mle(pre, outcomes, *_checked_window(window, likelihood_period(pre)))
 
 
 @dataclass(frozen=True)
@@ -237,6 +283,17 @@ class EstimationRun:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
+def _setup(state: TwoModeState, phi_true: float, pipeline: str, window):
+    """The per-command set-up of run_estimation and crb_convergence_study,
+    done once before any draw: (pre-measurement state, likelihood period,
+    checked window, FI at phi_true, sampler at phi_true)."""
+    pre = premeasurement_state(state, pipeline)
+    period = likelihood_period(pre)
+    window = _checked_window(_quarter_window(period, phi_true) if window is None else window, period)
+    fi = classical_fi(pre, phi_true, "MMZI").fi
+    return pre, period, window, fi, _sampler(pre, phi_true)
+
+
 def run_estimation(
     state: TwoModeState,
     phi_true: float,
@@ -247,29 +304,26 @@ def run_estimation(
     window: tuple[float, float] | None = None,
 ) -> list[EstimationRun]:
     """Sample, estimate, and record reps runs; run r draws from the substream
-    SeedSequence(seed, spawn_key=(r,)). The first splitter, the window, the
-    period and the FI behind crb_m are computed once; every step runs on the
-    pre-measurement state as "MMZI", which gives the same sectors.
+    SeedSequence(seed, spawn_key=(r,)). The first splitter, the period, the
+    window and its check, the FI behind crb_m and the outcome table the
+    draws come from are computed once, before any draw (_setup).
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    pre = premeasurement_state(state, pipeline)
-    if window is None:
-        window = default_window(pre, phi_true, "MMZI")
-    period = likelihood_period(pre, "MMZI")
-    fi = classical_fi(pre, phi_true, "MMZI").fi
+    if m_trials < 1:
+        raise ValueError("m_trials must be >= 1")
+    pre, period, (lo, hi), fi, draw = _setup(state, phi_true, pipeline, window)
     crb_m = 1.0 / (m_trials * fi) if fi > 1e-12 else None
     runs = []
     for rep in range(reps):
-        sub = np.random.SeedSequence(int(seed), spawn_key=(rep,))
-        outcomes = sample_outcomes(pre, phi_true, "MMZI", m_trials, sub)
-        phi_hat = mle_phase(outcomes, pre, "MMZI", window)
+        outcomes = draw(m_trials, np.random.SeedSequence(int(seed), spawn_key=(rep,)))
+        phi_hat = _mle(pre, outcomes, lo, hi)
         runs.append(EstimationRun(
             phi_true=float(phi_true),
             m_trials=int(m_trials),
             seed=int(seed),
             repetition=rep,
-            window=(float(window[0]), float(window[1])),
+            window=(lo, hi),
             pipeline=pipeline,
             outcomes=outcomes,
             phi_hat=float(phi_hat),
@@ -305,26 +359,22 @@ def crb_convergence_study(
     information is flagged and excluded from ratios. Each (m, repetition)
     cell draws from the substream SeedSequence(seed, spawn_key=(mi, rep)),
     so rows are reproducible and independent. Like run_estimation, it
-    applies the pipeline's first splitter once.
+    does its set-up once, before any draw (_setup).
     """
     m_list = [int(m) for m in m_list]
     if any(m < 10 for m in m_list):
         raise ValueError("each trial count must be >= 10")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    pre = premeasurement_state(state, pipeline)
-    if window is None:
-        window = default_window(pre, phi_true, "MMZI")
-    fi = classical_fi(pre, phi_true, "MMZI").fi
+    pre, _, (lo, hi), fi, draw = _setup(state, phi_true, pipeline, window)
     flagged = fi < 1e-12
     rows = []
     for mi, m in enumerate(m_list):
         sq_errors = []
         for rep in range(repetitions):
-            sub = np.random.SeedSequence(int(seed), spawn_key=(mi, rep))
-            outcomes = sample_outcomes(pre, phi_true, "MMZI", m, sub)
+            outcomes = draw(m, np.random.SeedSequence(int(seed), spawn_key=(mi, rep)))
             try:
-                phi_hat = mle_phase(outcomes, pre, "MMZI", window)
+                phi_hat = _mle(pre, outcomes, lo, hi)
             except DegenerateLikelihoodError:
                 flagged = True
                 continue

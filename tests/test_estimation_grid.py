@@ -1,0 +1,180 @@
+"""The estimation stage's once-per-command work, pinned bit for bit.
+
+The log-likelihood grid (phases in blocks, one exponential per distinct J3
+eigenvalue, splitter columns only for the observed sectors) must equal the
+per-sector formula it replaced to the last bit; run_estimation and
+crb_convergence_study must equal compositions of the public sample_outcomes
+and mle_phase; and the set-up they share runs once per command.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qfilab import (
+    classical_fi,
+    crb_convergence_study,
+    default_window,
+    estimation,
+    fisher,
+    likelihood_period,
+    mle_phase,
+    noon,
+    run_estimation,
+    sample_outcomes,
+    zeta_dual_fock,
+    zeta_noon,
+)
+from qfilab.estimation import _PHASE_BLOCK, _loglik_grid
+from qfilab.fisher import _sectors, premeasurement_state
+
+
+def reference_loglik(pre, outcomes, phis):
+    """The per-sector formula: exp(-i phi m) of each sector's own eigenvalues
+    over the whole grid, contracted with its observed splitter columns."""
+    by_sector = {}
+    for (a, b), cnt in outcomes.items():
+        by_sector.setdefault(a + b, []).append((a, cnt))
+    ll = np.zeros(phis.size)
+    for n, vec, m, bs_t in _sectors(pre):
+        if n in by_sector:
+            cols, counts = zip(*by_sector[n])
+            amp = (np.exp(-1j * np.outer(phis, m)) * vec) @ bs_t[:, list(cols)]
+            p = np.maximum(np.abs(amp) ** 2, 1e-300)
+            ll += np.log(p) @ np.array(counts, dtype=float)
+    return ll
+
+
+def record_with_a_lone_outcome(state, pipeline):
+    """A sampled record in which the highest observed sector keeps exactly
+    one outcome, so its splitter columns form a single column."""
+    record = sample_outcomes(state, 0.3, pipeline, 10_000, seed=1)
+    top = max(a + b for a, b in record)
+    lone = min(k for k in record if sum(k) == top)
+    record = {k: c for k, c in record.items() if sum(k) != top or k == lone}
+    assert sum(1 for k in record if sum(k) == top) == 1
+    return record
+
+
+CASES = {
+    "dual_fock_mzi": (zeta_dual_fock(3.0, 30)[0], "MZI"),
+    "two_branch_noon": (zeta_noon(3.0, 200)[0], "MMZI"),
+}
+SIZES = [1, _PHASE_BLOCK - 1, _PHASE_BLOCK, _PHASE_BLOCK + 1, 10_000]
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("case", list(CASES))
+def test_loglik_grid_is_bit_identical_to_the_per_sector_formula(case, size):
+    state, pipeline = CASES[case]
+    pre = premeasurement_state(state, pipeline)
+    record = record_with_a_lone_outcome(state, pipeline)
+    lo, hi = default_window(state, 0.3, pipeline)
+    phis = np.array([0.3]) if size == 1 else np.linspace(lo, hi, size)
+    assert np.array_equal(_loglik_grid(pre, record)(phis), reference_loglik(pre, record, phis))
+
+
+def test_loglik_grid_peak_memory_stays_below_the_per_sector_formula():
+    state, pipeline = CASES["dual_fock_mzi"]
+    pre = premeasurement_state(state, pipeline)
+    record = sample_outcomes(state, 0.3, pipeline, 10_000, seed=1)
+    phis = np.linspace(*default_window(state, 0.3, pipeline), 10_000)
+    reference_loglik(pre, record, phis)  # fill the splitter cache outside the trace
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grid = peak(lambda: _loglik_grid(pre, record)(phis))
+    reference = peak(lambda: reference_loglik(pre, record, phis))
+    assert grid <= reference
+
+
+def test_run_estimation_equals_public_composition():
+    state = zeta_dual_fock(3.0, 8)[0]
+    runs = run_estimation(state, 0.3, "MZI", 2000, seed=7, reps=3)
+    window = default_window(state, 0.3, "MZI")
+    for rep, run in enumerate(runs):
+        sub = np.random.SeedSequence(7, spawn_key=(rep,))
+        outcomes = sample_outcomes(state, 0.3, "MZI", 2000, sub)
+        assert run.outcomes == outcomes
+        assert run.phi_hat == mle_phase(outcomes, state, "MZI", window)
+        assert run.window == window
+        assert run.period == likelihood_period(state, "MZI")
+
+
+def test_convergence_rows_equal_public_composition():
+    state = zeta_dual_fock(3.0, 8)[0]
+    m_list = [100, 1000]
+    rows = crb_convergence_study(state, 0.3, "MZI", m_list, repetitions=3, seed=5)
+    window = default_window(state, 0.3, "MZI")
+    fi = classical_fi(state, 0.3, "MZI").fi
+    for mi, (m, row) in enumerate(zip(m_list, rows)):
+        sq = []
+        for rep in range(3):
+            sub = np.random.SeedSequence(5, spawn_key=(mi, rep))
+            outcomes = sample_outcomes(state, 0.3, "MZI", m, sub)
+            sq.append((mle_phase(outcomes, state, "MZI", window) - 0.3) ** 2)
+        assert row.m_trials == m
+        assert row.empirical_mse == float(np.mean(sq))
+        assert row.crb_m == 1.0 / (m * fi)
+        assert not row.flagged
+
+
+def counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def test_run_estimation_does_its_set_up_once(monkeypatch):
+    state = zeta_noon(3.0, 200)[0]
+    tables, periods, fi_side, grid_side = [], [], [], []
+    counting(monkeypatch, estimation, "_outcome_table", tables)
+    counting(monkeypatch, estimation, "likelihood_period", periods)
+    counting(monkeypatch, fisher, "splitter_columns", fi_side)
+    counting(monkeypatch, estimation, "splitter_columns", grid_side)
+    runs = run_estimation(state, 0.3, "MMZI", 10_000, seed=3, reps=3)
+    assert len(tables) == 1
+    assert len(periods) == 1
+    sectors = sorted({int(n) for n in state.n_total})
+    # the fisher kernel walks every sector twice: the FI behind crb_m and
+    # the sampling table; the grids ask only for the sectors each record saw
+    assert sorted(n for n, _ in fi_side) == sorted(2 * sectors)
+    observed = [sorted({a + b for a, b in run.outcomes}) for run in runs]
+    assert [n for n, _ in grid_side] == [n for seen in observed for n in seen]
+    assert max(len(seen) for seen in observed) < len(sectors)
+
+
+@pytest.mark.parametrize("m_trials", [0, -5])
+def test_run_estimation_rejects_trial_counts_below_one(m_trials):
+    with pytest.raises(ValueError, match="m_trials must be >= 1"):
+        run_estimation(noon(1), 0.3, "MMZI", m_trials, seed=1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: run_estimation(noon(2), 0.4, "MMZI", 200, seed=1, window=w),
+        lambda w: crb_convergence_study(noon(2), 0.4, "MMZI", [100], 2, seed=1, window=w),
+    ],
+    ids=["run_estimation", "crb_convergence_study"],
+)
+def test_window_wider_than_the_period_raises_before_any_draw(monkeypatch, call):
+    def refuse(_seed):
+        raise AssertionError("drew outcomes before checking the window")
+
+    monkeypatch.setattr(estimation, "_rng", refuse)
+    with pytest.raises(ValueError, match="exceeds the likelihood period 3.14159; "
+                                         "the phase is not identifiable"):
+        call((0.0, 2 * math.pi))
