@@ -32,22 +32,35 @@ from . import curves
 from .curves import SpecError
 from .estimation import run_estimation
 from .fisher import PIPELINES, FisherReport, fi_scan, premeasurement_state, qfi_pure
-from .fock import DEFAULT_NORM_TOL, load_state
+from .fock import DEFAULT_NORM_TOL, load_state, state_from_json_dict
 
-_CATALOG_HELP = [
-    ("noon:N", "two-branch state with N photons, N >= 1"),
-    ("dual_fock:N", "equal occupation |N,N>, N >= 0"),
-    ("dual_fock_bs:N", "closed-form splitter image of |N,N>, N >= 1"),
-    ("zeta_noon:x[:cutoff]", "1/N^x weighted two-branch family, x > 1 (default cutoff 1000)"),
-    ("zeta_noon_doubled:x[:cutoff]", "same weights on 2N-photon branches"),
-    ("zeta_dual_fock:x[:cutoff]", "1/N^x weighted |N,N> family"),
-    ("tmsv:mean[:cutoff]", f"squeezed vacuum, mean total photons > 0 (cutoff from tail bound {cat.TMSV_TAIL_BOUND:g})"),
-    ("tmsv_noon:mean[:cutoff]", "two-branch family with the tmsv distribution"),
-]
+# family -> (constructor, URI parameter names, `catalog list` text)
+_FAMILIES = {
+    "noon": (cat.noon, ("N",), "two-branch state with N photons, N >= 1"),
+    "dual_fock": (cat.dual_fock, ("N",), "equal occupation |N,N>, N >= 0"),
+    "dual_fock_bs": (cat.dual_fock_after_bs_closed_form, ("N",), "closed-form splitter image of |N,N>, N >= 1"),
+    "zeta_noon": (cat.zeta_noon, ("x", "cutoff"), "1/N^x weighted two-branch family, x > 1 (default cutoff 1000)"),
+    "zeta_noon_doubled": (cat.zeta_noon_doubled, ("x", "cutoff"), "same weights on 2N-photon branches"),
+    "zeta_dual_fock": (cat.zeta_dual_fock, ("x", "cutoff"), "1/N^x weighted |N,N> family"),
+    "tmsv": (cat.tmsv, ("mean", "cutoff"), "squeezed vacuum, mean total photons > 0 "
+             f"(cutoff from tail bound {cat.TMSV_TAIL_BOUND:g})"),
+    "tmsv_noon": (cat.tmsv_noon, ("mean", "cutoff"), "two-branch family with the tmsv distribution"),
+}
 
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _finite(text: str) -> float:
+    """A float flag's or catalog parameter's number; inf and nan are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+_finite.__name__ = "float"  # argparse words a non-number as "invalid float value"
 
 
 def _catalog_param(spec: str, name: str, text: str):
@@ -55,13 +68,16 @@ def _catalog_param(spec: str, name: str, text: str):
     integers, the weight exponent x and the mean are finite floats."""
     integral = name in ("N", "cutoff")
     try:
-        value = int(text) if integral else float(text)
+        return int(text) if integral else _finite(text)
     except ValueError:
         kind = "an integer" if integral else "a number"
         raise SpecError(f"parameter {name}={text!r} in {spec!r} is not {kind}") from None
-    if not math.isfinite(value):
-        raise SpecError(f"parameter {name}={text!r} in {spec!r} must be finite")
-    return value
+    except argparse.ArgumentTypeError:
+        raise SpecError(f"parameter {name}={text!r} in {spec!r} must be finite") from None
+
+
+def _usage(names) -> str:
+    return names[0] + "".join(f"[:{n}]" for n in names[1:])
 
 
 def resolve_state(spec: str):
@@ -71,30 +87,16 @@ def resolve_state(spec: str):
         state = load_state(spec)
         return state, None, f"file:{spec}"
     family, *params = spec.split(":")[1:]
-    if family in ("noon", "dual_fock", "dual_fock_bs"):
-        names = ("N",)
-    elif family in ("zeta_noon", "zeta_noon_doubled", "zeta_dual_fock"):
-        names = ("x", "cutoff")
-    elif family in ("tmsv", "tmsv_noon"):
-        names = ("mean", "cutoff")
-    else:
+    if family not in _FAMILIES:
         raise SpecError(f"unknown catalog family in {spec!r}")
+    make, names, _ = _FAMILIES[family]
     if not 1 <= len(params) <= len(names):
-        usage = names[0] if len(names) == 1 else f"{names[0]}[:cutoff]"
-        raise SpecError(f"{spec!r} gives {len(params)} parameters; {family} takes {usage}")
+        raise SpecError(f"{spec!r} gives {len(params)} parameters; {family} takes {_usage(names)}")
     values = [_catalog_param(spec, n, t) for n, t in zip(names, params)]
-
-    if family == "noon":
-        return cat.noon(values[0]), None, spec
-    if family == "dual_fock":
-        return cat.dual_fock(values[0]), None, spec
-    if family == "dual_fock_bs":
-        return cat.dual_fock_after_bs_closed_form(values[0]), None, spec
-    if len(values) == 1:
-        default = 1000 if family.startswith("zeta") else cat.tmsv_cutoff_for(values[0])
-        values.append(default)
-    state, dist = getattr(cat, family)(*values)
-    return state, dist, spec
+    if len(values) < len(names):
+        values.append(1000 if family.startswith("zeta") else cat.tmsv_cutoff_for(values[0]))
+    made = make(*values)  # a fixed-N family makes a state, the others (state, dist)
+    return (*made, spec) if isinstance(made, tuple) else (made, None, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +121,13 @@ def _csv_text(header_meta: str, columns: list[str], rows: list[list[float]]) -> 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _write_svg(path: str, x: list[float], series: dict[str, list[float]],
+def _write_svg(csv_path: str, columns: list[str], rows: list[list[float]],
                title: str, xlabel: str) -> None:
-    """Minimal polyline plot; a convenience view of the CSV contract."""
+    """Minimal polyline plot of every CSV column against the first, written
+    next to the CSV; a convenience view of the CSV contract."""
     width, height, margin = 640, 420, 56
-    xs = np.asarray(x, dtype=float)
+    xs = np.asarray([r[0] for r in rows], dtype=float)
+    series = {c: [r[i + 1] for r in rows] for i, c in enumerate(columns[1:])}
     ally = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ally.min()), float(ally.max())
@@ -166,8 +170,7 @@ def _write_svg(path: str, x: list[float], series: dict[str, list[float]],
             f'fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_text(os.path.splitext(csv_path)[0] + ".svg", "\n".join(parts) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +184,19 @@ def _sweep(args) -> np.ndarray:
     return np.linspace(args.x_min, args.x_max, args.points)
 
 
-def _run_curve(args, figure: str) -> int:
-    means = _sweep(args)
-    point_fn = curves.fig3a_point if figure == "fig3a" else curves.fig3b_point
-    scale = 1 if figure == "fig3a" else 2
-    points = [point_fn(float(m), args.tol) for m in means]
+# figure -> (point function, photons per weight index, default --x-min, help, sidecar family)
+_FIGURES = {
+    "fig3a": (curves.fig3a_point, 1, 1.01, "benchmark bound curves, single two-branch family",
+              "zeta-weighted two-branch family"),
+    "fig3b": (curves.fig3b_point, 2, 2.02, "doubled two-branch vs equal-occupation curves",
+              "zeta-weighted doubled two-branch and equal-occupation families"),
+}
+
+
+def _run_curve(args) -> int:
+    figure = args.command
+    point_fn, scale, _, _, family = _FIGURES[figure]
+    points = [point_fn(float(m), args.tol) for m in _sweep(args)]
 
     columns = ["mean_n", *points[0].values]
     rows = [[p.mean_n, *p.values.values()] for p in points]
@@ -204,9 +215,7 @@ def _run_curve(args, figure: str) -> int:
         trend_cutoffs = [100, 1000, 10_000, 100_000]
         sidecar = {
             "figure": figure,
-            "family": "zeta-weighted two-branch family"
-            if figure == "fig3a"
-            else "zeta-weighted doubled two-branch and equal-occupation families",
+            "family": family,
             "crossing_mean": curves.crossing_mean(scale, args.tol),
             "exponent_at_divergence": 3.0,
             "divergence": "second moment of the photon distribution grows without "
@@ -217,18 +226,10 @@ def _run_curve(args, figure: str) -> int:
             ],
             "divergent_rows": divergent_rows,
         }
-        with open(args.out + ".provenance.json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=1)
-            fh.write("\n")
+        _write_text(args.out + ".provenance.json", json.dumps(sidecar, indent=1) + "\n")
         if args.svg:
-            series = {c: [r[i + 1] for r in rows] for i, c in enumerate(columns[1:])}
-            _write_svg(
-                os.path.splitext(args.out)[0] + ".svg",
-                [r[0] for r in rows],
-                series,
-                title=f"{figure}: phase uncertainty vs mean photon number",
-                xlabel="mean photon number",
-            )
+            _write_svg(args.out, columns, rows, f"{figure}: phase uncertainty vs mean photon number",
+                       "mean photon number")
     return 0
 
 
@@ -278,13 +279,7 @@ def _cmd_fi_scan(args) -> int:
     )
     _write_text(args.out, _csv_text(meta, columns, rows))
     if args.svg and args.out not in (None, "-"):
-        _write_svg(
-            os.path.splitext(args.out)[0] + ".svg",
-            [r[0] for r in rows],
-            {"fi": [r[1] for r in rows], "qfi": [r[2] for r in rows]},
-            title=f"information scan: {args.state}",
-            xlabel="phase (rad)",
-        )
+        _write_svg(args.out, columns, rows, f"information scan: {args.state}", "phase (rad)")
     return 0
 
 
@@ -302,22 +297,20 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_catalog_list(_args) -> int:
     sys.stdout.write("catalog families (address as catalog:<family>:<params>)\n")
-    for spec, doc in _CATALOG_HELP:
-        sys.stdout.write(f"  {spec:32s} {doc}\n")
+    for family, (_, names, doc) in _FAMILIES.items():
+        sys.stdout.write(f"  {family + ':' + _usage(names):32s} {doc}\n")
     return 0
 
 
 def _cmd_state_validate(args) -> int:
     try:
-        state = load_state(args.path)
+        with open(args.path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        state = state_from_json_dict(raw)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"invalid state file: {exc}\n")
         return 2
-    with open(args.path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    raw_norm = math.sqrt(
-        sum(e["re"] ** 2 + e["im"] ** 2 for e in raw.get("entries", []))
-    )
+    raw_norm = math.sqrt(sum(e["re"] ** 2 + e["im"] ** 2 for e in raw["entries"]))
     summary = {
         "valid": True,
         "cutoff": state.cutoff,
@@ -335,8 +328,8 @@ def _cmd_state_validate(args) -> int:
 
 def _add_common(parser, *, points, x_min, x_max):
     parser.add_argument("--points", type=int, default=points)
-    parser.add_argument("--x-min", dest="x_min", type=float, default=x_min)
-    parser.add_argument("--x-max", dest="x_max", type=float, default=x_max)
+    parser.add_argument("--x-min", dest="x_min", type=_finite, default=x_min)
+    parser.add_argument("--x-max", dest="x_max", type=_finite, default=x_max)
     parser.add_argument("--out", default=None, help="output path ('-' = stdout)")
     parser.add_argument("--svg", action="store_true",
                         help="also write a simple SVG next to the CSV")
@@ -350,43 +343,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qfilab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for figure, help_text, x_min in (
-        ("fig3a", "benchmark bound curves, single two-branch family", 1.01),
-        ("fig3b", "doubled two-branch vs equal-occupation curves", 2.02),
-    ):
+    for figure, (_, _, x_min, help_text, _) in _FIGURES.items():
         p = sub.add_parser(figure, help=help_text)
         _add_common(p, points=200, x_min=x_min, x_max=5.0)
-        p.add_argument("--tol", type=float, default=1e-12)
+        p.add_argument("--tol", type=_finite, default=1e-12)
+        p.set_defaults(run=_run_curve)
 
     p = sub.add_parser("qfi", help="information report for a state")
     p.add_argument("state", help="catalog URI or state file")
     p.add_argument("--pipeline", choices=PIPELINES, default="MMZI")
     p.add_argument("--out", default=None)
+    p.set_defaults(run=_cmd_qfi)
 
     p = sub.add_parser("fi-scan", help="FI versus phase as CSV")
     p.add_argument("state")
     p.add_argument("--pipeline", choices=PIPELINES, default="MMZI")
     _add_common(p, points=721, x_min=0.0, x_max=2.0 * math.pi)
+    p.set_defaults(run=_cmd_fi_scan)
 
     p = sub.add_parser("estimate", help="seeded Monte-Carlo estimation runs (JSON lines)")
     p.add_argument("state")
     p.add_argument("--pipeline", choices=PIPELINES, default="MMZI")
-    p.add_argument("--phi-true", dest="phi_true", type=float, required=True)
+    p.add_argument("--phi-true", dest="phi_true", type=_finite, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", type=float, nargs=2, default=None,
+    p.add_argument("--window", type=_finite, nargs=2, default=None,
                    metavar=("LO", "HI"))
     p.add_argument("--out", default=None)
+    p.set_defaults(run=_cmd_estimate)
 
     p = sub.add_parser("catalog", help="catalog utilities")
     csub = p.add_subparsers(dest="catalog_command", required=True)
-    csub.add_parser("list", help="list families and parameter domains")
+    csub.add_parser("list", help="list families and parameter domains").set_defaults(run=_cmd_catalog_list)
 
     p = sub.add_parser("state", help="state-file utilities")
     ssub = p.add_subparsers(dest="state_command", required=True)
     v = ssub.add_parser("validate", help="validate a JSON state file")
     v.add_argument("path")
+    v.set_defaults(run=_cmd_state_validate)
 
     return parser
 
@@ -394,20 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "fig3a":
-            return _run_curve(args, "fig3a")
-        if args.command == "fig3b":
-            return _run_curve(args, "fig3b")
-        if args.command == "qfi":
-            return _cmd_qfi(args)
-        if args.command == "fi-scan":
-            return _cmd_fi_scan(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "catalog":
-            return _cmd_catalog_list(args)
-        if args.command == "state":
-            return _cmd_state_validate(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -415,7 +397,6 @@ def main(argv=None) -> int:
         subject = getattr(args, "state", args.command)
         sys.stderr.write(f"error: out of memory while evaluating {subject!r}\n")
         return 2
-    return 0
 
 
 if __name__ == "__main__":

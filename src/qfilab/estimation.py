@@ -12,8 +12,9 @@ the window followed by golden-section refinement. run_estimation and
 crb_convergence_study do their set-up once per command, before any draw
 (_setup): the first splitter, the likelihood period, the window and its
 check, the FI behind the bound, and the outcome table every repetition
-draws from. Per record, the log-likelihood grid (_loglik_grid) builds
-splitter columns only for the sectors the record observed and takes, per
+draws from. Per record, the log-likelihood grid (_loglik_grid) walks the
+fisher kernel's sectors of the state cut down to the sectors the record
+observed, so splitter columns are built for those alone, and takes, per
 block of phases, one exponential per distinct J3 eigenvalue of those
 sectors, bit-identical to an exponential per sector input. Windows must stay
 narrower than the likelihood's fundamental period (2*pi over the largest
@@ -32,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fisher import _outcome_table, classical_fi, premeasurement_state
-from .fock import TwoModeState, sector_slices, splitter_columns
+from .fisher import _outcome_table, _sectors, classical_fi, premeasurement_state
+from .fock import TwoModeState, sector_slices
 
 RNG_ALGORITHM = "philox4x64"
 MLE_GRID_POINTS = 10_000
@@ -137,24 +138,23 @@ def _loglik_grid(
     pre-measurement state pre.
 
     The per-histogram set-up is done once here: the histogram grouped by
-    sector in one pass, the final-splitter columns of the observed outcomes
-    (built only for the sectors the record observed), and the distinct J3
-    eigenvalues of those sectors. The returned function of phis walks the
-    phases in blocks of _PHASE_BLOCK; per block it takes one exponential per
-    distinct eigenvalue, and each sector gathers its columns of that table
-    and contracts them with its amplitudes and splitter columns.
+    sector in one pass, the fisher kernel's sectors (fisher._sectors) of the
+    state cut down to the sectors the record observed, so splitter columns
+    are built for those alone and only the observed outcomes' are kept, and
+    the distinct J3 eigenvalues of those sectors. The returned function of
+    phis walks the phases in blocks of _PHASE_BLOCK; per block it takes one
+    exponential per distinct eigenvalue, and each sector gathers its columns
+    of that table and contracts them with its amplitudes and splitter
+    columns.
     """
     by_sector = {}
     for (a, b), cnt in outcomes.items():
         by_sector.setdefault(a + b, []).append((a, cnt))
+    seen = np.isin(pre.n_total, list(by_sector))
     observed = []
-    for n, sl in sector_slices(pre):
-        wanted = by_sector.pop(n, None)
-        if wanted:
-            na = pre.na[sl]
-            cols, counts = zip(*wanted)
-            cols_t = splitter_columns(n, na).T[:, list(cols)]
-            observed.append((na - n / 2.0, pre.amps[sl], cols_t, np.array(counts, dtype=float)))
+    for n, vec, m, bs_t in _sectors(TwoModeState(pre.na[seen], pre.nb[seen], pre.amps[seen], pre.cutoff)):
+        cols, counts = zip(*by_sector.pop(n))
+        observed.append((m, vec, bs_t[:, list(cols)], np.array(counts, dtype=float)))
     if by_sector:
         stray = [k for k in outcomes if k[0] + k[1] in by_sector]
         raise ValueError(f"outcomes {stray} lie outside the occupied sectors")

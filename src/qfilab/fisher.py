@@ -124,7 +124,9 @@ class FisherReport:
         return 1.0 / math.sqrt(self.fi) if self.fi > 0 else math.inf
 
     def crb_m(self, m_trials: int) -> float:
-        """Phase bound after m_trials independent repetitions."""
+        """Phase bound after m_trials independent repetitions, as a standard
+        deviation 1/sqrt(m_trials * FI); EstimationRun.crb_m is its square,
+        the variance bound 1/(M * FI)."""
         if m_trials < 1:
             raise ValueError("m_trials must be >= 1")
         return 1.0 / math.sqrt(m_trials * self.fi) if self.fi > 0 else math.inf

@@ -24,8 +24,6 @@ from scipy.special import gammaln
 DEFAULT_NORM_TOL = 1e-9  # `state validate` reports a file renormalized beyond this
 DEFAULT_PRUNE_THRESHOLD = 1e-15  # relative to the largest |amplitude|
 
-OBSERVABLES = ("n_total", "n_total_sq", "j3", "j3_sq", "delta", "parity_a")
-
 
 class EmptyStateError(ValueError):
     """Raised when every supplied amplitude is zero."""
@@ -275,28 +273,27 @@ def apply_beamsplitter(state: TwoModeState) -> TwoModeState:
     return TwoModeState(na[keep], nb[keep], amps[keep], state.cutoff)
 
 
+# name -> the observable's value on each entry of a state
+_OBSERVABLE_VALUES = {
+    "n_total": lambda s: s.n_total,
+    "n_total_sq": lambda s: s.n_total.astype(float) ** 2,
+    "j3": lambda s: s.j3_values,
+    "j3_sq": lambda s: s.j3_values**2,
+    "delta": lambda s: s.nb - s.na,
+    "parity_a": lambda s: 1.0 - 2.0 * (s.na % 2),
+}
+OBSERVABLES = tuple(_OBSERVABLE_VALUES)
+
+
 def expect(state: TwoModeState, observable: str) -> float:
     """Expectation of an occupation-diagonal observable.
 
     Supported names: n_total, n_total_sq, j3, j3_sq, delta (n_b - n_a),
     parity_a ((-1)**n_a).
     """
-    p = np.abs(state.amps) ** 2
-    if observable == "n_total":
-        vals = state.n_total
-    elif observable == "n_total_sq":
-        vals = state.n_total.astype(float) ** 2
-    elif observable == "j3":
-        vals = state.j3_values
-    elif observable == "j3_sq":
-        vals = state.j3_values**2
-    elif observable == "delta":
-        vals = state.nb - state.na
-    elif observable == "parity_a":
-        vals = 1.0 - 2.0 * (state.na % 2)
-    else:
+    if observable not in _OBSERVABLE_VALUES:
         raise ValueError(f"unknown observable {observable!r}; use one of {OBSERVABLES}")
-    return float(np.sum(p * vals))
+    return float(np.sum(np.abs(state.amps) ** 2 * _OBSERVABLE_VALUES[observable](state)))
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,29 @@ def test_qfi_malformed_catalog_uri_exits_2(capsys, uri, named):
     assert uri in captured.err and named in captured.err
 
 
+NON_FINITE_FLAGS = [
+    (["fi-scan", "catalog:noon:2", "--x-max", "inf", "--points", "3"], "--x-max"),
+    (["fi-scan", "catalog:noon:2", "--x-min", "nan", "--points", "3"], "--x-min"),
+    (["fig3a", "--tol", "inf", "--points", "3"], "--tol"),
+    (["fig3a", "--x-max", "inf"], "--x-max"),
+    (["fig3b", "--x-min=-inf"], "--x-min"),
+    (["estimate", "catalog:noon:1", "--phi-true", "nan"], "--phi-true"),
+    (["estimate", "catalog:noon:1", "--phi-true", "inf"], "--phi-true"),
+    (["estimate", "catalog:noon:1", "--phi-true", "0.3", "--window", "0", "inf"], "--window"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", NON_FINITE_FLAGS, ids=[" ".join(a) for a, _ in NON_FINITE_FLAGS])
+def test_non_finite_float_flag_exits_2_naming_it(argv, flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"argument {flag}: must be a finite number" in captured.err
+
+
 def test_fi_scan_constant_for_single_photon(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["fi-scan", "catalog:noon:1", "--points", "41", "--out", str(out)]) == 0

@@ -139,17 +139,18 @@ def counting(monkeypatch, module, name, calls):
 
 def test_run_estimation_does_its_set_up_once(monkeypatch):
     state = zeta_noon(3.0, 200)[0]
-    tables, periods, fi_side, grid_side = [], [], [], []
+    tables, periods, columns = [], [], []
     counting(monkeypatch, estimation, "_outcome_table", tables)
     counting(monkeypatch, estimation, "likelihood_period", periods)
-    counting(monkeypatch, fisher, "splitter_columns", fi_side)
-    counting(monkeypatch, estimation, "splitter_columns", grid_side)
+    counting(monkeypatch, fisher, "splitter_columns", columns)
     runs = run_estimation(state, 0.3, "MMZI", 10_000, seed=3, reps=3)
     assert len(tables) == 1
     assert len(periods) == 1
     sectors = sorted({int(n) for n in state.n_total})
-    # the fisher kernel walks every sector twice: the FI behind crb_m and
-    # the sampling table; the grids ask only for the sectors each record saw
+    # the fisher kernel walks every sector twice first, for the FI behind
+    # crb_m and the sampling table; the grids then ask only for the sectors
+    # each record saw
+    fi_side, grid_side = columns[:2 * len(sectors)], columns[2 * len(sectors):]
     assert sorted(n for n, _ in fi_side) == sorted(2 * sectors)
     observed = [sorted({a + b for a, b in run.outcomes}) for run in runs]
     assert [n for n, _ in grid_side] == [n for seen in observed for n in seen]

@@ -7,11 +7,17 @@ byte for byte: their draws and their windowed MLE are deterministic, and
 a speed-up of the likelihood grid must not move a single bit. The 1e-12
 estimate golden predates a change of the FI summation order that moved
 its crb_m by 2e-16, so its byte-exact twin (*.exact.jsonl) was recorded
-separately, from the same command.
+separately, from the same command. The qfi report of the benchmark's
+headline command is pinned byte for byte too, and so are the CLI's fixed
+texts (cli_text.json): `catalog list`, every --help at COLUMNS=80, the
+usage errors, and the stderr and exit code of malformed catalog URIs.
 """
 
+import contextlib
+import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +46,7 @@ CASES = [
 
 
 BYTE_EXACT = [
+    ("qfi_zeta_noon_3_300.json", ["qfi", "catalog:zeta_noon:3:300"], 3),
     ("estimate_zeta_dual_fock_3_8_mzi.exact.jsonl",) + CASES[3][1:],
     (
         "estimate_zeta_dual_fock_3_30_mzi.jsonl",
@@ -89,6 +96,30 @@ def test_estimate_output_is_byte_identical_to_golden(tmp_path, name, argv, code)
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+TEXT_CASES = json.loads((GOLDEN / "cli_text.json").read_text(encoding="utf-8"))
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help and usage errors leave through argparse
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", TEXT_CASES, ids=[" ".join(c["argv"]) or "<none>" for c in TEXT_CASES])
+def test_cli_text_is_byte_identical_to_golden(case, monkeypatch):
+    # argparse words its help and usage per Python version; these were
+    # recorded with Python 3.11
+    if "--help" in case["argv"] or case["code"] == 2 and "usage:" in case["stderr"]:
+        if sys.version_info[:2] != (3, 11):
+            pytest.skip("argparse text recorded with Python 3.11")
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _run_captured(case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
 
 def _reference_loglik(state, pipeline, outcomes, phi):

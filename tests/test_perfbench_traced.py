@@ -24,18 +24,22 @@ def _commands(workload: str):
     return module.commands(workload, SEED)
 
 
-@pytest.mark.parametrize("workload", ["qfi_noon", "estimate_mzi"])
+@pytest.mark.parametrize("workload", ["qfi_noon", "estimate_mzi", "curve_sweep"])
 def test_traced_mode_matches_cli_output(workload, tmp_path):
-    [cmd] = _commands(workload)
-    traced, cli = tmp_path / "traced", tmp_path / "cli"
-    traced.mkdir()
-    cli.mkdir()
     src = str(PERFBENCH.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "traced.py"), workload, str(SEED), "0", str(traced)],
-        env=env, capture_output=True, text=True, check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert main(cmd.argv(str(cli / cmd.out_name))) == cmd.expected_exit
-    assert (traced / cmd.out_name).read_bytes() == (cli / cmd.out_name).read_bytes()
+    for index, cmd in enumerate(_commands(workload)):
+        traced, cli = tmp_path / f"traced{index}", tmp_path / f"cli{index}"
+        traced.mkdir()
+        cli.mkdir()
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "traced.py"), workload, str(SEED), str(index), str(traced)],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main(cmd.argv(str(cli / cmd.out_name))) == cmd.expected_exit
+        # every file the CLI writes (a curve's CSV and its provenance sidecar)
+        written = sorted(f.name for f in cli.iterdir())
+        assert sorted(f.name for f in traced.iterdir()) == written
+        for name in written:
+            assert (traced / name).read_bytes() == (cli / name).read_bytes(), name
