@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import TwoModeState, _canonical_state, make_state, sector_decompose
 
@@ -171,6 +170,8 @@ def dual_fock_after_bs_closed_form(n: int) -> TwoModeState:
     """
     if n < 1:
         raise InvalidNError("closed form defined for N >= 1")
+    from scipy.special import gammaln  # deferred: keeps scipy out of `import qfilab`
+
     k = np.arange(n + 1)
     log_mag = 0.5 * (
         gammaln(2 * k + 1) - 2 * gammaln(k + 1)

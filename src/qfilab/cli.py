@@ -326,6 +326,19 @@ def _cmd_state_validate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """argparse takes "-1e-3" or "-inf" after a flag for an option (its
+    negative-number pattern knows only plain decimals); no qfilab option
+    looks like a number, so every token that parses as a float is a value."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _add_common(parser, *, points, x_min, x_max):
     parser.add_argument("--points", type=int, default=points)
     parser.add_argument("--x-min", dest="x_min", type=_finite, default=x_min)
@@ -336,7 +349,7 @@ def _add_common(parser, *, points, x_min, x_max):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfilab",
         description="Interferometric phase-information toolbox",
     )
@@ -393,9 +406,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except MemoryError:
+    except MemoryError as exc:
         subject = getattr(args, "state", args.command)
-        sys.stderr.write(f"error: out of memory while evaluating {subject!r}\n")
+        reason = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"error: out of memory while evaluating {subject!r}{reason}\n")
         return 2
 
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .catalog import ZETA_POLE_GUARD, zeta
 
@@ -90,6 +89,8 @@ def solve_exponent_for_mean(mean: float, scale: int = 1,
         raise SpecError(f"family mean is always above {scale}; requested {mean:g}")
     if mean >= zeta_family_mean(_X_LO, scale, tol):
         return None
+    from scipy.optimize import brentq  # deferred: the heaviest scipy import, fig3 only
+
     return float(
         brentq(
             lambda x: zeta_family_mean(x, scale, tol) - mean,

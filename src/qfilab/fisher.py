@@ -42,6 +42,7 @@ MZI's first splitter once (premeasurement_state) and passes the result on.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -60,6 +61,9 @@ from .fock import (
 
 PIPELINES = ("MZI", "MMZI")
 FI_P_FLOOR = 1e-12
+# bytes of RAM; dense splitters beyond it are refused before any is built
+_PHYSICAL_MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+                    if hasattr(os, "sysconf") else math.inf)
 
 
 class NonpositiveQFIError(ValueError):
@@ -152,10 +156,25 @@ class FisherReport:
 # ---------------------------------------------------------------------------
 # pipeline internals
 
+def _dense_splitter_bytes(state: TwoModeState, pipeline: str) -> int:
+    """Bytes of the dense splitters (16 (N+1)^2 per sector) that evaluating
+    state on pipeline builds and caches: every occupied sector for "MZI" (its
+    first splitter), each sector with an input other than n_a = 0, N for "MMZI"."""
+    nt = state.n_total if pipeline == "MZI" else state.n_total[(state.na != 0) & (state.nb != 0)]
+    return sum(16 * (n + 1) ** 2 for n in np.unique(nt).tolist())
+
+
 def premeasurement_state(state: TwoModeState, pipeline: str) -> TwoModeState:
-    """The state the phase acts on: for "MZI" the input after the first splitter."""
+    """The state the phase acts on: for "MZI" the input after the first splitter.
+
+    Raises MemoryError, naming the bytes, when the dense splitters that the
+    pipeline needs for state exceed the machine's physical memory."""
     if pipeline not in PIPELINES:
         raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
+    need = _dense_splitter_bytes(state, pipeline)
+    if need > _PHYSICAL_MEMORY:
+        raise MemoryError(f"its dense {pipeline} splitters need {need} bytes ({need / 2**30:.1f} GiB), "
+                          f"more than the {_PHYSICAL_MEMORY} bytes of physical memory")
     return apply_beamsplitter(state) if pipeline == "MZI" else state
 
 

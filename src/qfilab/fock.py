@@ -18,8 +18,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 DEFAULT_NORM_TOL = 1e-9  # `state validate` reports a file renormalized beyond this
 DEFAULT_PRUNE_THRESHOLD = 1e-15  # relative to the largest |amplitude|
@@ -207,6 +205,8 @@ def beamsplitter_matrix(n_total: int) -> np.ndarray:
                 if n_total == 0:
                     mat = np.ones((1, 1), dtype=np.complex128)
                 else:
+                    from scipy.linalg import eigh_tridiagonal  # deferred: heavy, dense path only
+
                     evals, vecs = eigh_tridiagonal(
                         np.zeros(n_total + 1), _j1_offdiagonal(n_total)
                     )
@@ -231,6 +231,8 @@ def splitter_columns(n_total: int, cols) -> np.ndarray:
     """
     cols = np.asarray(cols, dtype=np.int64)
     if np.all((cols == 0) | (cols == n_total)):
+        from scipy.special import gammaln  # deferred: keeps scipy out of `import qfilab`
+
         k = np.arange(n_total + 1)
         mag = np.exp(
             0.5 * (gammaln(n_total + 1.0) - gammaln(k + 1.0) - gammaln(n_total - k + 1.0))

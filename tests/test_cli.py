@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import qfilab
 from qfilab import estimation, fisher, make_state, save_state
-from qfilab.cli import main, resolve_state
+from qfilab.cli import _finite, build_parser, main, resolve_state
 
 
 def read_csv(path):
@@ -155,6 +156,64 @@ def test_non_finite_float_flag_exits_2_naming_it(argv, flag, tmp_path, capsys):
     assert f"argument {flag}: must be a finite number" in captured.err
 
 
+# every float flag, after the arguments its subcommand needs besides it
+FLOAT_FLAGS = [
+    (["fig3a"], "--x-min"),
+    (["fig3a"], "--x-max"),
+    (["fig3a"], "--tol"),
+    (["fig3b"], "--x-min"),
+    (["fig3b"], "--x-max"),
+    (["fig3b"], "--tol"),
+    (["fi-scan", "catalog:noon:2"], "--x-min"),
+    (["fi-scan", "catalog:noon:2"], "--x-max"),
+    (["estimate", "catalog:noon:1"], "--phi-true"),
+    (["estimate", "catalog:noon:1", "--phi-true", "0.1"], "--window"),
+]
+FLOAT_FLAG_IDS = [f"{a[0]} {flag}" for a, flag in FLOAT_FLAGS]
+
+
+def _with_flag(prefix, flag, text):
+    return prefix + [flag] + [text] * (2 if flag == "--window" else 1)
+
+
+def test_float_flag_table_lists_every_float_flag():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        (command, action.option_strings[0])
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if action.type is _finite
+    }
+    assert found == {(prefix[0], flag) for prefix, flag in FLOAT_FLAGS}
+
+
+@pytest.mark.parametrize("prefix, flag", FLOAT_FLAGS, ids=FLOAT_FLAG_IDS)
+def test_negative_float_flag_in_exponent_or_inf_form_is_a_value(prefix, flag, capsys):
+    # argparse's own negative-number pattern knows only plain decimals
+    args = build_parser().parse_args(_with_flag(prefix, flag, "-1e-3"))
+    value = getattr(args, flag[2:].replace("-", "_"))
+    assert value == ([-1e-3] * 2 if flag == "--window" else -1e-3)
+    with pytest.raises(SystemExit) as exc:
+        main(_with_flag(prefix, flag, "-inf"))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be a finite number, got '-inf'" in captured.err
+
+
+def test_negative_exponent_flags_run_end_to_end(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert main(["fi-scan", "catalog:noon:2", "--x-min", "-1e-3", "--points", "3",
+                 "--out", str(out)]) == 0
+    header, _, rows = read_csv(out)
+    assert "x_min=-0.001" in header and rows[0][0] == -1e-3
+    out = tmp_path / "est.jsonl"
+    assert main(["estimate", "catalog:noon:1", "--phi-true", "-1e-1", "--window", "-2e-1", "5e-1",
+                 "--trials", "50", "--out", str(out)]) == 0
+    run = json.loads(out.read_text())
+    assert run["phi_true"] == -0.1 and run["window"] == [-0.2, 0.5]
+
+
 def test_fi_scan_constant_for_single_photon(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["fi-scan", "catalog:noon:1", "--points", "41", "--out", str(out)]) == 0
@@ -287,3 +346,23 @@ def test_out_of_memory_exits_2_naming_the_state(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "out of memory" in err and "catalog:zeta_noon:3:40" in err
     assert "splitter" not in err
+
+
+def test_dense_splitters_beyond_physical_memory_exit_2_at_once():
+    # |N,N> inputs need a dense splitter for every sector 2N <= 200000:
+    # 16 (2N+1)^2 bytes each, about 2e16 bytes in all; refused before any
+    # is built, so the 1 GiB cap is never reached
+    need = sum(16 * (2 * n + 1) ** 2 for n in range(1, 100_001))
+    spec = "catalog:zeta_dual_fock:3:100000"
+    pythonpath = [str(Path(qfilab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfilab", "qfi", spec],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath))),
+        preexec_fn=_cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"{need} bytes" in proc.stderr and spec in proc.stderr

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qfilab import fock
+from qfilab import fisher, fock
 from qfilab import (
     CountingPOVM,
     Moment,
@@ -384,3 +384,31 @@ def test_report_serialization():
     assert d["pipeline"] == "MMZI"
     assert d["crb"] == pytest.approx(1.0 / math.sqrt(rep.fi))
     assert rep.crb_m(4) == pytest.approx(rep.crb_single / 2)
+
+
+@pytest.mark.parametrize(
+    "state, mzi, mmzi",
+    [
+        (noon(3), 16 * 4**2, 0),
+        (dual_fock(2), 16 * 5**2, 16 * 5**2),
+        # sectors 0, 2 and 3; only sector 3 holds an input other than n_a = 0, N
+        (fock.make_state([(0, 0, 1.0), (2, 0, 1.0), (0, 2, 1.0), (1, 2, 1.0)], cutoff=3),
+         16 * (1**2 + 3**2 + 4**2), 16 * 4**2),
+    ],
+    ids=["noon", "dual_fock", "mixed"],
+)
+def test_dense_splitter_bytes_counts_the_sectors_each_pipeline_builds(state, mzi, mmzi):
+    assert fisher._dense_splitter_bytes(state, "MZI") == mzi
+    assert fisher._dense_splitter_bytes(state, "MMZI") == mmzi
+
+
+def test_premeasurement_state_refuses_splitters_beyond_physical_memory(monkeypatch):
+    state = dual_fock(2)
+    monkeypatch.setattr(fisher, "_PHYSICAL_MEMORY", 16 * 5**2)
+    assert fisher.premeasurement_state(state, "MZI").cutoff == 4
+    monkeypatch.setattr(fisher, "_PHYSICAL_MEMORY", 16 * 5**2 - 1)
+    built = set(fock._BS_CACHE)
+    for pipeline in fisher.PIPELINES:
+        with pytest.raises(MemoryError, match=f"{pipeline} splitters need 400 bytes"):
+            fisher.premeasurement_state(state, pipeline)
+    assert set(fock._BS_CACHE) == built

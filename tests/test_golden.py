@@ -8,7 +8,8 @@ a speed-up of the likelihood grid must not move a single bit. The 1e-12
 estimate golden predates a change of the FI summation order that moved
 its crb_m by 2e-16, so its byte-exact twin (*.exact.jsonl) was recorded
 separately, from the same command. The qfi report of the benchmark's
-headline command is pinned byte for byte too, and so are the CLI's fixed
+headline command is pinned byte for byte too, as are the fig3a/fig3b CSVs
+at 200 points with their provenance sidecars, and so are the CLI's fixed
 texts (cli_text.json): `catalog list`, every --help at COLUMNS=80, the
 usage errors, and the stderr and exit code of malformed catalog URIs.
 """
@@ -54,7 +55,12 @@ BYTE_EXACT = [
          "--trials", "10000", "--reps", "10", "--seed", "1"],
         0,
     ),
+    ("fig3a_200.csv", ["fig3a", "--points", "200"], 0),
+    ("fig3b_200.csv", ["fig3b", "--points", "200"], 0),
 ]
+
+# the curve goldens also pin the provenance sidecar written next to the CSV
+SIDECARS = [c for c in BYTE_EXACT if (GOLDEN / f"{c[0]}.provenance.json").exists()]
 
 
 def assert_matches(got, want, where="$"):
@@ -96,6 +102,14 @@ def test_estimate_output_is_byte_identical_to_golden(tmp_path, name, argv, code)
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name,argv,code", SIDECARS, ids=[c[0] for c in SIDECARS])
+def test_curve_sidecar_is_byte_identical_to_golden(tmp_path, name, argv, code):
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == code
+    sidecar = f"{name}.provenance.json"
+    assert (tmp_path / sidecar).read_bytes() == (GOLDEN / sidecar).read_bytes()
 
 
 TEXT_CASES = json.loads((GOLDEN / "cli_text.json").read_text(encoding="utf-8"))
