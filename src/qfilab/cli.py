@@ -32,7 +32,7 @@ from . import curves
 from .curves import SpecError
 from .estimation import run_estimation
 from .fisher import PIPELINES, FisherReport, fi_scan, premeasurement_state, qfi_pure
-from .fock import DEFAULT_NORM_TOL, load_state, state_from_json_dict
+from .fock import DEFAULT_NORM_TOL, _json_entries, load_state, make_state
 
 # family -> (constructor, URI parameter names, `catalog list` text)
 _FAMILIES = {
@@ -306,11 +306,12 @@ def _cmd_state_validate(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        state = state_from_json_dict(raw)
+        cutoff, entries = _json_entries(raw)
+        state = make_state(entries, cutoff)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"invalid state file: {exc}\n")
         return 2
-    raw_norm = math.sqrt(sum(e["re"] ** 2 + e["im"] ** 2 for e in raw["entries"]))
+    raw_norm = math.sqrt(sum(amp.real ** 2 + amp.imag ** 2 for _, _, amp in entries))
     summary = {
         "valid": True,
         "cutoff": state.cutoff,

@@ -12,11 +12,10 @@ the window followed by golden-section refinement. run_estimation and
 crb_convergence_study do their set-up once per command, before any draw
 (_setup): the first splitter, the likelihood period, the window and its
 check, the FI behind the bound, and the outcome table every repetition
-draws from. Per record, the log-likelihood grid (_loglik_grid) walks the
-fisher kernel's sectors of the state cut down to the sectors the record
-observed, so splitter columns are built for those alone, and takes, per
-block of phases, one exponential per distinct J3 eigenvalue of those
-sectors, bit-identical to an exponential per sector input. Windows must stay
+draws from. Per record, the log-likelihood grid (_loglik_grid) has the
+fisher kernel evaluate only the sectors and outcomes the record observed,
+so splitter columns are built for those alone (the kernel's phase blocks
+and exponentials are described in fisher). Windows must stay
 narrower than the likelihood's fundamental period (2*pi over the largest
 occupied J3 spread), otherwise the phase is not identifiable; the bound
 being probed is local in exactly that sense. The log-likelihood is flat to
@@ -33,13 +32,12 @@ from typing import Callable
 
 import numpy as np
 
-from .fisher import _outcome_table, _sectors, classical_fi, premeasurement_state
+from .fisher import _amplitudes, _outcome_table, _sectors, classical_fi, premeasurement_state
 from .fock import TwoModeState, sector_slices
 
 RNG_ALGORITHM = "philox4x64"
 MLE_GRID_POINTS = 10_000
 MLE_REFINE_TOL = 1e-10
-_PHASE_BLOCK = 2048  # phases per exponential table in _loglik_grid
 _LOG_FLOOR = 1e-300
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -103,7 +101,7 @@ def _sampler(pre: TwoModeState, phi_true: float):
     """Function (m_trials, seed) -> histogram of m_trials draws at phi_true
     from the pre-measurement state pre; the outcome table is built here,
     once for every draw."""
-    na, nb, p, _ = _outcome_table(pre, phi_true)
+    na, nb, p, _ = _outcome_table(pre, phi_true, False)  # no derivative
     probs = p / p.sum()
 
     def draw(m_trials: int, seed) -> dict[tuple[int, int], int]:
@@ -135,44 +133,27 @@ def _loglik_grid(
     pre: TwoModeState, outcomes: dict[tuple[int, int], int]
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Log-likelihood of an outcome histogram on a phase grid, for the
-    pre-measurement state pre.
-
-    The per-histogram set-up is done once here: the histogram grouped by
-    sector in one pass, the fisher kernel's sectors (fisher._sectors) of the
-    state cut down to the sectors the record observed, so splitter columns
-    are built for those alone and only the observed outcomes' are kept, and
-    the distinct J3 eigenvalues of those sectors. The returned function of
-    phis walks the phases in blocks of _PHASE_BLOCK; per block it takes one
-    exponential per distinct eigenvalue, and each sector gathers its columns
-    of that table and contracts them with its amplitudes and splitter
-    columns.
+    pre-measurement state pre. The histogram is checked, grouped by sector
+    and cut into the kernel's observed sectors and columns once, here; the
+    returned function of phis sums counts times log p over them.
     """
     by_sector = {}
     for (a, b), cnt in outcomes.items():
+        if a < 0 or b < 0 or cnt < 0:
+            raise ValueError(f"outcome {(a, b)} with count {cnt}: port counts and counts must be >= 0")
         by_sector.setdefault(a + b, []).append((a, cnt))
-    seen = np.isin(pre.n_total, list(by_sector))
-    observed = []
-    for n, vec, m, bs_t in _sectors(TwoModeState(pre.na[seen], pre.nb[seen], pre.amps[seen], pre.cutoff)):
-        cols, counts = zip(*by_sector.pop(n))
-        observed.append((m, vec, bs_t[:, list(cols)], np.array(counts, dtype=float)))
-    if by_sector:
-        stray = [k for k in outcomes if k[0] + k[1] in by_sector]
+    occupied = {n for n, _ in sector_slices(pre)}
+    stray = [k for k in outcomes if k[0] + k[1] not in occupied]
+    if stray:
         raise ValueError(f"outcomes {stray} lie outside the occupied sectors")
-    unique_m = np.unique(np.concatenate([m for m, *_ in observed]))
-    sectors = [(np.searchsorted(unique_m, m), *rest) for m, *rest in observed]
+    cols = {n: [a for a, _ in group] for n, group in by_sector.items()}
+    counts = {n: np.array([c for _, c in group], dtype=float) for n, group in by_sector.items()}
+    sectors = list(_sectors(pre, cols))
 
     def loglik(phis: np.ndarray) -> np.ndarray:
         ll = np.zeros(phis.size)
-        for lo in range(0, phis.size, _PHASE_BLOCK):
-            block = phis[lo:lo + _PHASE_BLOCK]
-            table = np.exp(-1j * np.outer(block, unique_m))
-            acc = ll[lo:lo + _PHASE_BLOCK]
-            for ix, vec, cols_t, counts in sectors:
-                # take() keeps the gather C-ordered, so the matmul runs the
-                # same BLAS path as an exponential of the sector itself
-                amp = (table.take(ix, axis=1) * vec) @ cols_t
-                p = np.maximum(np.abs(amp) ** 2, _LOG_FLOOR)
-                acc += np.log(p) @ counts
+        for rows, n, amp, _ in _amplitudes(pre, phis, sectors, False):
+            ll[rows] += np.log(np.maximum(np.abs(amp) ** 2, _LOG_FLOOR)) @ counts[n]
         return ll
 
     return loglik
@@ -199,10 +180,10 @@ def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
 
 def _mle(pre: TwoModeState, outcomes: dict[tuple[int, int], int], lo: float, hi: float) -> float:
     """Grid-plus-golden maximum-likelihood search on a checked window."""
-    if not outcomes or sum(outcomes.values()) == 0:
+    loglik = _loglik_grid(pre, outcomes)
+    if sum(outcomes.values()) == 0:
         raise DegenerateLikelihoodError("empty outcome record")
     phis = np.linspace(lo, hi, MLE_GRID_POINTS)
-    loglik = _loglik_grid(pre, outcomes)
     ll = loglik(phis)
     span = float(ll.max() - ll.min())
     if span <= 1e-9 * max(1.0, abs(float(ll.max()))):

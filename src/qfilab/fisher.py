@@ -22,19 +22,24 @@ transversal limit 4 |dz|^2, which is finite whenever the amplitudes are
 smooth. A point is flagged singular only if the computed numbers violate
 the bound |dP| <= 2 |z| |dz| that smoothness implies.
 
-Likelihoods, outcome sampling, scalar readouts and the Fisher information
-all go through one sector kernel, _amplitudes, which yields the outcome
-amplitudes and their phase derivatives over a phase grid, sector by
-sector; this is valid because both unitaries preserve the total photon
-number. Its sectors (_sectors) are the contiguous slices of the state's
-canonical table (fock.sector_slices): the occupied inputs, their J3
-eigenvalues, and the matching columns of the final splitter, so a
-two-branch sector costs two closed-form columns (fock.splitter_columns)
-instead of a dense (N+1)x(N+1) matrix. Per outcome it is read as flat
-arrays in (N, n_a) order (_outcome_table, of which the likelihood dicts
-are views), and over a phase grid through one reduction to the FI and
-singular flag (_fi_reduce, shared by classical_fi and fi_scan). The
-kernel, like the estimation module's log-likelihood grid, takes the
+Likelihoods, outcome sampling, scalar readouts, the Fisher information
+and the estimation module's log-likelihood grid all get their outcome
+amplitudes from one kernel, _amplitudes, sector by sector (both unitaries
+preserve the total photon number). Its sectors (_sectors) are the
+contiguous slices of the state's canonical table (fock.sector_slices): the
+occupied inputs, their J3 eigenvalues, and the matching columns of the
+final splitter, so a two-branch sector costs two closed-form columns
+(fock.splitter_columns) instead of a dense (N+1)x(N+1) matrix. The kernel
+cuts the phases into near-equal blocks of at most _PHASE_BLOCK, so memory
+does not grow with the grid, never leaving a one-phase block (a one-row
+matmul takes BLAS's matrix-vector path, whose last bits differ). Per block
+it takes one exponential per distinct J3 eigenvalue and gathers each
+sector's columns with take(), which keeps them C-ordered, so every bit
+equals an exponential per sector input; it computes the phase derivative
+only for callers that read it. Per outcome it is read as flat arrays in
+(N, n_a) order (_outcome_table, of which the likelihood dicts are views),
+and over a phase grid through one reduction to the FI and singular flag
+(_fi_reduce, shared by classical_fi and fi_scan). The kernel takes the
 pre-measurement state and no pipeline: each public entry point applies an
 MZI's first splitter once (premeasurement_state) and passes the result on.
 """
@@ -61,6 +66,7 @@ from .fock import (
 
 PIPELINES = ("MZI", "MMZI")
 FI_P_FLOOR = 1e-12
+_PHASE_BLOCK = 2048  # most phases per exponential table in _amplitudes
 # bytes of RAM; dense splitters beyond it are refused before any is built
 _PHYSICAL_MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
                     if hasattr(os, "sysconf") else math.inf)
@@ -178,35 +184,49 @@ def premeasurement_state(state: TwoModeState, pipeline: str) -> TwoModeState:
     return apply_beamsplitter(state) if pipeline == "MZI" else state
 
 
-def _sectors(pre: TwoModeState):
+def _sectors(pre: TwoModeState, observed=None):
     """Yield (N, vec, m, bs_t) for each occupied sector of the pre-measurement
     state pre, restricted to its occupied inputs: their amplitudes, their J3
-    eigenvalues, and bs_t[j, k] the final splitter from input j to n_a = k."""
+    eigenvalues, and bs_t[j, k] the final splitter from input j to n_a = k.
+    Given observed, a dict N -> list of n_a, only the sectors in it are
+    walked and bs_t keeps only their listed columns."""
     for n, sl in sector_slices(pre):
-        na = pre.na[sl]
-        yield n, pre.amps[sl], na - n / 2.0, splitter_columns(n, na).T
+        if observed is None or n in observed:
+            na = pre.na[sl]
+            bs_t = splitter_columns(n, na).T
+            yield n, pre.amps[sl], na - n / 2.0, bs_t if observed is None else bs_t[:, observed[n]]
 
 
-def _amplitudes(pre: TwoModeState, phis: np.ndarray):
-    """Yield (N, out, dout) for each occupied sector of the pre-measurement
-    state: out[i, n_a] is the amplitude of outcome (n_a, N - n_a) at phis[i]
-    and dout[i, n_a] its derivative with respect to the phase."""
-    for n, vec, m, bs_t in _sectors(pre):
-        chi = np.exp(-1j * np.outer(phis, m)) * vec
-        yield n, chi @ bs_t, (chi * (-1j * m)) @ bs_t
+def _amplitudes(pre: TwoModeState, phis: np.ndarray, sectors=None, derivative=True):
+    """Yield (rows, N, out, dout) per block of phases and sector: out[i, k]
+    is the amplitude at phis[rows][i] of the sector's k-th splitter column
+    (outcome (k, N - k) when every column is kept), dout its phase
+    derivative or None without derivative. sectors is a list of _sectors
+    tuples that a caller evaluating them many times walked once; by default
+    each block walks pre's sectors afresh, holding one sector's columns."""
+    unique_m = np.unique(pre.j3_values if sectors is None else np.concatenate([s[2] for s in sectors]))
+    blocks = -(-phis.size // _PHASE_BLOCK) or 1
+    for b in range(blocks):
+        rows = slice(b * phis.size // blocks, (b + 1) * phis.size // blocks)
+        table = np.exp(-1j * np.outer(phis[rows], unique_m))
+        for n, vec, m, bs_t in _sectors(pre) if sectors is None else sectors:
+            chi = table.take(unique_m.searchsorted(m), axis=1) * vec
+            yield rows, n, chi @ bs_t, (chi * (-1j * m)) @ bs_t if derivative else None
 
 
-def _outcome_table(pre: TwoModeState, phi: float):
+def _outcome_table(pre: TwoModeState, phi: float, derivative=True):
     """Every outcome of the occupied sectors as flat arrays (na, nb, p, dp)
     in canonical (N, n_a) order: the port counts, the probability at phi and
-    its analytic derivative. Zero-probability port splits are included."""
+    its analytic derivative (None without derivative). Zero-probability port
+    splits are included."""
     na, nb, p, dp = [], [], [], []
-    for n, out, dout in _amplitudes(pre, np.array([float(phi)])):
+    for _, n, out, dout in _amplitudes(pre, np.array([float(phi)]), derivative=derivative):
         na.append(np.arange(n + 1))
         nb.append(n - na[-1])
         p.append(np.abs(out[0]) ** 2)
-        dp.append(2.0 * np.real(np.conj(out[0]) * dout[0]))
-    return tuple(np.concatenate(col) for col in (na, nb, p, dp))
+        if derivative:
+            dp.append(2.0 * np.real(np.conj(out[0]) * dout[0]))
+    return (*(np.concatenate(col) for col in (na, nb, p)), np.concatenate(dp) if derivative else None)
 
 
 def likelihood(
@@ -246,16 +266,17 @@ def _fi_reduce(pre: TwoModeState, phis: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     fi = np.zeros(phis.size)
     singular = np.zeros(phis.size, dtype=bool)
-    for _, out, dout in _amplitudes(pre, phis):
+    for rows, _, out, dout in _amplitudes(pre, phis):
         p = np.abs(out) ** 2
         dp = 2.0 * np.real(np.conj(out) * dout)
         trusted = (p >= FI_P_FLOOR) | (np.abs(out) > _AMP_NOISE)
         plain = dp * dp / np.where(p > 0, p, 1.0)
         abs_dout = np.abs(dout)
         limit = 4.0 * abs_dout ** 2
-        fi += np.sum(np.where(trusted & (p > 0), plain, np.where(trusted, 0.0, limit)), axis=1)
+        fi[rows] += np.sum(np.where(trusted & (p > 0), plain, np.where(trusted, 0.0, limit)), axis=1)
         violated = np.abs(dp) > 2.0 * _AMP_NOISE * abs_dout + 1e-30
-        singular |= np.any(violated, axis=1, where=~trusted)
+        singular[rows] |= np.any(violated, axis=1, where=~trusted)
+        del p, dp, plain, abs_dout, limit  # not held while the next sector's arrays are made
     return fi, singular
 
 

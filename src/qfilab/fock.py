@@ -338,16 +338,35 @@ def state_to_json_dict(state: TwoModeState) -> dict:
     }
 
 
-def state_from_json_dict(data: dict) -> TwoModeState:
-    """Parse, canonicalize and renormalize a state dictionary."""
+def _integral(value, field: str) -> int:
+    """An occupation or cutoff field as an int; a ValueError naming the field
+    when it is not integral, rather than int()'s silent truncation."""
+    if isinstance(value, int):
+        return int(value)
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"malformed state file: {field} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _json_entries(data: dict) -> tuple[int, list[tuple[int, int, complex]]]:
+    """The cutoff and the (n_a, n_b, amplitude) triples of a state
+    dictionary, converted as state_from_json_dict reads them."""
     try:
-        cutoff = int(data["cutoff"])
+        cutoff = _integral(data["cutoff"], "cutoff")
         entries = [
-            (int(e["na"]), int(e["nb"]), float(e["re"]) + 1j * float(e["im"]))
-            for e in data["entries"]
+            (_integral(e["na"], f"entries[{i}].na"), _integral(e["nb"], f"entries[{i}].nb"),
+             float(e["re"]) + 1j * float(e["im"]))
+            for i, e in enumerate(data["entries"])
         ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state file: {exc}") from exc
+    return cutoff, entries
+
+
+def state_from_json_dict(data: dict) -> TwoModeState:
+    """Parse, canonicalize and renormalize a state dictionary."""
+    cutoff, entries = _json_entries(data)
     return make_state(entries, cutoff)
 
 

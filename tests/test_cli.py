@@ -291,6 +291,44 @@ def test_state_validate_roundtrip(tmp_path, capsys):
     assert payload["entries"] == 2
 
 
+def write_state(path, entries, cutoff=2):
+    path.write_text(json.dumps({"cutoff": cutoff, "entries": entries}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "cutoff, entry, field",
+    [
+        (2, {"na": 1.5, "nb": 0, "re": 1.0, "im": 0.0}, "entries[0].na"),
+        (2, {"na": 1, "nb": 0.25, "re": 1.0, "im": 0.0}, "entries[0].nb"),
+        (2.7, {"na": 1, "nb": 0, "re": 1.0, "im": 0.0}, "cutoff"),
+    ],
+    ids=["na", "nb", "cutoff"],
+)
+@pytest.mark.parametrize("command", [["state", "validate"], ["qfi"]], ids=["validate", "qfi"])
+def test_non_integral_occupations_and_cutoff_exit_2(tmp_path, capsys, command, cutoff, entry, field):
+    path = write_state(tmp_path / "s.json", [entry], cutoff)
+    assert main([*command, path]) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_occupations_and_cutoff_are_accepted(tmp_path, capsys):
+    path = write_state(tmp_path / "s.json", [{"na": 2.0, "nb": 0, "re": 1.0, "im": 0.0}], 2.0)
+    assert main(["state", "validate", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["cutoff"] == 2 and payload["occupied_sectors"] == [2]
+
+
+def test_state_validate_reads_numeric_string_amplitudes_as_qfi_does(tmp_path, capsys):
+    entries = [{"na": 1, "nb": 0, "re": "0.6", "im": "0"}, {"na": 0, "nb": 1, "re": 0.5, "im": "0.5"}]
+    path = write_state(tmp_path / "s.json", entries)
+    assert main(["state", "validate", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["raw_norm"] == math.sqrt(0.6**2 + 0.0**2 + (0.5**2 + 0.5**2))
+    assert payload["renormalized"] and payload["occupied_sectors"] == [1]
+    assert main(["qfi", path]) == 0
+
+
 def test_state_validate_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"cutoff": 2, "entries": [{"na": 5, "nb": 0, "re": 1.0, "im": 0.0}]}')
@@ -330,6 +368,26 @@ def test_default_zeta_noon_qfi_fits_in_one_gib(tmp_path):
         n = [mpmath.mpf(k) for k in range(1, 1001)]
         expected = float(mpmath.fsum(1 / k for k in n) / mpmath.fsum(k**-3 for k in n))
     assert math.isclose(json.loads(out.read_text())["fi"], expected, rel_tol=1e-9)
+
+
+def test_long_fi_scan_fits_in_one_gib(tmp_path):
+    # the kernel takes phases in blocks, so memory does not grow with
+    # --points; whole-grid arrays of 30000 x 401 amplitudes would not fit
+    out = tmp_path / "scan.csv"
+    pythonpath = [str(Path(qfilab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfilab", "fi-scan", "catalog:noon:400", "--points", "30000",
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath))),
+        preexec_fn=_cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, columns, rows = read_csv(out)
+    assert columns == ["phi", "fi", "qfi"] and len(rows) == 30_000
+    assert all(fi == 400**2 for _, fi, _ in rows)
 
 
 def test_out_of_memory_exits_2_naming_the_state(monkeypatch, capsys):

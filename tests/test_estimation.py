@@ -149,6 +149,20 @@ def test_mle_rejects_outcomes_outside_the_occupied_sectors():
     assert str(exc.value) == "outcomes [(0, 2), (3, 0), (2, 0)] lie outside the occupied sectors"
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {(2, 0): 7, (-1, 3): 3},  # would read the n_a = 2 column from the end
+        {(2, 0): 7, (3, -1): 3},  # would index past the sector
+        {(2, 0): 7, (0, 2): -3},  # would pull the estimate to the window edge
+    ],
+    ids=["negative-n_a", "negative-n_b", "negative-count"],
+)
+def test_mle_rejects_negative_port_counts_and_counts(record):
+    with pytest.raises(ValueError, match="port counts and counts must be >= 0"):
+        mle_phase(record, noon(2), "MMZI", (0.1, 0.5))
+
+
 def test_mle_stays_inside_window():
     s = noon(1)
     for seed in range(5):

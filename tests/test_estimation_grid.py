@@ -27,8 +27,8 @@ from qfilab import (
     zeta_dual_fock,
     zeta_noon,
 )
-from qfilab.estimation import _PHASE_BLOCK, _loglik_grid
-from qfilab.fisher import _sectors, premeasurement_state
+from qfilab.estimation import _loglik_grid
+from qfilab.fisher import _PHASE_BLOCK, _sectors, premeasurement_state
 
 
 def reference_loglik(pre, outcomes, phis):

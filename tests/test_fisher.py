@@ -172,6 +172,21 @@ def test_zeta_noon_scan_is_flat_at_the_photon_number_moment(cutoff):
     assert np.abs(scan - expected).max() <= 1e-12 * expected
 
 
+@pytest.mark.parametrize(
+    "state, dist",
+    [zeta_noon(3.0, 40), zeta_noon(3.0, 300), tmsv_noon(1.0, 40)],
+    ids=["zeta_noon_3_40", "zeta_noon_3_300", "tmsv_noon_1_40"],
+)
+def test_superposed_noon_states_attain_the_photon_number_bound(state, dist):
+    # the paper's optimality claim: equal-weight two-branch superpositions
+    # reach <N^2>, the largest QFI their photon distribution allows, and the
+    # counting measurement reaches it at every phase of the qfi command's grid
+    bound = dist.mean_square.value
+    scan = fi_scan(state, np.linspace(0.0, 2.0 * math.pi, 181), "MMZI")
+    assert np.abs(scan / bound - 1.0).max() <= 1e-13
+    assert abs(qfi_pure(state) / bound - 1.0) <= 1e-13
+
+
 def test_two_branch_scan_builds_no_dense_splitter():
     cached = set(fock._BS_CACHE)
     fi_scan(zeta_noon(3.0, 450)[0], np.linspace(0.0, 2 * math.pi, 7), "MMZI")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qfilab import (
     save_state,
     sector_decompose,
     splitter_columns,
+    state_from_json_dict,
     state_to_json_dict,
     vacuum,
 )
@@ -280,6 +282,29 @@ def test_json_reader_normalizes(tmp_path):
     s = load_state(path)
     assert abs(s.norm() - 1.0) < 1e-12
     assert abs(abs(s.amplitude(1, 0)) - 1 / RT2) < 1e-12
+
+
+@pytest.mark.parametrize("integral", [1, 1.0, "1", True], ids=["int", "float", "str", "bool"])
+def test_json_reader_accepts_integral_occupations_and_cutoff(integral):
+    entry = {"na": integral, "nb": 0, "re": 1.0, "im": 0.0}
+    s = state_from_json_dict({"cutoff": integral, "entries": [entry]})
+    assert s.cutoff == 1 and type(s.cutoff) is int
+    assert s.na.tolist() == [1] and s.nb.tolist() == [0]
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, 0.999, "1.5", float("inf"), float("nan")], ids=["1.5", "0.999", "str", "inf", "nan"]
+)
+@pytest.mark.parametrize("field", ["cutoff", "na", "nb"])
+def test_json_reader_rejects_non_integral_occupations_and_cutoff(field, value):
+    data = {"cutoff": 3, "entries": [{"na": 1, "nb": 1, "re": 1.0, "im": 0.0}]}
+    if field == "cutoff":
+        data["cutoff"] = value
+    else:
+        data["entries"][0][field] = value
+    name = field if field == "cutoff" else f"entries[0].{field}"
+    with pytest.raises(ValueError, match=rf"malformed state file: {re.escape(name)} must be an integer"):
+        state_from_json_dict(data)
 
 
 def test_json_dict_sorted_by_sector_then_na():

@@ -18,11 +18,13 @@ from qfilab import (
     apply_beamsplitter,
     beamsplitter_matrix,
     classical_fi,
+    expect,
     fi_observable,
     fi_scan,
     likelihood,
     likelihood_with_derivative,
     make_state,
+    qfi_pure,
     sample_outcomes,
     sector_fi_decomposition,
 )
@@ -127,6 +129,14 @@ def test_fi_bounded_by_qfi(state, phi, pipeline):
     assert rep.fi <= rep.qfi + 1e-9 * max(1.0, rep.qfi)
 
 
+@given(states(), pipelines)
+def test_qfi_bounded_by_photon_number_moment(state, pipeline):
+    # with test_fi_bounded_by_qfi, the ordering behind the paper's claim:
+    # counting FI <= 4 Var(J3) <= <N^2>, since |J3| <= N/2 in every sector
+    qfi = qfi_pure(premeasurement_state(state, pipeline))
+    assert qfi <= expect(state, "n_total_sq") * (1.0 + 1e-12)
+
+
 @given(states(), phases, pipelines)
 def test_sector_additivity(state, phi, pipeline):
     rows, total = sector_fi_decomposition(state, phi, pipeline)
@@ -158,7 +168,7 @@ def reference_table(state, phi, pipeline):
     """Rows (n_a, n_b, P, dP) built outcome by outcome from the sector
     amplitudes, in canonical (N, n_a) order."""
     rows = []
-    for n, out, dout in _amplitudes(premeasurement_state(state, pipeline), np.array([float(phi)])):
+    for _, n, out, dout in _amplitudes(premeasurement_state(state, pipeline), np.array([float(phi)])):
         p = np.abs(out[0]) ** 2
         dp = 2.0 * np.real(np.conj(out[0]) * dout[0])
         for k in range(n + 1):
