@@ -24,8 +24,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfilab import likelihood, zeta_dual_fock
+from qfilab import dual_fock, fi_scan, likelihood, qfi_pure, sector_decompose, zeta_dual_fock
 from qfilab.cli import main
+from qfilab.fisher import premeasurement_state
+from sector_operators import mzi_probabilities
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -164,3 +166,51 @@ def test_estimate_golden_phi_hat_attains_the_likelihood_maximum(tmp_path):
         assert hat >= max(grid) - 8 * np.finfo(float).eps * abs(hat)
         # the band is narrow: 1e-7 off the peak is already far below it
         assert min(grid[0], grid[-1]) < hat - 64 * np.finfo(float).eps * abs(hat)
+
+
+ESTIMATE_GOLDENS = [c[:2] for c in CASES + BYTE_EXACT if c[0].startswith("estimate_")]
+
+
+@pytest.mark.parametrize("name,argv", ESTIMATE_GOLDENS, ids=[c[0] for c in ESTIMATE_GOLDENS])
+def test_estimate_golden_agrees_with_dense_oracles(name, argv):
+    # The golden files themselves, against oracles that share no code with
+    # the library's splitter or kernel: phi_hat maximizes an expm likelihood
+    # to rounding on a 1e-9 grid of +-1e-7, and crb_m is 1/(M * FI) with the
+    # |N,N> counting FI 2N(N+1) at every phase, weighted by the sectors.
+    cutoff = int(argv[1].rsplit(":", 1)[1])
+    state, _ = zeta_dual_fock(3.0, cutoff)
+    fi = math.fsum(c.probability * c.n_total * (c.n_total // 2 + 1) for c in sector_decompose(state))
+    period = math.pi / cutoff  # 2 pi over the largest n_a spread, 2K
+    for run in parse(name, (GOLDEN / name).read_text(encoding="utf-8")):
+        assert math.isclose(run["period"], period, rel_tol=1e-15)
+        assert np.allclose(run["window"], [0.3 - period / 8, 0.3 + period / 8], rtol=1e-15, atol=0)
+        assert math.isclose(run["crb_m"], 1.0 / (run["m_trials"] * fi), rel_tol=1e-15)
+        assert run["empirical_mse"] == (run["phi_hat"] - run["phi_true"]) ** 2
+        phi_hat = run["phi_hat"]
+        phis = np.append(np.linspace(phi_hat - 1e-7, phi_hat + 1e-7, 201), phi_hat)
+        probs = mzi_probabilities(state, phis)
+        terms = [
+            count * np.log(probs[tuple(int(v) for v in key.split(","))])
+            for key, count in run["outcomes"].items()
+        ]
+        *grid, hat = (math.fsum(col) for col in np.array(terms).T)
+        assert hat >= max(grid) - 8 * np.finfo(float).eps * abs(hat)
+        assert min(grid[0], grid[-1]) < hat - 64 * np.finfo(float).eps * abs(hat)
+
+
+def test_dual_fock_mzi_golden_is_flat_at_the_quantum_limit(tmp_path):
+    # |N,N> through an MZI: the counting FI equals the QFI 2N(N+1) at every
+    # phase, so the golden's phi is any point of the grid and fi and qfi are
+    # 60 up to rounding
+    n = 5
+    bound = 2 * n * (n + 1)
+    pre = premeasurement_state(dual_fock(n), "MZI")
+    assert abs(qfi_pure(pre) / bound - 1.0) <= 1e-15
+    scan = fi_scan(dual_fock(n), np.linspace(0.0, 2.0 * math.pi, 181), "MZI")
+    assert np.abs(scan / bound - 1.0).max() <= 1e-13
+    out = tmp_path / "qfi.json"
+    assert main(["qfi", "catalog:dual_fock:5", "--pipeline", "MZI", "--out", str(out)]) == 0
+    for report in (json.loads(out.read_text()), json.loads((GOLDEN / "qfi_dual_fock_5_mzi.json").read_text())):
+        assert abs(report["qfi"] / bound - 1.0) <= 1e-15
+        assert abs(report["fi"] / bound - 1.0) <= 1e-13
+        assert report["phi"] in np.linspace(0.0, 2.0 * math.pi, 181).tolist()
