@@ -28,8 +28,9 @@ amplitudes from one kernel, _amplitudes, sector by sector (both unitaries
 preserve the total photon number). Its sectors (_sectors) are the
 contiguous slices of the state's canonical table (fock.sector_slices): the
 occupied inputs, their J3 eigenvalues, and the matching columns of the
-final splitter, so a two-branch sector costs two closed-form columns
-(fock.splitter_columns) instead of a dense (N+1)x(N+1) matrix. The kernel
+final splitter (fock.splitter_columns), built afresh and never cached: two
+closed-form columns for a two-branch sector, one O(N) recurrence per
+occupied input otherwise, never a dense (N+1)x(N+1) matrix. The kernel
 cuts the phases into near-equal blocks of at most _PHASE_BLOCK, so memory
 does not grow with the grid, never leaving a one-phase block (a one-row
 matmul takes BLAS's matrix-vector path, whose last bits differ). Per block
@@ -47,7 +48,6 @@ MZI's first splitter once (premeasurement_state) and passes the result on.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -67,9 +67,6 @@ from .fock import (
 PIPELINES = ("MZI", "MMZI")
 FI_P_FLOOR = 1e-12
 _PHASE_BLOCK = 2048  # most phases per exponential table in _amplitudes
-# bytes of RAM; dense splitters beyond it are refused before any is built
-_PHYSICAL_MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-                    if hasattr(os, "sysconf") else math.inf)
 
 
 class NonpositiveQFIError(ValueError):
@@ -162,25 +159,11 @@ class FisherReport:
 # ---------------------------------------------------------------------------
 # pipeline internals
 
-def _dense_splitter_bytes(state: TwoModeState, pipeline: str) -> int:
-    """Bytes of the dense splitters (16 (N+1)^2 per sector) that evaluating
-    state on pipeline builds and caches: every occupied sector for "MZI" (its
-    first splitter), each sector with an input other than n_a = 0, N for "MMZI"."""
-    nt = state.n_total if pipeline == "MZI" else state.n_total[(state.na != 0) & (state.nb != 0)]
-    return sum(16 * (n + 1) ** 2 for n in np.unique(nt).tolist())
-
-
 def premeasurement_state(state: TwoModeState, pipeline: str) -> TwoModeState:
-    """The state the phase acts on: for "MZI" the input after the first splitter.
-
-    Raises MemoryError, naming the bytes, when the dense splitters that the
-    pipeline needs for state exceed the machine's physical memory."""
+    """The state the phase acts on: for "MZI" the input after the first
+    splitter, which takes only the columns of each sector's occupied inputs."""
     if pipeline not in PIPELINES:
         raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
-    need = _dense_splitter_bytes(state, pipeline)
-    if need > _PHYSICAL_MEMORY:
-        raise MemoryError(f"its dense {pipeline} splitters need {need} bytes ({need / 2**30:.1f} GiB), "
-                          f"more than the {_PHYSICAL_MEMORY} bytes of physical memory")
     return apply_beamsplitter(state) if pipeline == "MZI" else state
 
 
@@ -247,7 +230,7 @@ def likelihood_with_derivative(
     return {povm.key(a, b): (x, dx) for a, b, x, dx in zip(na, nb, p, dp)}
 
 
-_AMP_NOISE = 1e-13  # amplitudes below this are eigensolver rounding noise
+_AMP_NOISE = 1e-13  # amplitudes below this are splitter-column rounding noise
 
 
 def _fi_reduce(pre: TwoModeState, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

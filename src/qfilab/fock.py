@@ -7,14 +7,14 @@ are block diagonal over the N sectors (the phase shift exp(-i*phi*J3) is
 diagonal, the 50:50 splitter exp(i*pi*J1/2) an (N+1)x(N+1) block), and each
 occupied sector is one contiguous slice of the table: sector_slices walks
 them for every per-sector reader. splitter_columns gives the splitter
-columns of occupied inputs, the two-branch ones (n_a = 0, N) in closed
-form; other supports build and cache the dense matrix.
+columns of occupied inputs alone, the two-branch ones (n_a = 0, N) in
+closed form and any other from a three-term recurrence, O(N) each; nothing
+is cached, so memory stays that of the columns a caller holds.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +113,8 @@ def _canonical_state(
     amps: np.ndarray,
     cutoff: int,
 ) -> TwoModeState:
-    """Merge duplicates, prune, sort by (N, n_a) and normalize."""
+    """Merge duplicates, prune, sort by (N, n_a) and normalize; a NaN or
+    infinite amplitude is a ValueError naming its entry."""
     if cutoff < 0:
         raise CutoffViolationError("cutoff must be >= 0")
     na = np.asarray(na, dtype=np.int64)
@@ -123,6 +124,10 @@ def _canonical_state(
         raise EmptyStateError("state needs at least one nonzero amplitude")
     if np.any(na < 0) or np.any(nb < 0):
         raise CutoffViolationError("occupation numbers must be >= 0")
+    finite = np.isfinite(amps)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"entry ({int(na[bad])}, {int(nb[bad])}) has a non-finite amplitude {amps[bad]}")
     if np.any(na + nb > cutoff):
         bad = int(np.argmax(na + nb > cutoff))
         raise CutoffViolationError(
@@ -179,44 +184,22 @@ def vacuum(cutoff: int = 0) -> TwoModeState:
 # ---------------------------------------------------------------------------
 # sector operators
 
-_BS_CACHE: dict[int, np.ndarray] = {}
-_BS_LOCK = threading.Lock()
-
-
 def _j1_offdiagonal(n_total: int) -> np.ndarray:
     k = np.arange(n_total)
     return 0.5 * np.sqrt((k + 1.0) * (n_total - k))
 
 
 def beamsplitter_matrix(n_total: int) -> np.ndarray:
-    """Dense unitary of exp(i*pi*J1/2) on the N-photon sector, indexed by n_a.
-
-    Built once per sector size by eigendecomposition of the symmetric
-    tridiagonal J1 block and cached read-only for the life of the process,
-    safe for concurrent readers. Sector N holds 16 (N+1)^2 bytes, about
-    16 K^3/3 bytes over sectors up to K; splitter_columns avoids the matrix
-    for two-branch inputs.
-    """
-    mat = _BS_CACHE.get(n_total)
-    if mat is None:
-        with _BS_LOCK:
-            mat = _BS_CACHE.get(n_total)
-            if mat is None:
-                if n_total == 0:
-                    mat = np.ones((1, 1), dtype=np.complex128)
-                else:
-                    from scipy.linalg import eigh_tridiagonal  # deferred: heavy, dense path only
-
-                    evals, vecs = eigh_tridiagonal(
-                        np.zeros(n_total + 1), _j1_offdiagonal(n_total)
-                    )
-                    mat = (vecs * np.exp(0.5j * np.pi * evals)) @ vecs.T
-                mat.flags.writeable = False
-                _BS_CACHE[n_total] = mat
-    return mat
+    """Dense unitary of exp(i*pi*J1/2) on the N-photon sector, indexed by n_a:
+    every column of splitter_columns, 16 (N+1)^2 bytes, built afresh."""
+    return splitter_columns(n_total, np.arange(n_total + 1))
 
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+_RESCALE_EVERY = 16  # recurrence steps between overflow checks
+# 16 steps grow a column by far less than 2^100, so its entries and
+# their squares in the norm stay finite
+_RESCALE_ABOVE = 2.0**200
 
 
 def splitter_columns(n_total: int, cols) -> np.ndarray:
@@ -225,25 +208,43 @@ def splitter_columns(n_total: int, cols) -> np.ndarray:
     When every column is n_a = 0 or n_a = N (a two-branch input) the
     columns come from the closed form |U[k, 0]| = |U[k, N]| =
     sqrt(C(N, k))/2^(N/2) with phases i^k and i^(N-k), evaluated in log
-    space, and nothing is cached. Any other support slices the cached dense
-    matrix, returned itself (read-only, no copy) when cols lists every
-    column in order. The path depends only on cols, never on the cache.
+    space. Any other column c is the J2 eigenvector of eigenvalue
+    m = c - N/2, U[k, c] = i^(k+c) w_k with w real and
+    e_{k-1} w_{k-1} + m w_k + e_k w_{k+1} = 0, e the J1 off-diagonal: O(N)
+    per column, no matrix and no eigensolver. The recurrence runs from k = 0
+    to the centre, where the column grows or oscillates, so it is stable;
+    the run from k = N is its mirror, w_{N-k} = (-1)^c w_k, since U is
+    symmetric. Columns are rescaled against overflow and normalized with
+    w_0 > 0, as U[0, c] = i^c sqrt(C(N, c))/2^(N/2).
     """
     cols = np.asarray(cols, dtype=np.int64)
+    k = np.arange(n_total + 1)
     if np.all((cols == 0) | (cols == n_total)):
         from scipy.special import gammaln  # deferred: keeps scipy out of `import qfilab`
 
-        k = np.arange(n_total + 1)
         mag = np.exp(
             0.5 * (gammaln(n_total + 1.0) - gammaln(k + 1.0) - gammaln(n_total - k + 1.0))
             - 0.5 * n_total * np.log(2.0)
         )
         power = np.where(cols == 0, k[:, None], n_total - k[:, None])
         return mag[:, None] * _I_POWERS[power % 4]
-    mat = beamsplitter_matrix(n_total)
-    if np.array_equal(cols, np.arange(n_total + 1)):
-        return mat
-    return mat[:, cols]
+    e = _j1_offdiagonal(n_total)
+    m = cols - n_total / 2.0
+    half = n_total // 2
+    w = np.empty((n_total + 1, cols.size))
+    w[0] = 1.0
+    w[1] = -m / e[0]
+    for j in range(1, half):
+        w[j + 1] = -(e[j - 1] * w[j - 1] + m * w[j]) / e[j]
+        if j % _RESCALE_EVERY == 0:
+            peak = np.maximum(np.abs(w[j]), np.abs(w[j + 1]))
+            big = peak > _RESCALE_ABOVE
+            if big.any():
+                w[: j + 2, big] /= peak[big]
+    w[half + 1:] = w[n_total - half - 1::-1] * (1.0 - 2.0 * (cols % 2))
+    # each column summed contiguously, so its bits do not depend on the others
+    w /= np.sqrt(np.square(np.ascontiguousarray(w.T)).sum(axis=1))
+    return w * _I_POWERS[(k[:, None] + cols) % 4]
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +265,9 @@ def apply_beamsplitter(state: TwoModeState) -> TwoModeState:
     """
     na_parts, nb_parts, amp_parts = [], [], []
     for n, sl in sector_slices(state):
-        vec = np.zeros(n + 1, dtype=np.complex128)
-        vec[state.na[sl]] = state.amps[sl]
         na_parts.append(np.arange(n + 1, dtype=np.int64))
         nb_parts.append(n - na_parts[-1])
-        amp_parts.append(beamsplitter_matrix(n) @ vec)
+        amp_parts.append(splitter_columns(n, state.na[sl]) @ state.amps[sl])
     na, nb, amps = (np.concatenate(p) for p in (na_parts, nb_parts, amp_parts))
     keep = np.abs(amps) > DEFAULT_PRUNE_THRESHOLD * np.abs(amps).max()
     # sectors in increasing N, each filled in increasing n_a: already canonical

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qfilab import CountingPOVM, fisher, fock
+from qfilab import CountingPOVM, fisher
 from qfilab import (
     DegenerateLikelihoodError,
     crb_convergence_study,
@@ -84,13 +84,6 @@ def test_likelihood_period():
 def test_unknown_pipeline_rejected(call, pipeline):
     with pytest.raises(ValueError, match="pipeline must be one of"):
         call(pipeline)
-
-
-def test_two_branch_estimation_builds_no_dense_splitter(monkeypatch):
-    monkeypatch.setattr(fock, "_BS_CACHE", {})
-    [run] = run_estimation(zeta_noon(3.0, 200)[0], 0.3, "MMZI", 2000, seed=3)
-    assert run.window[0] <= run.phi_hat <= run.window[1]
-    assert list(fock._BS_CACHE) == []
 
 
 def test_mzi_run_applies_the_first_splitter_once(monkeypatch):

@@ -1,10 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qfilab import fisher, fock
 from qfilab import (
     CountingPOVM,
     Moment,
@@ -185,12 +185,6 @@ def test_superposed_noon_states_attain_the_photon_number_bound(state, dist):
     scan = fi_scan(state, np.linspace(0.0, 2.0 * math.pi, 181), "MMZI")
     assert np.abs(scan / bound - 1.0).max() <= 1e-13
     assert abs(qfi_pure(state) / bound - 1.0) <= 1e-13
-
-
-def test_two_branch_scan_builds_no_dense_splitter():
-    cached = set(fock._BS_CACHE)
-    fi_scan(zeta_noon(3.0, 450)[0], np.linspace(0.0, 2 * math.pi, 7), "MMZI")
-    assert set(fock._BS_CACHE) == cached
 
 
 def test_fi_vacuum_zero():
@@ -401,29 +395,17 @@ def test_report_serialization():
     assert rep.crb_m(4) == pytest.approx(rep.crb_single / 2)
 
 
-@pytest.mark.parametrize(
-    "state, mzi, mmzi",
-    [
-        (noon(3), 16 * 4**2, 0),
-        (dual_fock(2), 16 * 5**2, 16 * 5**2),
-        # sectors 0, 2 and 3; only sector 3 holds an input other than n_a = 0, N
-        (fock.make_state([(0, 0, 1.0), (2, 0, 1.0), (0, 2, 1.0), (1, 2, 1.0)], cutoff=3),
-         16 * (1**2 + 3**2 + 4**2), 16 * 4**2),
-    ],
-    ids=["noon", "dual_fock", "mixed"],
-)
-def test_dense_splitter_bytes_counts_the_sectors_each_pipeline_builds(state, mzi, mmzi):
-    assert fisher._dense_splitter_bytes(state, "MZI") == mzi
-    assert fisher._dense_splitter_bytes(state, "MMZI") == mmzi
-
-
-def test_premeasurement_state_refuses_splitters_beyond_physical_memory(monkeypatch):
-    state = dual_fock(2)
-    monkeypatch.setattr(fisher, "_PHYSICAL_MEMORY", 16 * 5**2)
-    assert fisher.premeasurement_state(state, "MZI").cutoff == 4
-    monkeypatch.setattr(fisher, "_PHYSICAL_MEMORY", 16 * 5**2 - 1)
-    built = set(fock._BS_CACHE)
-    for pipeline in fisher.PIPELINES:
-        with pytest.raises(MemoryError, match=f"{pipeline} splitters need 400 bytes"):
-            fisher.premeasurement_state(state, pipeline)
-    assert set(fock._BS_CACHE) == built
+def test_mzi_scan_retains_no_splitter_memory():
+    # splitter columns live only while their sector is evaluated, so the
+    # scan of sectors up to 200 photons leaves nothing behind but its result
+    state = zeta_dual_fock(3.0, 100)[0]
+    phis = np.linspace(0.0, 2.0 * math.pi, 181)
+    fi_scan(dual_fock(1), phis, "MZI")  # loads the lazily imported scipy.special
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scan = fi_scan(state, phis, "MZI")
+        retained = tracemalloc.get_traced_memory()[0] - before - scan.nbytes
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20

@@ -68,6 +68,14 @@ def test_make_state_empty():
         make_state([(0, 0, 0.0), (1, 1, 0.0)], cutoff=2)
 
 
+@pytest.mark.parametrize("amp", [complex("nan"), 1j * math.inf, complex(-math.inf, 0.0)])
+def test_make_state_rejects_non_finite_amplitudes(amp):
+    # pruning against a NaN or infinite peak would drop every entry and
+    # leave an empty state with a NaN norm
+    with pytest.raises(ValueError, match=r"entry \(1, 2\) has a non-finite amplitude"):
+        make_state([(0, 3, 1.0), (1, 2, amp)], cutoff=3)
+
+
 def test_make_state_merges_duplicates():
     s = make_state([(1, 0, 0.5), (1, 0, 0.5), (0, 1, 1.0)], cutoff=2)
     assert abs(s.amplitude(1, 0) - s.amplitude(0, 1)) < 1e-12
@@ -159,7 +167,8 @@ def test_beamsplitter_preserves_photon_distribution():
 
 def test_beamsplitter_matches_matrix_exponential():
     # independent scaling-and-squaring oracle on the tridiagonal generator
-    for n in range(1, 21):
+    # every column, so the recurrence of non-two-branch inputs is covered
+    for n in range(1, 61):
         j1, _, _ = schwinger_matrices(n)
         oracle = expm(0.5j * np.pi * j1)
         assert np.abs(beamsplitter_matrix(n) - oracle).max() < 1e-10
@@ -178,8 +187,32 @@ def test_general_splitter_columns_slice_the_dense_matrix():
     dense = beamsplitter_matrix(7)
     for cols in ([1], [0, 3, 7], [2, 5], [0, 1, 2, 3, 4, 5, 6]):
         assert np.array_equal(splitter_columns(7, cols), dense[:, cols])
-    # every column in order is the cached matrix itself, not a copy
-    assert splitter_columns(7, range(8)) is dense
+
+
+@pytest.mark.parametrize("n", [2000, 4000])
+def test_recurrence_columns_stay_finite_unitary_and_match_the_closed_form(n):
+    # far beyond the scale where an unscaled recurrence overflows (2^(N/2))
+    cols = np.unique(np.r_[0, 1, 2, np.arange(3, n - 2, 97), n // 2, n - 2, n - 1, n])
+    got = splitter_columns(n, cols)
+    assert np.isfinite(got).all()
+    assert np.abs(got.conj().T @ got - np.eye(cols.size)).max() < 1e-13
+    # columns 0 and N through the recurrence (asked for beside column 1)
+    # against the two-branch closed form; entries below 1e-280 are compared
+    # absolutely, where the closed form itself has lost its relative digits
+    closed = splitter_columns(n, [0, n])
+    edge = got[:, [0, -1]]
+    big = np.abs(closed) > 1e-280
+    assert np.all(np.abs(edge - closed)[big] <= 1e-11 * np.abs(closed)[big])
+    assert np.abs(edge - closed)[~big].max() <= 1e-280
+
+
+@pytest.mark.parametrize("n", [2, 10, 64, 502])
+def test_balanced_input_column_has_exact_zeros_at_odd_outputs(n):
+    # m = 0: the recurrence links k - 1 to k + 1 only, so the odd entries
+    # of the |N/2, N/2> column are exact zeros, which pruning then drops
+    col = splitter_columns(n, [n // 2])[:, 0]
+    assert np.all(col[1::2] == 0)
+    assert np.all(col[::2] != 0)
 
 
 def test_schwinger_commutators():
@@ -318,16 +351,3 @@ def test_states_are_immutable():
     s = noon(2)
     with pytest.raises(ValueError):
         s.amps[0] = 0.0
-
-
-def test_beamsplitter_cache_safe_under_concurrent_first_use():
-    import concurrent.futures
-
-    import qfilab.fock as fock
-
-    n = 37
-    fock._BS_CACHE.pop(n, None)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        mats = list(pool.map(lambda _: beamsplitter_matrix(n), range(16)))
-    assert all(m is mats[0] for m in mats)  # one-time initialization
-    assert not mats[0].flags.writeable

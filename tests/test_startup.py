@@ -46,3 +46,9 @@ def test_two_branch_qfi_loads_neither_linalg_nor_optimize(tmp_path):
     loaded = _scipy_modules(["qfi", "catalog:zeta_noon:3:40", "--out", str(tmp_path / "q.json")])
     assert "scipy.special" in loaded
     assert not loaded & {"scipy.linalg", "scipy.optimize"}
+
+
+def test_mzi_qfi_on_a_general_input_loads_no_scipy(tmp_path):
+    # |N,N> takes the splitter recurrence, not a scipy eigensolver
+    assert _scipy_modules(["qfi", "catalog:dual_fock:3", "--pipeline", "MZI",
+                           "--out", str(tmp_path / "q.json")]) == set()
