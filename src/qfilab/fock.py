@@ -184,11 +184,6 @@ def vacuum(cutoff: int = 0) -> TwoModeState:
 # ---------------------------------------------------------------------------
 # sector operators
 
-def _j1_offdiagonal(n_total: int) -> np.ndarray:
-    k = np.arange(n_total)
-    return 0.5 * np.sqrt((k + 1.0) * (n_total - k))
-
-
 def beamsplitter_matrix(n_total: int) -> np.ndarray:
     """Dense unitary of exp(i*pi*J1/2) on the N-photon sector, indexed by n_a:
     every column of splitter_columns, 16 (N+1)^2 bytes, built afresh."""
@@ -228,7 +223,7 @@ def splitter_columns(n_total: int, cols) -> np.ndarray:
         )
         power = np.where(cols == 0, k[:, None], n_total - k[:, None])
         return mag[:, None] * _I_POWERS[power % 4]
-    e = _j1_offdiagonal(n_total)
+    e = 0.5 * np.sqrt((k[:-1] + 1.0) * (n_total - k[:-1]))
     m = cols - n_total / 2.0
     half = n_total // 2
     w = np.empty((n_total + 1, cols.size))
