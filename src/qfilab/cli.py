@@ -8,8 +8,9 @@ flags, and the cutoff. Divergent bound rows print a literal 0 and their
 provenance goes to a JSON sidecar next to the CSV.
 
 Exit codes: 0 success, 2 validation error or an input too large for the
-available memory, 3 when a divergence was encountered where a finite value
-was requested.
+available memory or for float and integer arithmetic (an overflow or a
+division by zero), 3 when a divergence was encountered where a finite
+value was requested.
 
 States are addressed either by a JSON file path or by a compact catalog
 URI, catalog:<family>:<params>, for example catalog:noon:3 or
@@ -407,10 +408,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except MemoryError as exc:
+    except (MemoryError, ArithmeticError) as exc:
+        # an input too large for memory, or for a float or C integer
         subject = getattr(args, "state", args.command)
+        kind = "out of memory" if isinstance(exc, MemoryError) else type(exc).__name__
         reason = f": {exc}" if str(exc) else ""
-        sys.stderr.write(f"error: out of memory while evaluating {subject!r}{reason}\n")
+        sys.stderr.write(f"error: {kind} while evaluating {subject!r}{reason}\n")
         return 2
 
 

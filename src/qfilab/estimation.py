@@ -101,7 +101,8 @@ def _sampler(pre: TwoModeState, phi_true: float):
     """Function (m_trials, seed) -> histogram of m_trials draws at phi_true
     from the pre-measurement state pre; the outcome table is built here,
     once for every draw."""
-    na, nb, p, _ = _outcome_table(pre, phi_true, False)  # no derivative
+    na, nb, z, _ = _outcome_table(pre, phi_true, False)  # no derivative
+    p = np.abs(z) ** 2
     probs = p / p.sum()
 
     def draw(m_trials: int, seed) -> dict[tuple[int, int], int]:

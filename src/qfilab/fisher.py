@@ -14,13 +14,15 @@ information; both are available.
 
 Derivatives of outcome probabilities are analytic: the derivative of the
 phase-encoded state is -i*J3 applied before the final splitter, so for an
-outcome amplitude z one has dP = 2 Re(conj(z) dz). When P falls below
-FI_P_FLOOR the term dP^2/P is kept as long as the amplitude itself is above
-rounding-noise scale (dP scales like sqrt(P), so the ratio stays
-faithful); at an amplitude zero the contribution takes its analytic
-transversal limit 4 |dz|^2, which is finite whenever the amplitudes are
-smooth. A point is flagged singular only if the computed numbers violate
-the bound |dP| <= 2 |z| |dz| that smoothness implies.
+outcome amplitude z one has P = |z|^2 and dP = 2 Re(conj(z) dz). One rule
+(_fi_terms) makes every Fisher-information term, of a counting outcome or
+of a group of outcomes a readout merges: dP^2/P while the amplitude,
+sqrt(P) of the group, is above rounding-noise scale _AMP_NOISE (dP scales
+like sqrt(P), so the ratio stays faithful down to there), and at noise
+scale the analytic transversal limit 4 sum |dz|^2, which is finite
+whenever the amplitudes are smooth. A counting point is flagged singular
+only if the computed numbers violate the bound |dP| <= 2 |z| |dz| that
+smoothness implies.
 
 Likelihoods, outcome sampling, scalar readouts, the Fisher information
 and the estimation module's log-likelihood grid all get their outcome
@@ -37,12 +39,13 @@ matmul takes BLAS's matrix-vector path, whose last bits differ). Per block
 it takes one exponential per distinct J3 eigenvalue and gathers each
 sector's columns with take(), which keeps them C-ordered, so every bit
 equals an exponential per sector input; it computes the phase derivative
-only for callers that read it. Per outcome it is read as flat arrays in
-(N, n_a) order (_outcome_table, of which the likelihood dicts are views),
-and over a phase grid through one reduction to the FI and singular flag
-(_fi_reduce, shared by classical_fi and fi_scan). The kernel takes the
-pre-measurement state and no pipeline: each public entry point applies an
-MZI's first splitter once (premeasurement_state) and passes the result on.
+only for callers that read it. Per outcome it is read as flat arrays of
+amplitudes in (N, n_a) order (_outcome_table: the likelihood dicts, the
+sampler and the scalar readouts), and over a phase grid through one
+reduction to the FI and singular flag (_fi_reduce, shared by classical_fi
+and fi_scan). The kernel takes the pre-measurement state and no pipeline:
+each public entry point applies an MZI's first splitter once
+(premeasurement_state) and passes the result on.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from .catalog import Moment, PhotonDistribution
 from .fock import (
     TwoModeState,
     apply_beamsplitter,
-    apply_phase,
     expect,
     sector_decompose,
     sector_slices,
@@ -65,7 +67,6 @@ from .fock import (
 )
 
 PIPELINES = ("MZI", "MMZI")
-FI_P_FLOOR = 1e-12
 _PHASE_BLOCK = 2048  # most phases per exponential table in _amplitudes
 
 
@@ -198,18 +199,17 @@ def _amplitudes(pre: TwoModeState, phis: np.ndarray, sectors=None, derivative=Tr
 
 
 def _outcome_table(pre: TwoModeState, phi: float, derivative=True):
-    """Every outcome of the occupied sectors as flat arrays (na, nb, p, dp)
-    in canonical (N, n_a) order: the port counts, the probability at phi and
-    its analytic derivative (None without derivative). Zero-probability port
-    splits are included."""
-    na, nb, p, dp = [], [], [], []
+    """Every outcome of the occupied sectors as flat arrays (na, nb, z, dz)
+    in canonical (N, n_a) order: the port counts, the outcome amplitude at
+    phi and its phase derivative (None without derivative), so P = |z|^2
+    and dP = 2 Re(conj(z) dz). Zero-probability port splits are included."""
+    na, nb, z, dz = [], [], [], []
     for _, n, out, dout in _amplitudes(pre, np.array([float(phi)]), derivative=derivative):
         na.append(np.arange(n + 1))
         nb.append(n - na[-1])
-        p.append(np.abs(out[0]) ** 2)
-        if derivative:
-            dp.append(2.0 * np.real(np.conj(out[0]) * dout[0]))
-    return (*(np.concatenate(col) for col in (na, nb, p)), np.concatenate(dp) if derivative else None)
+        z.append(out[0])
+        dz.append(dout[0] if derivative else None)
+    return (*(np.concatenate(col) for col in (na, nb, z)), np.concatenate(dz) if derivative else None)
 
 
 def likelihood(
@@ -218,7 +218,9 @@ def likelihood(
     """Outcome probabilities of the counting measurement keyed by povm: a
     dict view of _outcome_table, so every port split of each occupied
     total-photon sector is listed, including zero-probability ones."""
-    return {k: p for k, (p, _) in likelihood_with_derivative(state, phi, pipeline, povm).items()}
+    povm = povm or CountingPOVM()
+    na, nb, z, _ = _outcome_table(premeasurement_state(state, pipeline), phi, False)
+    return {povm.key(a, b): x for a, b, x in zip(na.tolist(), nb.tolist(), (np.abs(z) ** 2).tolist())}
 
 
 def likelihood_with_derivative(
@@ -226,40 +228,47 @@ def likelihood_with_derivative(
 ) -> dict[tuple[int, int], tuple[float, float]]:
     """Outcome probabilities together with analytic d/dphi, keyed by povm."""
     povm = povm or CountingPOVM()
-    na, nb, p, dp = (x.tolist() for x in _outcome_table(premeasurement_state(state, pipeline), phi))
-    return {povm.key(a, b): (x, dx) for a, b, x, dx in zip(na, nb, p, dp)}
+    na, nb, z, dz = _outcome_table(premeasurement_state(state, pipeline), phi)
+    p, dp = (np.abs(z) ** 2).tolist(), (2.0 * np.real(np.conj(z) * dz)).tolist()
+    return {povm.key(a, b): (x, dx) for a, b, x, dx in zip(na.tolist(), nb.tolist(), p, dp)}
 
 
 _AMP_NOISE = 1e-13  # amplitudes below this are splitter-column rounding noise
 
 
-def _fi_reduce(pre: TwoModeState, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Counting-measurement FI at each phase and whether the limit algebra
-    failed there.
+def _fi_terms(p, dp, dz_sq):
+    """Fisher-information terms of outcomes, or of groups of merged outcomes,
+    from their probabilities p, derivatives dp and summed |dz|^2; and which
+    terms were trusted.
 
-    dp scales like sqrt(p), so dp^2/p stays numerically faithful for any
-    amplitude large enough to carry a meaningful phase direction. Once the
-    amplitude sits at rounding-noise scale the point is an analytic zero
-    of the outcome, where the contribution tends to the transversal limit
-    4 |dz|^2 (zero when the outcome is never occupied, since then dz
-    vanishes identically too). Only those untrusted entries are checked
-    against |dp| <= 2 |z| |dz|. They are not rare: the binomial tails of a
-    large two-branch sector sit below the floor at every phase, so the
-    check is a masked reduction rather than a gather.
+    dp scales like sqrt(p), so dp^2/p stays numerically faithful while the
+    amplitude sqrt(p) is large enough to carry a meaningful phase
+    direction. At rounding-noise scale (p <= _AMP_NOISE^2, which for p =
+    |z|^2 is exactly |z| <= _AMP_NOISE) the point is an analytic zero,
+    where the term tends to the transversal limit 4 |dz|^2 (zero when the
+    outcome is never occupied, since then dz vanishes identically too).
+    """
+    trusted = p > _AMP_NOISE ** 2
+    return np.where(trusted, dp * dp / np.where(trusted, p, 1.0), 4.0 * dz_sq), trusted
+
+
+def _fi_reduce(pre: TwoModeState, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counting-measurement FI at each phase, summed per sector in outcome
+    order, and whether the limit algebra failed there: only the untrusted
+    entries of _fi_terms are checked against |dp| <= 2 |z| |dz|. They are
+    not rare: the binomial tails of a large two-branch sector sit at noise
+    scale at every phase, so the check is a masked reduction rather than a
+    gather.
     """
     fi = np.zeros(phis.size)
     singular = np.zeros(phis.size, dtype=bool)
     for rows, _, out, dout in _amplitudes(pre, phis):
-        p = np.abs(out) ** 2
         dp = 2.0 * np.real(np.conj(out) * dout)
-        trusted = (p >= FI_P_FLOOR) | (np.abs(out) > _AMP_NOISE)
-        plain = dp * dp / np.where(p > 0, p, 1.0)
         abs_dout = np.abs(dout)
-        limit = 4.0 * abs_dout ** 2
-        fi[rows] += np.sum(np.where(trusted & (p > 0), plain, np.where(trusted, 0.0, limit)), axis=1)
-        violated = np.abs(dp) > 2.0 * _AMP_NOISE * abs_dout + 1e-30
-        singular[rows] |= np.any(violated, axis=1, where=~trusted)
-        del p, dp, plain, abs_dout, limit  # not held while the next sector's arrays are made
+        terms, trusted = _fi_terms(np.abs(out) ** 2, dp, abs_dout ** 2)
+        fi[rows] += np.sum(terms, axis=1)
+        singular[rows] |= np.any(np.abs(dp) > 2.0 * _AMP_NOISE * abs_dout + 1e-30, axis=1, where=~trusted)
+        del dp, abs_dout, terms, trusted  # not held while the next sector's arrays are made
     return fi, singular
 
 
@@ -327,19 +336,13 @@ def sector_fi_decomposition(
     return rows, total
 
 
-def _grouped_fi(values, p, dp) -> float:
+def _grouped_fi(values, p, dp, dz_sq) -> float:
     """Fisher information of the readout that merges outcomes sharing a value:
-    p and dp summed per value, then dp^2/p summed in sorted-value order."""
+    p, dp and |dz|^2 summed per value, then the _fi_terms of the groups
+    added in sorted-value order (a running total, not a pairwise sum)."""
     keys, group = np.unique(values, return_inverse=True)
-    gp = np.bincount(group, weights=p, minlength=keys.size).tolist()
-    gdp = np.bincount(group, weights=dp, minlength=keys.size).tolist()
-    fi = 0.0
-    for p_k, dp_k in zip(gp, gdp):
-        # dp scales like sqrt(p), so the ratio stays finite down to p -> 0;
-        # an exact zero contributes nothing at probability level
-        if p_k > 0.0:
-            fi += dp_k * dp_k / p_k
-    return fi
+    terms, _ = _fi_terms(*(np.bincount(group, weights=w, minlength=keys.size) for w in (p, dp, dz_sq)))
+    return float(np.cumsum(terms)[-1])
 
 
 def fi_observable(
@@ -352,14 +355,15 @@ def fi_observable(
 
     Outcomes sharing an f value are merged before the information sum, so
     the result can only fall below the full counting measurement, with
-    equality when f is injective on the occupied outcomes.
+    equality when f is injective on the occupied outcomes, at a dark fringe
+    too: a group takes the counting rule (_fi_terms), limit included.
     """
     pre = premeasurement_state(state, pipeline)
-    na, nb, p, dp = _outcome_table(pre, phi)
+    na, nb, z, dz = _outcome_table(pre, phi)
     values = [float(f(a, b)) for a, b in zip(na.tolist(), nb.tolist())]
     return FisherReport(
         phi=float(phi),
-        fi=_grouped_fi(values, p, dp),
+        fi=_grouped_fi(values, np.abs(z) ** 2, 2.0 * np.real(np.conj(z) * dz), np.abs(dz) ** 2),
         qfi=qfi_pure(pre),
         povm="observable:f(na,nb)",
         pipeline=pipeline,
@@ -371,21 +375,17 @@ def j3_measurement_fi(state: TwoModeState, phi: float) -> FisherReport:
     before any closing splitter.
 
     The phase only changes amplitude arguments, never the J3-eigenvalue
-    weights, so this distribution is phase independent and the information
-    is identically zero for every state: imbalance readout becomes
+    weights, so this distribution is phase independent: every group's dP
+    and |dz|^2 (of the weight's modulus) are exact zeros, and the
+    information is exactly 0.0 for every state. Imbalance readout becomes
     informative only after the closing splitter, where it is the counting
     measurement in (N, Delta) labels.
     """
-    chi = apply_phase(state, phi)
-    m2 = chi.na - chi.nb  # twice the J3 eigenvalue, kept integer
-    p, dp = [], []
-    for amp, m in zip(chi.amps.tolist(), m2.tolist()):
-        p.append(abs(amp) ** 2)
-        # d/dphi of |amp * exp(-i*phi*m)|^2 is exactly zero
-        dp.append(2.0 * (np.conj(amp) * (-1j * (m / 2.0) * amp)).real)
+    p = np.abs(state.amps) ** 2
+    zero = np.zeros_like(p)
     return FisherReport(
         phi=float(phi),
-        fi=_grouped_fi(m2, p, dp),
+        fi=_grouped_fi(state.na - state.nb, p, zero, zero),
         qfi=qfi_pure(state),
         povm="j3_intermediate",
         pipeline="MMZI",

@@ -434,3 +434,27 @@ def test_out_of_memory_exits_2_naming_the_state(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "out of memory" in err and "catalog:zeta_noon:3:40" in err
     assert "splitter" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qfi", "catalog:noon:100000000000000000000"],  # N beyond a C long
+        ["estimate", "catalog:noon:1", "--phi-true", "0.3", "--trials", "100000000000000000000"],
+        ["qfi", "catalog:zeta_noon:1e300:5"],  # 1/N^x underflows, its zeta sum overflows
+        ["qfi", "catalog:tmsv:1e300"],  # the squeezing parameter rounds to 1
+    ],
+    ids=["noon-N", "estimate-trials", "zeta-x", "tmsv-mean"],
+)
+def test_extreme_finite_inputs_exit_2_naming_the_state(argv):
+    pythonpath = [str(Path(qfilab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfilab", *argv],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath))),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and argv[1] in proc.stderr
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1

@@ -337,6 +337,24 @@ def test_parity_readout_noon2():
     assert saw_equality
 
 
+@pytest.mark.parametrize("pipeline", ["MZI", "MMZI"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_injective_readout_equals_counting_at_dark_fringes(n, pipeline):
+    # at these phases some outcomes sit at an amplitude zero; a merged
+    # readout takes the counting rule there, transversal limit included
+    for phi in (0.0, math.pi / 2, math.pi):
+        full = classical_fi(noon(n), phi, pipeline).fi
+        rep = fi_observable(noon(n), phi, pipeline, lambda a, b: a + math.sqrt(2) * b)
+        assert math.isclose(rep.fi, full, rel_tol=1e-12)
+
+
+def test_dark_fringe_readouts_take_the_transversal_limit():
+    parity = fi_observable(noon(2), 0.0, "MMZI", lambda a, b: (-1) ** a)
+    assert math.isclose(parity.fi, 4.0, rel_tol=1e-12)
+    single = make_state([(1, 0, 1j)], 1)
+    assert math.isclose(fi_observable(single, 0.0, "MZI", lambda a, b: a % 3).fi, 1.0, rel_tol=1e-12)
+
+
 def test_constant_observable_carries_nothing():
     state, _ = zeta_noon(3.0, 6)
     rep = fi_observable(state, 0.8, "MMZI", lambda a, b: 1.0)
@@ -363,6 +381,13 @@ def test_j3_intermediate_is_blind():
         assert rep.qfi == pytest.approx(n * n, rel=1e-12)
     state, _ = zeta_noon(3.0, 15)
     assert abs(j3_measurement_fi(state, 1.3).fi) <= 1e-12
+
+
+def test_j3_intermediate_is_exactly_zero_on_random_states():
+    rng = np.random.default_rng(6)
+    for _ in range(40):
+        s = random_state(rng, max_sector=6)
+        assert j3_measurement_fi(s, float(rng.uniform(0, 6))).fi == 0.0
 
 
 # ---------------------------------------------------------------------------

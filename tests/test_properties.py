@@ -10,7 +10,7 @@ against outcome-by-outcome references.
 import math
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from qfilab import (
@@ -29,7 +29,7 @@ from qfilab import (
     sector_fi_decomposition,
 )
 from qfilab.estimation import _loglik_grid
-from qfilab.fisher import FI_P_FLOOR, _amplitudes, _outcome_table, premeasurement_state
+from qfilab.fisher import _amplitudes, _outcome_table, premeasurement_state
 
 MAX_SECTOR = 6
 AMP_NOISE = 1e-13  # amplitude scale below which an outcome sits at a zero
@@ -65,10 +65,11 @@ def states(draw):
     return make_state(entries, cutoff=MAX_SECTOR)
 
 
-def reference_fi(state, phi, pipeline, p_floor=FI_P_FLOOR):
+def reference_fi(state, phi, pipeline, p_floor=1e-12):
     """Outcome-by-outcome FI and singular flag from the analytic amplitudes.
 
-    Trusted outcomes contribute dP^2/P; an outcome at an amplitude zero
+    Trusted outcomes (P at or above p_floor, or an amplitude above noise
+    scale) contribute dP^2/P; an outcome at an amplitude zero
     contributes its transversal limit 4|dz|^2 and is singular when
     |dP| > 2|z||dz| is violated at noise scale.
     """
@@ -178,8 +179,9 @@ def reference_table(state, phi, pipeline):
 
 @given(states(), phases, pipelines)
 def test_outcome_table_matches_reference(state, phi, pipeline):
-    table = _outcome_table(premeasurement_state(state, pipeline), phi)
-    assert list(zip(*(col.tolist() for col in table))) == reference_table(state, phi, pipeline)
+    na, nb, z, dz = _outcome_table(premeasurement_state(state, pipeline), phi)
+    p, dp = np.abs(z) ** 2, 2.0 * np.real(np.conj(z) * dz)
+    assert list(zip(*(col.tolist() for col in (na, nb, p, dp)))) == reference_table(state, phi, pipeline)
 
 
 @given(states(), phases, pipelines, st.integers(1, 10_000), st.integers(0, 2**32))
@@ -196,16 +198,25 @@ READOUTS = [lambda a, b: a % 3, lambda a, b: (-1) ** a, lambda a, b: a + math.sq
 
 
 @given(states(), phases, pipelines, st.sampled_from(READOUTS))
+@example(make_state([(1, 0, 1j)], 1), 0.0, "MZI", READOUTS[0])  # a dark port: FI 1, not 0
 def test_fi_observable_matches_grouped_reference(state, phi, pipeline, f):
-    # merge outcome by outcome, then sum the groups in sorted-value order
+    # merge outcome by outcome, then sum the groups in sorted-value order; a
+    # group at amplitude noise takes the transversal limit 4 sum |dz|^2,
+    # with dz from the dense oracle
     groups = {}
     for (a, b), (p, dp) in likelihood_with_derivative(state, phi, pipeline).items():
-        acc = groups.setdefault(float(f(a, b)), [0.0, 0.0])
+        acc = groups.setdefault(float(f(a, b)), [0.0, 0.0, []])
         acc[0] += p
         acc[1] += dp
-    expected = 0.0
+        acc[2].append((a, b))
+    expected, at_noise = 0.0, False
     for val in sorted(groups):
-        p, dp = groups[val]
-        if p > 0.0:
+        p, dp, members = groups[val]
+        if p > AMP_NOISE ** 2:
             expected += dp * dp / p
-    assert fi_observable(state, phi, pipeline, f).fi == expected
+        else:
+            dz = [_outcome_amplitude(state, phi, pipeline, a, b)[1] for a, b in members]
+            expected += 4.0 * sum(abs(d) ** 2 for d in dz)
+            at_noise = True
+    got = fi_observable(state, phi, pipeline, f).fi
+    assert close(got, expected) if at_noise else got == expected

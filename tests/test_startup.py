@@ -52,3 +52,12 @@ def test_mzi_qfi_on_a_general_input_loads_no_scipy(tmp_path):
     # |N,N> takes the splitter recurrence, not a scipy eigensolver
     assert _scipy_modules(["qfi", "catalog:dual_fock:3", "--pipeline", "MZI",
                            "--out", str(tmp_path / "q.json")]) == set()
+
+
+def test_mzi_estimate_on_dual_fock_loads_special_only(tmp_path):
+    # the |1,1> sector is two-branch after the first splitter, so its final
+    # splitter columns take the closed form
+    loaded = _scipy_modules(["estimate", "catalog:zeta_dual_fock:3:30", "--pipeline", "MZI",
+                             "--phi-true", "0.3", "--trials", "100", "--out", str(tmp_path / "e.jsonl")])
+    assert "scipy.special" in loaded
+    assert not loaded & {"scipy.linalg", "scipy.optimize"}
