@@ -41,11 +41,21 @@ sector's columns with take(), which keeps them C-ordered, so every bit
 equals an exponential per sector input; it computes the phase derivative
 only for callers that read it. Per outcome it is read as flat arrays of
 amplitudes in (N, n_a) order (_outcome_table: the likelihood dicts, the
-sampler and the scalar readouts), and over a phase grid through one
-reduction to the FI and singular flag (_fi_reduce, shared by classical_fi
-and fi_scan). The kernel takes the pre-measurement state and no pipeline:
-each public entry point applies an MZI's first splitter once
-(premeasurement_state) and passes the result on.
+sampler and the scalar readouts) and by the estimation grid, which all
+stay on this table path for every sector. The kernel takes the
+pre-measurement state and no pipeline: each public entry point applies an
+MZI's first splitter once (premeasurement_state) and passes the result on.
+
+The counting FI over a phase grid (_fi_reduce, shared by classical_fi and
+fi_scan, so by the qfi and fi-scan commands) sorts the sectors of the
+pre-measurement state into three kinds (_sector_kinds). A two-branch
+sector (occupied n_a exactly {0, N}) records the phase only through the
+parity of n_a, and its FI has a closed form in its two amplitudes
+(_two_branch_fi), with no splitter column, no matmul and no scipy. A
+single-input sector has phase-independent probabilities and adds exactly
+0. Every other, general, sector goes through the kernel above. The sum
+runs over the sectors in order, so an equal-weight two-branch state,
+whose sectors each give (A+B) N^2 at every phase, scans exactly flat.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ import numpy as np
 
 from .catalog import Moment, PhotonDistribution
 from .fock import (
+    _I_POWERS,
     TwoModeState,
     apply_beamsplitter,
     expect,
@@ -68,6 +79,7 @@ from .fock import (
 
 PIPELINES = ("MZI", "MMZI")
 _PHASE_BLOCK = 2048  # most phases per exponential table in _amplitudes
+_CLOSED_FORM_CELLS = 1 << 16  # most (phase, sector) cells per closed-form temporary
 
 
 class NonpositiveQFIError(ValueError):
@@ -181,6 +193,13 @@ def _sectors(pre: TwoModeState, observed=None):
             yield n, pre.amps[sl], na - n / 2.0, bs_t if observed is None else bs_t[:, observed[n]]
 
 
+def _phase_blocks(size: int) -> list[slice]:
+    """Near-equal slices of at most _PHASE_BLOCK phases covering range(size),
+    none of one phase unless size is 1."""
+    blocks = -(-size // _PHASE_BLOCK) or 1
+    return [slice(b * size // blocks, (b + 1) * size // blocks) for b in range(blocks)]
+
+
 def _amplitudes(pre: TwoModeState, phis: np.ndarray, sectors=None, derivative=True):
     """Yield (rows, N, out, dout) per block of phases and sector: out[i, k]
     is the amplitude at phis[rows][i] of the sector's k-th splitter column
@@ -189,9 +208,7 @@ def _amplitudes(pre: TwoModeState, phis: np.ndarray, sectors=None, derivative=Tr
     tuples that a caller evaluating them many times walked once; by default
     each block walks pre's sectors afresh, holding one sector's columns."""
     unique_m = np.unique(pre.j3_values if sectors is None else np.concatenate([s[2] for s in sectors]))
-    blocks = -(-phis.size // _PHASE_BLOCK) or 1
-    for b in range(blocks):
-        rows = slice(b * phis.size // blocks, (b + 1) * phis.size // blocks)
+    for rows in _phase_blocks(phis.size):
         table = np.exp(-1j * np.outer(phis[rows], unique_m))
         for n, vec, m, bs_t in _sectors(pre) if sectors is None else sectors:
             chi = table.take(unique_m.searchsorted(m), axis=1) * vec
@@ -252,23 +269,95 @@ def _fi_terms(p, dp, dz_sq):
     return np.where(trusted, dp * dp / np.where(trusted, p, 1.0), 4.0 * dz_sq), trusted
 
 
-def _fi_reduce(pre: TwoModeState, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Counting-measurement FI at each phase, summed per sector in outcome
-    order, and whether the limit algebra failed there: only the untrusted
-    entries of _fi_terms are checked against |dp| <= 2 |z| |dz|. They are
-    not rare: the binomial tails of a large two-branch sector sit at noise
-    scale at every phase, so the check is a masked reduction rather than a
-    gather.
+def _sector_kinds(pre: TwoModeState) -> tuple[np.ndarray, TwoModeState]:
+    """Sort the sectors of pre by kind: the index of the n_a = 0 entry of
+    each two-branch sector (occupied n_a exactly {0, N}, N >= 1), and pre
+    restricted to its general sectors (any other support of two or more
+    inputs). A single-input sector is in neither: its outcome
+    probabilities do not depend on the phase, so its FI is exactly 0."""
+    nt = pre.n_total
+    first = np.flatnonzero(np.diff(nt, prepend=-1))
+    size = np.diff(first, append=nt.size)
+    pairs = first[size == 2]
+    two = pairs[(pre.na[pairs] == 0) & (pre.nb[pairs + 1] == 0)]
+    general = np.repeat(size > 1, size)
+    general[two] = general[two + 1] = False
+    return two, TwoModeState(pre.na[general], pre.nb[general], pre.amps[general], pre.cutoff)
+
+
+def _two_branch_fi(pre: TwoModeState, two: np.ndarray):
+    """The totals N of the two-branch sectors of pre whose n_a = 0 entries
+    sit at indices two, and add(acc, phis, lo, hi): acc plus the counting
+    FI at phis of the lo-th to hi-th of them, in closed form, added one
+    sector at a time in sector order as the table path adds its sectors.
+
+    With amplitudes a (n_a = 0) and b (n_a = N), A = |a|^2, B = |b|^2 and
+    w = a* b i^N e^{-iN phi}, the outcome k of the sector has
+    P_k = C(N,k) 2^-N |a + (-1)^k b i^N e^{-iN phi}|^2, so the record
+    depends on the phase only through the parity of n_a, and the sector's
+    FI is (A+B) N^2 s2/((A-B)^2 + s2) with s2 = 4 Im(w)^2 = 4AB sin^2(theta),
+    theta the phase of w. With A == B the factor s2/((A-B)^2 + s2) is 1 at
+    every phase, its limit at s2 == 0 included, so such a sector adds
+    (A+B) N^2 without evaluating the phase. Otherwise, with
+    u, v = a +- b i^N e^{-iN phi}, conj(u) v is (A-B) - 2i Im(w): A-B is
+    read from it, and Im(w) from it or from w, whichever product (|u||v| = |q|
+    or 2|a||b|) is smaller, so near a dark fringe, where u or v is small,
+    neither term comes out of a cancellation; at s2 == 0 the factor is 0.
+    No limit branch of _fi_terms is involved, so these sectors are never
+    singular. The (phases x sectors) temporaries hold at most about
+    _CLOSED_FORM_CELLS entries.
     """
-    fi = np.zeros(phis.size)
+    n = pre.n_total[two]
+    a, b = pre.amps[two], pre.amps[two + 1] * _I_POWERS[n % 4]
+    pa, pb = np.abs(a) ** 2, np.abs(b) ** 2
+    weight, ab4, moving = (pa + pb) * (n * n), 4.0 * pa * pb, pa != pb
+
+    def add(acc, phis, lo, hi):
+        step = max(1, _CLOSED_FORM_CELLS // phis.size)
+        for c in range(lo, hi, step):
+            cut = np.arange(c, min(c + step, hi))
+            m = cut[moving[cut]]
+            turned = b[m] * np.exp(-1j * np.outer(phis, n[m]))
+            u, v = a[m] + turned, a[m] - turned
+            q = np.conj(u) * v
+            gap, q_im2 = q.real * q.real, q.imag * q.imag
+            w_im = a[m].real * turned.imag - a[m].imag * turned.real
+            s2 = np.where(gap + q_im2 < ab4[m], q_im2, 4.0 * w_im * w_im)
+            moved = s2 > 0.0
+            terms = np.tile(weight[cut], (phis.size, 1))
+            terms[:, moving[cut]] *= np.where(moved, s2 / np.where(moved, gap + s2, 1.0), 0.0)
+            # a running total, so every phase adds its sectors in the same order
+            acc = np.cumsum(np.column_stack((acc, terms)), axis=1)[:, -1]
+        return acc
+
+    return n, add
+
+
+def _fi_reduce(pre: TwoModeState, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counting-measurement FI at each phase, summed per sector in sector
+    order, and whether the limit algebra failed there. Two-branch sectors
+    take their closed form (_two_branch_fi) and single-input sectors add
+    exactly 0. The general sectors come from the phase kernel, walked
+    afresh per phase block; only their untrusted entries of _fi_terms are
+    checked against |dp| <= 2 |z| |dz|, as a masked reduction rather than
+    a gather.
+    """
+    two, general = _sector_kinds(pre)
+    two_n, add_two = _two_branch_fi(pre, two)
+    fi = np.empty(phis.size)
     singular = np.zeros(phis.size, dtype=bool)
-    for rows, _, out, dout in _amplitudes(pre, phis):
-        dp = 2.0 * np.real(np.conj(out) * dout)
-        abs_dout = np.abs(dout)
-        terms, trusted = _fi_terms(np.abs(out) ** 2, dp, abs_dout ** 2)
-        fi[rows] += np.sum(terms, axis=1)
-        singular[rows] |= np.any(np.abs(dp) > 2.0 * _AMP_NOISE * abs_dout + 1e-30, axis=1, where=~trusted)
-        del dp, abs_dout, terms, trusted  # not held while the next sector's arrays are made
+    for rows in _phase_blocks(phis.size):
+        acc, done = np.zeros(rows.stop - rows.start), 0
+        for _, n, out, dout in _amplitudes(general, phis[rows]):
+            upto = int(two_n.searchsorted(n))
+            acc, done = add_two(acc, phis[rows], done, upto), upto
+            dp = 2.0 * np.real(np.conj(out) * dout)
+            abs_dout = np.abs(dout)
+            terms, trusted = _fi_terms(np.abs(out) ** 2, dp, abs_dout ** 2)
+            acc += np.sum(terms, axis=1)
+            singular[rows] |= np.any(np.abs(dp) > 2.0 * _AMP_NOISE * abs_dout + 1e-30, axis=1, where=~trusted)
+            del dp, abs_dout, terms, trusted  # not held while the next sector's arrays are made
+        fi[rows] = add_two(acc, phis[rows], done, two_n.size)
     return fi, singular
 
 

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath
@@ -418,6 +419,48 @@ def test_dual_fock_sectors_up_to_800_photons_fit_in_one_gib():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["fi"] == 0.0 and report["qfi"] == 0.0
+
+
+def test_zeta_noon_at_cutoff_1e5_fits_in_one_gib(tmp_path):
+    # 10^5 two-branch sectors in closed form; the (phases x sectors) arrays
+    # are taken in chunks, so none is 181 x 10^5
+    out = tmp_path / "qfi.json"
+    pythonpath = [str(Path(qfilab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfilab", "qfi", "catalog:zeta_noon:3:100000", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath))),
+        preexec_fn=_cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    with mpmath.workdps(50):
+        expected = float(mpmath.harmonic(100_000) / (mpmath.zeta(3) - mpmath.zeta(3, 100_001)))
+    assert math.isclose(json.loads(out.read_text())["fi"], expected, rel_tol=1e-13, abs_tol=0.0)
+
+
+_DUAL_FOCK_4_REPORT = """{
+ "phi": 0.0,
+ "fi": 0.0,
+ "qfi": 0.0,
+ "crb": null,
+ "povm": "counting:na_nb",
+ "pipeline": "MMZI",
+ "state": "catalog:zeta_dual_fock:4"
+}
+"""
+
+
+def test_single_input_sectors_cost_nothing(capsys):
+    # every sector of the default zeta_dual_fock:4 on the MMZI is one |N,N>
+    # input (K=1000, up to 2000 photons), so the scan skips them all; the
+    # report is the one the outcome tables gave in about 20 s
+    start = time.monotonic()
+    assert main(["qfi", "catalog:zeta_dual_fock:4"]) == 0
+    elapsed = time.monotonic() - start
+    assert capsys.readouterr().out == _DUAL_FOCK_4_REPORT
+    assert elapsed < 2.0, f"took {elapsed:.2f} s"
 
 
 def test_out_of_memory_exits_2_naming_the_state(monkeypatch, capsys):

@@ -147,11 +147,11 @@ def test_run_estimation_does_its_set_up_once(monkeypatch):
     assert len(tables) == 1
     assert len(periods) == 1
     sectors = sorted({int(n) for n in state.n_total})
-    # the fisher kernel walks every sector twice first, for the FI behind
-    # crb_m and the sampling table; the grids then ask only for the sectors
-    # each record saw
-    fi_side, grid_side = columns[:2 * len(sectors)], columns[2 * len(sectors):]
-    assert sorted(n for n, _ in fi_side) == sorted(2 * sectors)
+    # the FI behind crb_m takes every two-branch sector in closed form, so
+    # the fisher kernel walks every sector once first, for the sampling
+    # table; the grids then ask only for the sectors each record saw
+    table_side, grid_side = columns[:len(sectors)], columns[len(sectors):]
+    assert [n for n, _ in table_side] == sectors
     observed = [sorted({a + b for a, b in run.outcomes}) for run in runs]
     assert [n for n, _ in grid_side] == [n for seen in observed for n in seen]
     assert max(len(seen) for seen in observed) < len(sectors)

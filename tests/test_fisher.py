@@ -155,6 +155,17 @@ def test_fi_single_photon_constant_one():
         assert rep.fi == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.3, 1.7])
+def test_single_input_sectors_carry_exactly_zero_information(phi):
+    # one occupied input per sector: one J3 eigenvalue, so the outcome
+    # probabilities cannot depend on the phase (the outcome table left
+    # ~3e-32 of rounding at 0.3 and 1.7)
+    state = make_state([(0, 3, 1j), (4, 0, 0.5), (2, 5, 1.0)], 7)
+    rep = classical_fi(state, phi, "MMZI")
+    assert rep.fi == 0.0 and not rep.singular
+    assert fi_scan(state, np.array([phi]), "MMZI")[0] == 0.0
+
+
 def test_fi_noon_saturates_squared_photon_number():
     phis = np.linspace(0.0, 2 * math.pi, 301)
     for n in range(1, 7):
@@ -170,6 +181,7 @@ def test_zeta_noon_scan_is_flat_at_the_photon_number_moment(cutoff):
     expected = np.sum(1.0 / n) / np.sum(n**-3.0)
     scan = fi_scan(zeta_noon(3.0, cutoff)[0], np.linspace(0.0, 2 * math.pi, 181), "MMZI")
     assert np.abs(scan - expected).max() <= 1e-12 * expected
+    assert np.ptp(scan) == 0.0  # the same bits at all 181 phases of the qfi command
 
 
 @pytest.mark.parametrize(

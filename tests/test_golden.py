@@ -21,6 +21,7 @@ import math
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -214,3 +215,21 @@ def test_dual_fock_mzi_golden_is_flat_at_the_quantum_limit(tmp_path):
         assert abs(report["qfi"] / bound - 1.0) <= 1e-15
         assert abs(report["fi"] / bound - 1.0) <= 1e-13
         assert report["phi"] in np.linspace(0.0, 2.0 * math.pi, 181).tolist()
+
+
+@pytest.mark.parametrize("cutoff", [40, 300, 1000])
+def test_zeta_noon_qfi_fi_equals_the_mpmath_second_moment(tmp_path, cutoff):
+    # the oracles behind the qfi_zeta_noon goldens: every sector is an
+    # equal-weight two-branch state, whose counting FI is N^2 at every
+    # phase, so the FI is <N^2> = sum 1/N / sum 1/N^3 over N <= K, and the
+    # scan is exactly flat (test_fisher pins its bits), so the reported phi
+    # is the first phase, 0.0
+    out = tmp_path / "qfi.json"
+    assert main(["qfi", f"catalog:zeta_noon:3:{cutoff}", "--out", str(out)]) == 3
+    report = json.loads(out.read_text(encoding="utf-8"))
+    with mpmath.workdps(50):
+        n = [mpmath.mpf(k) for k in range(1, cutoff + 1)]
+        expected = float(mpmath.fsum(1 / k for k in n) / mpmath.fsum(k**-3 for k in n))
+    assert math.isclose(report["fi"], expected, rel_tol=1e-14, abs_tol=0.0)
+    assert report["divergence"]["truncated_crb"] == 1.0 / math.sqrt(report["fi"])
+    assert report["phi"] == 0.0

@@ -4,17 +4,21 @@ Each property ties two routes to the same number: the pointwise and the
 vectorized Fisher information, the two outcome labelings, the quantum
 bound, the sector split, the estimation path's log-likelihood against
 the fisher path's likelihood, and the array outcome table and the sampler
-against outcome-by-outcome references.
+against outcome-by-outcome references, and the closed form of two-branch
+sectors against the table route and a 50-digit mpmath FI.
 """
 
 import math
 
+import mpmath
 import numpy as np
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from qfilab import (
     CountingPOVM,
+    TwoModeState,
     apply_beamsplitter,
     beamsplitter_matrix,
     classical_fi,
@@ -29,7 +33,7 @@ from qfilab import (
     sector_fi_decomposition,
 )
 from qfilab.estimation import _loglik_grid
-from qfilab.fisher import _amplitudes, _outcome_table, premeasurement_state
+from qfilab.fisher import _amplitudes, _outcome_table, _sector_kinds, premeasurement_state
 
 MAX_SECTOR = 6
 AMP_NOISE = 1e-13  # amplitude scale below which an outcome sits at a zero
@@ -102,6 +106,31 @@ def _outcome_amplitude(state, phi, pipeline, n_a, n_b):
     return complex(row @ chi), complex(row @ (-1j * m * chi))
 
 
+def mpmath_two_branch_fi(sector, phi):
+    """Counting FI of a two-branch sector at 50 digits, outcome by outcome.
+
+    Up to a global phase, outcome k has z_k = sqrt(C(N,k)/2^N) (i^k a +
+    i^(N-k) b e^{-iN phi}) from the splitter columns of inputs n_a = 0 (a)
+    and n_a = N (b), and dz_k = -iN times its b term; the sum is dP^2/P,
+    or the limit 4|dz|^2 at an exact zero. The phase factor e^{-iN phi} is
+    the double that every route evaluates alike, taken as exact: near a
+    fringe the FI moves by its own relative 1e-16/theta with that rounding.
+    """
+    i_pow = [1, mpmath.j, -1, -mpmath.j]
+    n = int(sector.n_total[0])
+    turn = complex(np.exp(-1j * np.outer([float(phi)], [n]))[0, 0])
+    with mpmath.workdps(50):
+        a, b = (mpmath.mpc(complex(x)) for x in sector.amps)
+        fi = mpmath.mpf(0)
+        for k in range(n + 1):
+            mag = mpmath.sqrt(mpmath.binomial(n, k) / mpmath.mpf(2) ** n)
+            zb = mag * i_pow[(n - k) % 4] * b * mpmath.mpc(turn)
+            z, dz = mag * i_pow[k % 4] * a + zb, -1j * n * zb
+            p, dp = abs(z) ** 2, 2 * mpmath.re(mpmath.conj(z) * dz)
+            fi += dp * dp / p if p > 0 else 4 * abs(dz) ** 2
+        return float(fi)
+
+
 def close(a, b, rel=1e-12):
     return math.isclose(a, b, rel_tol=rel, abs_tol=rel)
 
@@ -114,6 +143,75 @@ def test_classical_fi_matches_scan_and_reference(state, phi, pipeline):
     assert rep.fi == float(scan[0])  # one reduction serves both
     assert close(rep.fi, ref_fi, rel=1e-10)
     assert rep.singular == ref_singular
+
+
+@given(states(), phases, pipelines)
+@example(make_state([(0, 1, 1.0), (1, 0, 0.6j)], MAX_SECTOR), 0.7, "MMZI")  # N = 1
+@example(make_state([(0, 4, 1.0), (4, 0, 0.5)], MAX_SECTOR), 0.0, "MMZI")  # A != B, theta = 0
+@example(make_state([(0, 4, 1.0), (4, 0, 1.0)], MAX_SECTOR), 0.0, "MMZI")  # A == B, theta = 0
+@example(make_state([(0, 5, 1.0), (5, 0, 1e-3)], MAX_SECTOR), 1.1, "MMZI")  # a 1e-6 branch weight
+# near-equal branches at a near-dark fringe: A - B and Im(w) both ~1e-7
+@example(make_state([(0, 1, 1 + 1j), (1, 0, 8.42936971e-08 + 1.57009246e-16j)], MAX_SECTOR), 0.0, "MZI")
+@example(make_state([(0, 1, 1 + 1j), (1, 0, 1.1920929e-07j)], MAX_SECTOR), 0.0, "MZI")
+def test_two_branch_closed_form_matches_table_and_mpmath(state, phi, pipeline):
+    # each two-branch sector of the pre-measurement state on its own: the
+    # closed form (classical_fi) against a 50-digit sum over the outcomes,
+    # to 1e-13 relative or 1e-15 of the sector's (A+B) N^2 (Im(w) carries
+    # an absolute 1e-16 |a||b|, which is all of a fringe at theta ~ 1e-14),
+    # and against the outcome table (reference_fi) wherever the table is
+    # not the one further from that sum (a trusted dark outcome of 1e-7
+    # carries ~1e-9 relative rounding into the table)
+    pre = premeasurement_state(state, pipeline)
+    two, _ = _sector_kinds(pre)
+    for i in two.tolist():
+        sector = TwoModeState(pre.na[i:i + 2], pre.nb[i:i + 2], pre.amps[i:i + 2], pre.cutoff)
+        rep = classical_fi(sector, phi, "MMZI")
+        exact = mpmath_two_branch_fi(sector, phi)
+        scale = float(np.sum(np.abs(sector.amps) ** 2)) * int(sector.n_total[0]) ** 2
+        assert math.isclose(rep.fi, exact, rel_tol=1e-13, abs_tol=1e-15 * scale)
+        table = reference_fi(sector, phi, "MMZI")[0]
+        assert close(rep.fi, table, rel=1e-13) or abs(rep.fi - exact) < abs(table - exact)
+        assert not rep.singular
+
+
+@given(st.integers(1, 40), parts, parts, st.integers(0, 3))
+def test_equal_weight_two_branch_scan_is_exactly_flat(n, re, im, turn):
+    # |b| == |a| to the bit (b swaps or negates a's parts): the factor s2/den
+    # is exactly 1.0 at every phase, also at and next to the dark fringes,
+    # where the rounding of |b e^{-iN phi}| leaves A - B ~ 1e-16 behind
+    a = complex(re, im)
+    assume(abs(a) > 1e-3)
+    b = [complex(im, re), complex(-im, re), a.conjugate(), -a][turn]
+    state = TwoModeState(np.array([0, n]), np.array([n, 0]), np.array([a, b]), n)
+    dark = (np.angle(np.conj(a) * b * 1j**n) + 2.0 * math.pi * np.arange(-n, n + 1)) / n
+    phis = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 181), dark, dark + 1e-12])
+    assert np.all(fi_scan(state, phis, "MMZI") == np.sum(np.abs(state.amps) ** 2) * (n * n))
+
+
+FRINGE = (math.pi / 2 - math.atan2(0.8, 0.6)) / 5  # theta = 0 for a = 0.6 + 0.8j, real b, N = 5
+
+
+@pytest.mark.parametrize(
+    "faint, phi",
+    [(1e-3, 0.3), (1e-3, 1.1), (1e-3, 2.0), (1e-3, 4.4), (1e-6, 1.1), (1e-6, FRINGE + 2e-3)],
+)
+def test_two_branch_closed_form_with_a_faint_branch_matches_mpmath(faint, phi):
+    # branch weights 1 and faint^2: the FI is ~4 faint^2 of the sector's N^2
+    # (1e-4 of that again 2e-3 off a fringe), held to 1e-13 relative with
+    # no absolute slack
+    sector = make_state([(0, 5, 0.6 + 0.8j), (5, 0, faint)], 5)
+    assert math.isclose(classical_fi(sector, phi, "MMZI").fi, mpmath_two_branch_fi(sector, phi),
+                        rel_tol=1e-13, abs_tol=0.0)
+
+
+def test_two_branch_closed_form_is_exact_at_a_dark_fringe():
+    # theta = 0 exactly (real amplitudes, N = 4, phi = 0): unequal branches
+    # give FI 0, equal ones the limit (A+B) N^2, with no rounding either way
+    unequal = make_state([(0, 4, 1.0), (4, 0, 0.5)], 4)
+    assert classical_fi(unequal, 0.0, "MMZI").fi == 0.0
+    equal = make_state([(0, 4, 1.0), (4, 0, 1.0)], 4)
+    weights = np.abs(equal.amps) ** 2
+    assert classical_fi(equal, 0.0, "MMZI").fi == (weights[0] + weights[1]) * 16
 
 
 @given(states(), phases, pipelines)

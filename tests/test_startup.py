@@ -42,10 +42,11 @@ def test_import_and_catalog_list_load_no_scipy(argv):
     assert _scipy_modules(argv) == set()
 
 
-def test_two_branch_qfi_loads_neither_linalg_nor_optimize(tmp_path):
-    loaded = _scipy_modules(["qfi", "catalog:zeta_noon:3:40", "--out", str(tmp_path / "q.json")])
-    assert "scipy.special" in loaded
-    assert not loaded & {"scipy.linalg", "scipy.optimize"}
+@pytest.mark.parametrize("command", ["qfi", "fi-scan"])
+def test_two_branch_qfi_loads_no_scipy(tmp_path, command):
+    # every sector is two-branch: the FI takes the closed form, which needs
+    # no splitter column, so not gammaln either
+    assert _scipy_modules([command, "catalog:zeta_noon:3:40", "--out", str(tmp_path / "out")]) == set()
 
 
 def test_mzi_qfi_on_a_general_input_loads_no_scipy(tmp_path):
