@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .fisher import _amplitudes, _outcome_table, _sectors, classical_fi, premeasurement_state
-from .fock import TwoModeState, sector_slices
+from .fock import TwoModeState, sector_bounds
 
 RNG_ALGORITHM = "philox4x64"
 MLE_GRID_POINTS = 10_000
@@ -61,7 +61,8 @@ def likelihood_period(state: TwoModeState, pipeline: str = "MMZI") -> float:
     period).
     """
     pre = premeasurement_state(state, pipeline)
-    spread = max(pre.na[sl.stop - 1] - pre.na[sl.start] for _, sl in sector_slices(pre))
+    _, lo, hi = sector_bounds(pre)
+    spread = np.max(pre.na[hi - 1] - pre.na[lo])
     return 2.0 * math.pi / spread if spread else math.inf
 
 
@@ -143,8 +144,9 @@ def _loglik_grid(
         if a < 0 or b < 0 or cnt < 0:
             raise ValueError(f"outcome {(a, b)} with count {cnt}: port counts and counts must be >= 0")
         by_sector.setdefault(a + b, []).append((a, cnt))
-    occupied = {n for n, _ in sector_slices(pre)}
-    stray = [k for k in outcomes if k[0] + k[1] not in occupied]
+    totals = np.array(list(by_sector))
+    missing = set(totals[~np.isin(totals, sector_bounds(pre)[0])].tolist())
+    stray = [k for k in outcomes if k[0] + k[1] in missing]
     if stray:
         raise ValueError(f"outcomes {stray} lie outside the occupied sectors")
     cols = {n: [a for a, _ in group] for n, group in by_sector.items()}

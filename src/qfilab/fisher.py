@@ -28,7 +28,7 @@ Likelihoods, outcome sampling, scalar readouts, the Fisher information
 and the estimation module's log-likelihood grid all get their outcome
 amplitudes from one kernel, _amplitudes, sector by sector (both unitaries
 preserve the total photon number). Its sectors (_sectors) are the
-contiguous slices of the state's canonical table (fock.sector_slices): the
+contiguous slices of the state's canonical table (fock.sector_bounds): the
 occupied inputs, their J3 eigenvalues, and the matching columns of the
 final splitter (fock.splitter_columns), built afresh and never cached: two
 closed-form columns for a two-branch sector, one O(N) recurrence per
@@ -48,14 +48,17 @@ MZI's first splitter once (premeasurement_state) and passes the result on.
 
 The counting FI over a phase grid (_fi_reduce, shared by classical_fi and
 fi_scan, so by the qfi and fi-scan commands) sorts the sectors of the
-pre-measurement state into three kinds (_sector_kinds). A two-branch
-sector (occupied n_a exactly {0, N}) records the phase only through the
-parity of n_a, and its FI has a closed form in its two amplitudes
-(_two_branch_fi), with no splitter column, no matmul and no scipy. A
-single-input sector has phase-independent probabilities and adds exactly
-0. Every other, general, sector goes through the kernel above. The sum
-runs over the sectors in order, so an equal-weight two-branch state,
-whose sectors each give (A+B) N^2 at every phase, scans exactly flat.
+pre-measurement state into three kinds (_sector_kinds) and sums kind by
+kind. A two-branch sector (occupied n_a exactly {0, N}) records the phase
+only through the parity of n_a, and its FI has a closed form in its two
+amplitudes (_two_branch_fi), with no splitter column, no matmul and no
+scipy. A single-input sector has phase-independent probabilities and adds
+exactly 0. Every other, general, sector goes through the kernel above.
+The FI is the two-branch closed-form total plus the general sectors, each
+summed in sector order, so an equal-weight two-branch state, whose
+sectors each give (A+B) N^2 at every phase, scans exactly flat. Where a
+general sector lies below a two-branch one, this order differs from the
+sector order by rounding only.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ from .fock import (
     TwoModeState,
     apply_beamsplitter,
     expect,
+    sector_bounds,
     sector_decompose,
-    sector_slices,
     splitter_columns,
 )
 
@@ -186,18 +189,14 @@ def _sectors(pre: TwoModeState, observed=None):
     eigenvalues, and bs_t[j, k] the final splitter from input j to n_a = k.
     Given observed, a dict N -> list of n_a, only the sectors in it are
     walked and bs_t keeps only their listed columns."""
-    for n, sl in sector_slices(pre):
-        if observed is None or n in observed:
-            na = pre.na[sl]
-            bs_t = splitter_columns(n, na).T
-            yield n, pre.amps[sl], na - n / 2.0, bs_t if observed is None else bs_t[:, observed[n]]
-
-
-def _phase_blocks(size: int) -> list[slice]:
-    """Near-equal slices of at most _PHASE_BLOCK phases covering range(size),
-    none of one phase unless size is 1."""
-    blocks = -(-size // _PHASE_BLOCK) or 1
-    return [slice(b * size // blocks, (b + 1) * size // blocks) for b in range(blocks)]
+    totals, lo, hi = sector_bounds(pre)
+    if observed is not None:
+        keep = np.isin(totals, list(observed))
+        totals, lo, hi = totals[keep], lo[keep], hi[keep]
+    for n, start, stop in zip(totals.tolist(), lo.tolist(), hi.tolist()):
+        na = pre.na[start:stop]
+        bs_t = splitter_columns(n, na).T
+        yield n, pre.amps[start:stop], na - n / 2.0, bs_t if observed is None else bs_t[:, observed[n]]
 
 
 def _amplitudes(pre: TwoModeState, phis: np.ndarray, sectors=None, derivative=True):
@@ -208,7 +207,9 @@ def _amplitudes(pre: TwoModeState, phis: np.ndarray, sectors=None, derivative=Tr
     tuples that a caller evaluating them many times walked once; by default
     each block walks pre's sectors afresh, holding one sector's columns."""
     unique_m = np.unique(pre.j3_values if sectors is None else np.concatenate([s[2] for s in sectors]))
-    for rows in _phase_blocks(phis.size):
+    blocks = -(-phis.size // _PHASE_BLOCK) or 1
+    for b in range(blocks):
+        rows = slice(b * phis.size // blocks, (b + 1) * phis.size // blocks)
         table = np.exp(-1j * np.outer(phis[rows], unique_m))
         for n, vec, m, bs_t in _sectors(pre) if sectors is None else sectors:
             chi = table.take(unique_m.searchsorted(m), axis=1) * vec
@@ -275,9 +276,8 @@ def _sector_kinds(pre: TwoModeState) -> tuple[np.ndarray, TwoModeState]:
     restricted to its general sectors (any other support of two or more
     inputs). A single-input sector is in neither: its outcome
     probabilities do not depend on the phase, so its FI is exactly 0."""
-    nt = pre.n_total
-    first = np.flatnonzero(np.diff(nt, prepend=-1))
-    size = np.diff(first, append=nt.size)
+    _, first, stop = sector_bounds(pre)
+    size = stop - first
     pairs = first[size == 2]
     two = pairs[(pre.na[pairs] == 0) & (pre.nb[pairs + 1] == 0)]
     general = np.repeat(size > 1, size)
@@ -285,11 +285,10 @@ def _sector_kinds(pre: TwoModeState) -> tuple[np.ndarray, TwoModeState]:
     return two, TwoModeState(pre.na[general], pre.nb[general], pre.amps[general], pre.cutoff)
 
 
-def _two_branch_fi(pre: TwoModeState, two: np.ndarray):
-    """The totals N of the two-branch sectors of pre whose n_a = 0 entries
-    sit at indices two, and add(acc, phis, lo, hi): acc plus the counting
-    FI at phis of the lo-th to hi-th of them, in closed form, added one
-    sector at a time in sector order as the table path adds its sectors.
+def _two_branch_fi(pre: TwoModeState, two: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """The counting FI at phis of the two-branch sectors of pre whose n_a = 0
+    entries sit at indices two, in closed form, summed as a running total
+    in sector order.
 
     With amplitudes a (n_a = 0) and b (n_a = N), A = |a|^2, B = |b|^2 and
     w = a* b i^N e^{-iN phi}, the outcome k of the sector has
@@ -304,60 +303,56 @@ def _two_branch_fi(pre: TwoModeState, two: np.ndarray):
     or 2|a||b|) is smaller, so near a dark fringe, where u or v is small,
     neither term comes out of a cancellation; at s2 == 0 the factor is 0.
     No limit branch of _fi_terms is involved, so these sectors are never
-    singular. The (phases x sectors) temporaries hold at most about
+    singular. The phases go in blocks of at most _PHASE_BLOCK, so each
+    running-total step spans many sectors (a cumsum over a short row is
+    slow), and the (phases x sectors) temporaries hold at most about
     _CLOSED_FORM_CELLS entries.
     """
     n = pre.n_total[two]
     a, b = pre.amps[two], pre.amps[two + 1] * _I_POWERS[n % 4]
     pa, pb = np.abs(a) ** 2, np.abs(b) ** 2
     weight, ab4, moving = (pa + pb) * (n * n), 4.0 * pa * pb, pa != pb
-
-    def add(acc, phis, lo, hi):
-        step = max(1, _CLOSED_FORM_CELLS // phis.size)
-        for c in range(lo, hi, step):
-            cut = np.arange(c, min(c + step, hi))
+    fi = np.empty(phis.size)
+    for r in range(0, phis.size, _PHASE_BLOCK):
+        rows = phis[r:r + _PHASE_BLOCK]
+        acc = np.zeros(rows.size)
+        step = max(1, _CLOSED_FORM_CELLS // rows.size)
+        for c in range(0, n.size, step):
+            cut = np.arange(c, min(c + step, n.size))
             m = cut[moving[cut]]
-            turned = b[m] * np.exp(-1j * np.outer(phis, n[m]))
+            turned = b[m] * np.exp(-1j * np.outer(rows, n[m]))
             u, v = a[m] + turned, a[m] - turned
             q = np.conj(u) * v
             gap, q_im2 = q.real * q.real, q.imag * q.imag
             w_im = a[m].real * turned.imag - a[m].imag * turned.real
             s2 = np.where(gap + q_im2 < ab4[m], q_im2, 4.0 * w_im * w_im)
             moved = s2 > 0.0
-            terms = np.tile(weight[cut], (phis.size, 1))
+            terms = np.tile(weight[cut], (rows.size, 1))
             terms[:, moving[cut]] *= np.where(moved, s2 / np.where(moved, gap + s2, 1.0), 0.0)
             # a running total, so every phase adds its sectors in the same order
             acc = np.cumsum(np.column_stack((acc, terms)), axis=1)[:, -1]
-        return acc
-
-    return n, add
+        fi[r:r + rows.size] = acc
+    return fi
 
 
 def _fi_reduce(pre: TwoModeState, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Counting-measurement FI at each phase, summed per sector in sector
-    order, and whether the limit algebra failed there. Two-branch sectors
-    take their closed form (_two_branch_fi) and single-input sectors add
-    exactly 0. The general sectors come from the phase kernel, walked
-    afresh per phase block; only their untrusted entries of _fi_terms are
-    checked against |dp| <= 2 |z| |dz|, as a masked reduction rather than
-    a gather.
+    """Counting-measurement FI at each phase, summed kind by kind, and
+    whether the limit algebra failed there: the closed-form total of the
+    two-branch sectors (_two_branch_fi), then each general sector from the
+    phase kernel, in sector order; single-input sectors add exactly 0.
+    Only the untrusted entries of _fi_terms are checked against
+    |dp| <= 2 |z| |dz|, as a masked reduction rather than a gather.
     """
     two, general = _sector_kinds(pre)
-    two_n, add_two = _two_branch_fi(pre, two)
-    fi = np.empty(phis.size)
+    fi = _two_branch_fi(pre, two, phis)
     singular = np.zeros(phis.size, dtype=bool)
-    for rows in _phase_blocks(phis.size):
-        acc, done = np.zeros(rows.stop - rows.start), 0
-        for _, n, out, dout in _amplitudes(general, phis[rows]):
-            upto = int(two_n.searchsorted(n))
-            acc, done = add_two(acc, phis[rows], done, upto), upto
-            dp = 2.0 * np.real(np.conj(out) * dout)
-            abs_dout = np.abs(dout)
-            terms, trusted = _fi_terms(np.abs(out) ** 2, dp, abs_dout ** 2)
-            acc += np.sum(terms, axis=1)
-            singular[rows] |= np.any(np.abs(dp) > 2.0 * _AMP_NOISE * abs_dout + 1e-30, axis=1, where=~trusted)
-            del dp, abs_dout, terms, trusted  # not held while the next sector's arrays are made
-        fi[rows] = add_two(acc, phis[rows], done, two_n.size)
+    for rows, _, out, dout in _amplitudes(general, phis):
+        dp = 2.0 * np.real(np.conj(out) * dout)
+        abs_dout = np.abs(dout)
+        terms, trusted = _fi_terms(np.abs(out) ** 2, dp, abs_dout ** 2)
+        fi[rows] += np.sum(terms, axis=1)
+        singular[rows] |= np.any(np.abs(dp) > 2.0 * _AMP_NOISE * abs_dout + 1e-30, axis=1, where=~trusted)
+        del dp, abs_dout, terms, trusted  # not held while the next sector's arrays are made
     return fi, singular
 
 
@@ -425,15 +420,6 @@ def sector_fi_decomposition(
     return rows, total
 
 
-def _grouped_fi(values, p, dp, dz_sq) -> float:
-    """Fisher information of the readout that merges outcomes sharing a value:
-    p, dp and |dz|^2 summed per value, then the _fi_terms of the groups
-    added in sorted-value order (a running total, not a pairwise sum)."""
-    keys, group = np.unique(values, return_inverse=True)
-    terms, _ = _fi_terms(*(np.bincount(group, weights=w, minlength=keys.size) for w in (p, dp, dz_sq)))
-    return float(np.cumsum(terms)[-1])
-
-
 def fi_observable(
     state: TwoModeState,
     phi: float,
@@ -445,14 +431,19 @@ def fi_observable(
     Outcomes sharing an f value are merged before the information sum, so
     the result can only fall below the full counting measurement, with
     equality when f is injective on the occupied outcomes, at a dark fringe
-    too: a group takes the counting rule (_fi_terms), limit included.
+    too: a group takes the counting rule (_fi_terms), limit included. P, dP
+    and |dz|^2 are summed per value, and the groups' terms added in
+    sorted-value order (a running total, not a pairwise sum).
     """
     pre = premeasurement_state(state, pipeline)
     na, nb, z, dz = _outcome_table(pre, phi)
-    values = [float(f(a, b)) for a, b in zip(na.tolist(), nb.tolist())]
+    keys, group = np.unique([float(f(a, b)) for a, b in zip(na.tolist(), nb.tolist())], return_inverse=True)
+    summed = (np.bincount(group, weights=w, minlength=keys.size)
+              for w in (np.abs(z) ** 2, 2.0 * np.real(np.conj(z) * dz), np.abs(dz) ** 2))
+    terms, _ = _fi_terms(*summed)
     return FisherReport(
         phi=float(phi),
-        fi=_grouped_fi(values, np.abs(z) ** 2, 2.0 * np.real(np.conj(z) * dz), np.abs(dz) ** 2),
+        fi=float(np.cumsum(terms)[-1]),
         qfi=qfi_pure(pre),
         povm="observable:f(na,nb)",
         pipeline=pipeline,
@@ -464,17 +455,14 @@ def j3_measurement_fi(state: TwoModeState, phi: float) -> FisherReport:
     before any closing splitter.
 
     The phase only changes amplitude arguments, never the J3-eigenvalue
-    weights, so this distribution is phase independent: every group's dP
-    and |dz|^2 (of the weight's modulus) are exact zeros, and the
+    weights, so this distribution is phase independent and the
     information is exactly 0.0 for every state. Imbalance readout becomes
     informative only after the closing splitter, where it is the counting
     measurement in (N, Delta) labels.
     """
-    p = np.abs(state.amps) ** 2
-    zero = np.zeros_like(p)
     return FisherReport(
         phi=float(phi),
-        fi=_grouped_fi(state.na - state.nb, p, zero, zero),
+        fi=0.0,
         qfi=qfi_pure(state),
         povm="j3_intermediate",
         pipeline="MMZI",

@@ -5,11 +5,12 @@ table of complex amplitudes over occupation pairs (n_a, n_b), n_a + n_b <=
 cutoff, sorted by (N, n_a) with N = n_a + n_b. Both interferometer unitaries
 are block diagonal over the N sectors (the phase shift exp(-i*phi*J3) is
 diagonal, the 50:50 splitter exp(i*pi*J1/2) an (N+1)x(N+1) block), and each
-occupied sector is one contiguous slice of the table: sector_slices walks
-them for every per-sector reader. splitter_columns gives the splitter
-columns of occupied inputs alone, the two-branch ones (n_a = 0, N) in
-closed form and any other from a three-term recurrence, O(N) each; nothing
-is cached, so memory stays that of the columns a caller holds.
+occupied sector is one contiguous slice of the table: sector_bounds finds
+them all in one vectorized scan, and sector_slices walks them for the
+per-sector readers. splitter_columns gives the splitter columns of occupied
+inputs alone, the two-branch ones (n_a = 0, N) in closed form and any other
+from a three-term recurrence, O(N) each; nothing is cached, so memory stays
+that of the columns a caller holds.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class TwoModeState:
             yield (int(a), int(b)), complex(c)
 
     def occupied_sectors(self) -> list[int]:
-        return [n for n, _ in sector_slices(self)]
+        return sector_bounds(self)[0].tolist()
 
     def allclose(self, other: "TwoModeState", tol: float = 1e-12) -> bool:
         keys = {k for k, _ in self.items()} | {k for k, _ in other.items()}
@@ -98,13 +99,20 @@ class TwoModeState:
         return complex(acc)
 
 
+def sector_bounds(state: TwoModeState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The occupied sectors as arrays (N, lo, hi) in increasing N: entries
+    lo[i]:hi[i] of the state's arrays, in increasing n_a, are sector N[i]'s.
+    One vectorized scan; the only place sector boundaries are computed."""
+    nt = state.n_total
+    lo = np.flatnonzero(np.diff(nt, prepend=-1))
+    return nt[lo], lo, np.append(lo[1:], nt.size)
+
+
 def sector_slices(state: TwoModeState):
     """Yield (N, sl) for each occupied sector in increasing N: sl slices the
     sector's entries, in increasing n_a, out of the state's arrays."""
-    nt = state.n_total
-    starts = np.flatnonzero(np.diff(nt, prepend=-1)).tolist()
-    for lo, hi in zip(starts, starts[1:] + [nt.size]):
-        yield int(nt[lo]), slice(lo, hi)
+    for n, lo, hi in zip(*(col.tolist() for col in sector_bounds(state))):
+        yield n, slice(lo, hi)
 
 
 def _canonical_state(

@@ -15,7 +15,10 @@ rounds (an equal-weight sector gives (A+B) N^2 at every phase, where the
 table's sum over N+1 outcomes leaves last-bit noise). That moved the
 zeta_noon case wholly, and the N = 2 sector of the MZI zeta_dual_fock
 case, from bit identity to this bound; dual_fock via MZI has no
-two-branch sector and stays bit for bit as a whole.
+two-branch sector and stays bit for bit as a whole. The FI adds the
+two-branch total before the general sectors, so where a general sector
+lies below a two-branch one (GENERAL_FIRST) the whole-state sum leaves
+sector order and is held to the same bound.
 """
 
 import math
@@ -23,7 +26,16 @@ import math
 import numpy as np
 import pytest
 
-from qfilab import TwoModeState, dual_fock, fi_scan, zeta_dual_fock, zeta_noon
+from qfilab import (
+    TwoModeState,
+    classical_fi,
+    dual_fock,
+    fi_scan,
+    make_state,
+    sector_fi_decomposition,
+    zeta_dual_fock,
+    zeta_noon,
+)
 from qfilab.cli import main
 from qfilab.fisher import (
     _AMP_NOISE,
@@ -90,6 +102,26 @@ def test_fi_scan_is_bit_identical_to_the_per_sector_formula(case, size):
         np.testing.assert_allclose(closed, reference_fi_scan(two_branch, phis), rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(fi_scan(state, phis, pipeline), reference_fi_scan(pre, phis),
                                    rtol=1e-13, atol=0.0)
+
+
+# a general N = 2 sector below a two-branch N = 3 one; every CASES state
+# puts its two-branch sectors first
+GENERAL_FIRST = make_state([(1, 1, 0.6), (0, 2, 0.3j), (0, 3, 0.5), (3, 0, 0.4 - 0.2j)], 3)
+
+
+@pytest.mark.parametrize("size", [181, 2 * _PHASE_BLOCK + 1])
+def test_general_sector_below_a_two_branch_one(size):
+    # the FI adds the two-branch total before the general sectors, out of
+    # sector order here, so it may move from the per-sector formula and the
+    # sector sum by rounding only
+    two, general = _sector_kinds(GENERAL_FIRST)
+    assert GENERAL_FIRST.n_total[two].tolist() == [3] and general.occupied_sectors() == [2]
+    phis = np.linspace(0.0, 2.0 * math.pi, size)
+    np.testing.assert_allclose(fi_scan(GENERAL_FIRST, phis, "MMZI"), reference_fi_scan(GENERAL_FIRST, phis),
+                               rtol=1e-13, atol=0.0)
+    for phi in phis[:: size // 6].tolist():
+        _, total = sector_fi_decomposition(GENERAL_FIRST, phi, "MMZI")
+        assert math.isclose(classical_fi(GENERAL_FIRST, phi, "MMZI").fi, total, rel_tol=1e-13)
 
 
 def test_two_branch_scan_takes_no_splitter_column(monkeypatch, tmp_path):

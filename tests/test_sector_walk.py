@@ -1,9 +1,12 @@
 """The sector walk against a brute-force scan, and the canonical-order
 invariant of TwoModeState that the walk relies on.
 
-Every reader of a state's sectors (occupied_sectors, sector_decompose,
-likelihood_period and the fisher kernel's _sectors) must see exactly what
-a scan of every entry for every photon number up to the cutoff sees.
+Every reader of a state's sectors (fock.sector_bounds and the readers
+built on it: occupied_sectors, sector_decompose, likelihood_period and the
+fisher kernel's _sectors) must see exactly what a scan of every entry for
+every photon number up to the cutoff sees. The readers that take a
+maximum, a membership test or a subset of the sectors must do so without
+walking them one by one.
 """
 
 import math
@@ -16,13 +19,16 @@ from hypothesis import strategies as st
 from qfilab import (
     TwoModeState,
     apply_beamsplitter,
+    estimation,
     fisher,
+    fock,
     likelihood_period,
     make_state,
     noon,
     sector_decompose,
     splitter_columns,
     vacuum,
+    zeta_noon,
 )
 
 MAX_SECTOR = 7
@@ -59,6 +65,39 @@ def scan_sectors(state):
 
 
 GAPPED = make_state([(0, 0, 0.5), (2, 1, 0.5j), (0, 3, -0.5), (6, 0, 0.5)], cutoff=MAX_SECTOR)
+
+
+@given(states())
+@example(vacuum(MAX_SECTOR))
+@example(GAPPED)
+def test_sector_bounds_match_scan(state):
+    n, lo, hi = fock.sector_bounds(state)
+    ref = scan_sectors(state)
+    assert n.tolist() == [m for m, *_ in ref]
+    for start, stop, (_, na, nb, amps) in zip(lo.tolist(), hi.tolist(), ref):
+        assert state.na[start:stop].tolist() == na.tolist()
+        assert state.nb[start:stop].tolist() == nb.tolist()
+        assert state.amps[start:stop].tolist() == amps.tolist()
+
+
+def test_scalar_sector_readers_walk_no_sector(monkeypatch):
+    # 200,000 sectors: the period, the sector list, the kinds and the
+    # likelihood set-up of a record that touches three sectors all answer
+    # from the one scan, with the per-sector walk made to raise
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("sector walk")
+
+    for module in (fock, fisher, estimation):
+        if hasattr(module, "sector_slices"):
+            monkeypatch.setattr(module, "sector_slices", forbidden)
+    k = 200_000
+    state = zeta_noon(3.0, k)[0]
+    assert likelihood_period(state, "MMZI") == 2.0 * math.pi / k
+    assert state.occupied_sectors() == list(range(1, k + 1))
+    two, general = fisher._sector_kinds(state)
+    assert two.size == k and len(general) == 0
+    loglik = estimation._loglik_grid(state, {(1, 0): 4, (0, 2): 3, (5, 0): 2})
+    assert np.isfinite(loglik(np.array([0.3]))).all()
 
 
 @given(states())
