@@ -29,7 +29,6 @@ from .estimation import (
     EstimationRun,
     crb_convergence_study,
     default_window,
-    likelihood_period,
     mle_phase,
     run_estimation,
     sample_outcomes,
@@ -44,6 +43,7 @@ from .fisher import (
     fi_scan,
     j3_measurement_fi,
     likelihood,
+    likelihood_period,
     likelihood_with_derivative,
     max_qfi_bound,
     qfi_pure,

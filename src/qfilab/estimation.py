@@ -12,10 +12,10 @@ the window followed by golden-section refinement. run_estimation and
 crb_convergence_study do their set-up once per command, before any draw
 (_setup): the first splitter, the likelihood period, the window and its
 check, the FI behind the bound, and the outcome table every repetition
-draws from. Per record, the log-likelihood grid (_loglik_grid) has the
-fisher kernel evaluate only the sectors and outcomes the record observed,
-so splitter columns are built for those alone (the kernel's phase blocks
-and exponentials are described in fisher). Windows must stay
+draws from. Per record, the log-likelihood grid (_loglik_grid) passes the
+fisher kernel the sub-state of the sectors the record observed, and sets
+it up once (the observed outcomes' splitter columns, the distinct J3
+eigenvalues, the gather indices) for its ~26 calls. Windows must stay
 narrower than the likelihood's fundamental period (2*pi over the largest
 occupied J3 spread), otherwise the phase is not identifiable; the bound
 being probed is local in exactly that sense. The log-likelihood is flat to
@@ -32,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fisher import _amplitudes, _outcome_table, _sectors, classical_fi, premeasurement_state
-from .fock import TwoModeState, sector_bounds
+from .fisher import _amplitudes, _outcome_table, _sectors, classical_fi, likelihood_period, premeasurement_state
+from .fock import TwoModeState
 
 RNG_ALGORITHM = "philox4x64"
 MLE_GRID_POINTS = 10_000
@@ -50,20 +50,6 @@ def _rng(seed) -> np.random.Generator:
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(int(seed))
     return np.random.Generator(np.random.Philox(seed))
-
-
-def likelihood_period(state: TwoModeState, pipeline: str = "MMZI") -> float:
-    """Fundamental phase period of the counting likelihood.
-
-    Interference fringes oscillate at integer multiples of the J3-eigenvalue
-    differences inside each occupied sector; the fastest is the largest
-    occupied n_a spread. A single-entry state has no fringes (infinite
-    period).
-    """
-    pre = premeasurement_state(state, pipeline)
-    _, lo, hi = sector_bounds(pre)
-    spread = np.max(pre.na[hi - 1] - pre.na[lo])
-    return 2.0 * math.pi / spread if spread else math.inf
 
 
 def _quarter_window(period: float, phi_true: float) -> tuple[float, float]:
@@ -135,27 +121,29 @@ def _loglik_grid(
     pre: TwoModeState, outcomes: dict[tuple[int, int], int]
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Log-likelihood of an outcome histogram on a phase grid, for the
-    pre-measurement state pre. The histogram is checked, grouped by sector
-    and cut into the kernel's observed sectors and columns once, here; the
-    returned function of phis sums counts times log p over them.
+    pre-measurement state pre. Once per record, here, the histogram is
+    checked, pre is cut to the sub-state of the observed sectors, and its
+    kernel is set up (_amplitudes' held, observed columns only); the
+    returned function of phis only evaluates it and sums counts times log p.
     """
     by_sector = {}
     for (a, b), cnt in outcomes.items():
         if a < 0 or b < 0 or cnt < 0:
             raise ValueError(f"outcome {(a, b)} with count {cnt}: port counts and counts must be >= 0")
         by_sector.setdefault(a + b, []).append((a, cnt))
-    totals = np.array(list(by_sector))
-    missing = set(totals[~np.isin(totals, sector_bounds(pre)[0])].tolist())
-    stray = [k for k in outcomes if k[0] + k[1] in missing]
-    if stray:
+    keep = np.isin(pre.n_total, list(by_sector))
+    sub = TwoModeState(pre.na[keep], pre.nb[keep], pre.amps[keep], pre.cutoff)
+    unique_m = np.unique(sub.j3_values)
+    held = [(n, vec, m, unique_m.searchsorted(m), bs_t[:, [a for a, _ in by_sector[n]]])
+            for n, vec, m, bs_t in _sectors(sub)]
+    if len(held) < len(by_sector):  # an observed sector that pre does not occupy
+        stray = [k for k in outcomes if k[0] + k[1] not in {n for n, *_ in held}]
         raise ValueError(f"outcomes {stray} lie outside the occupied sectors")
-    cols = {n: [a for a, _ in group] for n, group in by_sector.items()}
     counts = {n: np.array([c for _, c in group], dtype=float) for n, group in by_sector.items()}
-    sectors = list(_sectors(pre, cols))
 
     def loglik(phis: np.ndarray) -> np.ndarray:
         ll = np.zeros(phis.size)
-        for rows, n, amp, _ in _amplitudes(pre, phis, sectors, False):
+        for rows, n, amp, _ in _amplitudes(sub, phis, (unique_m, held), False):
             ll[rows] += np.log(np.maximum(np.abs(amp) ** 2, _LOG_FLOOR)) @ counts[n]
         return ll
 

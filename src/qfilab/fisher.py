@@ -30,21 +30,22 @@ amplitudes from one kernel, _amplitudes, sector by sector (both unitaries
 preserve the total photon number). Its sectors (_sectors) are the
 contiguous slices of the state's canonical table (fock.sector_bounds): the
 occupied inputs, their J3 eigenvalues, and the matching columns of the
-final splitter (fock.splitter_columns), built afresh and never cached: two
-closed-form columns for a two-branch sector, one O(N) recurrence per
-occupied input otherwise, never a dense (N+1)x(N+1) matrix. The kernel
-cuts the phases into near-equal blocks of at most _PHASE_BLOCK, so memory
-does not grow with the grid, never leaving a one-phase block (a one-row
-matmul takes BLAS's matrix-vector path, whose last bits differ). Per block
-it takes one exponential per distinct J3 eigenvalue and gathers each
-sector's columns with take(), which keeps them C-ordered, so every bit
-equals an exponential per sector input; it computes the phase derivative
-only for callers that read it. Per outcome it is read as flat arrays of
-amplitudes in (N, n_a) order (_outcome_table: the likelihood dicts, the
-sampler and the scalar readouts) and by the estimation grid, which all
-stay on this table path for every sector. The kernel takes the
-pre-measurement state and no pipeline: each public entry point applies an
-MZI's first splitter once (premeasurement_state) and passes the result on.
+final splitter (fock.splitter_columns), built afresh and never cached,
+never a dense (N+1)x(N+1) matrix. The kernel takes the pre-measurement
+state and no pipeline (each public entry point applies an MZI's first
+splitter once, premeasurement_state); a caller that needs some sectors
+passes their sub-state: the FI its general sectors, the estimation grid a
+record's observed ones. It cuts the phases into near-equal blocks of at
+most _PHASE_BLOCK, so memory does not grow with the grid, never leaving a
+one-phase block (a one-row matmul takes BLAS's matrix-vector path, whose
+last bits differ). Per block it takes one exponential per distinct J3
+eigenvalue and gathers each sector's columns with take(), which keeps them
+C-ordered, so every bit equals an exponential per sector input; it
+computes the phase derivative only for callers that read it. Each block
+walks the sectors afresh, but the grid sets up its record's kernel once
+(eigenvalues, gather indices, observed columns) for its ~26 calls. The
+likelihoods, the sampler and the readouts read flat (N, n_a)-ordered
+arrays (_outcome_table).
 
 The counting FI over a phase grid (_fi_reduce, shared by classical_fi and
 fi_scan, so by the qfi and fi-scan commands) sorts the sectors of the
@@ -183,36 +184,33 @@ def premeasurement_state(state: TwoModeState, pipeline: str) -> TwoModeState:
     return apply_beamsplitter(state) if pipeline == "MZI" else state
 
 
-def _sectors(pre: TwoModeState, observed=None):
+def _sectors(pre: TwoModeState):
     """Yield (N, vec, m, bs_t) for each occupied sector of the pre-measurement
     state pre, restricted to its occupied inputs: their amplitudes, their J3
     eigenvalues, and bs_t[j, k] the final splitter from input j to n_a = k.
-    Given observed, a dict N -> list of n_a, only the sectors in it are
-    walked and bs_t keeps only their listed columns."""
-    totals, lo, hi = sector_bounds(pre)
-    if observed is not None:
-        keep = np.isin(totals, list(observed))
-        totals, lo, hi = totals[keep], lo[keep], hi[keep]
-    for n, start, stop in zip(totals.tolist(), lo.tolist(), hi.tolist()):
+    A caller that needs only some sectors passes their sub-state."""
+    for n, start, stop in zip(*(col.tolist() for col in sector_bounds(pre))):
         na = pre.na[start:stop]
-        bs_t = splitter_columns(n, na).T
-        yield n, pre.amps[start:stop], na - n / 2.0, bs_t if observed is None else bs_t[:, observed[n]]
+        yield n, pre.amps[start:stop], na - n / 2.0, splitter_columns(n, na).T
 
 
-def _amplitudes(pre: TwoModeState, phis: np.ndarray, sectors=None, derivative=True):
+def _amplitudes(pre: TwoModeState, phis: np.ndarray, held=None, derivative=True):
     """Yield (rows, N, out, dout) per block of phases and sector: out[i, k]
     is the amplitude at phis[rows][i] of the sector's k-th splitter column
     (outcome (k, N - k) when every column is kept), dout its phase
-    derivative or None without derivative. sectors is a list of _sectors
-    tuples that a caller evaluating them many times walked once; by default
-    each block walks pre's sectors afresh, holding one sector's columns."""
-    unique_m = np.unique(pre.j3_values if sectors is None else np.concatenate([s[2] for s in sectors]))
+    derivative or None without derivative. held is pre's kernel set up once
+    by a caller that evaluates it many times: its distinct J3 eigenvalues and
+    per sector (N, vec, m, gather indices, bs_t); by default each block walks
+    pre's sectors afresh, holding one sector's columns."""
+    unique_m = np.unique(pre.j3_values) if held is None else held[0]
     blocks = -(-phis.size // _PHASE_BLOCK) or 1
     for b in range(blocks):
         rows = slice(b * phis.size // blocks, (b + 1) * phis.size // blocks)
         table = np.exp(-1j * np.outer(phis[rows], unique_m))
-        for n, vec, m, bs_t in _sectors(pre) if sectors is None else sectors:
-            chi = table.take(unique_m.searchsorted(m), axis=1) * vec
+        walk = held[1] if held is not None else (
+            (n, vec, m, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(pre))
+        for n, vec, m, ix, bs_t in walk:
+            chi = table.take(ix, axis=1) * vec
             yield rows, n, chi @ bs_t, (chi * (-1j * m)) @ bs_t if derivative else None
 
 
@@ -249,6 +247,20 @@ def likelihood_with_derivative(
     na, nb, z, dz = _outcome_table(premeasurement_state(state, pipeline), phi)
     p, dp = (np.abs(z) ** 2).tolist(), (2.0 * np.real(np.conj(z) * dz)).tolist()
     return {povm.key(a, b): (x, dx) for a, b, x, dx in zip(na.tolist(), nb.tolist(), p, dp)}
+
+
+def likelihood_period(state: TwoModeState, pipeline: str = "MMZI") -> float:
+    """Fundamental phase period of the counting likelihood.
+
+    Interference fringes oscillate at integer multiples of the J3-eigenvalue
+    differences inside each occupied sector; the fastest is the largest
+    occupied n_a spread. A state with one entry, or none, has no fringes
+    (infinite period).
+    """
+    pre = premeasurement_state(state, pipeline)
+    _, lo, hi = sector_bounds(pre)
+    spread = np.max(pre.na[hi - 1] - pre.na[lo], initial=0)
+    return 2.0 * math.pi / spread if spread else math.inf
 
 
 _AMP_NOISE = 1e-13  # amplitudes below this are splitter-column rounding noise

@@ -6,11 +6,11 @@ cutoff, sorted by (N, n_a) with N = n_a + n_b. Both interferometer unitaries
 are block diagonal over the N sectors (the phase shift exp(-i*phi*J3) is
 diagonal, the 50:50 splitter exp(i*pi*J1/2) an (N+1)x(N+1) block), and each
 occupied sector is one contiguous slice of the table: sector_bounds finds
-them all in one vectorized scan, and sector_slices walks them for the
-per-sector readers. splitter_columns gives the splitter columns of occupied
-inputs alone, the two-branch ones (n_a = 0, N) in closed form and any other
-from a three-term recurrence, O(N) each; nothing is cached, so memory stays
-that of the columns a caller holds.
+them all in one vectorized scan (the fisher kernel reads it on the sub-state
+it is passed), and sector_slices walks them for the splitter and sector
+split. splitter_columns gives the splitter columns of occupied inputs alone,
+never cached: the two-branch ones (n_a = 0, N) in closed form, any other
+from a three-term recurrence, O(N) each.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def sector_bounds(state: TwoModeState) -> tuple[np.ndarray, np.ndarray, np.ndarr
     lo[i]:hi[i] of the state's arrays, in increasing n_a, are sector N[i]'s.
     One vectorized scan; the only place sector boundaries are computed."""
     nt = state.n_total
-    lo = np.flatnonzero(np.diff(nt, prepend=-1))
-    return nt[lo], lo, np.append(lo[1:], nt.size)
+    edges = np.flatnonzero(np.diff(nt, prepend=-1, append=-1))  # every start, and the end
+    return nt[edges[:-1]], edges[:-1], edges[1:]
 
 
 def sector_slices(state: TwoModeState):

@@ -81,7 +81,8 @@ def test_loglik_grid_peak_memory_stays_below_the_per_sector_formula():
     pre = premeasurement_state(state, pipeline)
     record = sample_outcomes(state, 0.3, pipeline, 10_000, seed=1)
     phis = np.linspace(*default_window(state, 0.3, pipeline), 10_000)
-    reference_loglik(pre, record, phis)  # fill the splitter cache outside the trace
+    # warm-up: the closed-form N=2 columns import scipy.special, kept out of the traced peak
+    reference_loglik(pre, record, phis)
 
     def peak(call):
         tracemalloc.start()
@@ -94,6 +95,25 @@ def test_loglik_grid_peak_memory_stays_below_the_per_sector_formula():
     grid = peak(lambda: _loglik_grid(pre, record)(phis))
     reference = peak(lambda: reference_loglik(pre, record, phis))
     assert grid <= reference
+
+
+def test_loglik_grid_calls_only_evaluate_the_kernel_set_up_once(monkeypatch):
+    # after the set-up, a call neither scans sectors, nor builds splitter
+    # columns, nor finds the distinct eigenvalues
+    state, pipeline = CASES["dual_fock_mzi"]
+    record = sample_outcomes(state, 0.3, pipeline, 10_000, seed=7)
+    loglik = _loglik_grid(premeasurement_state(state, pipeline), record)
+    grids = [np.array([0.3]), np.linspace(*default_window(state, 0.3, pipeline), 10_000)]
+    expected = [loglik(phis) for phis in grids]
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("per-record set-up repeated in a call")
+
+    monkeypatch.setattr(fisher, "sector_bounds", forbidden)
+    monkeypatch.setattr(fisher, "splitter_columns", forbidden)
+    monkeypatch.setattr(np, "unique", forbidden)
+    for phis, ll in zip(grids, expected):
+        assert np.array_equal(loglik(phis), ll)
 
 
 def test_run_estimation_equals_public_composition():

@@ -258,7 +258,7 @@ def test_sector_additivity_catalog():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 4: _fi_reduce trusts outcome amplitudes of 1e-12 to 1e-10, "
+    reason="ROADMAP item 7: _fi_reduce trusts outcome amplitudes of 1e-12 to 1e-10, "
     "which carry ~1e-4 relative rounding error into dP^2/P",
 )
 def test_sector_additivity_near_amplitude_noise():

@@ -65,15 +65,21 @@ def scan_sectors(state):
 
 
 GAPPED = make_state([(0, 0, 0.5), (2, 1, 0.5j), (0, 3, -0.5), (6, 0, 0.5)], cutoff=MAX_SECTOR)
+# a direct construction, since make_state rejects an empty table; the
+# estimation grid cuts an empty record to this sub-state
+NO_ENTRIES = np.array([], dtype=np.int64)
+EMPTY = TwoModeState(NO_ENTRIES, NO_ENTRIES, np.array([], dtype=complex), MAX_SECTOR)
 
 
 @given(states())
 @example(vacuum(MAX_SECTOR))
 @example(GAPPED)
+@example(EMPTY)
 def test_sector_bounds_match_scan(state):
     n, lo, hi = fock.sector_bounds(state)
     ref = scan_sectors(state)
     assert n.tolist() == [m for m, *_ in ref]
+    assert lo.size == hi.size == n.size
     for start, stop, (_, na, nb, amps) in zip(lo.tolist(), hi.tolist(), ref):
         assert state.na[start:stop].tolist() == na.tolist()
         assert state.nb[start:stop].tolist() == nb.tolist()
@@ -96,8 +102,32 @@ def test_scalar_sector_readers_walk_no_sector(monkeypatch):
     assert state.occupied_sectors() == list(range(1, k + 1))
     two, general = fisher._sector_kinds(state)
     assert two.size == k and len(general) == 0
-    loglik = estimation._loglik_grid(state, {(1, 0): 4, (0, 2): 3, (5, 0): 2})
+    record = {(1, 0): 4, (0, 2): 3, (5, 0): 2}
+    loglik = estimation._loglik_grid(state, record)
     assert np.isfinite(loglik(np.array([0.3]))).all()
+
+    # the set-up scans only the sub-state of the record's sectors
+    observed = int(np.isin(state.n_total, [a + b for a, b in record]).sum())
+    real_bounds, sizes = fock.sector_bounds, []
+
+    def sized_bounds(s):
+        sizes.append(len(s))
+        assert len(s) <= observed, f"sector_bounds scanned {len(s)} entries"
+        return real_bounds(s)
+
+    for module in (fock, fisher, estimation):
+        if hasattr(module, "sector_bounds"):
+            monkeypatch.setattr(module, "sector_bounds", sized_bounds)
+    estimation._loglik_grid(state, record)
+    assert observed == 6 and sizes == [observed]
+
+
+def test_empty_state_has_no_sectors_and_no_fringes():
+    n, lo, hi = fock.sector_bounds(EMPTY)
+    assert n.size == lo.size == hi.size == 0
+    assert likelihood_period(EMPTY) == math.inf
+    # an empty record is cut to the empty sub-state, whose log-likelihood is 0
+    assert not estimation._loglik_grid(GAPPED, {})(np.array([0.1, 0.2])).any()
 
 
 @given(states())
