@@ -96,24 +96,29 @@ class Moment:
     limit: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhotonDistribution:
     """Total-photon-number weights of a (possibly truncated) family.
 
-    weights maps N to the untruncated family's probability on the retained
-    support, so sum(weights) + tail_mass == 1. The truncated state itself
-    carries the renormalized probabilities, available from
-    support_probabilities().
+    totals[i] photons carry probs[i], the untruncated family's probability
+    on the retained support, so sum(probs) + tail_mass == 1. weights and
+    support_probabilities() give them as dicts keyed by N, built on each
+    call; the latter renormalized, as the truncated state carries them.
     """
 
-    weights: dict[int, float]
+    totals: np.ndarray
+    probs: np.ndarray
     tail_mass: float
     mean: Moment
     mean_square: Moment
     family: str = ""
 
+    @property
+    def weights(self) -> dict[int, float]:
+        return dict(zip(self.totals.tolist(), self.probs.tolist()))
+
     def support_probabilities(self) -> dict[int, float]:
-        total = sum(self.weights.values())
+        total = sum(self.probs.tolist())
         return {n: w / total for n, w in self.weights.items()}
 
 
@@ -121,19 +126,15 @@ def _moments(n: np.ndarray, p: np.ndarray) -> tuple[float, float]:
     return float(np.sum(n * p)), float(np.sum(n * n * p))
 
 
-def _weights_dict(keys: np.ndarray, values: np.ndarray) -> dict[int, float]:
-    return dict(zip(np.asarray(keys, dtype=np.int64).tolist(), values.tolist()))
-
-
 def distribution_from_state(state: TwoModeState) -> PhotonDistribution:
     """Empirical photon-number distribution of a concrete state (no tail)."""
     comps = sector_decompose(state)
-    weights = {c.n_total: c.probability for c in comps}
-    n = np.array(list(weights.keys()), dtype=float)
-    p = np.array(list(weights.values()))
-    m1, m2 = _moments(n, p)
+    n = np.array([c.n_total for c in comps], dtype=np.int64)
+    p = np.array([c.probability for c in comps])
+    m1, m2 = _moments(n.astype(float), p)
     return PhotonDistribution(
-        weights=weights,
+        totals=n,
+        probs=p,
         tail_mass=0.0,
         mean=Moment(m1, limit=m1),
         mean_square=Moment(m2, limit=m2),
@@ -188,20 +189,17 @@ def _two_branch_state(
     totals: np.ndarray, probs: np.ndarray, cutoff: int
 ) -> TwoModeState:
     """Superposition of (|N,0>+|0,N>)/sqrt(2) branches with given sector
-    probabilities; a total of 0 contributes a vacuum component."""
+    probabilities; the totals of 0 make one vacuum component (of
+    amplitude 0.0, which is pruned, when there is none)."""
     totals = np.asarray(totals, dtype=np.int64)
     probs = np.asarray(probs, dtype=np.float64)
     pos = totals > 0
     t_pos = totals[pos]
     branch = np.sqrt(probs[pos] / 2.0)
     zeros = np.zeros_like(t_pos)
-    na = np.concatenate([t_pos, zeros])
-    nb = np.concatenate([zeros, t_pos])
-    amps = np.concatenate([branch, branch]).astype(np.complex128)
-    if np.any(~pos):
-        na = np.append(na, 0)
-        nb = np.append(nb, 0)
-        amps = np.append(amps, math.sqrt(probs[~pos].sum()))
+    na = np.concatenate([t_pos, zeros, [0]])
+    nb = np.concatenate([zeros, t_pos, [0]])
+    amps = np.concatenate([branch, branch, [math.sqrt(probs[~pos].sum())]]).astype(np.complex128)
     return _canonical_state(na, nb, amps, cutoff)
 
 
@@ -231,7 +229,8 @@ def _zeta_family(
     if x > 3.0 + ZETA_POLE_GUARD:
         lim2 = scale * scale * zeta(x - 2.0) / z
     dist = PhotonDistribution(
-        weights=_weights_dict(scale * n, w),
+        totals=(scale * n).astype(np.int64),
+        probs=w,
         tail_mass=max(0.0, 1.0 - float(w.sum())),
         mean=Moment(m1, divergent=x <= 2.0, limit=lim1),
         mean_square=Moment(m2, divergent=x <= 3.0, limit=lim2),
@@ -300,7 +299,8 @@ def _tmsv_family(
     renorm = w / w.sum()
     m1, m2 = _moments(2 * n, renorm)
     dist = PhotonDistribution(
-        weights=_weights_dict(2 * n, w),
+        totals=(2 * n).astype(np.int64),
+        probs=w,
         tail_mass=float(tail),
         mean=Moment(m1, limit=mean_total),
         mean_square=Moment(m2, limit=2.0 * mean_total**2 + 2.0 * mean_total),

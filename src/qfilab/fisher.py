@@ -30,22 +30,17 @@ amplitudes from one kernel, _amplitudes, sector by sector (both unitaries
 preserve the total photon number). Its sectors (_sectors) are the
 contiguous slices of the state's canonical table (fock.sector_bounds): the
 occupied inputs, their J3 eigenvalues, and the matching columns of the
-final splitter (fock.splitter_columns), built afresh and never cached,
-never a dense (N+1)x(N+1) matrix. The kernel takes the pre-measurement
-state and no pipeline (each public entry point applies an MZI's first
-splitter once, premeasurement_state); a caller that needs some sectors
-passes their sub-state: the FI its general sectors, the estimation grid a
-record's observed ones. It cuts the phases into near-equal blocks of at
-most _PHASE_BLOCK, so memory does not grow with the grid, never leaving a
-one-phase block (a one-row matmul takes BLAS's matrix-vector path, whose
-last bits differ). Per block it takes one exponential per distinct J3
-eigenvalue and gathers each sector's columns with take(), which keeps them
-C-ordered, so every bit equals an exponential per sector input; it
-computes the phase derivative only for callers that read it. Each block
-walks the sectors afresh, but the grid sets up its record's kernel once
-(eigenvalues, gather indices, observed columns) for its ~26 calls. The
-likelihoods, the sampler and the readouts read flat (N, n_a)-ordered
-arrays (_outcome_table).
+final splitter (fock.splitter_columns), built afresh and never cached.
+The kernel takes the pre-measurement state (each public entry point
+applies an MZI's first splitter once, premeasurement_state); a caller that
+needs some sectors passes their sub-state: the FI its general sectors, the
+estimation grid a record's observed ones. It cuts the phases into
+near-equal blocks of at most _PHASE_BLOCK, never a one-phase block (a
+one-row matmul takes BLAS's matrix-vector path, whose last bits differ).
+Per block it takes one exponential per distinct J3 eigenvalue and gathers
+each sector's columns with take(), which keeps them C-ordered, so every
+bit equals an exponential per sector input. The likelihoods, the sampler
+and the readouts read flat (N, n_a)-ordered arrays (_outcome_table).
 
 The counting FI over a phase grid (_fi_reduce, shared by classical_fi and
 fi_scan, so by the qfi and fi-scan commands) sorts the sectors of the
@@ -55,11 +50,11 @@ only through the parity of n_a, and its FI has a closed form in its two
 amplitudes (_two_branch_fi), with no splitter column, no matmul and no
 scipy. A single-input sector has phase-independent probabilities and adds
 exactly 0. Every other, general, sector goes through the kernel above.
-The FI is the two-branch closed-form total plus the general sectors, each
-summed in sector order, so an equal-weight two-branch state, whose
-sectors each give (A+B) N^2 at every phase, scans exactly flat. Where a
-general sector lies below a two-branch one, this order differs from the
-sector order by rounding only.
+The FI adds, in this order: the total of the equal-weight two-branch
+sectors, each (A+B) N^2 at every phase, so summed once and broadcast
+(an equal-weight state scans exactly flat); the unequal-weight two-branch
+sectors; the general sectors; each kind in sector order. Where the kinds
+interleave, this differs from the sector order by rounding only.
 """
 
 from __future__ import annotations
@@ -201,7 +196,10 @@ def _amplitudes(pre: TwoModeState, phis: np.ndarray, held=None, derivative=True)
     derivative or None without derivative. held is pre's kernel set up once
     by a caller that evaluates it many times: its distinct J3 eigenvalues and
     per sector (N, vec, m, gather indices, bs_t); by default each block walks
-    pre's sectors afresh, holding one sector's columns."""
+    pre's sectors afresh, holding one sector's columns. An empty pre sets
+    nothing up (np.unique would import numpy.ma)."""
+    if not len(pre):
+        return
     unique_m = np.unique(pre.j3_values) if held is None else held[0]
     blocks = -(-phis.size // _PHASE_BLOCK) or 1
     for b in range(blocks):
@@ -219,7 +217,7 @@ def _outcome_table(pre: TwoModeState, phi: float, derivative=True):
     in canonical (N, n_a) order: the port counts, the outcome amplitude at
     phi and its phase derivative (None without derivative), so P = |z|^2
     and dP = 2 Re(conj(z) dz). Zero-probability port splits are included."""
-    na, nb, z, dz = [], [], [], []
+    na, nb, z, dz = ([np.zeros(0, dtype)] for dtype in (np.int64, np.int64, complex, complex))
     for _, n, out, dout in _amplitudes(pre, np.array([float(phi)]), derivative=derivative):
         na.append(np.arange(n + 1))
         nb.append(n - na[-1])
@@ -266,6 +264,11 @@ def likelihood_period(state: TwoModeState, pipeline: str = "MMZI") -> float:
 _AMP_NOISE = 1e-13  # amplitudes below this are splitter-column rounding noise
 
 
+def _running_total(x: np.ndarray) -> float:
+    """x added one entry after another (np.sum adds pairwise); 0.0 if empty."""
+    return float(np.concatenate(([0.0], x)).cumsum()[-1])
+
+
 def _fi_terms(p, dp, dz_sq):
     """Fisher-information terms of outcomes, or of groups of merged outcomes,
     from their probabilities p, derivatives dp and summed |dz|^2; and which
@@ -299,8 +302,7 @@ def _sector_kinds(pre: TwoModeState) -> tuple[np.ndarray, TwoModeState]:
 
 def _two_branch_fi(pre: TwoModeState, two: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """The counting FI at phis of the two-branch sectors of pre whose n_a = 0
-    entries sit at indices two, in closed form, summed as a running total
-    in sector order.
+    entries sit at indices two, in closed form.
 
     With amplitudes a (n_a = 0) and b (n_a = N), A = |a|^2, B = |b|^2 and
     w = a* b i^N e^{-iN phi}, the outcome k of the sector has
@@ -315,35 +317,30 @@ def _two_branch_fi(pre: TwoModeState, two: np.ndarray, phis: np.ndarray) -> np.n
     or 2|a||b|) is smaller, so near a dark fringe, where u or v is small,
     neither term comes out of a cancellation; at s2 == 0 the factor is 0.
     No limit branch of _fi_terms is involved, so these sectors are never
-    singular. The phases go in blocks of at most _PHASE_BLOCK, so each
-    running-total step spans many sectors (a cumsum over a short row is
-    slow), and the (phases x sectors) temporaries hold at most about
-    _CLOSED_FORM_CELLS entries.
+    singular. The equal-weight sectors' total comes first (_running_total),
+    broadcast to every phase; then the others, in chunks of about
+    _CLOSED_FORM_CELLS cells laid out sectors x phases, whose rows numpy
+    adds one after another, so every phase sums in sector order.
     """
     n = pre.n_total[two]
     a, b = pre.amps[two], pre.amps[two + 1] * _I_POWERS[n % 4]
     pa, pb = np.abs(a) ** 2, np.abs(b) ** 2
-    weight, ab4, moving = (pa + pb) * (n * n), 4.0 * pa * pb, pa != pb
-    fi = np.empty(phis.size)
-    for r in range(0, phis.size, _PHASE_BLOCK):
-        rows = phis[r:r + _PHASE_BLOCK]
-        acc = np.zeros(rows.size)
-        step = max(1, _CLOSED_FORM_CELLS // rows.size)
-        for c in range(0, n.size, step):
-            cut = np.arange(c, min(c + step, n.size))
-            m = cut[moving[cut]]
-            turned = b[m] * np.exp(-1j * np.outer(rows, n[m]))
-            u, v = a[m] + turned, a[m] - turned
-            q = np.conj(u) * v
-            gap, q_im2 = q.real * q.real, q.imag * q.imag
-            w_im = a[m].real * turned.imag - a[m].imag * turned.real
-            s2 = np.where(gap + q_im2 < ab4[m], q_im2, 4.0 * w_im * w_im)
-            moved = s2 > 0.0
-            terms = np.tile(weight[cut], (rows.size, 1))
-            terms[:, moving[cut]] *= np.where(moved, s2 / np.where(moved, gap + s2, 1.0), 0.0)
-            # a running total, so every phase adds its sectors in the same order
-            acc = np.cumsum(np.column_stack((acc, terms)), axis=1)[:, -1]
-        fi[r:r + rows.size] = acc
+    weight, ab4, flat = (pa + pb) * (n * n), 4.0 * pa * pb, pa == pb
+    fi = np.full(phis.size, _running_total(weight[flat]))
+    n, a, b, weight, ab4 = (col[~flat, None] for col in (n, a, b, weight, ab4))  # a row per sector
+    step = max(1, _CLOSED_FORM_CELLS // max(1, phis.size))
+    for c in range(0, len(n), step):
+        cut = slice(c, c + step)
+        turned = b[cut] * np.exp(-1j * (n[cut] * phis))
+        u, v = a[cut] + turned, a[cut] - turned
+        q = np.conj(u) * v
+        gap, q_im2 = q.real * q.real, q.imag * q.imag
+        w_im = a[cut].real * turned.imag - a[cut].imag * turned.real
+        s2 = np.where(gap + q_im2 < ab4[cut], q_im2, 4.0 * w_im * w_im)
+        moved = s2 > 0.0
+        terms = weight[cut] * np.where(moved, s2 / np.where(moved, gap + s2, 1.0), 0.0)
+        terms[0] += fi
+        fi = terms.sum(axis=0)
     return fi
 
 
@@ -445,7 +442,7 @@ def fi_observable(
     equality when f is injective on the occupied outcomes, at a dark fringe
     too: a group takes the counting rule (_fi_terms), limit included. P, dP
     and |dz|^2 are summed per value, and the groups' terms added in
-    sorted-value order (a running total, not a pairwise sum).
+    sorted-value order (_running_total).
     """
     pre = premeasurement_state(state, pipeline)
     na, nb, z, dz = _outcome_table(pre, phi)
@@ -455,7 +452,7 @@ def fi_observable(
     terms, _ = _fi_terms(*summed)
     return FisherReport(
         phi=float(phi),
-        fi=float(np.cumsum(terms)[-1]),
+        fi=_running_total(terms),
         qfi=qfi_pure(pre),
         povm="observable:f(na,nb)",
         pipeline=pipeline,

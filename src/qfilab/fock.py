@@ -121,7 +121,7 @@ def _canonical_state(
     amps: np.ndarray,
     cutoff: int,
 ) -> TwoModeState:
-    """Merge duplicates, prune, sort by (N, n_a) and normalize; a NaN or
+    """Sort by (N, n_a), merge duplicates, prune and normalize; a NaN or
     infinite amplitude is a ValueError naming its entry."""
     if cutoff < 0:
         raise CutoffViolationError("cutoff must be >= 0")
@@ -142,15 +142,15 @@ def _canonical_state(
             f"entry ({int(na[bad])}, {int(nb[bad])}) exceeds cutoff {cutoff}"
         )
 
-    # merge duplicate occupation pairs
-    key = na * (cutoff + 1) + nb
-    uniq, inv = np.unique(key, return_inverse=True)
-    if uniq.size != key.size:
-        merged = np.zeros(uniq.size, dtype=np.complex128)
-        np.add.at(merged, inv, amps)
-        amps = merged
-        na = uniq // (cutoff + 1)
-        nb = uniq % (cutoff + 1)
+    # a stable sort keeps duplicates adjacent in input order, and np.add.at
+    # adds them one after another (np.add.reduceat adds a run's tail pairwise)
+    order = np.lexsort((na, na + nb))
+    na, nb, amps = na[order], nb[order], amps[order]
+    first = (np.diff(na, prepend=-1) != 0) | (np.diff(nb, prepend=-1) != 0)
+    if not first.all():
+        merged = np.zeros(np.count_nonzero(first), dtype=np.complex128)
+        np.add.at(merged, np.cumsum(first) - 1, amps)
+        na, nb, amps = na[first], nb[first], merged
 
     mags = np.abs(amps)
     peak = mags.max()
@@ -158,9 +158,8 @@ def _canonical_state(
         raise EmptyStateError("state needs at least one nonzero amplitude")
     keep = mags > DEFAULT_PRUNE_THRESHOLD * peak
     na, nb, amps = na[keep], nb[keep], amps[keep]
-
-    order = np.lexsort((na, na + nb))
-    na, nb, amps = na[order], nb[order], amps[order]
+    if not 1e-100 < peak < 1e100:  # else a square below would underflow or overflow
+        amps = amps / peak
     amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2))
     return TwoModeState(na, nb, amps, int(cutoff))
 
@@ -266,6 +265,8 @@ def apply_beamsplitter(state: TwoModeState) -> TwoModeState:
     Commutes with total photon number, so the sector probabilities are
     untouched and the cutoff never grows.
     """
+    if not len(state):
+        return state
     na_parts, nb_parts, amp_parts = [], [], []
     for n, sl in sector_slices(state):
         na_parts.append(np.arange(n + 1, dtype=np.int64))

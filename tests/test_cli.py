@@ -360,9 +360,9 @@ def test_resolve_state_file_and_catalog(tmp_path):
     assert state.cutoff == 2 * 33  # auto cutoff from the 1e-10 tail bound
 
 
-def _cap_address_space():
+def _cap_address_space(limit=1 << 30):
     # runs in the child between fork and exec, so only the child is limited
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def test_default_zeta_noon_qfi_fits_in_one_gib(tmp_path):
@@ -421,22 +421,24 @@ def test_dual_fock_sectors_up_to_800_photons_fit_in_one_gib():
     assert report["fi"] == 0.0 and report["qfi"] == 0.0
 
 
-def test_zeta_noon_at_cutoff_1e5_fits_in_one_gib(tmp_path):
-    # 10^5 two-branch sectors in closed form; the (phases x sectors) arrays
-    # are taken in chunks, so none is 181 x 10^5
+@pytest.mark.parametrize("cutoff, limit", [(100_000, 1 << 30), (1_000_000, 512 << 20)], ids=["1e5", "1e6"])
+def test_zeta_noon_at_large_cutoff_fits_in_the_cap(tmp_path, cutoff, limit):
+    # K equal-weight two-branch sectors add one phase-independent total,
+    # and the state and its distribution are arrays, so 10^6 sectors fit
+    # in 512 MiB (a dict of 10^6 weights and two sorts of the table did not)
     out = tmp_path / "qfi.json"
     pythonpath = [str(Path(qfilab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
-        [sys.executable, "-m", "qfilab", "qfi", "catalog:zeta_noon:3:100000", "--out", str(out)],
+        [sys.executable, "-m", "qfilab", "qfi", f"catalog:zeta_noon:3:{cutoff}", "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath))),
-        preexec_fn=_cap_address_space,
+        preexec_fn=lambda: _cap_address_space(limit),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 3, proc.stderr
     with mpmath.workdps(50):
-        expected = float(mpmath.harmonic(100_000) / (mpmath.zeta(3) - mpmath.zeta(3, 100_001)))
+        expected = float(mpmath.harmonic(cutoff) / (mpmath.zeta(3) - mpmath.zeta(3, cutoff + 1)))
     assert math.isclose(json.loads(out.read_text())["fi"], expected, rel_tol=1e-13, abs_tol=0.0)
 
 

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qfilab import (
@@ -23,6 +25,7 @@ from qfilab import (
     state_to_json_dict,
     vacuum,
 )
+from qfilab.fock import DEFAULT_PRUNE_THRESHOLD
 
 from sector_operators import schwinger_matrices
 
@@ -79,6 +82,55 @@ def test_make_state_rejects_non_finite_amplitudes(amp):
 def test_make_state_merges_duplicates():
     s = make_state([(1, 0, 0.5), (1, 0, 0.5), (0, 1, 1.0)], cutoff=2)
     assert abs(s.amplitude(1, 0) - s.amplitude(0, 1)) < 1e-12
+
+
+amplitudes = st.builds(
+    complex,
+    st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False)),
+    st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False)),
+)
+
+
+@st.composite
+def entry_lists(draw):
+    """(n_a, n_b, amplitude) entries over a few pairs, each pair listed one
+    to four times, in any order."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=6, unique=True))
+    entries = [(a, b, draw(amplitudes)) for a, b in pairs for _ in range(draw(st.integers(1, 4)))]
+    return draw(st.permutations(entries))
+
+
+def reference_state(entries, cutoff):
+    """(na, nb, amps) of make_state by brute force: each pair's amplitudes
+    summed in input order with Python complex sums, pruned against the
+    largest, sorted by (N, n_a) and normalized by the same numpy expression,
+    after dividing by the largest where squares would leave the float range."""
+    merged = {}
+    for a, b, amp in entries:
+        merged[(a, b)] = merged.get((a, b), 0j) + amp
+    mags = np.abs(np.array(list(merged.values())))
+    assume(mags.max() > 0.0)
+    kept = sorted((a + b, a, b, amp) for ((a, b), amp), mag in zip(merged.items(), mags)
+                  if mag > DEFAULT_PRUNE_THRESHOLD * mags.max())
+    amps = np.array([amp for *_, amp in kept])
+    if not 1e-100 < mags.max() < 1e100:
+        amps = amps / mags.max()
+    return [k[1] for k in kept], [k[2] for k in kept], amps / np.sqrt(np.sum(np.abs(amps) ** 2))
+
+
+@given(entry_lists())
+def test_make_state_matches_a_brute_force_merge(entries):
+    na, nb, amps = reference_state(entries, 6)
+    state = make_state(entries, 6)
+    assert state.na.tolist() == na and state.nb.tolist() == nb
+    # == on every part: exact, though a signed zero is not told apart
+    assert np.array_equal(state.amps, amps)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_make_state_normalizes_amplitudes_whose_squares_leave_the_float_range(scale):
+    s = make_state([(0, 0, 1j * scale), (1, 0, 3.0 * scale)], cutoff=1)
+    np.testing.assert_allclose(s.amps, np.array([1j, 3.0]) / math.sqrt(10.0), rtol=1e-15)
 
 
 def test_canonical_order():

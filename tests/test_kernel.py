@@ -16,9 +16,12 @@ table's sum over N+1 outcomes leaves last-bit noise). That moved the
 zeta_noon case wholly, and the N = 2 sector of the MZI zeta_dual_fock
 case, from bit identity to this bound; dual_fock via MZI has no
 two-branch sector and stays bit for bit as a whole. The FI adds the
-two-branch total before the general sectors, so where a general sector
-lies below a two-branch one (GENERAL_FIRST) the whole-state sum leaves
-sector order and is held to the same bound.
+equal-weight two-branch sectors' total first (one number, broadcast to
+every phase, with no exponential), then the unequal-weight two-branch
+sectors, then the general ones, each kind in sector order. Where the kinds
+interleave (GENERAL_FIRST, MIXED_WEIGHTS) the whole-state sum leaves
+sector order and is held to the same bound, and MIXED_WEIGHTS to that
+documented order bit for bit.
 """
 
 import math
@@ -45,6 +48,7 @@ from qfilab.fisher import (
     _sectors,
     premeasurement_state,
 )
+from qfilab.fock import sector_slices
 
 
 def reference_fi_scan(pre, phis):
@@ -122,6 +126,51 @@ def test_general_sector_below_a_two_branch_one(size):
     for phi in phis[:: size // 6].tolist():
         _, total = sector_fi_decomposition(GENERAL_FIRST, phi, "MMZI")
         assert math.isclose(classical_fi(GENERAL_FIRST, phi, "MMZI").fi, total, rel_tol=1e-13)
+
+
+# equal-weight two-branch sectors (N = 1, 4) among unequal-weight ones
+# (N = 2, 3), below a general N = 5 sector
+MIXED_WEIGHTS = make_state([(0, 1, 0.3), (1, 0, 0.3j), (0, 2, 0.5), (2, 0, -0.2), (0, 3, 0.1 + 0.4j),
+                            (3, 0, 0.35), (0, 4, 0.25), (4, 0, -0.25), (2, 3, 0.2), (4, 1, 0.1j)], 5)
+
+
+def by_sector(state):
+    """Each sector of state as a sub-state, its amplitudes not renormalized."""
+    return [TwoModeState(state.na[sl], state.nb[sl], state.amps[sl], state.cutoff)
+            for _, sl in sector_slices(state)]
+
+
+@pytest.mark.parametrize("size", [181, 2 * _PHASE_BLOCK + 1, 40_000])
+def test_mixed_weight_two_branch_sectors(size):
+    two, general = _sector_kinds(MIXED_WEIGHTS)
+    a, b = MIXED_WEIGHTS.amps[two], MIXED_WEIGHTS.amps[two + 1]
+    assert (np.abs(a) == np.abs(b)).tolist() == [True, False, False, True]
+    assert general.occupied_sectors() == [5]
+    phis = np.linspace(0.0, 2.0 * math.pi, size)
+    fi = fi_scan(MIXED_WEIGHTS, phis, "MMZI")
+    # the documented order, bit for bit: the equal-weight sectors' total,
+    # then each unequal-weight sector and the general one, one after another
+    fi1, fi2, fi3, fi4, fi5 = (fi_scan(s, phis, "MMZI") for s in by_sector(MIXED_WEIGHTS))
+    assert np.array_equal(fi, (fi1 + fi4) + fi2 + fi3 + fi5)
+    # the equal-weight sectors first leave sector order, so against the
+    # per-sector formula and the sector sum the scan moves by rounding only
+    np.testing.assert_allclose(fi, reference_fi_scan(MIXED_WEIGHTS, phis), rtol=1e-13, atol=0.0)
+    for phi in phis[:: size // 6].tolist():
+        _, total = sector_fi_decomposition(MIXED_WEIGHTS, phi, "MMZI")
+        assert math.isclose(classical_fi(MIXED_WEIGHTS, phi, "MMZI").fi, total, rel_tol=1e-13)
+
+
+def test_equal_weight_scan_evaluates_no_phase(monkeypatch):
+    # every zeta_noon sector is equal-weight: the scan is one total,
+    # broadcast to every phase, with no exponential at all
+    state = zeta_noon(3.0, 200_000)[0]
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("exponential evaluated")
+
+    monkeypatch.setattr(np, "exp", forbidden)
+    fi = fi_scan(state, np.linspace(0.0, 2.0 * math.pi, 4097), "MMZI")
+    assert fi.shape == (4097,) and np.all(fi == fi[0])
 
 
 def test_two_branch_scan_takes_no_splitter_column(monkeypatch, tmp_path):

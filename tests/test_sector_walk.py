@@ -125,7 +125,18 @@ def test_scalar_sector_readers_walk_no_sector(monkeypatch):
 def test_empty_state_has_no_sectors_and_no_fringes():
     n, lo, hi = fock.sector_bounds(EMPTY)
     assert n.size == lo.size == hi.size == 0
-    assert likelihood_period(EMPTY) == math.inf
+    assert len(apply_beamsplitter(EMPTY)) == 0
+    for pipeline in ("MZI", "MMZI"):
+        # no outcome: empty tables, no fringes and no information
+        assert likelihood_period(EMPTY, pipeline) == math.inf
+        table = fisher._outcome_table(fisher.premeasurement_state(EMPTY, pipeline), 0.3)
+        assert all(col.size == 0 for col in table)
+        assert fisher.likelihood(EMPTY, 0.3, pipeline) == {}
+        assert fisher.likelihood_with_derivative(EMPTY, 0.3, pipeline) == {}
+        assert fisher.fi_scan(EMPTY, np.array([0.1, 0.2]), pipeline).tolist() == [0.0, 0.0]
+        report = fisher.classical_fi(EMPTY, 0.3, pipeline)
+        assert (report.fi, report.qfi, report.singular) == (0.0, 0.0, False)
+        assert fisher.fi_observable(EMPTY, 0.3, pipeline, lambda a, b: b - a).fi == 0.0
     # an empty record is cut to the empty sub-state, whose log-likelihood is 0
     assert not estimation._loglik_grid(GAPPED, {})(np.array([0.1, 0.2])).any()
 

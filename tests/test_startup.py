@@ -1,8 +1,11 @@
-"""Which scipy subpackages a fresh qfilab process loads.
+"""Which scipy subpackages, and whether numpy.ma, a fresh qfilab process
+loads.
 
 scipy is imported inside the functions that use it, so the package and
 the commands that need no scipy routine start without it: import time is
-most of the wall time of a small command.
+most of the wall time of a small command. numpy imports numpy.ma lazily;
+in numpy 2.x np.unique does (it asks np.ma.is_masked), so a command that
+calls no np.unique starts without it.
 """
 
 import json
@@ -20,11 +23,15 @@ _REPORT = (
     "from qfilab.cli import main\n"
     "if sys.argv[1:]:\n"
     "    main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')), file=sys.stderr)\n"
+    "print(json.dumps(sorted(m for m in sys.modules\n"
+    "                        if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma'])),\n"
+    "      file=sys.stderr)\n"
 )
 
 
-def _scipy_modules(argv):
+def _loaded_modules(argv):
+    """The scipy and numpy.ma modules loaded by a fresh process that
+    imports qfilab.cli and runs main(argv) when argv is not empty."""
     pythonpath = [str(Path(qfilab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-c", _REPORT, *argv],
@@ -39,26 +46,28 @@ def _scipy_modules(argv):
 
 @pytest.mark.parametrize("argv", [[], ["catalog", "list"]], ids=["import", "catalog-list"])
 def test_import_and_catalog_list_load_no_scipy(argv):
-    assert _scipy_modules(argv) == set()
+    assert _loaded_modules(argv) == set()
 
 
 @pytest.mark.parametrize("command", ["qfi", "fi-scan"])
 def test_two_branch_qfi_loads_no_scipy(tmp_path, command):
     # every sector is two-branch: the FI takes the closed form, which needs
-    # no splitter column, so not gammaln either
-    assert _scipy_modules([command, "catalog:zeta_noon:3:40", "--out", str(tmp_path / "out")]) == set()
+    # no splitter column, so not gammaln either; and with no general
+    # sector it sets up no phase kernel, so calls no np.unique (numpy.ma)
+    assert _loaded_modules([command, "catalog:zeta_noon:3:40", "--out", str(tmp_path / "out")]) == set()
 
 
 def test_mzi_qfi_on_a_general_input_loads_no_scipy(tmp_path):
     # |N,N> takes the splitter recurrence, not a scipy eigensolver
-    assert _scipy_modules(["qfi", "catalog:dual_fock:3", "--pipeline", "MZI",
-                           "--out", str(tmp_path / "q.json")]) == set()
+    loaded = _loaded_modules(["qfi", "catalog:dual_fock:3", "--pipeline", "MZI",
+                             "--out", str(tmp_path / "q.json")])
+    assert not {m for m in loaded if m.startswith("scipy")}
 
 
 def test_mzi_estimate_on_dual_fock_loads_special_only(tmp_path):
     # the |1,1> sector is two-branch after the first splitter, so its final
     # splitter columns take the closed form
-    loaded = _scipy_modules(["estimate", "catalog:zeta_dual_fock:3:30", "--pipeline", "MZI",
-                             "--phi-true", "0.3", "--trials", "100", "--out", str(tmp_path / "e.jsonl")])
+    loaded = _loaded_modules(["estimate", "catalog:zeta_dual_fock:3:30", "--pipeline", "MZI",
+                              "--phi-true", "0.3", "--trials", "100", "--out", str(tmp_path / "e.jsonl")])
     assert "scipy.special" in loaded
     assert not loaded & {"scipy.linalg", "scipy.optimize"}
