@@ -32,7 +32,7 @@ from . import catalog as cat
 from . import curves
 from .curves import SpecError
 from .estimation import run_estimation
-from .fisher import PIPELINES, FisherReport, fi_scan, premeasurement_state, qfi_pure
+from .fisher import PIPELINES, FisherReport, fi_scan, qfi_pure
 from .fock import DEFAULT_NORM_TOL, _json_entries, load_state, make_state
 
 # family -> (constructor, URI parameter names, `catalog list` text)
@@ -239,15 +239,14 @@ def _run_curve(args) -> int:
 
 def _cmd_qfi(args) -> int:
     state, dist, desc = resolve_state(args.state)
-    pre = premeasurement_state(state, args.pipeline)
     phis = np.linspace(0.0, 2.0 * math.pi, 181)
-    scan = fi_scan(pre, phis, "MMZI")
+    scan = fi_scan(state, phis, args.pipeline)
     best = int(np.argmax(scan))
     divergent = bool(dist and dist.mean_square.divergent)
     report = FisherReport(
         phi=float(phis[best]),
         fi=float(scan[best]),
-        qfi=qfi_pure(pre),
+        qfi=qfi_pure(state, args.pipeline),
         povm="counting:na_nb",
         pipeline=args.pipeline,
         qfi_divergent=divergent,
@@ -269,9 +268,8 @@ def _cmd_qfi(args) -> int:
 def _cmd_fi_scan(args) -> int:
     state, dist, _ = resolve_state(args.state)
     phis = _sweep(args)
-    pre = premeasurement_state(state, args.pipeline)
-    fi = fi_scan(pre, phis, "MMZI")
-    qfi = qfi_pure(pre)
+    fi = fi_scan(state, phis, args.pipeline)
+    qfi = qfi_pure(state, args.pipeline)
     columns = ["phi", "fi", "qfi"]
     rows = [[float(p), float(f), qfi] for p, f in zip(phis, fi)]
     meta = (

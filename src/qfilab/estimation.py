@@ -32,7 +32,19 @@ from typing import Callable
 
 import numpy as np
 
-from .fisher import _amplitudes, _outcome_table, _sectors, classical_fi, likelihood_period, premeasurement_state
+from .fisher import (
+    _amplitudes,
+    _distinct,
+    _fi_reduce,
+    _outcome_table,
+    _period,
+    _rotation,
+    _rotation_ladders,
+    _sectors,
+    _split,
+    _Split,
+    likelihood_period,
+)
 from .fock import TwoModeState
 
 RNG_ALGORITHM = "philox4x64"
@@ -84,11 +96,11 @@ def _checked_window(window, period: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _sampler(pre: TwoModeState, phi_true: float):
+def _sampler(split: _Split, phi_true: float):
     """Function (m_trials, seed) -> histogram of m_trials draws at phi_true
-    from the pre-measurement state pre; the outcome table is built here,
-    once for every draw."""
-    na, nb, z, _ = _outcome_table(pre, phi_true, False)  # no derivative
+    from the split state; the outcome table is built here, once for every
+    draw."""
+    na, nb, z, _ = _outcome_table(split, phi_true, False)  # no derivative
     p = np.abs(z) ** 2
     probs = p / p.sum()
 
@@ -114,37 +126,48 @@ def sample_outcomes(
     """
     if m_trials < 1:
         raise ValueError("m_trials must be >= 1")
-    return _sampler(premeasurement_state(state, pipeline), phi_true)(m_trials, seed)
+    return _sampler(_split(state, pipeline), phi_true)(m_trials, seed)
 
 
 def _loglik_grid(
-    pre: TwoModeState, outcomes: dict[tuple[int, int], int]
+    split: _Split, outcomes: dict[tuple[int, int], int]
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Log-likelihood of an outcome histogram on a phase grid, for the
-    pre-measurement state pre. Once per record, here, the histogram is
-    checked, pre is cut to the sub-state of the observed sectors, and its
-    kernel is set up (_amplitudes' held, observed columns only); the
-    returned function of phis only evaluates it and sums counts times log p.
+    split state. Once per record, here, the histogram is checked, the
+    state is cut to the sub-states of the observed sectors, and their
+    kernels are set up: the phase kernel's (_amplitudes' held, observed
+    columns only) and the rotation's (each observed sector's counts per
+    ladder step, m and -m together, as P is even in m). The returned
+    function of phis only evaluates them and sums counts times log p.
     """
     by_sector = {}
     for (a, b), cnt in outcomes.items():
         if a < 0 or b < 0 or cnt < 0:
             raise ValueError(f"outcome {(a, b)} with count {cnt}: port counts and counts must be >= 0")
         by_sector.setdefault(a + b, []).append((a, cnt))
-    keep = np.isin(pre.n_total, list(by_sector))
-    sub = TwoModeState(pre.na[keep], pre.nb[keep], pre.amps[keep], pre.cutoff)
-    unique_m = np.unique(sub.j3_values)
+    observed = list(by_sector)
+    sub = split.table.subset(np.isin(split.table.n_total, observed))
+    unique_m = _distinct(sub.j3_values)
     held = [(n, vec, m, unique_m.searchsorted(m), bs_t[:, [a for a, _ in by_sector[n]]])
             for n, vec, m, bs_t in _sectors(sub)]
-    if len(held) < len(by_sector):  # an observed sector that pre does not occupy
-        stray = [k for k in outcomes if k[0] + k[1] not in {n for n, *_ in held}]
+    j, amps, _, _, _ = _rotation_ladders(split.single.subset(np.isin(split.single.n_total, observed)))
+    if len(held) + j.size < len(by_sector):  # an observed sector that the state does not occupy
+        stray = [k for k in outcomes if k[0] + k[1] not in {n for n, *_ in held} | set((2 * j).tolist())]
         raise ValueError(f"outcomes {stray} lie outside the occupied sectors")
     counts = {n: np.array([c for _, c in group], dtype=float) for n, group in by_sector.items()}
+    steps = np.zeros((j.max(initial=-1) + 1, j.size))  # steps[t, i]: counts of n_a = J_i +- (J_i - t)
+    for i, jj in enumerate(j.tolist()):
+        for a, cnt in by_sector[2 * jj]:
+            steps[jj - abs(a - jj), i] += cnt
+    seen = [np.flatnonzero(row) for row in steps]
+    weight = np.abs(amps) ** 2
 
     def loglik(phis: np.ndarray) -> np.ndarray:
         ll = np.zeros(phis.size)
         for rows, n, amp, _ in _amplitudes(sub, phis, (unique_m, held), False):
             ll[rows] += np.log(np.maximum(np.abs(amp) ** 2, _LOG_FLOOR)) @ counts[n]
+        for rows, t, sel, d, _ in _rotation(j, phis, False, seen):
+            ll[rows] += steps[t, sel] @ np.log(np.maximum(weight[sel, None] * (d * d), _LOG_FLOOR))
         return ll
 
     return loglik
@@ -169,9 +192,9 @@ def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _mle(pre: TwoModeState, outcomes: dict[tuple[int, int], int], lo: float, hi: float) -> float:
+def _mle(split: _Split, outcomes: dict[tuple[int, int], int], lo: float, hi: float) -> float:
     """Grid-plus-golden maximum-likelihood search on a checked window."""
-    loglik = _loglik_grid(pre, outcomes)
+    loglik = _loglik_grid(split, outcomes)
     if sum(outcomes.values()) == 0:
         raise DegenerateLikelihoodError("empty outcome record")
     phis = np.linspace(lo, hi, MLE_GRID_POINTS)
@@ -204,8 +227,8 @@ def mle_phase(
     DegenerateLikelihoodError when the outcome record carries no phase
     information over the window.
     """
-    pre = premeasurement_state(state, pipeline)
-    return _mle(pre, outcomes, *_checked_window(window, likelihood_period(pre)))
+    split = _split(state, pipeline)
+    return _mle(split, outcomes, *_checked_window(window, _period(split)))
 
 
 @dataclass(frozen=True)
@@ -257,13 +280,13 @@ class EstimationRun:
 
 def _setup(state: TwoModeState, phi_true: float, pipeline: str, window):
     """The per-command set-up of run_estimation and crb_convergence_study,
-    done once before any draw: (pre-measurement state, likelihood period,
-    checked window, FI at phi_true, sampler at phi_true)."""
-    pre = premeasurement_state(state, pipeline)
-    period = likelihood_period(pre)
+    done once before any draw: (split state, likelihood period, checked
+    window, FI at phi_true, sampler at phi_true)."""
+    split = _split(state, pipeline)
+    period = _period(split)
     window = _checked_window(_quarter_window(period, phi_true) if window is None else window, period)
-    fi = classical_fi(pre, phi_true, "MMZI").fi
-    return pre, period, window, fi, _sampler(pre, phi_true)
+    fi = float(_fi_reduce(split, np.array([float(phi_true)]))[0][0])
+    return split, period, window, fi, _sampler(split, phi_true)
 
 
 def run_estimation(
@@ -284,12 +307,12 @@ def run_estimation(
         raise ValueError("reps must be >= 1")
     if m_trials < 1:
         raise ValueError("m_trials must be >= 1")
-    pre, period, (lo, hi), fi, draw = _setup(state, phi_true, pipeline, window)
+    split, period, (lo, hi), fi, draw = _setup(state, phi_true, pipeline, window)
     crb_m = 1.0 / (m_trials * fi) if fi > 1e-12 else None
     runs = []
     for rep in range(reps):
         outcomes = draw(m_trials, np.random.SeedSequence(int(seed), spawn_key=(rep,)))
-        phi_hat = _mle(pre, outcomes, lo, hi)
+        phi_hat = _mle(split, outcomes, lo, hi)
         runs.append(EstimationRun(
             phi_true=float(phi_true),
             m_trials=int(m_trials),
@@ -338,7 +361,7 @@ def crb_convergence_study(
         raise ValueError("each trial count must be >= 10")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    pre, _, (lo, hi), fi, draw = _setup(state, phi_true, pipeline, window)
+    split, _, (lo, hi), fi, draw = _setup(state, phi_true, pipeline, window)
     flagged = fi < 1e-12
     rows = []
     for mi, m in enumerate(m_list):
@@ -346,7 +369,7 @@ def crb_convergence_study(
         for rep in range(repetitions):
             outcomes = draw(m, np.random.SeedSequence(int(seed), spawn_key=(mi, rep)))
             try:
-                phi_hat = _mle(pre, outcomes, lo, hi)
+                phi_hat = _mle(split, outcomes, lo, hi)
             except DegenerateLikelihoodError:
                 flagged = True
                 continue

@@ -68,6 +68,7 @@ import numpy as np
 from .catalog import Moment, PhotonDistribution
 from .fock import (
     _I_POWERS,
+    _RESCALE_ABOVE,
     TwoModeState,
     apply_beamsplitter,
     expect,
@@ -179,6 +180,39 @@ def premeasurement_state(state: TwoModeState, pipeline: str) -> TwoModeState:
     return apply_beamsplitter(state) if pipeline == "MZI" else state
 
 
+class _Split(NamedTuple):
+    """A state sorted by sector kind for one pipeline (_split).
+
+    single: for "MZI", the source's single-input sectors. Two splitters
+    around the phase act on one Fock input |n_a, n_b> as a rotation
+    exp(-i phi J2) of the swapped input, so no reader sends these through
+    the first splitter: their FI and fringe spread have closed forms, and
+    the outcome amplitudes of a balanced input n_a = n_b = J come from
+    the rotation (_rotation). Empty for "MMZI".
+    pre: the pre-measurement state of every other sector.
+    table: pre plus the splitter image of the unbalanced single inputs,
+    which the outcome-table readers still take through the phase kernel.
+    """
+
+    single: TwoModeState
+    pre: TwoModeState
+    table: TwoModeState
+
+
+def _split(state: TwoModeState, pipeline: str) -> _Split:
+    """state sorted into _Split's kinds; the first splitter, if any, is
+    applied here, once, and only to the sectors that need it."""
+    if pipeline != "MZI":
+        pre = premeasurement_state(state, pipeline)  # rejects an unknown pipeline
+        return _Split(state.subset(slice(0)), pre, pre)
+    _, lo, hi = sector_bounds(state)
+    alone = np.zeros(len(state), dtype=bool)
+    alone[lo[hi - lo == 1]] = True
+    table = apply_beamsplitter(state.subset(~(alone & (state.na == state.nb))))
+    pre = table.subset(~np.isin(table.n_total, state.n_total[alone]))
+    return _Split(state.subset(alone), pre, table)
+
+
 def _sectors(pre: TwoModeState):
     """Yield (N, vec, m, bs_t) for each occupied sector of the pre-measurement
     state pre, restricted to its occupied inputs: their amplitudes, their J3
@@ -189,6 +223,21 @@ def _sectors(pre: TwoModeState):
         yield n, pre.amps[start:stop], na - n / 2.0, splitter_columns(n, na).T
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, the bits np.unique gives, from one sort
+    and one comparison of neighbours (np.unique would import numpy.ma)."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=-np.inf) != 0.0]
+
+
+def _phase_blocks(size: int) -> list[slice]:
+    """Near-equal row slices of at most _PHASE_BLOCK phases, never a
+    one-phase block unless there is one phase (a one-row matmul takes
+    BLAS's matrix-vector path, whose last bits differ)."""
+    blocks = -(-size // _PHASE_BLOCK) or 1
+    return [slice(b * size // blocks, (b + 1) * size // blocks) for b in range(blocks)]
+
+
 def _amplitudes(pre: TwoModeState, phis: np.ndarray, held=None, derivative=True):
     """Yield (rows, N, out, dout) per block of phases and sector: out[i, k]
     is the amplitude at phis[rows][i] of the sector's k-th splitter column
@@ -196,14 +245,11 @@ def _amplitudes(pre: TwoModeState, phis: np.ndarray, held=None, derivative=True)
     derivative or None without derivative. held is pre's kernel set up once
     by a caller that evaluates it many times: its distinct J3 eigenvalues and
     per sector (N, vec, m, gather indices, bs_t); by default each block walks
-    pre's sectors afresh, holding one sector's columns. An empty pre sets
-    nothing up (np.unique would import numpy.ma)."""
+    pre's sectors afresh, holding one sector's columns."""
     if not len(pre):
         return
-    unique_m = np.unique(pre.j3_values) if held is None else held[0]
-    blocks = -(-phis.size // _PHASE_BLOCK) or 1
-    for b in range(blocks):
-        rows = slice(b * phis.size // blocks, (b + 1) * phis.size // blocks)
+    unique_m = _distinct(pre.j3_values) if held is None else held[0]
+    for rows in _phase_blocks(phis.size):
         table = np.exp(-1j * np.outer(phis[rows], unique_m))
         walk = held[1] if held is not None else (
             (n, vec, m, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(pre))
@@ -212,18 +258,127 @@ def _amplitudes(pre: TwoModeState, phis: np.ndarray, held=None, derivative=True)
             yield rows, n, chi @ bs_t, (chi * (-1j * m)) @ bs_t if derivative else None
 
 
-def _outcome_table(pre: TwoModeState, phi: float, derivative=True):
+_FLAT = 2.0**-600  # |sin phi| below which the rotation is the permutation to every bit of P
+
+
+def _rotation(j: np.ndarray, phis: np.ndarray, derivative=True, cols=None):
+    """Yield (rows, t, sel, d, dd) per block of phases and step t = 0, 1, ...:
+    d[c, i] is the Wigner element d^J_{J-t,0}(phis[rows][i]) of the balanced
+    single input |J, J> with J = j[sel[c]] (j ascending), and dd its phase
+    derivative, or None without derivative. sel is every sector with
+    J >= t, or cols[t] when a caller reads only those (a step with none
+    is not yielded).
+
+    The MZI sends |J, J> to exp(-i phi J2)|J, J> up to a constant phase,
+    so outcome (J + m, J - m) has amplitude d^J_{m,0}(phi), the same at
+    -m up to the sign (-1)^m. The elements follow from
+    e_{m-1} d_{m-1} = -2 m cot(phi) d_m - e_m d_{m+1}, e_m = <m+1|J+|m>,
+    run down from m = J, where d grows or oscillates, so the run is
+    stable, and dd = (e_m d_{m+1} - e_{m-1} d_{m-1})/2. The seed
+    |d^J_{J,0}| = sqrt(C(2J,J)) |sin(phi)/2|^J is taken in log2 space,
+    its binomial as a running product of (2i-1)/(2i), which rounds far
+    less than lgamma at large J. Values are held as a mantissa times
+    2^scale per sector and phase, so a ladder that starts below the float
+    range underflows only at its true size; a running bound on the
+    mantissas' growth decides when they are rescaled against overflow.
+    Rows are sectors and columns phases, so each step works on one
+    contiguous block. Where |sin(phi)| < _FLAT the rotation is the
+    identity, handled exactly.
+    """
+    if not j.size:
+        return
+    top, jf = int(j[-1]), j.astype(float)
+    t = np.arange(top + 1)[:, None]
+    live = jf >= t  # (step, sector): the ladders still running
+    up = np.sqrt(np.where(live, t * (2.0 * jf - t + 1.0), 0.0))
+    down = np.sqrt(np.where(live, (t + 1.0) * (2.0 * jf - t), 1.0))
+    down[down == 0.0] = 1.0  # only J = 0, whose terms vanish
+    turn, back = -2.0 * (jf - t) / down, -up / down
+    reach = np.abs(np.where(live, turn, 0.0)).max(axis=1), np.abs(back).max(axis=1)
+    first = np.searchsorted(j, t[:, 0])  # sectors from first[t] on are live at step t
+    k = np.arange(1, top + 1)
+    lead = 0.5 * np.log2(np.cumprod(np.concatenate(([1.0], (2 * k - 1) / (2 * k)))))[j, None]
+    up, down, turn, back = (col[:, :, None] for col in (up, down, turn, back))
+    for rows in _phase_blocks(phis.size):
+        sin, cos = np.sin(phis[rows]), np.cos(phis[rows])
+        flat = np.abs(sin) < _FLAT
+        frac, power = np.frexp(np.where(flat, 1.0, np.abs(sin)))
+        cot = np.where(flat, 0.0, cos / np.where(flat, 1.0, sin))
+        seed = lead + jf[:, None] * np.log2(frac)
+        whole = np.floor(seed)
+        prev, cur, nxt = np.zeros(seed.shape), np.where(flat, 0.0, np.exp2(seed - whole)), np.empty(seed.shape)
+        scale = whole.astype(np.int64) + j[:, None] * power
+        bound, steep = 2.0, float(np.abs(cot).max(initial=0.0))  # |prev|, |cur| <= bound
+        for step in range(top + 1):
+            lo = int(first[step])
+            p, c, n = prev[lo:], cur[lo:], nxt[lo:]
+            np.multiply(turn[step, lo:], cot, out=n)
+            n *= c
+            if derivative:
+                n += back[step, lo:] * p
+                dd = 0.5 * (up[step, lo:] * p - down[step, lo:] * n)
+            else:
+                p *= back[step, lo:]
+                n += p
+            sel = np.arange(lo, j.size) if cols is None else cols[step]
+            if sel.size:
+                d = np.ldexp(c[sel - lo], scale[sel])
+                dd = np.ldexp(dd[sel - lo], scale[sel]) if derivative else None
+                if flat.any():
+                    d = np.where(flat, (jf[sel] == step)[:, None], d)
+                    if derivative:
+                        dd = np.where(flat, (jf[sel] == step + 1)[:, None] * (-0.5 * down[step, sel]), dd)
+                yield rows, step, sel, d, dd
+            prev, cur, nxt = cur, nxt, prev
+            bound *= max(1.0, steep * reach[0][step] + reach[1][step])
+            if bound > _RESCALE_ABOVE:
+                _, shift = np.frexp(np.maximum(np.abs(prev[lo:]), np.abs(cur[lo:])))
+                prev[lo:], cur[lo:] = np.ldexp(prev[lo:], -shift), np.ldexp(cur[lo:], -shift)
+                scale[lo:] += shift
+                bound = 1.0
+
+
+def _rotation_ladders(single: TwoModeState):
+    """The rotation sectors of single (its balanced inputs) and the flat
+    layout of their outcomes: (J, amplitudes, the index of each sector's
+    n_a = J outcome, its n_a and n_b columns)."""
+    rot = single.subset(single.na == single.nb)
+    j = rot.na
+    sizes = 2 * j + 1
+    centre = np.cumsum(sizes) - j - 1
+    na = np.arange(sizes.sum()) - np.repeat(centre - j, sizes)
+    return j, rot.amps, centre, na, np.repeat(2 * j, sizes) - na
+
+
+def _outcome_table(split: _Split, phi: float, derivative=True):
     """Every outcome of the occupied sectors as flat arrays (na, nb, z, dz)
     in canonical (N, n_a) order: the port counts, the outcome amplitude at
     phi and its phase derivative (None without derivative), so P = |z|^2
-    and dP = 2 Re(conj(z) dz). Zero-probability port splits are included."""
+    and dP = 2 Re(conj(z) dz). Zero-probability port splits are included.
+    A rotation sector's z and dz share a phase factor that does not depend
+    on phi and that neither P nor dP sees."""
+    phis = np.array([float(phi)])
     na, nb, z, dz = ([np.zeros(0, dtype)] for dtype in (np.int64, np.int64, complex, complex))
-    for _, n, out, dout in _amplitudes(pre, np.array([float(phi)]), derivative=derivative):
+    for _, n, out, dout in _amplitudes(split.table, phis, derivative=derivative):
         na.append(np.arange(n + 1))
         nb.append(n - na[-1])
         z.append(out[0])
         dz.append(dout[0] if derivative else None)
-    return (*(np.concatenate(col) for col in (na, nb, z)), np.concatenate(dz) if derivative else None)
+    j, amps, centre, rot_na, rot_nb = _rotation_ladders(split.single)
+    ladder = np.zeros((2, rot_na.size))
+    for _, t, sel, d, dd in _rotation(j, phis, derivative):
+        m = j[sel] - t
+        for row, value in enumerate((d, dd) if derivative else (d,)):
+            ladder[row, centre[sel] + m] = value[:, 0]
+            ladder[row, centre[sel] - m] = value[:, 0] * (1.0 - 2.0 * (m % 2))
+    weight = np.repeat(amps, 2 * j + 1)
+    na.append(rot_na)
+    nb.append(rot_nb)
+    z.append(weight * ladder[0])
+    dz.append(weight * ladder[1] if derivative else None)
+    na, nb, z = (np.concatenate(col) for col in (na, nb, z))
+    order = np.argsort(na + nb, kind="stable")  # each part is in (N, n_a) order already
+    return na[order], nb[order], z[order], np.concatenate(dz)[order] if derivative else None
 
 
 def likelihood(
@@ -233,7 +388,7 @@ def likelihood(
     dict view of _outcome_table, so every port split of each occupied
     total-photon sector is listed, including zero-probability ones."""
     povm = povm or CountingPOVM()
-    na, nb, z, _ = _outcome_table(premeasurement_state(state, pipeline), phi, False)
+    na, nb, z, _ = _outcome_table(_split(state, pipeline), phi, False)
     return {povm.key(a, b): x for a, b, x in zip(na.tolist(), nb.tolist(), (np.abs(z) ** 2).tolist())}
 
 
@@ -242,9 +397,17 @@ def likelihood_with_derivative(
 ) -> dict[tuple[int, int], tuple[float, float]]:
     """Outcome probabilities together with analytic d/dphi, keyed by povm."""
     povm = povm or CountingPOVM()
-    na, nb, z, dz = _outcome_table(premeasurement_state(state, pipeline), phi)
+    na, nb, z, dz = _outcome_table(_split(state, pipeline), phi)
     p, dp = (np.abs(z) ** 2).tolist(), (2.0 * np.real(np.conj(z) * dz)).tolist()
     return {povm.key(a, b): (x, dx) for a, b, x, dx in zip(na.tolist(), nb.tolist(), p, dp)}
+
+
+def _period(split: _Split) -> float:
+    """likelihood_period of a split state: a single input's spread is its N,
+    since the rotation reaches every port split of its sector."""
+    _, lo, hi = sector_bounds(split.pre)
+    spread = max(np.max(split.single.n_total, initial=0), np.max(split.pre.na[hi - 1] - split.pre.na[lo], initial=0))
+    return 2.0 * math.pi / spread if spread else math.inf
 
 
 def likelihood_period(state: TwoModeState, pipeline: str = "MMZI") -> float:
@@ -255,10 +418,7 @@ def likelihood_period(state: TwoModeState, pipeline: str = "MMZI") -> float:
     occupied n_a spread. A state with one entry, or none, has no fringes
     (infinite period).
     """
-    pre = premeasurement_state(state, pipeline)
-    _, lo, hi = sector_bounds(pre)
-    spread = np.max(pre.na[hi - 1] - pre.na[lo], initial=0)
-    return 2.0 * math.pi / spread if spread else math.inf
+    return _period(_split(state, pipeline))
 
 
 _AMP_NOISE = 1e-13  # amplitudes below this are splitter-column rounding noise
@@ -297,10 +457,10 @@ def _sector_kinds(pre: TwoModeState) -> tuple[np.ndarray, TwoModeState]:
     two = pairs[(pre.na[pairs] == 0) & (pre.nb[pairs + 1] == 0)]
     general = np.repeat(size > 1, size)
     general[two] = general[two + 1] = False
-    return two, TwoModeState(pre.na[general], pre.nb[general], pre.amps[general], pre.cutoff)
+    return two, pre.subset(general)
 
 
-def _two_branch_fi(pre: TwoModeState, two: np.ndarray, phis: np.ndarray) -> np.ndarray:
+def _two_branch_fi(pre: TwoModeState, two: np.ndarray, phis: np.ndarray, lead: np.ndarray) -> np.ndarray:
     """The counting FI at phis of the two-branch sectors of pre whose n_a = 0
     entries sit at indices two, in closed form.
 
@@ -317,8 +477,9 @@ def _two_branch_fi(pre: TwoModeState, two: np.ndarray, phis: np.ndarray) -> np.n
     or 2|a||b|) is smaller, so near a dark fringe, where u or v is small,
     neither term comes out of a cancellation; at s2 == 0 the factor is 0.
     No limit branch of _fi_terms is involved, so these sectors are never
-    singular. The equal-weight sectors' total comes first (_running_total),
-    broadcast to every phase; then the others, in chunks of about
+    singular. The phase-independent terms lead, then the equal-weight
+    sectors, are summed first (_running_total) and broadcast to every
+    phase; then the others, in chunks of about
     _CLOSED_FORM_CELLS cells laid out sectors x phases, whose rows numpy
     adds one after another, so every phase sums in sector order.
     """
@@ -326,7 +487,7 @@ def _two_branch_fi(pre: TwoModeState, two: np.ndarray, phis: np.ndarray) -> np.n
     a, b = pre.amps[two], pre.amps[two + 1] * _I_POWERS[n % 4]
     pa, pb = np.abs(a) ** 2, np.abs(b) ** 2
     weight, ab4, flat = (pa + pb) * (n * n), 4.0 * pa * pb, pa == pb
-    fi = np.full(phis.size, _running_total(weight[flat]))
+    fi = np.full(phis.size, _running_total(np.concatenate((lead, weight[flat]))))
     n, a, b, weight, ab4 = (col[~flat, None] for col in (n, a, b, weight, ab4))  # a row per sector
     step = max(1, _CLOSED_FORM_CELLS // max(1, phis.size))
     for c in range(0, len(n), step):
@@ -344,16 +505,21 @@ def _two_branch_fi(pre: TwoModeState, two: np.ndarray, phis: np.ndarray) -> np.n
     return fi
 
 
-def _fi_reduce(pre: TwoModeState, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fi_reduce(split: _Split, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Counting-measurement FI at each phase, summed kind by kind, and
-    whether the limit algebra failed there: the closed-form total of the
-    two-branch sectors (_two_branch_fi), then each general sector from the
-    phase kernel, in sector order; single-input sectors add exactly 0.
-    Only the untrusted entries of _fi_terms are checked against
+    whether the limit algebra failed there. An MZI single input |n_a, n_b>
+    adds its phase-independent n_a + n_b + 2 n_a n_b (2J(J+1) for |J,J>),
+    its weight times 4 Var(J2); these come first, with the two-branch
+    sectors of the pre-measurement state in closed form (_two_branch_fi);
+    then each general sector from the phase kernel, in sector order. A
+    single-input sector of the pre-measurement state adds exactly 0. Only
+    the untrusted entries of _fi_terms are checked against
     |dp| <= 2 |z| |dz|, as a masked reduction rather than a gather.
     """
+    single, pre = split.single, split.pre
     two, general = _sector_kinds(pre)
-    fi = _two_branch_fi(pre, two, phis)
+    lead = np.abs(single.amps) ** 2 * (single.n_total + 2 * single.na * single.nb)
+    fi = _two_branch_fi(pre, two, phis, lead)
     singular = np.zeros(phis.size, dtype=bool)
     for rows, _, out, dout in _amplitudes(general, phis):
         dp = 2.0 * np.real(np.conj(out) * dout)
@@ -379,12 +545,11 @@ def classical_fi(
     names the POVM in the report.
     """
     povm = povm or CountingPOVM()
-    pre = premeasurement_state(state, pipeline)
-    fi, singular = _fi_reduce(pre, np.array([float(phi)]))
+    fi, singular = _fi_reduce(_split(state, pipeline), np.array([float(phi)]))
     return FisherReport(
         phi=float(phi),
         fi=float(fi[0]),
-        qfi=qfi_pure(pre),
+        qfi=qfi_pure(state, pipeline),
         povm=povm.povm_id,
         pipeline=pipeline,
         singular=bool(singular[0]),
@@ -394,17 +559,46 @@ def classical_fi(
 def fi_scan(state: TwoModeState, phis: np.ndarray, pipeline: str) -> np.ndarray:
     """Vectorized counting-measurement FI over a phase grid."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    return _fi_reduce(premeasurement_state(state, pipeline), phis)[0]
+    return _fi_reduce(_split(state, pipeline), phis)[0]
 
 
-def qfi_pure(state: TwoModeState) -> float:
-    """Quantum Fisher information 4 Var(J3) of a pure state.
+def qfi_pure(state: TwoModeState, pipeline: str = "MMZI") -> float:
+    """Quantum Fisher information of a pure state under a pipeline's phase.
 
     This is the phase information attained by the optimal measurement on
-    the phase-encoded state; pass the post-splitter state for an MZI input.
+    the phase-encoded state: 4 Var(J3) of the state itself for "MMZI".
+    For "MZI" it is 4 Var(J3) after the first splitter B, which is
+    4 Var(J2) of the input, since B^dagger J3 B = -J2; so no splitter is
+    applied (_j2_variance).
     """
-    j3 = expect(state, "j3")
-    return 4.0 * (expect(state, "j3_sq") - j3 * j3)
+    if pipeline == "MZI":
+        return 4.0 * _j2_variance(state)
+    pre = premeasurement_state(state, pipeline)  # the state itself; rejects an unknown pipeline
+    j3 = expect(pre, "j3")
+    return 4.0 * (expect(pre, "j3_sq") - j3 * j3)
+
+
+def _j2_variance(state: TwoModeState) -> float:
+    """Var(J2) of a state in O(entries). Within a sector J2 is tridiagonal
+    in n_a, <k+1|J2|k> = -i e_k with e_k = sqrt((k+1)(N-k))/2, so <J2>
+    pairs entries one apart in n_a and <J2^2> (diagonal e_{k-1}^2 + e_k^2,
+    <k+2|J2^2|k> = -e_k e_{k+1}) entries two apart."""
+    na, n, c = state.na, state.n_total, state.amps
+    key = n * (n + 1) // 2 + na  # the entry's place among all outcomes in (N, n_a) order
+
+    def pairs(gap):  # entries k and the entry k + gap of the same sector, if occupied
+        at = np.minimum(np.searchsorted(key, key + gap), key.size - 1)
+        lo = np.flatnonzero((key[at] == key + gap) & (na + gap <= n))
+        return lo, at[lo], na[lo], n[lo]
+
+    e = 0.5 * np.sqrt((na + 1.0) * (n - na))
+    lo, hi, _, _ = pairs(1)
+    mean = np.sum(2.0 * e[lo] * np.imag(np.conj(c[hi]) * c[lo]))
+    lo, hi, k, m = pairs(2)
+    e_next = 0.5 * np.sqrt((k + 2.0) * (m - k - 1.0))
+    square = np.sum(np.abs(c) ** 2 * (e * e + 0.25 * na * (n - na + 1.0)))
+    square -= np.sum(2.0 * e[lo] * e_next * np.real(np.conj(c[lo]) * c[hi]))
+    return float(square - mean * mean)
 
 
 def max_qfi_bound(dist: PhotonDistribution) -> Moment:
@@ -444,8 +638,7 @@ def fi_observable(
     and |dz|^2 are summed per value, and the groups' terms added in
     sorted-value order (_running_total).
     """
-    pre = premeasurement_state(state, pipeline)
-    na, nb, z, dz = _outcome_table(pre, phi)
+    na, nb, z, dz = _outcome_table(_split(state, pipeline), phi)
     keys, group = np.unique([float(f(a, b)) for a, b in zip(na.tolist(), nb.tolist())], return_inverse=True)
     summed = (np.bincount(group, weights=w, minlength=keys.size)
               for w in (np.abs(z) ** 2, 2.0 * np.real(np.conj(z) * dz), np.abs(dz) ** 2))
@@ -453,7 +646,7 @@ def fi_observable(
     return FisherReport(
         phi=float(phi),
         fi=_running_total(terms),
-        qfi=qfi_pure(pre),
+        qfi=qfi_pure(state, pipeline),
         povm="observable:f(na,nb)",
         pipeline=pipeline,
     )

@@ -16,6 +16,7 @@ from a three-term recurrence, O(N) each.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,11 @@ class TwoModeState:
         for a, b, c in zip(self.na, self.nb, self.amps):
             yield (int(a), int(b)), complex(c)
 
+    def subset(self, keep) -> "TwoModeState":
+        """The entries that keep (a mask or a slice) selects, not
+        renormalized: a sub-state of whole sectors for the fisher kernels."""
+        return TwoModeState(self.na[keep], self.nb[keep], self.amps[keep], self.cutoff)
+
     def occupied_sectors(self) -> list[int]:
         return sector_bounds(self)[0].tolist()
 
@@ -122,7 +128,8 @@ def _canonical_state(
     cutoff: int,
 ) -> TwoModeState:
     """Sort by (N, n_a), merge duplicates, prune and normalize; a NaN or
-    infinite amplitude is a ValueError naming its entry."""
+    infinite amplitude, given or from a merge that overflows, is a
+    ValueError naming its entry."""
     if cutoff < 0:
         raise CutoffViolationError("cutoff must be >= 0")
     na = np.asarray(na, dtype=np.int64)
@@ -132,10 +139,6 @@ def _canonical_state(
         raise EmptyStateError("state needs at least one nonzero amplitude")
     if np.any(na < 0) or np.any(nb < 0):
         raise CutoffViolationError("occupation numbers must be >= 0")
-    finite = np.isfinite(amps)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ValueError(f"entry ({int(na[bad])}, {int(nb[bad])}) has a non-finite amplitude {amps[bad]}")
     if np.any(na + nb > cutoff):
         bad = int(np.argmax(na + nb > cutoff))
         raise CutoffViolationError(
@@ -149,8 +152,13 @@ def _canonical_state(
     first = (np.diff(na, prepend=-1) != 0) | (np.diff(nb, prepend=-1) != 0)
     if not first.all():
         merged = np.zeros(np.count_nonzero(first), dtype=np.complex128)
-        np.add.at(merged, np.cumsum(first) - 1, amps)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below, on the merged amplitudes
+            np.add.at(merged, np.cumsum(first) - 1, amps)
         na, nb, amps = na[first], nb[first], merged
+    finite = np.isfinite(amps)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"entry ({int(na[bad])}, {int(nb[bad])}) has a non-finite amplitude {amps[bad]}")
 
     mags = np.abs(amps)
     peak = mags.max()
@@ -210,7 +218,8 @@ def splitter_columns(n_total: int, cols) -> np.ndarray:
     When every column is n_a = 0 or n_a = N (a two-branch input) the
     columns come from the closed form |U[k, 0]| = |U[k, N]| =
     sqrt(C(N, k))/2^(N/2) with phases i^k and i^(N-k), evaluated in log
-    space. Any other column c is the J2 eigenvector of eigenvalue
+    space with math.lgamma (scipy.special would cost more to import than
+    it saves here). Any other column c is the J2 eigenvector of eigenvalue
     m = c - N/2, U[k, c] = i^(k+c) w_k with w real and
     e_{k-1} w_{k-1} + m w_k + e_k w_{k+1} = 0, e the J1 off-diagonal: O(N)
     per column, no matrix and no eigensolver. The recurrence runs from k = 0
@@ -222,12 +231,8 @@ def splitter_columns(n_total: int, cols) -> np.ndarray:
     cols = np.asarray(cols, dtype=np.int64)
     k = np.arange(n_total + 1)
     if np.all((cols == 0) | (cols == n_total)):
-        from scipy.special import gammaln  # deferred: keeps scipy out of `import qfilab`
-
-        mag = np.exp(
-            0.5 * (gammaln(n_total + 1.0) - gammaln(k + 1.0) - gammaln(n_total - k + 1.0))
-            - 0.5 * n_total * np.log(2.0)
-        )
+        log_fact = np.array([math.lgamma(x + 1.0) for x in range(n_total + 1)])  # no scipy import
+        mag = np.exp(0.5 * (log_fact[-1] - log_fact - log_fact[::-1]) - 0.5 * n_total * np.log(2.0))
         power = np.where(cols == 0, k[:, None], n_total - k[:, None])
         return mag[:, None] * _I_POWERS[power % 4]
     e = 0.5 * np.sqrt((k[:-1] + 1.0) * (n_total - k[:-1]))

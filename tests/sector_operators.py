@@ -18,22 +18,31 @@ def schwinger_matrices(n_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return j1, j2, j3
 
 
-def mzi_probabilities(state, phis) -> dict:
-    """Counting probabilities {(n_a, n_b): array over phis} of state sent
-    through an MZI, from dense splitters expm(i*pi*J1/2) of each sector's
-    J1 block with exp(-i*phi*J3) between them; independent of the
-    library's splitter columns and phase kernel."""
+def mzi_amplitudes(state, phis) -> dict:
+    """Counting amplitudes {(n_a, n_b): (z, dz)}, arrays over phis, of state
+    sent through an MZI, with dz their phase derivative: dense splitters
+    expm(i*pi*J1/2) of each sector's J1 block around exp(-i*phi*J3);
+    independent of the library's splitter columns, phase kernel and
+    rotation."""
     from scipy.linalg import expm
 
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     inputs = {}
     for (a, b), amp in state.items():
         inputs.setdefault(a + b, np.zeros(a + b + 1, dtype=np.complex128))[a] = amp
-    probs = {}
+    amps = {}
     for n, vec in inputs.items():
         j1, _, j3 = schwinger_matrices(n)
         split = expm(0.5j * np.pi * j1)
-        out = (np.exp(-1j * np.outer(phis, np.diag(j3).real)) * (split @ vec)) @ split.T
+        m = np.diag(j3).real
+        chi = np.exp(-1j * np.outer(phis, m)) * (split @ vec)
+        out, dout = chi @ split.T, (chi * (-1j * m)) @ split.T
         for a in range(n + 1):
-            probs[(a, n - a)] = np.abs(out[:, a]) ** 2
-    return probs
+            amps[(a, n - a)] = (out[:, a], dout[:, a])
+    return amps
+
+
+def mzi_probabilities(state, phis) -> dict:
+    """Counting probabilities {(n_a, n_b): array over phis} of state sent
+    through an MZI, from mzi_amplitudes."""
+    return {k: np.abs(z) ** 2 for k, (z, _) in mzi_amplitudes(state, phis).items()}

@@ -256,7 +256,7 @@ def test_estimate_rejects_zero_counts(flag, capsys):
         (["estimate", "catalog:zeta_dual_fock:3:8", "--phi-true", "0.3", "--trials", "200",
           "--reps", "10"], fisher, "apply_beamsplitter"),
         (["estimate", "catalog:zeta_dual_fock:3:8", "--phi-true", "0.3", "--trials", "200",
-          "--reps", "10"], estimation, "classical_fi"),
+          "--reps", "10"], estimation, "_fi_reduce"),
     ],
     ids=["qfi-splitter", "fi_scan-splitter", "estimate-splitter", "estimate-fi"],
 )

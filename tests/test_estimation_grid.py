@@ -28,7 +28,7 @@ from qfilab import (
     zeta_noon,
 )
 from qfilab.estimation import _loglik_grid
-from qfilab.fisher import _PHASE_BLOCK, _sectors, premeasurement_state
+from qfilab.fisher import _PHASE_BLOCK, _sectors, _split, premeasurement_state
 
 
 def reference_loglik(pre, outcomes, phis):
@@ -73,7 +73,9 @@ def test_loglik_grid_is_bit_identical_to_the_per_sector_formula(case, size):
     record = record_with_a_lone_outcome(state, pipeline)
     lo, hi = default_window(state, 0.3, pipeline)
     phis = np.array([0.3]) if size == 1 else np.linspace(lo, hi, size)
-    assert np.array_equal(_loglik_grid(pre, record)(phis), reference_loglik(pre, record, phis))
+    # the phase kernel's grid on the pre-measurement state, read as an MMZI source
+    grid = _loglik_grid(_split(pre, "MMZI"), record)
+    assert np.array_equal(grid(phis), reference_loglik(pre, record, phis))
 
 
 def test_loglik_grid_peak_memory_stays_below_the_per_sector_formula():
@@ -81,7 +83,7 @@ def test_loglik_grid_peak_memory_stays_below_the_per_sector_formula():
     pre = premeasurement_state(state, pipeline)
     record = sample_outcomes(state, 0.3, pipeline, 10_000, seed=1)
     phis = np.linspace(*default_window(state, 0.3, pipeline), 10_000)
-    # warm-up: the closed-form N=2 columns import scipy.special, kept out of the traced peak
+    # warm-up: first-call set-up stays out of the traced peak
     reference_loglik(pre, record, phis)
 
     def peak(call):
@@ -92,7 +94,7 @@ def test_loglik_grid_peak_memory_stays_below_the_per_sector_formula():
         finally:
             tracemalloc.stop()
 
-    grid = peak(lambda: _loglik_grid(pre, record)(phis))
+    grid = peak(lambda: _loglik_grid(_split(pre, "MMZI"), record)(phis))
     reference = peak(lambda: reference_loglik(pre, record, phis))
     assert grid <= reference
 
@@ -102,7 +104,7 @@ def test_loglik_grid_calls_only_evaluate_the_kernel_set_up_once(monkeypatch):
     # columns, nor finds the distinct eigenvalues
     state, pipeline = CASES["dual_fock_mzi"]
     record = sample_outcomes(state, 0.3, pipeline, 10_000, seed=7)
-    loglik = _loglik_grid(premeasurement_state(state, pipeline), record)
+    loglik = _loglik_grid(_split(premeasurement_state(state, pipeline), "MMZI"), record)
     grids = [np.array([0.3]), np.linspace(*default_window(state, 0.3, pipeline), 10_000)]
     expected = [loglik(phis) for phis in grids]
 
@@ -112,6 +114,8 @@ def test_loglik_grid_calls_only_evaluate_the_kernel_set_up_once(monkeypatch):
     monkeypatch.setattr(fisher, "sector_bounds", forbidden)
     monkeypatch.setattr(fisher, "splitter_columns", forbidden)
     monkeypatch.setattr(np, "unique", forbidden)
+    monkeypatch.setattr(estimation, "_distinct", forbidden)
+    monkeypatch.setattr(fisher, "_distinct", forbidden)
     for phis, ll in zip(grids, expected):
         assert np.array_equal(loglik(phis), ll)
 
@@ -161,7 +165,7 @@ def test_run_estimation_does_its_set_up_once(monkeypatch):
     state = zeta_noon(3.0, 200)[0]
     tables, periods, columns = [], [], []
     counting(monkeypatch, estimation, "_outcome_table", tables)
-    counting(monkeypatch, estimation, "likelihood_period", periods)
+    counting(monkeypatch, estimation, "_period", periods)
     counting(monkeypatch, fisher, "splitter_columns", columns)
     runs = run_estimation(state, 0.3, "MMZI", 10_000, seed=3, reps=3)
     assert len(tables) == 1

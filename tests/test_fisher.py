@@ -450,7 +450,7 @@ def test_mzi_scan_retains_no_splitter_memory():
     # scan of sectors up to 200 photons leaves nothing behind but its result
     state = zeta_dual_fock(3.0, 100)[0]
     phis = np.linspace(0.0, 2.0 * math.pi, 181)
-    fi_scan(dual_fock(1), phis, "MZI")  # loads the lazily imported scipy.special
+    fi_scan(dual_fock(1), phis, "MZI")  # warm-up: first-call set-up stays out of the measurement
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -14,8 +14,10 @@ a closed form, so they are held to the same per-sector formula within
 rounds (an equal-weight sector gives (A+B) N^2 at every phase, where the
 table's sum over N+1 outcomes leaves last-bit noise). That moved the
 zeta_noon case wholly, and the N = 2 sector of the MZI zeta_dual_fock
-case, from bit identity to this bound; dual_fock via MZI has no
-two-branch sector and stays bit for bit as a whole. The FI adds the
+case, from bit identity to this bound. The MZI single inputs |J,J> of
+both dual-Fock cases then left it too, for the closed form 2J(J+1), and
+are held to the same bound (the table path keeps its bits on the
+pre-measurement state read as an MMZI source). The FI adds the
 equal-weight two-branch sectors' total first (one number, broadcast to
 every phase, with no exponential), then the unequal-weight two-branch
 sectors, then the general ones, each kind in sector order. Where the kinds
@@ -46,6 +48,7 @@ from qfilab.fisher import (
     _outcome_table,
     _sector_kinds,
     _sectors,
+    _split,
     premeasurement_state,
 )
 from qfilab.fock import sector_slices
@@ -98,8 +101,12 @@ def test_fi_scan_is_bit_identical_to_the_per_sector_formula(case, size):
     # formula gives it exact zeros, as the reduction does by skipping it)
     assert np.array_equal(fi_scan(rest, phis, "MMZI"), reference_fi_scan(rest, phis))
     if case == "dual_fock_mzi":
+        # |7,7> is one single input, which the MZI reads in closed form:
+        # 2J(J+1) = 112 at every phase, the table formula to rounding
         assert len(two_branch) == 0
-        assert np.array_equal(fi_scan(state, phis, pipeline), reference_fi_scan(pre, phis))
+        assert np.all(fi_scan(state, phis, pipeline) == 112.0)
+        np.testing.assert_allclose(fi_scan(state, phis, pipeline), reference_fi_scan(pre, phis),
+                                   rtol=1e-13, atol=0.0)
     else:
         assert len(two_branch) > 0
         closed = fi_scan(two_branch, phis, "MMZI")
@@ -186,9 +193,9 @@ def test_two_branch_scan_takes_no_splitter_column(monkeypatch, tmp_path):
 @pytest.mark.parametrize("case", list(CASES))
 def test_sampling_table_skips_the_derivative_and_keeps_p(case):
     state, pipeline = CASES[case]
-    pre = premeasurement_state(state, pipeline)
-    *full, dz = _outcome_table(pre, 0.3)
-    *bare, none = _outcome_table(pre, 0.3, False)
+    split = _split(state, pipeline)
+    *full, dz = _outcome_table(split, 0.3)
+    *bare, none = _outcome_table(split, 0.3, False)
     assert none is None and dz.shape == full[2].shape
     for got, want in zip(bare, full):
         assert np.array_equal(got, want)

@@ -33,7 +33,7 @@ from qfilab import (
     sector_fi_decomposition,
 )
 from qfilab.estimation import _loglik_grid
-from qfilab.fisher import _amplitudes, _outcome_table, _sector_kinds, premeasurement_state
+from qfilab.fisher import _amplitudes, _outcome_table, _sector_kinds, _split, premeasurement_state
 
 MAX_SECTOR = 6
 AMP_NOISE = 1e-13  # amplitude scale below which an outcome sits at a zero
@@ -257,7 +257,7 @@ def test_loglik_grid_matches_likelihood(state, pipeline, phis, counts):
     possible = [k for k in probs[0] if min(p[k] for p in probs) > 1e-6]
     assume(possible)
     outcomes = {k: c for k, c in zip(possible, counts)}
-    grid = _loglik_grid(premeasurement_state(state, pipeline), outcomes)(np.array(phis))
+    grid = _loglik_grid(_split(state, pipeline), outcomes)(np.array(phis))
     for value, p in zip(grid, probs):
         expected = sum(c * math.log(p[k]) for k, c in outcomes.items())
         assert close(float(value), expected, rel=1e-10)
@@ -277,7 +277,8 @@ def reference_table(state, phi, pipeline):
 
 @given(states(), phases, pipelines)
 def test_outcome_table_matches_reference(state, phi, pipeline):
-    na, nb, z, dz = _outcome_table(premeasurement_state(state, pipeline), phi)
+    # the phase kernel's table on the pre-measurement state, read as an MMZI source
+    na, nb, z, dz = _outcome_table(_split(premeasurement_state(state, pipeline), "MMZI"), phi)
     p, dp = np.abs(z) ** 2, 2.0 * np.real(np.conj(z) * dz)
     assert list(zip(*(col.tolist() for col in (na, nb, p, dp)))) == reference_table(state, phi, pipeline)
 

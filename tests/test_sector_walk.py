@@ -103,7 +103,7 @@ def test_scalar_sector_readers_walk_no_sector(monkeypatch):
     two, general = fisher._sector_kinds(state)
     assert two.size == k and len(general) == 0
     record = {(1, 0): 4, (0, 2): 3, (5, 0): 2}
-    loglik = estimation._loglik_grid(state, record)
+    loglik = estimation._loglik_grid(fisher._split(state, "MMZI"), record)
     assert np.isfinite(loglik(np.array([0.3]))).all()
 
     # the set-up scans only the sub-state of the record's sectors
@@ -118,7 +118,7 @@ def test_scalar_sector_readers_walk_no_sector(monkeypatch):
     for module in (fock, fisher, estimation):
         if hasattr(module, "sector_bounds"):
             monkeypatch.setattr(module, "sector_bounds", sized_bounds)
-    estimation._loglik_grid(state, record)
+    estimation._loglik_grid(fisher._split(state, "MMZI"), record)
     assert observed == 6 and sizes == [observed]
 
 
@@ -129,7 +129,7 @@ def test_empty_state_has_no_sectors_and_no_fringes():
     for pipeline in ("MZI", "MMZI"):
         # no outcome: empty tables, no fringes and no information
         assert likelihood_period(EMPTY, pipeline) == math.inf
-        table = fisher._outcome_table(fisher.premeasurement_state(EMPTY, pipeline), 0.3)
+        table = fisher._outcome_table(fisher._split(EMPTY, pipeline), 0.3)
         assert all(col.size == 0 for col in table)
         assert fisher.likelihood(EMPTY, 0.3, pipeline) == {}
         assert fisher.likelihood_with_derivative(EMPTY, 0.3, pipeline) == {}
@@ -138,7 +138,7 @@ def test_empty_state_has_no_sectors_and_no_fringes():
         assert (report.fi, report.qfi, report.singular) == (0.0, 0.0, False)
         assert fisher.fi_observable(EMPTY, 0.3, pipeline, lambda a, b: b - a).fi == 0.0
     # an empty record is cut to the empty sub-state, whose log-likelihood is 0
-    assert not estimation._loglik_grid(GAPPED, {})(np.array([0.1, 0.2])).any()
+    assert not estimation._loglik_grid(fisher._split(GAPPED, "MMZI"), {})(np.array([0.1, 0.2])).any()
 
 
 @given(states())

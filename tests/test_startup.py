@@ -64,10 +64,26 @@ def test_mzi_qfi_on_a_general_input_loads_no_scipy(tmp_path):
     assert not {m for m in loaded if m.startswith("scipy")}
 
 
-def test_mzi_estimate_on_dual_fock_loads_special_only(tmp_path):
-    # the |1,1> sector is two-branch after the first splitter, so its final
-    # splitter columns take the closed form
-    loaded = _loaded_modules(["estimate", "catalog:zeta_dual_fock:3:30", "--pipeline", "MZI",
-                              "--phi-true", "0.3", "--trials", "100", "--out", str(tmp_path / "e.jsonl")])
-    assert "scipy.special" in loaded
-    assert not loaded & {"scipy.linalg", "scipy.optimize"}
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "catalog:zeta_dual_fock:3:30", "--pipeline", "MZI", "--phi-true", "0.3",
+         "--trials", "100"],
+        ["qfi", "catalog:zeta_dual_fock:3", "--pipeline", "MZI"],
+    ],
+    ids=["estimate", "qfi-K1000"],
+)
+def test_mzi_estimate_on_dual_fock_loads_no_scipy(tmp_path, argv):
+    # every sector is a single input |J,J>, which the MZI reads as a
+    # rotation before any first splitter: no splitter column, and no phase
+    # kernel (so no np.unique)
+    assert _loaded_modules(argv + ["--out", str(tmp_path / "out")]) == set()
+
+
+def test_mzi_qfi_on_general_sectors_loads_no_numpy_ma(tmp_path):
+    # the first splitter turns the two-branch input into general sectors,
+    # whose phase kernel finds its distinct eigenvalues with a sort, not
+    # np.unique; the closed-form splitter columns take math.lgamma, not
+    # scipy.special (which imports numpy.ma itself)
+    loaded = _loaded_modules(["qfi", "catalog:noon:3", "--pipeline", "MZI", "--out", str(tmp_path / "q.json")])
+    assert loaded == set()
