@@ -3,11 +3,18 @@
 Outcome histograms, strings and exit codes must match exactly; floats
 agree to 1e-12 relative, so a change in summation order passes and a
 change in the numbers does not. The estimate outputs are also pinned
-byte for byte: their draws and their windowed MLE are deterministic, and
-a speed-up of the likelihood grid must not move a single bit. The 1e-12
-estimate golden predates a change of the FI summation order that moved
-its crb_m by 2e-16, so its byte-exact twin (*.exact.jsonl) was recorded
-separately, from the same command. The qfi report of the benchmark's
+byte for byte: their draws and their windowed MLE are deterministic, so a
+change that reorganizes the same arithmetic must not move a bit. Bits
+move only with a new route to the numbers, in a change of its own that
+follows oracle tests of that route (dense expm splitters, mpmath, closed
+forms) and lists every old and new value in CHANGES.md; a histogram,
+window or period never moves, and phi_hat only within the likelihood's
+rounding band, which the dense-oracle test below checks. The MZI
+estimate goldens moved so when their sectors, all single inputs |J,J>,
+left the first splitter and the phase kernel for the rotation; the 1e-12
+golden and its byte-exact twin (*.exact.jsonl, kept apart since an
+earlier FI reordering moved the 1e-12 golden's crb_m by 2e-16) now hold
+the same bytes. The qfi report of the benchmark's
 headline command is pinned byte for byte too, as are the fig3a/fig3b CSVs
 at 200 points with their provenance sidecars, and so are the CLI's fixed
 texts (cli_text.json): `catalog list`, every --help at COLUMNS=80, the
