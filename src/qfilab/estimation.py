@@ -10,12 +10,15 @@ are keyed, so trial counts up to 1e8 stay cheap.
 The estimator is a windowed maximum-likelihood search: a coarse grid over
 the window followed by golden-section refinement. run_estimation and
 crb_convergence_study do their set-up once per command, before any draw
-(_setup): the first splitter, the likelihood period, the window and its
-check, the FI behind the bound, and the outcome table every repetition
-draws from. Per record, the log-likelihood grid (_loglik_grid) passes the
-fisher kernel the sub-state of the sectors the record observed, and sets
-it up once (the observed outcomes' splitter columns, the distinct J3
-eigenvalues, the gather indices) for its ~26 calls. Windows must stay
+(_setup): the state sorted by sector kind (fisher._split, which applies
+an MZI's first splitter where a kind needs it), the likelihood period,
+the window and its check, the FI behind the bound, and the outcome table
+every repetition draws from. Per record, the log-likelihood grid
+(_loglik_grid) cuts each kind to the sectors the record observed and sets
+it up once for its ~26 calls: for the phase kernel the observed outcomes'
+splitter columns, the distinct J3 eigenvalues and the gather indices; for
+the rotation of the MZI's |J,J> inputs the counts per ladder step, whose
+log-probabilities are the only ones it takes. Windows must stay
 narrower than the likelihood's fundamental period (2*pi over the largest
 occupied J3 spread), otherwise the phase is not identifiable; the bound
 being probed is local in exactly that sense. The log-likelihood is flat to
@@ -39,7 +42,6 @@ from .fisher import (
     _outcome_table,
     _period,
     _rotation,
-    _rotation_ladders,
     _sectors,
     _split,
     _Split,
@@ -150,7 +152,9 @@ def _loglik_grid(
     unique_m = _distinct(sub.j3_values)
     held = [(n, vec, m, unique_m.searchsorted(m), bs_t[:, [a for a, _ in by_sector[n]]])
             for n, vec, m, bs_t in _sectors(sub)]
-    j, amps, _, _, _ = _rotation_ladders(split.single.subset(np.isin(split.single.n_total, observed)))
+    single = split.single
+    rot = single.subset((single.na == single.nb) & np.isin(single.n_total, observed))
+    j = rot.na
     if len(held) + j.size < len(by_sector):  # an observed sector that the state does not occupy
         stray = [k for k in outcomes if k[0] + k[1] not in {n for n, *_ in held} | set((2 * j).tolist())]
         raise ValueError(f"outcomes {stray} lie outside the occupied sectors")
@@ -160,7 +164,7 @@ def _loglik_grid(
         for a, cnt in by_sector[2 * jj]:
             steps[jj - abs(a - jj), i] += cnt
     seen = [np.flatnonzero(row) for row in steps]
-    weight = np.abs(amps) ** 2
+    weight = np.abs(rot.amps) ** 2
 
     def loglik(phis: np.ndarray) -> np.ndarray:
         ll = np.zeros(phis.size)

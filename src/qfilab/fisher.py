@@ -24,37 +24,57 @@ whenever the amplitudes are smooth. A counting point is flagged singular
 only if the computed numbers violate the bound |dP| <= 2 |z| |dz| that
 smoothness implies.
 
-Likelihoods, outcome sampling, scalar readouts, the Fisher information
-and the estimation module's log-likelihood grid all get their outcome
-amplitudes from one kernel, _amplitudes, sector by sector (both unitaries
-preserve the total photon number). Its sectors (_sectors) are the
-contiguous slices of the state's canonical table (fock.sector_bounds): the
-occupied inputs, their J3 eigenvalues, and the matching columns of the
-final splitter (fock.splitter_columns), built afresh and never cached.
-The kernel takes the pre-measurement state (each public entry point
-applies an MZI's first splitter once, premeasurement_state); a caller that
-needs some sectors passes their sub-state: the FI its general sectors, the
-estimation grid a record's observed ones. It cuts the phases into
-near-equal blocks of at most _PHASE_BLOCK, never a one-phase block (a
-one-row matmul takes BLAS's matrix-vector path, whose last bits differ).
-Per block it takes one exponential per distinct J3 eigenvalue and gathers
-each sector's columns with take(), which keeps them C-ordered, so every
-bit equals an exponential per sector input. The likelihoods, the sampler
-and the readouts read flat (N, n_a)-ordered arrays (_outcome_table).
+Sector kinds
+------------
+Both unitaries preserve the total photon number, so every reader works
+sector by sector, and each sector is read by its kind. _split sorts a
+state once per call, or once per estimation command, applying an MZI's
+first splitter there and only where a kind needs it:
+
+- single input (MZI only): a sector of the source with one occupied input
+  |n_a, n_b>. Two splitters around the phase act on it as the rotation
+  exp(-i phi J2) of the swapped input, so it never meets the first
+  splitter. Its counting FI is n_a + n_b + 2 n_a n_b at every phase and
+  its fringe spread is N. A balanced input |J, J> (every sector of
+  dual_fock, zeta_dual_fock and tmsv) takes its outcome amplitudes
+  d^J_{m,0}(phi) from a real three-term recurrence (_rotation),
+  vectorized over sectors and phases; an unbalanced one still takes the
+  first splitter and the kernel below for its outcome table.
+- two-branch: a sector of the pre-measurement state with occupied n_a
+  exactly {0, N}. It records the phase only through the parity of n_a,
+  and its FI has a closed form in its two amplitudes (_two_branch_fi),
+  with no splitter column and no matmul.
+- single input of the pre-measurement state: phase-independent
+  probabilities, FI exactly 0.
+- general: every other sector, through the phase kernel _amplitudes.
+
+The MZI qfi field needs no kind and no splitter: the first splitter turns
+J3 into -J2, so it is 4 Var(J2) of the input (_j2_variance), O(entries).
+
+The phase kernel, _amplitudes, takes the pre-measurement state; its
+sectors (_sectors) are the contiguous slices of the state's canonical
+table (fock.sector_bounds): the occupied inputs, their J3 eigenvalues and
+the matching columns of the final splitter (fock.splitter_columns), built
+afresh and never cached. A caller that needs some sectors passes their
+sub-state: the FI its general sectors, the estimation grid a record's
+observed ones. It cuts the phases into near-equal blocks of at most
+_PHASE_BLOCK (_phase_blocks), never a one-phase block (a one-row matmul
+takes BLAS's matrix-vector path, whose last bits differ). Per block it
+takes one exponential per distinct J3 eigenvalue (found by a sort,
+_distinct, as np.unique would import numpy.ma) and gathers each sector's
+columns with take(), which keeps them C-ordered, so every bit equals an
+exponential per sector input. The likelihoods, the sampler and the
+readouts read flat (N, n_a)-ordered arrays (_outcome_table) that merge
+the rotation's outcomes with the kernel's.
 
 The counting FI over a phase grid (_fi_reduce, shared by classical_fi and
-fi_scan, so by the qfi and fi-scan commands) sorts the sectors of the
-pre-measurement state into three kinds (_sector_kinds) and sums kind by
-kind. A two-branch sector (occupied n_a exactly {0, N}) records the phase
-only through the parity of n_a, and its FI has a closed form in its two
-amplitudes (_two_branch_fi), with no splitter column, no matmul and no
-scipy. A single-input sector has phase-independent probabilities and adds
-exactly 0. Every other, general, sector goes through the kernel above.
-The FI adds, in this order: the total of the equal-weight two-branch
-sectors, each (A+B) N^2 at every phase, so summed once and broadcast
-(an equal-weight state scans exactly flat); the unequal-weight two-branch
-sectors; the general sectors; each kind in sector order. Where the kinds
-interleave, this differs from the sector order by rounding only.
+fi_scan, so by the qfi and fi-scan commands) sums kind by kind, in this
+order: the phase-independent total of the MZI single inputs and of the
+equal-weight two-branch sectors (each (A+B) N^2), summed once and
+broadcast, so a state of such sectors scans exactly flat; the
+unequal-weight two-branch sectors; the general sectors; each kind in
+sector order. Where the kinds interleave, this differs from the sector
+order by rounding only.
 """
 
 from __future__ import annotations
@@ -288,17 +308,19 @@ def _rotation(j: np.ndarray, phis: np.ndarray, derivative=True, cols=None):
     if not j.size:
         return
     top, jf = int(j[-1]), j.astype(float)
-    t = np.arange(top + 1)[:, None]
-    live = jf >= t  # (step, sector): the ladders still running
-    up = np.sqrt(np.where(live, t * (2.0 * jf - t + 1.0), 0.0))
-    down = np.sqrt(np.where(live, (t + 1.0) * (2.0 * jf - t), 1.0))
+    first = np.searchsorted(j, np.arange(top + 1))  # sectors from first[t] on are live at step t
+    width = j.size - first
+    start = np.concatenate(([0], np.cumsum(width)))  # step t's coefficients: [start[t], start[t + 1])
+    t = np.repeat(np.arange(top + 1.0), width)
+    jt = jf[np.arange(start[-1]) - np.repeat(start[:-1] - first, width)]
+    up = np.sqrt(t * (2.0 * jt - t + 1.0))
+    down = np.sqrt((t + 1.0) * (2.0 * jt - t))
     down[down == 0.0] = 1.0  # only J = 0, whose terms vanish
-    turn, back = -2.0 * (jf - t) / down, -up / down
-    reach = np.abs(np.where(live, turn, 0.0)).max(axis=1), np.abs(back).max(axis=1)
-    first = np.searchsorted(j, t[:, 0])  # sectors from first[t] on are live at step t
+    turn, back = -2.0 * (jt - t) / down, -up / down
+    reach = np.maximum.reduceat(np.abs(turn), start[:-1]), np.maximum.reduceat(np.abs(back), start[:-1])
     k = np.arange(1, top + 1)
     lead = 0.5 * np.log2(np.cumprod(np.concatenate(([1.0], (2 * k - 1) / (2 * k)))))[j, None]
-    up, down, turn, back = (col[:, :, None] for col in (up, down, turn, back))
+    up, down, turn, back = (col[:, None] for col in (up, down, turn, back))
     for rows in _phase_blocks(phis.size):
         sin, cos = np.sin(phis[rows]), np.cos(phis[rows])
         flat = np.abs(sin) < _FLAT
@@ -306,19 +328,19 @@ def _rotation(j: np.ndarray, phis: np.ndarray, derivative=True, cols=None):
         cot = np.where(flat, 0.0, cos / np.where(flat, 1.0, sin))
         seed = lead + jf[:, None] * np.log2(frac)
         whole = np.floor(seed)
-        prev, cur, nxt = np.zeros(seed.shape), np.where(flat, 0.0, np.exp2(seed - whole)), np.empty(seed.shape)
-        scale = whole.astype(np.int64) + j[:, None] * power
+        cur, scale = np.where(flat, 0.0, np.exp2(seed - whole)), whole.astype(np.int64) + j[:, None] * power
+        prev, nxt = np.zeros(seed.shape), np.empty(seed.shape)
         bound, steep = 2.0, float(np.abs(cot).max(initial=0.0))  # |prev|, |cur| <= bound
         for step in range(top + 1):
-            lo = int(first[step])
+            lo, seg = int(first[step]), slice(start[step], start[step + 1])
             p, c, n = prev[lo:], cur[lo:], nxt[lo:]
-            np.multiply(turn[step, lo:], cot, out=n)
+            np.multiply(turn[seg], cot, out=n)
             n *= c
             if derivative:
-                n += back[step, lo:] * p
-                dd = 0.5 * (up[step, lo:] * p - down[step, lo:] * n)
+                n += back[seg] * p
+                dd = 0.5 * (up[seg] * p - down[seg] * n)
             else:
-                p *= back[step, lo:]
+                p *= back[seg]
                 n += p
             sel = np.arange(lo, j.size) if cols is None else cols[step]
             if sel.size:
@@ -327,7 +349,7 @@ def _rotation(j: np.ndarray, phis: np.ndarray, derivative=True, cols=None):
                 if flat.any():
                     d = np.where(flat, (jf[sel] == step)[:, None], d)
                     if derivative:
-                        dd = np.where(flat, (jf[sel] == step + 1)[:, None] * (-0.5 * down[step, sel]), dd)
+                        dd = np.where(flat, (jf[sel] == step + 1)[:, None] * (-0.5 * down[seg][sel - lo]), dd)
                 yield rows, step, sel, d, dd
             prev, cur, nxt = cur, nxt, prev
             bound *= max(1.0, steep * reach[0][step] + reach[1][step])
@@ -336,18 +358,6 @@ def _rotation(j: np.ndarray, phis: np.ndarray, derivative=True, cols=None):
                 prev[lo:], cur[lo:] = np.ldexp(prev[lo:], -shift), np.ldexp(cur[lo:], -shift)
                 scale[lo:] += shift
                 bound = 1.0
-
-
-def _rotation_ladders(single: TwoModeState):
-    """The rotation sectors of single (its balanced inputs) and the flat
-    layout of their outcomes: (J, amplitudes, the index of each sector's
-    n_a = J outcome, its n_a and n_b columns)."""
-    rot = single.subset(single.na == single.nb)
-    j = rot.na
-    sizes = 2 * j + 1
-    centre = np.cumsum(sizes) - j - 1
-    na = np.arange(sizes.sum()) - np.repeat(centre - j, sizes)
-    return j, rot.amps, centre, na, np.repeat(2 * j, sizes) - na
 
 
 def _outcome_table(split: _Split, phi: float, derivative=True):
@@ -364,16 +374,18 @@ def _outcome_table(split: _Split, phi: float, derivative=True):
         nb.append(n - na[-1])
         z.append(out[0])
         dz.append(dout[0] if derivative else None)
-    j, amps, centre, rot_na, rot_nb = _rotation_ladders(split.single)
-    ladder = np.zeros((2, rot_na.size))
+    rot = split.single.subset(split.single.na == split.single.nb)
+    j, sizes = rot.na, 2 * rot.na + 1
+    centre = np.cumsum(sizes) - j - 1  # where each ladder's n_a = J outcome lands
+    ladder = np.zeros((2, sizes.sum()))
     for _, t, sel, d, dd in _rotation(j, phis, derivative):
         m = j[sel] - t
         for row, value in enumerate((d, dd) if derivative else (d,)):
             ladder[row, centre[sel] + m] = value[:, 0]
             ladder[row, centre[sel] - m] = value[:, 0] * (1.0 - 2.0 * (m % 2))
-    weight = np.repeat(amps, 2 * j + 1)
-    na.append(rot_na)
-    nb.append(rot_nb)
+    weight = np.repeat(rot.amps, sizes)
+    na.append(np.arange(sizes.sum()) - np.repeat(centre - j, sizes))
+    nb.append(np.repeat(2 * j, sizes) - na[-1])
     z.append(weight * ladder[0])
     dz.append(weight * ladder[1] if derivative else None)
     na, nb, z = (np.concatenate(col) for col in (na, nb, z))
@@ -406,7 +418,7 @@ def _period(split: _Split) -> float:
     """likelihood_period of a split state: a single input's spread is its N,
     since the rotation reaches every port split of its sector."""
     _, lo, hi = sector_bounds(split.pre)
-    spread = max(np.max(split.single.n_total, initial=0), np.max(split.pre.na[hi - 1] - split.pre.na[lo], initial=0))
+    spread = np.max(np.concatenate((split.single.n_total, split.pre.na[hi - 1] - split.pre.na[lo])), initial=0)
     return 2.0 * math.pi / spread if spread else math.inf
 
 

@@ -337,6 +337,15 @@ def test_state_validate_rejects_garbage(tmp_path, capsys):
     assert "invalid" in capsys.readouterr().err
 
 
+def test_state_file_whose_duplicates_overflow_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"cutoff": 1, "entries": [{"na": 0, "nb": 0, "re": 1e308, "im": 0.0}, '
+                   '{"na": 0, "nb": 0, "re": 1e308, "im": 0.0}, {"na": 1, "nb": 0, "re": 1.0, "im": 0.0}]}')
+    assert main(["state", "validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "entry (0, 0) has a non-finite amplitude" in captured.err
+
+
 @pytest.mark.parametrize("field", ['"re": NaN', '"im": Infinity'])
 def test_non_finite_amplitude_in_a_state_file_exits_2(tmp_path, capsys, field):
     bad = tmp_path / "bad.json"

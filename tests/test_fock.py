@@ -79,6 +79,13 @@ def test_make_state_rejects_non_finite_amplitudes(amp):
         make_state([(0, 3, 1.0), (1, 2, amp)], cutoff=3)
 
 
+def test_make_state_rejects_duplicates_whose_sum_overflows():
+    # each entry is finite, their merge is not: the check runs on the merged
+    # amplitudes, so this is the same ValueError, not an empty state
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) has a non-finite amplitude"):
+        make_state([(0, 0, 1e308), (0, 0, 1e308), (1, 0, 1.0)], 1)
+
+
 def test_make_state_merges_duplicates():
     s = make_state([(1, 0, 0.5), (1, 0, 0.5), (0, 1, 1.0)], cutoff=2)
     assert abs(s.amplitude(1, 0) - s.amplitude(0, 1)) < 1e-12

@@ -89,7 +89,8 @@ def test_rotation_at_j_2000_matches_mpmath_legendre():
         for row, (phi, ms) in enumerate(spots.items()):
             x = mpmath.cos(mpmath.mpf(phi))
             for m in ms:
-                ref = mpmath.sqrt(mpmath.factorial(j - m) / mpmath.factorial(j + m)) * mpmath.legenp(j, m, x, type=2)
+                norm = mpmath.sqrt(mpmath.factorial(j - m) / mpmath.factorial(j + m))
+                ref = norm * mpmath.legenp(j, m, x, type=2)
                 assert math.isclose(got[row, j - m], float(ref), rel_tol=1e-12, abs_tol=1e-14), (phi, m)
 
 
