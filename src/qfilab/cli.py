@@ -241,7 +241,9 @@ def _cmd_qfi(args) -> int:
     state, dist, desc = resolve_state(args.state)
     phis = np.linspace(0.0, 2.0 * math.pi, 181)
     scan = fi_scan(state, phis, args.pipeline)
-    best = int(np.argmax(scan))
+    # the first phase within rounding of the maximum: a scan flat up to its
+    # last bits must not report a phase picked by rounding noise
+    best = int(np.argmax(scan >= (1.0 - 1e-12) * scan.max()))
     divergent = bool(dist and dist.mean_square.divergent)
     report = FisherReport(
         phi=float(phis[best]),

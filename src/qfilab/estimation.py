@@ -7,18 +7,20 @@ run_estimation, (m_index, rep) in crb_convergence_study. Identical seeds
 give bit-identical histograms and serialized runs, and only drawn outcomes
 are keyed, so trial counts up to 1e8 stay cheap.
 
-The estimator is a windowed maximum-likelihood search: a coarse grid over
-the window followed by golden-section refinement. run_estimation and
+The estimator is a windowed maximum-likelihood search by grids alone: a
+coarse grid over the window, then grids of MLE_ZOOM_POINTS phases zoomed
+onto the bracket around the best point so far. run_estimation and
 crb_convergence_study do their set-up once per command, before any draw
 (_setup): the state sorted by sector kind (fisher._split, which applies
 an MZI's first splitter where a kind needs it), the likelihood period,
 the window and its check, the FI behind the bound, and the outcome table
 every repetition draws from. Per record, the log-likelihood grid
 (_loglik_grid) cuts each kind to the sectors the record observed and sets
-it up once for its ~26 calls: for the phase kernel the observed outcomes'
-splitter columns, the distinct J3 eigenvalues and the gather indices; for
-the rotation of the MZI's |J,J> inputs the counts per ladder step, whose
-log-probabilities are the only ones it takes. Windows must stay
+it up once for its few calls, each a whole grid: for the phase kernel
+the observed outcomes' splitter columns, the distinct J3 eigenvalues and
+the gather indices; for the rotation of the MZI's |J,J> inputs the
+counts per ladder step, whose log-probabilities are the only ones it
+takes. Windows must stay
 narrower than the likelihood's fundamental period (2*pi over the largest
 occupied J3 spread), otherwise the phase is not identifiable; the bound
 being probed is local in exactly that sense. The log-likelihood is flat to
@@ -52,8 +54,8 @@ from .fock import TwoModeState
 RNG_ALGORITHM = "philox4x64"
 MLE_GRID_POINTS = 10_000
 MLE_REFINE_TOL = 1e-10
+MLE_ZOOM_POINTS = 33
 _LOG_FLOOR = 1e-300
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class DegenerateLikelihoodError(ValueError):
@@ -177,27 +179,11 @@ def _loglik_grid(
     return loglik
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer; deterministic, returns the smaller phase
-    on exact ties."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc >= fd:  # keep the left interval on ties
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
 def _mle(split: _Split, outcomes: dict[tuple[int, int], int], lo: float, hi: float) -> float:
-    """Grid-plus-golden maximum-likelihood search on a checked window."""
+    """Grid maximum-likelihood search on a checked window: the coarse grid,
+    then a grid of MLE_ZOOM_POINTS over the bracket of the best point's
+    neighbours, until the bracket is at most MLE_REFINE_TOL wide or a zoom
+    no longer narrows it (beyond |phi| = 2**19 an ulp exceeds the tolerance)."""
     loglik = _loglik_grid(split, outcomes)
     if sum(outcomes.values()) == 0:
         raise DegenerateLikelihoodError("empty outcome record")
@@ -206,14 +192,15 @@ def _mle(split: _Split, outcomes: dict[tuple[int, int], int], lo: float, hi: flo
     span = float(ll.max() - ll.min())
     if span <= 1e-9 * max(1.0, abs(float(ll.max()))):
         raise DegenerateLikelihoodError("log-likelihood is constant over the window")
-    best = int(np.argmax(ll))  # first maximum = smallest phase
-    a = phis[max(best - 1, 0)]
-    b = phis[min(best + 1, MLE_GRID_POINTS - 1)]
-
-    def scalar_ll(phi: float) -> float:
-        return float(loglik(np.array([phi]))[0])
-
-    return float(_golden_max(scalar_ll, float(a), float(b), MLE_REFINE_TOL))
+    width = math.inf
+    while True:
+        best = int(np.argmax(ll))  # first maximum = smallest phase
+        a, b = phis[max(best - 1, 0)], phis[min(best + 1, phis.size - 1)]
+        if b - a <= MLE_REFINE_TOL or b - a >= width:
+            return float(phis[best])
+        width = b - a
+        phis = np.linspace(a, b, MLE_ZOOM_POINTS)
+        ll = loglik(phis)
 
 
 def mle_phase(
@@ -224,10 +211,12 @@ def mle_phase(
 ) -> float:
     """Maximum-likelihood phase on a window.
 
-    Coarse grid search (MLE_GRID_POINTS samples) followed by golden-section
-    refinement to MLE_REFINE_TOL; grid ties resolve toward the smallest
-    phase. The estimate is resolved only to the log-likelihood's rounding
-    band (~1e-8 at 2000 trials), coarser than MLE_REFINE_TOL. Raises
+    Coarse grid search (MLE_GRID_POINTS samples), then grids of
+    MLE_ZOOM_POINTS zoomed onto the best point's bracket until it is at
+    most MLE_REFINE_TOL wide or stops narrowing; ties on every grid resolve
+    toward the smallest phase, and the estimate never leaves the window.
+    The estimate is resolved only to the log-likelihood's rounding band
+    (~1e-8 at 2000 trials), coarser than MLE_REFINE_TOL. Raises
     DegenerateLikelihoodError when the outcome record carries no phase
     information over the window.
     """
@@ -242,7 +231,9 @@ class EstimationRun:
     empirical_mse is the squared error of this run's estimate; crb_m is
     the m-trial Cramer-Rao bound 1/(M * FI(phi_true)) in the same squared
     units. period records the fundamental likelihood period, making the
-    window's periodic-ambiguity context explicit.
+    window's periodic-ambiguity context explicit. The JSON form adds
+    window_edge: whether phi_hat lies within MLE_REFINE_TOL of a window
+    edge, where the window, not the data, may have set it.
     """
 
     phi_true: float
@@ -259,6 +250,7 @@ class EstimationRun:
     rng_algorithm: str = RNG_ALGORITHM
 
     def to_json_dict(self) -> dict:
+        lo, hi = self.window
         keyed = {
             f"{a},{b}": self.outcomes[(a, b)]
             for (a, b) in sorted(self.outcomes, key=lambda k: (k[0] + k[1], k[0]))
@@ -268,12 +260,13 @@ class EstimationRun:
             "m_trials": self.m_trials,
             "seed": self.seed,
             "repetition": self.repetition,
-            "window": [self.window[0], self.window[1]],
+            "window": [lo, hi],
             "pipeline": self.pipeline,
             "rng": self.rng_algorithm,
             "period": self.period if math.isfinite(self.period) else "inf",
             "outcomes": keyed,
             "phi_hat": self.phi_hat,
+            "window_edge": bool(min(self.phi_hat - lo, hi - self.phi_hat) <= MLE_REFINE_TOL),
             "empirical_mse": self.empirical_mse,
             "crb_m": self.crb_m,
         }

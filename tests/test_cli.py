@@ -112,6 +112,18 @@ def test_qfi_divergent_family_exits_3(capsys):
     assert "divergence" in payload
 
 
+def test_qfi_reports_the_first_phase_of_a_scan_flat_to_rounding(capsys):
+    # zeta_noon via MZI: the 181-point scan varies by about 2e-16 relative,
+    # and that noise once picked phi = 1.466 (grid index 42)
+    assert main(["qfi", "catalog:zeta_noon:3:300", "--pipeline", "MZI"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    phis = [2.0 * math.pi * k / 180 for k in range(181)]
+    scan = qfilab.fi_scan(qfilab.zeta_noon(3.0, 300)[0], phis, "MZI")
+    assert scan.max() - scan.min() <= 1e-15 * scan.max()
+    assert payload["phi"] == 0.0
+    assert payload["fi"] == float(scan[0])
+
+
 def test_qfi_invalid_catalog_exits_2(capsys):
     assert main(["qfi", "catalog:noon:0"]) == 2
     assert main(["qfi", "catalog:wombat:3"]) == 2
@@ -512,3 +524,23 @@ def test_extreme_finite_inputs_exit_2_naming_the_state(argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and argv[1] in proc.stderr
     assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("phi_true", ["6e5", "1e12", "-3e9"])
+def test_estimate_returns_at_phases_whose_ulp_exceeds_the_refinement_tolerance(phi_true):
+    # beyond 2**19 one ulp of phi exceeds MLE_REFINE_TOL, so the search must
+    # also stop when a zoom no longer narrows its bracket
+    pythonpath = [str(Path(qfilab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfilab", "estimate", "catalog:noon:3", "--phi-true", phi_true,
+         "--trials", "100"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath))),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    lo, hi = run["window"]
+    assert lo <= run["phi_hat"] <= hi
+    assert lo < float(phi_true) < hi

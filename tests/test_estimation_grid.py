@@ -7,6 +7,7 @@ crb_convergence_study must equal compositions of the public sample_outcomes
 and mle_phase; and the set-up they share runs once per command.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -203,3 +204,85 @@ def test_window_wider_than_the_period_raises_before_any_draw(monkeypatch, call):
     with pytest.raises(ValueError, match="exceeds the likelihood period 3.14159; "
                                          "the phase is not identifiable"):
         call((0.0, 2 * math.pi))
+
+
+def grid_sizes_per_record(monkeypatch):
+    """Wrap _loglik_grid so that each record's calls append their phase
+    counts to a list of their own."""
+    records = []
+    real = estimation._loglik_grid
+
+    def counted(split, outcomes):
+        loglik = real(split, outcomes)
+        sizes = []
+        records.append(sizes)
+
+        def call(phis):
+            sizes.append(phis.size)
+            return loglik(phis)
+
+        return call
+
+    monkeypatch.setattr(estimation, "_loglik_grid", counted)
+    return records
+
+
+def test_mle_evaluates_only_whole_grids_in_a_few_calls(monkeypatch):
+    records = grid_sizes_per_record(monkeypatch)
+    state, pipeline = CASES["dual_fock_mzi"]
+    run_estimation(state, 0.3, pipeline, 10_000, seed=1, reps=3)
+    big = noon(3)  # one ulp of 6e5 exceeds MLE_REFINE_TOL: the no-progress stop ends it
+    outcomes = sample_outcomes(big, 6e5, "MMZI", 100, seed=0)
+    mle_phase(outcomes, big, "MMZI", default_window(big, 6e5))
+    assert len(records) == 4
+    for sizes in records:
+        assert sizes[0] == estimation.MLE_GRID_POINTS
+        assert min(sizes) >= estimation.MLE_ZOOM_POINTS
+        assert len(sizes) <= 8
+
+
+def synthetic_mle(monkeypatch, loglik, lo, hi):
+    """_mle on a window, with loglik standing in for the record's grid."""
+    monkeypatch.setattr(estimation, "_loglik_grid", lambda split, outcomes: loglik)
+    return estimation._mle(None, {(0, 1): 1}, lo, hi)
+
+
+def test_mle_takes_the_smallest_phase_of_an_exact_plateau(monkeypatch):
+    # flat, bit for bit, on [0.3, 0.4]: the first maximum of every grid wins
+    phi_hat = synthetic_mle(monkeypatch, lambda p: -np.maximum(np.maximum(0.3 - p, p - 0.4), 0.0), 0.0, 1.0)
+    assert 0.3 <= phi_hat <= 0.3 + estimation.MLE_REFINE_TOL
+    # a plateau that starts at the window's left edge returns the edge itself
+    assert synthetic_mle(monkeypatch, lambda p: -np.maximum(p - 0.4, 0.0), 0.25, 1.0) == 0.25
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["right-edge", "left-edge"])
+def test_mle_returns_a_window_edge_that_holds_the_maximum(monkeypatch, sign):
+    lo, hi = 0.1, 0.7
+    assert synthetic_mle(monkeypatch, lambda p: sign * p, lo, hi) == (hi if sign > 0 else lo)
+
+
+@pytest.mark.parametrize("center", [0.3, 6e5, -3e9, 1e12])
+def test_mle_never_leaves_the_window(monkeypatch, center):
+    lo, hi = center - 0.26, center + 0.26
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        k, shift = rng.uniform(1.0, 200.0), rng.uniform(0.0, 2.0 * math.pi)
+        phi_hat = synthetic_mle(monkeypatch, lambda p: np.cos(k * (p - center) + shift), lo, hi)
+        assert lo <= phi_hat <= hi
+
+
+def test_window_edge_flags_estimates_the_window_set():
+    # zeta_noon at K=1000 through 10,000 trials: the likelihood's peak lies
+    # outside the narrow window in four of five repetitions, and those
+    # estimates sit exactly on an edge
+    runs = run_estimation(zeta_noon(3.0, 1000)[0], 0.3, "MMZI", 10_000, seed=1, reps=5)
+    flags = [run.to_json_dict()["window_edge"] for run in runs]
+    assert flags == [True, True, False, True, True]
+    for run, flag in zip(runs, flags):
+        assert flag == (run.phi_hat in run.window)
+    # the flag reaches MLE_REFINE_TOL inside the window, and no further
+    lo, hi = runs[2].window
+    near = dataclasses.replace(runs[2], phi_hat=lo + estimation.MLE_REFINE_TOL / 2)
+    far = dataclasses.replace(runs[2], phi_hat=hi - 2 * estimation.MLE_REFINE_TOL)
+    assert near.to_json_dict()["window_edge"] is True
+    assert far.to_json_dict()["window_edge"] is False

@@ -14,7 +14,9 @@ estimate goldens moved so when their sectors, all single inputs |J,J>,
 left the first splitter and the phase kernel for the rotation; the 1e-12
 golden and its byte-exact twin (*.exact.jsonl, kept apart since an
 earlier FI reordering moved the 1e-12 golden's crb_m by 2e-16) now hold
-the same bytes. The qfi report of the benchmark's
+the same bytes. Their phi_hat moved again, by at most 1.1e-8, when the
+golden-section refinement gave way to zoomed grids, and each line gained
+its window_edge flag. The qfi report of the benchmark's
 headline command is pinned byte for byte too, as are the fig3a/fig3b CSVs
 at 200 points with their provenance sidecars, and so are the CLI's fixed
 texts (cli_text.json): `catalog list`, every --help at COLUMNS=80, the
@@ -153,9 +155,10 @@ def _reference_loglik(state, pipeline, outcomes, phi):
 
 def test_estimate_golden_phi_hat_attains_the_likelihood_maximum(tmp_path):
     # The log-likelihood is flat to rounding over a few 1e-8 around its peak,
-    # so phi_hat is resolved to that band, not to the golden-section
-    # tolerance: it must score within a few ulps of |ll| of the best point
-    # on a 1e-9 grid of +-1e-7, summed independently from likelihood().
+    # so phi_hat is resolved to that band, not to the refinement tolerance
+    # of the zoomed grids: it must score within a few ulps of |ll| of the
+    # best point on a 1e-9 grid of +-1e-7, summed independently from
+    # likelihood().
     name, argv, code = CASES[3]
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == code
