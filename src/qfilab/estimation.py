@@ -13,36 +13,42 @@ onto the bracket around the best point so far. run_estimation and
 crb_convergence_study do their set-up once per command, before any draw
 (_setup): the state sorted by sector kind (fisher._split, which applies
 an MZI's first splitter where a kind needs it), the likelihood period,
-the window and its check, the FI behind the bound, and the outcome table
-every repetition draws from. Per record, the log-likelihood grid
-(_loglik_grid) cuts each kind to the sectors the record observed and sets
-it up once for its few calls, each a whole grid: for the phase kernel
-the observed outcomes' splitter columns, the distinct J3 eigenvalues and
-the gather indices; for the rotation of the MZI's |J,J> inputs the
-counts per ladder step, whose log-probabilities are the only ones it
-takes. Windows must stay
+the window and its checks, the FI behind the bound, and the outcome table
+every repetition draws from. They then draw every record and set up the
+log-likelihood kernels once, for the union of the sectors the records
+observed (_grid): for the phase kernel the splitter columns, the distinct
+J3 eigenvalues and the gather indices; for the rotation of the MZI's
+|J,J> inputs the sectors and their weights. The coarse grid depends only
+on the state and the window, so one pass of each kernel serves a chunk
+of MLE_CHUNK records (_logliks, _estimates); only the zoomed grids run
+per record. A record's log-likelihood is the same to the last bit
+whether it is evaluated alone or with others. Windows must stay
 narrower than the likelihood's fundamental period (2*pi over the largest
 occupied J3 spread), otherwise the phase is not identifiable; the bound
-being probed is local in exactly that sense. The log-likelihood is flat to
-rounding over ~1e-8 rad around its maximum at 2000 trials, much wider than
-the refinement tolerance, so the estimate is resolved only to that band.
+being probed is local in exactly that sense. They must also span many
+floats at the true phase (_WINDOW_ULPS), or they round to a few points.
+The log-likelihood is flat to rounding over ~1e-8 rad around its maximum
+at 2000 trials, much wider than the refinement tolerance, so the estimate
+is resolved only to that band.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .fisher import (
-    _amplitudes,
     _distinct,
     _fi_reduce,
     _outcome_table,
     _period,
+    _phase_blocks,
+    _phased,
     _rotation,
     _sectors,
     _split,
@@ -55,6 +61,8 @@ RNG_ALGORITHM = "philox4x64"
 MLE_GRID_POINTS = 10_000
 MLE_REFINE_TOL = 1e-10
 MLE_ZOOM_POINTS = 33
+MLE_CHUNK = 64  # records per coarse-grid pass
+_WINDOW_ULPS = 1000  # fewest float spacings at the phase that a window must span
 _LOG_FLOOR = 1e-300
 
 
@@ -133,74 +141,147 @@ def sample_outcomes(
     return _sampler(_split(state, pipeline), phi_true)(m_trials, seed)
 
 
-def _loglik_grid(
-    split: _Split, outcomes: dict[tuple[int, int], int]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Log-likelihood of an outcome histogram on a phase grid, for the
-    split state. Once per record, here, the histogram is checked, the
-    state is cut to the sub-states of the observed sectors, and their
-    kernels are set up: the phase kernel's (_amplitudes' held, observed
-    columns only) and the rotation's (each observed sector's counts per
-    ladder step, m and -m together, as P is even in m). The returned
-    function of phis only evaluates them and sums counts times log p.
-    """
-    by_sector = {}
-    for (a, b), cnt in outcomes.items():
-        if a < 0 or b < 0 or cnt < 0:
-            raise ValueError(f"outcome {(a, b)} with count {cnt}: port counts and counts must be >= 0")
-        by_sector.setdefault(a + b, []).append((a, cnt))
-    observed = list(by_sector)
+class _Grid(NamedTuple):
+    """The log-likelihood kernels of one command, set up once for the union
+    of its records' observed sectors (_grid). held is the phase kernel's
+    (_phased): the distinct J3 eigenvalues of sub and, by N, each sector's
+    (N, vec, m, gather indices, bs_t). rot maps N = 2J to the index of an
+    observed rotation sector |J, J> in j (ascending), weight their
+    |amplitude|^2."""
+
+    sub: TwoModeState
+    unique_m: np.ndarray
+    held: dict
+    rot: dict
+    j: np.ndarray
+    weight: np.ndarray
+
+
+def _grid(split: _Split, records) -> _Grid:
+    """The _Grid of split for the sectors any of records observed."""
+    observed = sorted({a + b for outcomes in records for a, b in outcomes})
     sub = split.table.subset(np.isin(split.table.n_total, observed))
     unique_m = _distinct(sub.j3_values)
-    held = [(n, vec, m, unique_m.searchsorted(m), bs_t[:, [a for a, _ in by_sector[n]]])
-            for n, vec, m, bs_t in _sectors(sub)]
+    held = {n: (n, vec, m, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(sub)}
     single = split.single
     rot = single.subset((single.na == single.nb) & np.isin(single.n_total, observed))
-    j = rot.na
-    if len(held) + j.size < len(by_sector):  # an observed sector that the state does not occupy
-        stray = [k for k in outcomes if k[0] + k[1] not in {n for n, *_ in held} | set((2 * j).tolist())]
-        raise ValueError(f"outcomes {stray} lie outside the occupied sectors")
-    counts = {n: np.array([c for _, c in group], dtype=float) for n, group in by_sector.items()}
-    steps = np.zeros((j.max(initial=-1) + 1, j.size))  # steps[t, i]: counts of n_a = J_i +- (J_i - t)
-    for i, jj in enumerate(j.tolist()):
-        for a, cnt in by_sector[2 * jj]:
-            steps[jj - abs(a - jj), i] += cnt
-    seen = [np.flatnonzero(row) for row in steps]
-    weight = np.abs(rot.amps) ** 2
+    index = {2 * jj: i for i, jj in enumerate(rot.na.tolist())}
+    return _Grid(sub, unique_m, held, index, rot.na, np.abs(rot.amps) ** 2)
+
+
+def _logliks(grid: _Grid, records) -> Callable[[np.ndarray], np.ndarray]:
+    """Log-likelihoods of outcome histograms on a phase grid, a row per
+    record. Once, here, the histograms are checked and each one's share of
+    the grid's kernels is set up: the observed columns of each phase-kernel
+    sector, and each rotation sector's counts per ladder step, m and -m
+    together, as P is even in m. A call of the returned function of phis
+    runs each kernel once for every record, over the sectors any of them
+    observed, and takes each rotation step's log-probabilities once; each
+    record then adds its own counts on its own row, by the products it
+    would take alone (a matmul's bits depend on its operands' shapes), and
+    sector rows do not interact, so its row equals its row alone, bit for
+    bit."""
+    users, ladders = {}, []  # N -> [(record, columns, counts)]; (record, step, sectors, counts)
+    for r, outcomes in enumerate(records):
+        by_sector = {}
+        for (a, b), cnt in outcomes.items():
+            if a < 0 or b < 0 or cnt < 0:
+                raise ValueError(f"outcome {(a, b)} with count {cnt}: port counts and counts must be >= 0")
+            by_sector.setdefault(a + b, []).append((a, cnt))
+        stray = [k for k in outcomes if k[0] + k[1] not in grid.held and k[0] + k[1] not in grid.rot]
+        if stray:
+            raise ValueError(f"outcomes {stray} lie outside the occupied sectors")
+        steps = {}  # (t, sector): counts of n_a = J +- (J - t)
+        for n, group in by_sector.items():
+            if n in grid.held:
+                cols = grid.held[n][4][:, [a for a, _ in group]]
+                users.setdefault(n, []).append((r, cols, np.array([c for _, c in group], dtype=float)))
+                continue
+            for a, cnt in group:
+                key = (n // 2 - abs(a - n // 2), grid.rot[n])
+                steps[key] = steps.get(key, 0.0) + cnt
+        rungs = {}
+        for (t, i), cnt in sorted(steps.items()):
+            if cnt:
+                rungs.setdefault(t, []).append((i, cnt))
+        for t, rung in rungs.items():
+            ladders.append((r, t, np.array([i for i, _ in rung]), np.array([c for _, c in rung], dtype=float)))
+    held = (grid.unique_m, [grid.held[n] for n in sorted(users)])
+    used = np.zeros(grid.j.size, dtype=bool)
+    for _, _, sectors, _ in ladders:
+        used[sectors] = True
+    local = np.cumsum(used) - 1  # an observed rotation sector's place among the used ones
+    j, weight = grid.j[used], grid.weight[used]
+    seen = np.zeros((j.max(initial=-1) + 1, j.size), dtype=bool)
+    for _, t, sectors, _ in ladders:
+        seen[t, local[sectors]] = True
+    seen = [np.flatnonzero(row) for row in seen]
+    by_step = [[] for _ in seen]
+    for r, t, sectors, counts in ladders:
+        by_step[t].append((r, seen[t].searchsorted(local[sectors]), counts))
 
     def loglik(phis: np.ndarray) -> np.ndarray:
-        ll = np.zeros(phis.size)
-        for rows, n, amp, _ in _amplitudes(sub, phis, (unique_m, held), False):
-            ll[rows] += np.log(np.maximum(np.abs(amp) ** 2, _LOG_FLOOR)) @ counts[n]
+        ll = np.zeros((len(records), phis.size))
+        if users:
+            for rows, n, _, chi, _ in _phased(grid.sub, phis, held):
+                for r, cols, counts in users[n]:
+                    ll[r, rows] += np.log(np.maximum(np.abs(chi @ cols) ** 2, _LOG_FLOOR)) @ counts
         for rows, t, sel, d, _ in _rotation(j, phis, False, seen):
-            ll[rows] += steps[t, sel] @ np.log(np.maximum(weight[sel, None] * (d * d), _LOG_FLOOR))
+            logp = np.log(np.maximum(weight[sel, None] * (d * d), _LOG_FLOOR))
+            for r, ix, counts in by_step[t]:
+                ll[r, rows] += counts @ logp[ix]
         return ll
 
     return loglik
 
 
-def _mle(split: _Split, outcomes: dict[tuple[int, int], int], lo: float, hi: float) -> float:
-    """Grid maximum-likelihood search on a checked window: the coarse grid,
-    then a grid of MLE_ZOOM_POINTS over the bracket of the best point's
-    neighbours, until the bracket is at most MLE_REFINE_TOL wide or a zoom
-    no longer narrows it (beyond |phi| = 2**19 an ulp exceeds the tolerance)."""
-    loglik = _loglik_grid(split, outcomes)
-    if sum(outcomes.values()) == 0:
-        raise DegenerateLikelihoodError("empty outcome record")
-    phis = np.linspace(lo, hi, MLE_GRID_POINTS)
-    ll = loglik(phis)
-    span = float(ll.max() - ll.min())
-    if span <= 1e-9 * max(1.0, abs(float(ll.max()))):
-        raise DegenerateLikelihoodError("log-likelihood is constant over the window")
+def _mle(split: _Split, records, lo: float, hi: float):
+    """Grid maximum-likelihood estimates of records on a checked window:
+    yields, record by record, its phase or the DegenerateLikelihoodError of
+    a record without phase information over the window. The kernels are set
+    up once (_grid), and the coarse grid runs once per MLE_CHUNK records
+    (_estimates)."""
+    grid = _grid(split, records)
+    coarse = np.linspace(lo, hi, MLE_GRID_POINTS)
+    for start in range(0, len(records), MLE_CHUNK):
+        yield from _estimates(grid, records[start:start + MLE_CHUNK], coarse)
+
+
+def _estimates(grid: _Grid, chunk, phis: np.ndarray):
+    """The estimates of a chunk of records from one coarse pass over phis,
+    taken block by block (_phase_blocks, as the kernels cut it) so that
+    only a block's rows are held: per record and block its maximum, first
+    maximizer and minimum. Then each record's own grids of MLE_ZOOM_POINTS
+    zoom onto the bracket of its best point's neighbours, until the bracket
+    is at most MLE_REFINE_TOL wide or a zoom no longer narrows it (beyond
+    |phi| = 2**19 an ulp exceeds the tolerance). Ties resolve to the first
+    maximum, the smallest phase."""
+    loglik, blocks = _logliks(grid, chunk), _phase_blocks(phis.size)
+    tops, ats, lows = (np.empty((len(chunk), len(blocks)), dtype) for dtype in (float, int, float))
+    for i, rows in enumerate(blocks):
+        ll = loglik(phis[rows])
+        tops[:, i], ats[:, i], lows[:, i] = ll.max(axis=1), ll.argmax(axis=1) + rows.start, ll.min(axis=1)
+    for outcomes, top, at, low in zip(chunk, tops, ats, lows):
+        peak = float(top.max())
+        if sum(outcomes.values()) == 0:
+            yield DegenerateLikelihoodError("empty outcome record")
+        elif peak - float(low.min()) <= 1e-9 * max(1.0, abs(peak)):
+            yield DegenerateLikelihoodError("log-likelihood is constant over the window")
+        else:
+            yield _zoom(_logliks(grid, [outcomes]), phis, int(at[np.argmax(top)]))
+
+
+def _zoom(loglik, phis: np.ndarray, best: int) -> float:
+    """The phase that grids of MLE_ZOOM_POINTS on loglik find from the best
+    point of phis."""
     width = math.inf
     while True:
-        best = int(np.argmax(ll))  # first maximum = smallest phase
         a, b = phis[max(best - 1, 0)], phis[min(best + 1, phis.size - 1)]
         if b - a <= MLE_REFINE_TOL or b - a >= width:
             return float(phis[best])
         width = b - a
         phis = np.linspace(a, b, MLE_ZOOM_POINTS)
-        ll = loglik(phis)
+        best = int(np.argmax(loglik(phis)[0]))
 
 
 def mle_phase(
@@ -221,7 +302,10 @@ def mle_phase(
     information over the window.
     """
     split = _split(state, pipeline)
-    return _mle(split, outcomes, *_checked_window(window, _period(split)))
+    (phi_hat,) = _mle(split, [outcomes], *_checked_window(window, _period(split)))
+    if isinstance(phi_hat, DegenerateLikelihoodError):
+        raise phi_hat
+    return phi_hat
 
 
 @dataclass(frozen=True)
@@ -278,10 +362,22 @@ class EstimationRun:
 def _setup(state: TwoModeState, phi_true: float, pipeline: str, window):
     """The per-command set-up of run_estimation and crb_convergence_study,
     done once before any draw: (split state, likelihood period, checked
-    window, FI at phi_true, sampler at phi_true)."""
+    window, FI at phi_true, sampler at phi_true). A phase too large for its
+    window is refused: where floats lie more than 1/_WINDOW_ULPS of the
+    window's width apart, its edges, grids and squared errors round to a
+    few representable phases (at 3e15 the default window of noon(3) comes
+    out 1.0 wide, not 0.52, and at 1e16 it is one point)."""
     split = _split(state, pipeline)
     period = _period(split)
-    window = _checked_window(_quarter_window(period, phi_true) if window is None else window, period)
+    default = window is None
+    lo, hi = (float(edge) for edge in (_quarter_window(period, phi_true) if default else window))
+    spacing = max(math.ulp(float(phi_true)), math.ulp(lo), math.ulp(hi))
+    if (default or hi > lo) and hi - lo < _WINDOW_ULPS * spacing:
+        raise ValueError(
+            f"phi_true {phi_true!r} is too large for the window [{lo!r}, {hi!r}]: floats there lie "
+            f"{spacing:.3g} apart, more than 1/{_WINDOW_ULPS} of its width {hi - lo:.3g}"
+        )
+    window = _checked_window((lo, hi), period)
     fi = float(_fi_reduce(split, np.array([float(phi_true)]))[0][0])
     return split, period, window, fi, _sampler(split, phi_true)
 
@@ -297,8 +393,10 @@ def run_estimation(
 ) -> list[EstimationRun]:
     """Sample, estimate, and record reps runs; run r draws from the substream
     SeedSequence(seed, spawn_key=(r,)). The first splitter, the period, the
-    window and its check, the FI behind crb_m and the outcome table the
-    draws come from are computed once, before any draw (_setup).
+    window and its checks, the FI behind crb_m and the outcome table the
+    draws come from are computed once, before any draw (_setup); the
+    likelihood kernels once, after every draw, for the sectors any record
+    observed; the coarse grid once per MLE_CHUNK records (_mle).
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -306,10 +404,11 @@ def run_estimation(
         raise ValueError("m_trials must be >= 1")
     split, period, (lo, hi), fi, draw = _setup(state, phi_true, pipeline, window)
     crb_m = 1.0 / (m_trials * fi) if fi > 1e-12 else None
+    records = [draw(m_trials, np.random.SeedSequence(int(seed), spawn_key=(rep,))) for rep in range(reps)]
     runs = []
-    for rep in range(reps):
-        outcomes = draw(m_trials, np.random.SeedSequence(int(seed), spawn_key=(rep,)))
-        phi_hat = _mle(split, outcomes, lo, hi)
+    for rep, (outcomes, phi_hat) in enumerate(zip(records, _mle(split, records, lo, hi))):
+        if isinstance(phi_hat, DegenerateLikelihoodError):
+            raise phi_hat
         runs.append(EstimationRun(
             phi_true=float(phi_true),
             m_trials=int(m_trials),
@@ -351,7 +450,8 @@ def crb_convergence_study(
     information is flagged and excluded from ratios. Each (m, repetition)
     cell draws from the substream SeedSequence(seed, spawn_key=(mi, rep)),
     so rows are reproducible and independent. Like run_estimation, it
-    does its set-up once, before any draw (_setup).
+    does its set-up once, before any draw (_setup), and estimates every
+    cell's record in one _mle.
     """
     m_list = [int(m) for m in m_list]
     if any(m < 10 for m in m_list):
@@ -360,17 +460,17 @@ def crb_convergence_study(
         raise ValueError("repetitions must be >= 1")
     split, _, (lo, hi), fi, draw = _setup(state, phi_true, pipeline, window)
     flagged = fi < 1e-12
+    records = [draw(m, np.random.SeedSequence(int(seed), spawn_key=(mi, rep)))
+               for mi, m in enumerate(m_list) for rep in range(repetitions)]
+    estimates = _mle(split, records, lo, hi)
     rows = []
-    for mi, m in enumerate(m_list):
+    for m in m_list:
         sq_errors = []
-        for rep in range(repetitions):
-            outcomes = draw(m, np.random.SeedSequence(int(seed), spawn_key=(mi, rep)))
-            try:
-                phi_hat = _mle(split, outcomes, lo, hi)
-            except DegenerateLikelihoodError:
+        for phi_hat in itertools.islice(estimates, repetitions):
+            if isinstance(phi_hat, DegenerateLikelihoodError):
                 flagged = True
-                continue
-            sq_errors.append((phi_hat - phi_true) ** 2)
+            else:
+                sq_errors.append((phi_hat - phi_true) ** 2)
         mse = float(np.mean(sq_errors)) if sq_errors else math.nan
         crb = None if flagged else 1.0 / (m * fi)
         ratio = None if (flagged or crb is None) else mse / crb

@@ -51,21 +51,23 @@ first splitter there and only where a kind needs it:
 The MZI qfi field needs no kind and no splitter: the first splitter turns
 J3 into -J2, so it is 4 Var(J2) of the input (_j2_variance), O(entries).
 
-The phase kernel, _amplitudes, takes the pre-measurement state; its
-sectors (_sectors) are the contiguous slices of the state's canonical
-table (fock.sector_bounds): the occupied inputs, their J3 eigenvalues and
-the matching columns of the final splitter (fock.splitter_columns), built
-afresh and never cached. A caller that needs some sectors passes their
-sub-state: the FI its general sectors, the estimation grid a record's
-observed ones. It cuts the phases into near-equal blocks of at most
-_PHASE_BLOCK (_phase_blocks), never a one-phase block (a one-row matmul
-takes BLAS's matrix-vector path, whose last bits differ). Per block it
-takes one exponential per distinct J3 eigenvalue (found by a sort,
-_distinct, as np.unique would import numpy.ma) and gathers each sector's
-columns with take(), which keeps them C-ordered, so every bit equals an
-exponential per sector input. The likelihoods, the sampler and the
-readouts read flat (N, n_a)-ordered arrays (_outcome_table) that merge
-the rotation's outcomes with the kernel's.
+The phase kernel, _phased, takes the pre-measurement state; its sectors
+(_sectors) are the contiguous slices of the state's canonical table
+(fock.sector_bounds): the occupied inputs, their J3 eigenvalues and the
+matching columns of the final splitter (fock.splitter_columns), built
+afresh and never cached. It yields each sector's inputs after the phase,
+which _amplitudes multiplies by the splitter columns and the estimation
+grid by each record's observed ones. A caller that needs some sectors
+passes their sub-state: the FI its general sectors, the estimation grid
+the ones its records observed. It cuts the phases into near-equal blocks
+of at most _PHASE_BLOCK (_phase_blocks), never a one-phase block (a
+one-row matmul takes BLAS's matrix-vector path, whose last bits differ).
+Per block it takes one exponential per distinct J3 eigenvalue (found by
+a sort, _distinct, as np.unique would import numpy.ma) and gathers each
+sector's columns with take(), which keeps them C-ordered, so every bit
+equals an exponential per sector input. The likelihoods, the sampler and
+the readouts read flat (N, n_a)-ordered arrays (_outcome_table) that
+merge the rotation's outcomes with the kernel's.
 
 The counting FI over a phase grid (_fi_reduce, shared by classical_fi and
 fi_scan, so by the qfi and fi-scan commands) sums kind by kind, in this
@@ -258,14 +260,14 @@ def _phase_blocks(size: int) -> list[slice]:
     return [slice(b * size // blocks, (b + 1) * size // blocks) for b in range(blocks)]
 
 
-def _amplitudes(pre: TwoModeState, phis: np.ndarray, held=None, derivative=True):
-    """Yield (rows, N, out, dout) per block of phases and sector: out[i, k]
-    is the amplitude at phis[rows][i] of the sector's k-th splitter column
-    (outcome (k, N - k) when every column is kept), dout its phase
-    derivative or None without derivative. held is pre's kernel set up once
-    by a caller that evaluates it many times: its distinct J3 eigenvalues and
-    per sector (N, vec, m, gather indices, bs_t); by default each block walks
-    pre's sectors afresh, holding one sector's columns."""
+def _phased(pre: TwoModeState, phis: np.ndarray, held=None):
+    """Yield (rows, N, m, chi, bs_t) per block of phases and sector: chi[i, j]
+    is the sector's j-th occupied input amplitude after the phase
+    phis[rows][i], m their J3 eigenvalues, bs_t their splitter columns. held
+    is pre's kernel set up once by a caller that evaluates it many times: its
+    distinct J3 eigenvalues and per sector (N, vec, m, gather indices, bs_t);
+    by default each block walks pre's sectors afresh, holding one sector's
+    columns."""
     if not len(pre):
         return
     unique_m = _distinct(pre.j3_values) if held is None else held[0]
@@ -274,8 +276,15 @@ def _amplitudes(pre: TwoModeState, phis: np.ndarray, held=None, derivative=True)
         walk = held[1] if held is not None else (
             (n, vec, m, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(pre))
         for n, vec, m, ix, bs_t in walk:
-            chi = table.take(ix, axis=1) * vec
-            yield rows, n, chi @ bs_t, (chi * (-1j * m)) @ bs_t if derivative else None
+            yield rows, n, m, table.take(ix, axis=1) * vec, bs_t
+
+
+def _amplitudes(pre: TwoModeState, phis: np.ndarray, derivative=True):
+    """Yield (rows, N, out, dout) per block of phases and sector: out[i, k]
+    is the amplitude at phis[rows][i] of outcome (k, N - k), dout its phase
+    derivative or None without derivative (_phased, walking pre afresh)."""
+    for rows, n, m, chi, bs_t in _phased(pre, phis):
+        yield rows, n, chi @ bs_t, (chi * (-1j * m)) @ bs_t if derivative else None
 
 
 _FLAT = 2.0**-600  # |sin phi| below which the rotation is the permutation to every bit of P

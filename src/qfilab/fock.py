@@ -9,8 +9,9 @@ occupied sector is one contiguous slice of the table: sector_bounds finds
 them all in one vectorized scan (the fisher kernel reads it on the sub-state
 it is passed), and sector_slices walks them for the splitter and sector
 split. splitter_columns gives the splitter columns of occupied inputs alone,
-never cached: the two-branch ones (n_a = 0, N) in closed form, any other
-from a three-term recurrence, O(N) each.
+never cached: the two-branch ones (n_a = 0, N) in closed form over one
+growing table of log-factorials, any other from a three-term recurrence,
+O(N) each.
 """
 
 from __future__ import annotations
@@ -206,10 +207,26 @@ def beamsplitter_matrix(n_total: int) -> np.ndarray:
 
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+_LOG_FACTORIALS = np.zeros(1)  # ln(x!) = math.lgamma(x + 1.0) for x = 0, 1, ...; grown by _log_factorials
 _RESCALE_EVERY = 16  # recurrence steps between overflow checks
 # 16 steps grow a column by far less than 2^100, so its entries and
 # their squares in the norm stay finite
 _RESCALE_ABOVE = 2.0**200
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """ln(x!) for x = 0..n, a read-only slice of one module table that at
+    least doubles when it grows, so the sectors of an outcome table make
+    O(cutoff) math.lgamma calls in all, not N + 1 per sector (scipy.special
+    would cost more to import than it saves here)."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if n >= table.size:
+        more = [math.lgamma(x + 1.0) for x in range(table.size, max(n + 1, 2 * table.size))]
+        table = np.concatenate((table, more))
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    return table[:n + 1]
 
 
 def splitter_columns(n_total: int, cols) -> np.ndarray:
@@ -218,9 +235,9 @@ def splitter_columns(n_total: int, cols) -> np.ndarray:
     When every column is n_a = 0 or n_a = N (a two-branch input) the
     columns come from the closed form |U[k, 0]| = |U[k, N]| =
     sqrt(C(N, k))/2^(N/2) with phases i^k and i^(N-k), evaluated in log
-    space with math.lgamma (scipy.special would cost more to import than
-    it saves here). Any other column c is the J2 eigenvector of eigenvalue
-    m = c - N/2, U[k, c] = i^(k+c) w_k with w real and
+    space from a table of math.lgamma values (_log_factorials). Any other
+    column c is the J2 eigenvector of eigenvalue m = c - N/2,
+    U[k, c] = i^(k+c) w_k with w real and
     e_{k-1} w_{k-1} + m w_k + e_k w_{k+1} = 0, e the J1 off-diagonal: O(N)
     per column, no matrix and no eigensolver. The recurrence runs from k = 0
     to the centre, where the column grows or oscillates, so it is stable;
@@ -231,7 +248,7 @@ def splitter_columns(n_total: int, cols) -> np.ndarray:
     cols = np.asarray(cols, dtype=np.int64)
     k = np.arange(n_total + 1)
     if np.all((cols == 0) | (cols == n_total)):
-        log_fact = np.array([math.lgamma(x + 1.0) for x in range(n_total + 1)])  # no scipy import
+        log_fact = _log_factorials(n_total)
         mag = np.exp(0.5 * (log_fact[-1] - log_fact - log_fact[::-1]) - 0.5 * n_total * np.log(2.0))
         power = np.where(cols == 0, k[:, None], n_total - k[:, None])
         return mag[:, None] * _I_POWERS[power % 4]

@@ -544,3 +544,22 @@ def test_estimate_returns_at_phases_whose_ulp_exceeds_the_refinement_tolerance(p
     lo, hi = run["window"]
     assert lo <= run["phi_hat"] <= hi
     assert lo < float(phi_true) < hi
+
+
+@pytest.mark.parametrize(
+    "phi_true, window",
+    [("3e15", None), ("1e16", None), ("3e15", ["2999999999999999", "3000000000000001"])],
+    ids=["default-window-widened", "default-window-collapsed", "explicit-window"],
+)
+def test_estimate_refuses_a_phase_too_large_for_its_window(phi_true, window, tmp_path, capsys):
+    # floats at 3e15 lie 0.5 apart: the default window of noon(3), 0.52
+    # wide, rounds to 1.0, and at 1e16 to a point; an explicit window 2 wide
+    # spans four floats
+    out = tmp_path / "out"
+    argv = ["estimate", "catalog:noon:3", "--phi-true", phi_true, "--trials", "100", "--out", str(out)]
+    assert main(argv + (["--window", *window] if window else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: phi_true {float(phi_true)!r} is too large for the window [")
+    assert not out.exists()
+    if window:
+        assert f"[{float(window[0])!r}, {float(window[1])!r}]" in err

@@ -4,16 +4,22 @@ The log-likelihood grid (phases in blocks, one exponential per distinct J3
 eigenvalue, splitter columns only for the observed sectors) must equal the
 per-sector formula it replaced to the last bit; run_estimation and
 crb_convergence_study must equal compositions of the public sample_outcomes
-and mle_phase; and the set-up they share runs once per command.
+and mle_phase; the set-up they share runs once per command, and the
+coarse grid once per MLE_CHUNK records.
 """
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qfilab
 from qfilab import (
     classical_fi,
     crb_convergence_study,
@@ -21,6 +27,7 @@ from qfilab import (
     estimation,
     fisher,
     likelihood_period,
+    make_state,
     mle_phase,
     noon,
     run_estimation,
@@ -28,8 +35,15 @@ from qfilab import (
     zeta_dual_fock,
     zeta_noon,
 )
-from qfilab.estimation import _loglik_grid
-from qfilab.fisher import _PHASE_BLOCK, _sectors, _split, premeasurement_state
+from qfilab.estimation import _grid, _logliks
+from qfilab.fisher import _PHASE_BLOCK, _phase_blocks, _sectors, _split, premeasurement_state
+
+
+def loglik_grid(split, record):
+    """One record's log-likelihood on a phase grid, through kernels set up
+    for it alone."""
+    loglik = _logliks(_grid(split, [record]), [record])
+    return lambda phis: loglik(phis)[0]
 
 
 def reference_loglik(pre, outcomes, phis):
@@ -75,7 +89,7 @@ def test_loglik_grid_is_bit_identical_to_the_per_sector_formula(case, size):
     lo, hi = default_window(state, 0.3, pipeline)
     phis = np.array([0.3]) if size == 1 else np.linspace(lo, hi, size)
     # the phase kernel's grid on the pre-measurement state, read as an MMZI source
-    grid = _loglik_grid(_split(pre, "MMZI"), record)
+    grid = loglik_grid(_split(pre, "MMZI"), record)
     assert np.array_equal(grid(phis), reference_loglik(pre, record, phis))
 
 
@@ -95,7 +109,7 @@ def test_loglik_grid_peak_memory_stays_below_the_per_sector_formula():
         finally:
             tracemalloc.stop()
 
-    grid = peak(lambda: _loglik_grid(_split(pre, "MMZI"), record)(phis))
+    grid = peak(lambda: loglik_grid(_split(pre, "MMZI"), record)(phis))
     reference = peak(lambda: reference_loglik(pre, record, phis))
     assert grid <= reference
 
@@ -105,7 +119,7 @@ def test_loglik_grid_calls_only_evaluate_the_kernel_set_up_once(monkeypatch):
     # columns, nor finds the distinct eigenvalues
     state, pipeline = CASES["dual_fock_mzi"]
     record = sample_outcomes(state, 0.3, pipeline, 10_000, seed=7)
-    loglik = _loglik_grid(_split(premeasurement_state(state, pipeline), "MMZI"), record)
+    loglik = loglik_grid(_split(premeasurement_state(state, pipeline), "MMZI"), record)
     grids = [np.array([0.3]), np.linspace(*default_window(state, 0.3, pipeline), 10_000)]
     expected = [loglik(phis) for phis in grids]
 
@@ -174,12 +188,12 @@ def test_run_estimation_does_its_set_up_once(monkeypatch):
     sectors = sorted({int(n) for n in state.n_total})
     # the FI behind crb_m takes every two-branch sector in closed form, so
     # the fisher kernel walks every sector once first, for the sampling
-    # table; the grids then ask only for the sectors each record saw
+    # table; the grids then ask once for the sectors any record saw
     table_side, grid_side = columns[:len(sectors)], columns[len(sectors):]
     assert [n for n, _ in table_side] == sectors
-    observed = [sorted({a + b for a, b in run.outcomes}) for run in runs]
-    assert [n for n, _ in grid_side] == [n for seen in observed for n in seen]
-    assert max(len(seen) for seen in observed) < len(sectors)
+    observed = sorted({a + b for run in runs for a, b in run.outcomes})
+    assert [n for n, _ in grid_side] == observed
+    assert len(observed) < len(sectors)
 
 
 @pytest.mark.parametrize("m_trials", [0, -5])
@@ -206,16 +220,16 @@ def test_window_wider_than_the_period_raises_before_any_draw(monkeypatch, call):
         call((0.0, 2 * math.pi))
 
 
-def grid_sizes_per_record(monkeypatch):
-    """Wrap _loglik_grid so that each record's calls append their phase
-    counts to a list of their own."""
-    records = []
-    real = estimation._loglik_grid
+def grid_sizes_per_set_up(monkeypatch):
+    """Wrap _logliks so that each set-up's calls append their phase counts
+    to a list of their own, after the number of records it serves."""
+    set_ups = []
+    real = estimation._logliks
 
-    def counted(split, outcomes):
-        loglik = real(split, outcomes)
-        sizes = []
-        records.append(sizes)
+    def counted(grid, records):
+        loglik = real(grid, records)
+        sizes = [len(records)]
+        set_ups.append(sizes)
 
         def call(phis):
             sizes.append(phis.size)
@@ -223,28 +237,81 @@ def grid_sizes_per_record(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(estimation, "_loglik_grid", counted)
-    return records
+    monkeypatch.setattr(estimation, "_logliks", counted)
+    return set_ups
 
 
 def test_mle_evaluates_only_whole_grids_in_a_few_calls(monkeypatch):
-    records = grid_sizes_per_record(monkeypatch)
+    set_ups = grid_sizes_per_set_up(monkeypatch)
     state, pipeline = CASES["dual_fock_mzi"]
     run_estimation(state, 0.3, pipeline, 10_000, seed=1, reps=3)
     big = noon(3)  # one ulp of 6e5 exceeds MLE_REFINE_TOL: the no-progress stop ends it
     outcomes = sample_outcomes(big, 6e5, "MMZI", 100, seed=0)
     mle_phase(outcomes, big, "MMZI", default_window(big, 6e5))
-    assert len(records) == 4
-    for sizes in records:
-        assert sizes[0] == estimation.MLE_GRID_POINTS
-        assert min(sizes) >= estimation.MLE_ZOOM_POINTS
+    # the coarse grid, block by block, once for all three records, then
+    # each record's zooms; then the same for the one record of mle_phase
+    blocks = [rows.stop - rows.start for rows in _phase_blocks(estimation.MLE_GRID_POINTS)]
+    assert [sizes[0] for sizes in set_ups] == [3, 1, 1, 1, 1, 1]
+    for coarse in (set_ups[0], set_ups[4]):
+        assert coarse[1:] == blocks
+    for sizes in set_ups[1:4] + set_ups[5:]:
+        assert set(sizes[1:]) == {estimation.MLE_ZOOM_POINTS}
         assert len(sizes) <= 8
 
 
+def test_coarse_grid_runs_once_per_chunk_whatever_the_reps(monkeypatch):
+    # via MZI, |1,1> and |2,2> take the rotation and N = 3 the phase kernel;
+    # each kernel passes over the coarse grid block by block, once per chunk
+    state = make_state([(1, 1, 1.0), (2, 2, 0.5), (0, 3, 0.6), (1, 2, 0.4j)], 4)
+    monkeypatch.setattr(estimation, "MLE_CHUNK", 4)
+    blocks = _phase_blocks(estimation.MLE_GRID_POINTS)
+    block = blocks[0].stop - blocks[0].start
+    for reps in (1, 4, 9):
+        passes = {"_phased": 0, "_rotation": 0}
+        for name in passes:
+            real = getattr(fisher, name)
+
+            def counted(pre, phis, *args, name=name, real=real):
+                passes[name] += phis.size == block
+                return real(pre, phis, *args)
+
+            monkeypatch.setattr(estimation, name, counted)
+        run_estimation(state, 0.3, "MZI", 2000, seed=1, reps=reps)
+        chunks = -(-reps // estimation.MLE_CHUNK)
+        assert passes == {"_phased": chunks * len(blocks), "_rotation": chunks * len(blocks)}
+
+
+def peak_rss_kib(argv):
+    """The peak resident memory (VmHWM, KiB) of a fresh process that runs
+    the CLI on argv: its own high-water mark, not one it inherits."""
+    code = ("import sys; from qfilab.cli import main; main(sys.argv[1:]); "
+            "print([line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')][0])")
+    pythonpath = [str(Path(qfilab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--out", os.devnull],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath))),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from procfs")
+def test_estimate_memory_does_not_grow_with_the_reps():
+    # a thousand records keep their histograms and JSON lines (about 4.4
+    # MiB here), a chunk's block of coarse rows (1 MiB) and the kernels of
+    # more sectors; the coarse grid's rows of every record are never held
+    argv = ["estimate", "catalog:zeta_dual_fock:3:30", "--pipeline", "MZI", "--phi-true", "0.3",
+            "--trials", "1000"]
+    few, many = (peak_rss_kib(argv + ["--reps", reps]) for reps in ("10", "1000"))
+    assert many - few < 8 * 1024
+
+
 def synthetic_mle(monkeypatch, loglik, lo, hi):
-    """_mle on a window, with loglik standing in for the record's grid."""
-    monkeypatch.setattr(estimation, "_loglik_grid", lambda split, outcomes: loglik)
-    return estimation._mle(None, {(0, 1): 1}, lo, hi)
+    """_mle on a window, with loglik standing in for every record's grid."""
+    monkeypatch.setattr(estimation, "_grid", lambda split, records: None)
+    monkeypatch.setattr(estimation, "_logliks", lambda grid, records: lambda p: np.array([loglik(p)] * len(records)))
+    (phi_hat,) = estimation._mle(None, [{(0, 1): 1}], lo, hi)
+    return phi_hat
 
 
 def test_mle_takes_the_smallest_phase_of_an_exact_plateau(monkeypatch):

@@ -24,7 +24,9 @@ from qfilab import (
     state_from_json_dict,
     state_to_json_dict,
     vacuum,
+    zeta_noon,
 )
+from qfilab import fisher, fock
 from qfilab.fock import DEFAULT_PRUNE_THRESHOLD
 
 from sector_operators import schwinger_matrices
@@ -240,6 +242,26 @@ def test_two_branch_splitter_columns_closed_form():
         dense = beamsplitter_matrix(n)
         assert np.abs(splitter_columns(n, [0, n]) - dense[:, [0, n]]).max() < 1e-12
         assert np.abs(splitter_columns(n, [n]) - dense[:, [n]]).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", [100, 1000])
+def test_two_branch_outcome_table_takes_lgamma_calls_linear_in_the_cutoff(monkeypatch, k):
+    # every sector of zeta_noon is two-branch: one shared log-factorial
+    # table serves them all, with math.lgamma called O(K) times, not once
+    # per outcome (K^2 / 2); its entries are the floats lgamma gives
+    calls = []
+    real = math.lgamma
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(fock, "_LOG_FACTORIALS", np.zeros(1))
+    monkeypatch.setattr(math, "lgamma", counted)
+    state = zeta_noon(3.0, k)[0]
+    fisher._outcome_table(fisher._split(state, "MMZI"), 0.3)
+    assert k < len(calls) < 2 * (k + 1)
+    assert fock._log_factorials(k).tolist() == [real(x + 1.0) for x in range(k + 1)]
 
 
 def test_general_splitter_columns_slice_the_dense_matrix():

@@ -32,8 +32,8 @@ from qfilab import (
     sample_outcomes,
     sector_fi_decomposition,
 )
-from qfilab.estimation import _loglik_grid
-from qfilab.fisher import _amplitudes, _outcome_table, _sector_kinds, _split, premeasurement_state
+from qfilab.estimation import _grid, _logliks
+from qfilab.fisher import _PHASE_BLOCK, _amplitudes, _outcome_table, _sector_kinds, _split, premeasurement_state
 
 MAX_SECTOR = 6
 AMP_NOISE = 1e-13  # amplitude scale below which an outcome sits at a zero
@@ -257,10 +257,61 @@ def test_loglik_grid_matches_likelihood(state, pipeline, phis, counts):
     possible = [k for k in probs[0] if min(p[k] for p in probs) > 1e-6]
     assume(possible)
     outcomes = {k: c for k, c in zip(possible, counts)}
-    grid = _loglik_grid(_split(state, pipeline), outcomes)(np.array(phis))
+    grid = loglik_alone(_split(state, pipeline), outcomes, np.array(phis))
     for value, p in zip(grid, probs):
         expected = sum(c * math.log(p[k]) for k, c in outcomes.items())
         assert close(float(value), expected, rel=1e-10)
+
+
+def loglik_alone(split, record, phis):
+    """One record's log-likelihood on phis, through kernels set up for it
+    alone."""
+    return _logliks(_grid(split, [record]), [record])(phis)[0]
+
+
+def shared_pass_equals_each_record_alone(state, pipeline, records, phis):
+    split = _split(state, pipeline)
+    shared = _logliks(_grid(split, records), records)(phis)
+    for row, record in zip(shared, records):
+        assert np.array_equal(row, loglik_alone(split, record, phis))
+
+
+# Each record is drawn as (outcome index, count) pairs, the index taken
+# modulo the number of the state's outcomes, so records of one state
+# observe overlapping, disjoint or single outcomes and sectors.
+records = st.lists(
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 50)), min_size=1, max_size=8),
+    min_size=1, max_size=4,
+)
+
+
+@given(states(), pipelines, records, phases, st.sampled_from([1, 33, _PHASE_BLOCK + 1]))
+def test_shared_pass_equals_each_record_alone(state, pipeline, drawn, phi, size):
+    # one pass of each kernel for all records, over the union of their
+    # sectors, gives each record's log-likelihood bit for bit
+    outcomes = list(likelihood(state, phi, pipeline))
+    recs = [{outcomes[i % len(outcomes)]: c for i, c in pairs} for pairs in drawn]
+    shared_pass_equals_each_record_alone(state, pipeline, recs, phi + np.linspace(0.0, 1.0, size))
+
+
+# MZI: |1,1> and |2,2> are rotation sectors; N = 3 and N = 5 reach the
+# phase kernel, the latter as a two-branch input
+MIXED = make_state([(1, 1, 1.0), (2, 2, 0.3), (0, 3, 0.5), (1, 2, 0.7j), (0, 5, 0.4), (5, 0, -0.2)], 6)
+
+
+@pytest.mark.parametrize(
+    "recs",
+    [
+        [{(0, 2): 3, (1, 1): 4}, {(3, 0): 2, (1, 2): 5}],  # rotation only; kernel only: disjoint
+        [{(2, 2): 7}, {(1, 2): 1}, {(0, 5): 2, (1, 3): 1, (4, 0): 6}],  # one outcome each, then both kinds
+        [{(0, 2): 0, (2, 0): 3, (3, 2): 1}, {(0, 3): 0}],  # zero counts
+    ],
+    ids=["disjoint-kinds", "single-outcomes", "zero-counts"],
+)
+def test_shared_pass_equals_each_record_alone_on_both_kinds(recs):
+    phis = np.linspace(-0.4, 0.9, 10_000)
+    shared_pass_equals_each_record_alone(MIXED, "MZI", recs, phis)
+    shared_pass_equals_each_record_alone(MIXED, "MMZI", recs, phis)
 
 
 def reference_table(state, phi, pipeline):
