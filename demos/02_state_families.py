@@ -2,7 +2,8 @@
 bookkeeping, including the divergence flags that replace float infinities."""
 
 from qfilab import (
-    dual_fock_after_bs_closed_form,
+    apply_beamsplitter,
+    dual_fock,
     tmsv,
     tmsv_cutoff_for,
     tmsv_noon,
@@ -46,8 +47,10 @@ print(f"branch family with the same weights: mean_sq limit "
 _, dd = zeta_dual_fock(3.0, 1000)
 print(f"zeta_dual_fock(3): mean -> {dd.mean.limit:.5f} (twice the branch family)")
 
-# Closed-form splitter image of |N,N>: only even occupations survive.
-closed = dual_fock_after_bs_closed_form(2)
-print("\nsplitter image of |2,2> from the closed form:")
-for (na, nb), amp in closed.items():
-    print(f"   |{na},{nb}>  |amp|^2 = {abs(amp) ** 2:.4f}")
+# Splitter image of |N,N>: only even occupations survive, with weights
+# C(2k,k) C(2N-2k,N-k) / 4^N on |2k, 2N-2k>.
+image = apply_beamsplitter(dual_fock(2))
+print("\nsplitter image of |2,2>:")
+for (na, nb), amp in image.items():
+    if abs(amp) ** 2 > 1e-12:
+        print(f"   |{na},{nb}>  |amp|^2 = {abs(amp) ** 2:.4f}")

@@ -12,7 +12,6 @@ from .catalog import (
     TailTooHeavyError,
     distribution_from_state,
     dual_fock,
-    dual_fock_after_bs_closed_form,
     noon,
     tmsv,
     tmsv_cutoff_for,
@@ -24,31 +23,24 @@ from .catalog import (
 )
 from .curves import SpecError, crossing_mean, fig3a_point, fig3b_point
 from .estimation import (
-    ConvergenceRow,
     DegenerateLikelihoodError,
     EstimationRun,
-    crb_convergence_study,
     default_window,
     mle_phase,
     run_estimation,
     sample_outcomes,
 )
 from .fisher import (
-    CountingPOVM,
     FisherReport,
-    NonpositiveQFIError,
-    ZenoTime,
     classical_fi,
     fi_observable,
     fi_scan,
-    j3_measurement_fi,
     likelihood,
     likelihood_period,
     likelihood_with_derivative,
     max_qfi_bound,
     qfi_pure,
     sector_fi_decomposition,
-    zeno_time,
 )
 from .fock import (
     CutoffViolationError,

@@ -160,28 +160,6 @@ def dual_fock(n: int) -> TwoModeState:
     return make_state([(n, n, 1.0)], cutoff=2 * n)
 
 
-def dual_fock_after_bs_closed_form(n: int) -> TwoModeState:
-    """Closed-form image of |N,N> under the 50:50 splitter.
-
-    Only even occupations survive; the amplitude on |2k, 2N-2k> is
-    i^N * sqrt(C(2k,k) * C(2N-2k,N-k)) / 2^N. Binomials are evaluated in
-    log space so the expression stays finite at large N. Component k has
-    J3 eigenvalue 2k-N, so the per-component sensitivity weights are
-    (2N-4k)^2.
-    """
-    if n < 1:
-        raise InvalidNError("closed form defined for N >= 1")
-    from scipy.special import gammaln  # deferred: keeps scipy out of `import qfilab`
-
-    k = np.arange(n + 1)
-    log_mag = 0.5 * (
-        gammaln(2 * k + 1) - 2 * gammaln(k + 1)
-        + gammaln(2 * (n - k) + 1) - 2 * gammaln(n - k + 1)
-    ) - n * math.log(2.0)
-    amps = np.exp(log_mag) * (1j ** n)
-    return _canonical_state(2 * k, 2 * (n - k), amps, cutoff=2 * n)
-
-
 # ---------------------------------------------------------------------------
 # weighted families
 

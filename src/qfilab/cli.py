@@ -39,7 +39,6 @@ from .fock import DEFAULT_NORM_TOL, _json_entries, load_state, make_state
 _FAMILIES = {
     "noon": (cat.noon, ("N",), "two-branch state with N photons, N >= 1"),
     "dual_fock": (cat.dual_fock, ("N",), "equal occupation |N,N>, N >= 0"),
-    "dual_fock_bs": (cat.dual_fock_after_bs_closed_form, ("N",), "closed-form splitter image of |N,N>, N >= 1"),
     "zeta_noon": (cat.zeta_noon, ("x", "cutoff"), "1/N^x weighted two-branch family, x > 1 (default cutoff 1000)"),
     "zeta_noon_doubled": (cat.zeta_noon_doubled, ("x", "cutoff"), "same weights on 2N-photon branches"),
     "zeta_dual_fock": (cat.zeta_dual_fock, ("x", "cutoff"), "1/N^x weighted |N,N> family"),

@@ -2,26 +2,27 @@
 
 Sampling draws from the flat probability vector of the fisher outcome
 table with numpy's counter-based Philox generator (algorithm id
-"philox4x64") seeded through SeedSequence: spawn keys (rep,) in
-run_estimation, (m_index, rep) in crb_convergence_study. Identical seeds
-give bit-identical histograms and serialized runs, and only drawn outcomes
-are keyed, so trial counts up to 1e8 stay cheap.
+"philox4x64") seeded through SeedSequence, spawn key (rep,) for
+repetition rep of run_estimation. Identical seeds give bit-identical
+histograms and serialized runs, and only drawn outcomes are keyed, so
+trial counts up to 1e8 stay cheap.
 
 The estimator is a windowed maximum-likelihood search by grids alone: a
 coarse grid over the window, then grids of MLE_ZOOM_POINTS phases zoomed
-onto the bracket around the best point so far. run_estimation and
-crb_convergence_study do their set-up once per command, before any draw
-(_setup): the state sorted by sector kind (fisher._split, which applies
-an MZI's first splitter where a kind needs it), the likelihood period,
-the window and its checks, the FI behind the bound, and the outcome table
-every repetition draws from. They then draw every record and set up the
-log-likelihood kernels once, for the union of the sectors the records
-observed (_grid): for the phase kernel the splitter columns, the distinct
-J3 eigenvalues and the gather indices; for the rotation of the MZI's
-|J,J> inputs the sectors and their weights. The coarse grid depends only
-on the state and the window, so one pass of each kernel serves a chunk
-of MLE_CHUNK records (_logliks, _estimates); only the zoomed grids run
-per record. A record's log-likelihood is the same to the last bit
+onto the bracket around the best point so far. run_estimation does its
+set-up once per command, before any draw: the state sorted by sector
+kind (fisher._split, which applies an MZI's first splitter where a kind
+needs it), the likelihood period, the window and its checks, the FI
+behind the bound, and the outcome table every repetition draws from. It
+then draws every record and sets up the log-likelihood kernels once, for
+the union of the sectors the records observed (_grid): for the phase
+kernel the splitter columns, the distinct J3 eigenvalues and the gather
+indices; for the rotation of the MZI's |J,J> inputs the sectors and
+their weights. The coarse grid depends only on the state and the window,
+so one pass of each kernel serves a chunk of MLE_CHUNK records (_logliks,
+_estimates); only the zoomed grids run per record. A record without
+phase information over the window raises DegenerateLikelihoodError where
+its estimate is due. A record's log-likelihood is the same to the last bit
 whether it is evaluated alone or with others. Windows must stay
 narrower than the likelihood's fundamental period (2*pi over the largest
 occupied J3 spread), otherwise the phase is not identifiable; the bound
@@ -34,7 +35,6 @@ is resolved only to that band.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -236,11 +236,11 @@ def _logliks(grid: _Grid, records) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _mle(split: _Split, records, lo: float, hi: float):
-    """Grid maximum-likelihood estimates of records on a checked window:
-    yields, record by record, its phase or the DegenerateLikelihoodError of
-    a record without phase information over the window. The kernels are set
-    up once (_grid), and the coarse grid runs once per MLE_CHUNK records
-    (_estimates)."""
+    """Grid maximum-likelihood estimates of records on a checked window,
+    yielded record by record; a record without phase information over the
+    window raises DegenerateLikelihoodError when its turn comes. The
+    kernels are set up once (_grid), and the coarse grid runs once per
+    MLE_CHUNK records (_estimates)."""
     grid = _grid(split, records)
     coarse = np.linspace(lo, hi, MLE_GRID_POINTS)
     for start in range(0, len(records), MLE_CHUNK):
@@ -264,11 +264,10 @@ def _estimates(grid: _Grid, chunk, phis: np.ndarray):
     for outcomes, top, at, low in zip(chunk, tops, ats, lows):
         peak = float(top.max())
         if sum(outcomes.values()) == 0:
-            yield DegenerateLikelihoodError("empty outcome record")
-        elif peak - float(low.min()) <= 1e-9 * max(1.0, abs(peak)):
-            yield DegenerateLikelihoodError("log-likelihood is constant over the window")
-        else:
-            yield _zoom(_logliks(grid, [outcomes]), phis, int(at[np.argmax(top)]))
+            raise DegenerateLikelihoodError("empty outcome record")
+        if peak - float(low.min()) <= 1e-9 * max(1.0, abs(peak)):
+            raise DegenerateLikelihoodError("log-likelihood is constant over the window")
+        yield _zoom(_logliks(grid, [outcomes]), phis, int(at[np.argmax(top)]))
 
 
 def _zoom(loglik, phis: np.ndarray, best: int) -> float:
@@ -303,8 +302,6 @@ def mle_phase(
     """
     split = _split(state, pipeline)
     (phi_hat,) = _mle(split, [outcomes], *_checked_window(window, _period(split)))
-    if isinstance(phi_hat, DegenerateLikelihoodError):
-        raise phi_hat
     return phi_hat
 
 
@@ -359,29 +356,6 @@ class EstimationRun:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
-def _setup(state: TwoModeState, phi_true: float, pipeline: str, window):
-    """The per-command set-up of run_estimation and crb_convergence_study,
-    done once before any draw: (split state, likelihood period, checked
-    window, FI at phi_true, sampler at phi_true). A phase too large for its
-    window is refused: where floats lie more than 1/_WINDOW_ULPS of the
-    window's width apart, its edges, grids and squared errors round to a
-    few representable phases (at 3e15 the default window of noon(3) comes
-    out 1.0 wide, not 0.52, and at 1e16 it is one point)."""
-    split = _split(state, pipeline)
-    period = _period(split)
-    default = window is None
-    lo, hi = (float(edge) for edge in (_quarter_window(period, phi_true) if default else window))
-    spacing = max(math.ulp(float(phi_true)), math.ulp(lo), math.ulp(hi))
-    if (default or hi > lo) and hi - lo < _WINDOW_ULPS * spacing:
-        raise ValueError(
-            f"phi_true {phi_true!r} is too large for the window [{lo!r}, {hi!r}]: floats there lie "
-            f"{spacing:.3g} apart, more than 1/{_WINDOW_ULPS} of its width {hi - lo:.3g}"
-        )
-    window = _checked_window((lo, hi), period)
-    fi = float(_fi_reduce(split, np.array([float(phi_true)]))[0][0])
-    return split, period, window, fi, _sampler(split, phi_true)
-
-
 def run_estimation(
     state: TwoModeState,
     phi_true: float,
@@ -394,21 +368,37 @@ def run_estimation(
     """Sample, estimate, and record reps runs; run r draws from the substream
     SeedSequence(seed, spawn_key=(r,)). The first splitter, the period, the
     window and its checks, the FI behind crb_m and the outcome table the
-    draws come from are computed once, before any draw (_setup); the
-    likelihood kernels once, after every draw, for the sectors any record
-    observed; the coarse grid once per MLE_CHUNK records (_mle).
+    draws come from are computed once, before any draw; the likelihood
+    kernels once, after every draw, for the sectors any record observed;
+    the coarse grid once per MLE_CHUNK records (_mle). A phase too large
+    for its window is refused: where floats lie more than 1/_WINDOW_ULPS
+    of the window's width apart, its edges, grids and squared errors round
+    to a few representable phases (at 3e15 the default window of noon(3)
+    comes out 1.0 wide, not 0.52, and at 1e16 it is one point). Raises
+    DegenerateLikelihoodError at the first record without phase
+    information over the window.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if m_trials < 1:
         raise ValueError("m_trials must be >= 1")
-    split, period, (lo, hi), fi, draw = _setup(state, phi_true, pipeline, window)
+    split = _split(state, pipeline)
+    period = _period(split)
+    default = window is None
+    lo, hi = (float(edge) for edge in (_quarter_window(period, phi_true) if default else window))
+    spacing = max(math.ulp(float(phi_true)), math.ulp(lo), math.ulp(hi))
+    if (default or hi > lo) and hi - lo < _WINDOW_ULPS * spacing:
+        raise ValueError(
+            f"phi_true {phi_true!r} is too large for the window [{lo!r}, {hi!r}]: floats there lie "
+            f"{spacing:.3g} apart, more than 1/{_WINDOW_ULPS} of its width {hi - lo:.3g}"
+        )
+    lo, hi = _checked_window((lo, hi), period)
+    fi = float(_fi_reduce(split, np.array([float(phi_true)]))[0][0])
+    draw = _sampler(split, phi_true)
     crb_m = 1.0 / (m_trials * fi) if fi > 1e-12 else None
     records = [draw(m_trials, np.random.SeedSequence(int(seed), spawn_key=(rep,))) for rep in range(reps)]
     runs = []
     for rep, (outcomes, phi_hat) in enumerate(zip(records, _mle(split, records, lo, hi))):
-        if isinstance(phi_hat, DegenerateLikelihoodError):
-            raise phi_hat
         runs.append(EstimationRun(
             phi_true=float(phi_true),
             m_trials=int(m_trials),
@@ -423,56 +413,3 @@ def run_estimation(
             period=period,
         ))
     return runs
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    m_trials: int
-    empirical_mse: float
-    crb_m: float | None
-    ratio: float | None
-    flagged: bool
-
-
-def crb_convergence_study(
-    state: TwoModeState,
-    phi_true: float,
-    pipeline: str,
-    m_list,
-    repetitions: int,
-    seed: int,
-    window: tuple[float, float] | None = None,
-) -> list[ConvergenceRow]:
-    """Empirical MSE of the windowed MLE against the m-trial bound.
-
-    The ratio column is expected to approach 1 from above as trials grow.
-    A true phase where the measurement carries (numerically) no
-    information is flagged and excluded from ratios. Each (m, repetition)
-    cell draws from the substream SeedSequence(seed, spawn_key=(mi, rep)),
-    so rows are reproducible and independent. Like run_estimation, it
-    does its set-up once, before any draw (_setup), and estimates every
-    cell's record in one _mle.
-    """
-    m_list = [int(m) for m in m_list]
-    if any(m < 10 for m in m_list):
-        raise ValueError("each trial count must be >= 10")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    split, _, (lo, hi), fi, draw = _setup(state, phi_true, pipeline, window)
-    flagged = fi < 1e-12
-    records = [draw(m, np.random.SeedSequence(int(seed), spawn_key=(mi, rep)))
-               for mi, m in enumerate(m_list) for rep in range(repetitions)]
-    estimates = _mle(split, records, lo, hi)
-    rows = []
-    for m in m_list:
-        sq_errors = []
-        for phi_hat in itertools.islice(estimates, repetitions):
-            if isinstance(phi_hat, DegenerateLikelihoodError):
-                flagged = True
-            else:
-                sq_errors.append((phi_hat - phi_true) ** 2)
-        mse = float(np.mean(sq_errors)) if sq_errors else math.nan
-        crb = None if flagged else 1.0 / (m * fi)
-        ratio = None if (flagged or crb is None) else mse / crb
-        rows.append(ConvergenceRow(m, mse, crb, ratio, flagged))
-    return rows

@@ -8,9 +8,10 @@ photon counting at both ports. "MMZI" applies the phase directly to the
 source state and then a single splitter; the entangled source plays the
 role of the first splitter.
 
-The per-port counts (n_a, n_b) and the total/difference pair (N, Delta)
-label the same projective outcomes, so either labeling gives the same
-information; both are available.
+Outcomes are keyed by the per-port counts (n_a, n_b). The phase alone
+leaves every |amplitude| of the encoded state unchanged (fock.apply_phase),
+so a J3 readout before the closing splitter carries no information; the
+counting readout after it does.
 
 Derivatives of outcome probabilities are analytic: the derivative of the
 phase-encoded state is -i*J3 applied before the final splitter, so for an
@@ -102,50 +103,6 @@ from .fock import (
 PIPELINES = ("MZI", "MMZI")
 _PHASE_BLOCK = 2048  # most phases per exponential table in _amplitudes
 _CLOSED_FORM_CELLS = 1 << 16  # most (phase, sector) cells per closed-form temporary
-
-
-class NonpositiveQFIError(ValueError):
-    """Zeno time is undefined for a vanishing or negative information."""
-
-
-@dataclass(frozen=True)
-class CountingPOVM:
-    """Joint photon-counting measurement at both output ports.
-
-    labeling selects how outcomes are keyed: "na_nb" for per-port counts
-    or "n_delta" for (total, difference). The two are related by the
-    bijection N = n_a + n_b, Delta = n_b - n_a, so they carry identical
-    information.
-    """
-
-    labeling: str = "na_nb"
-
-    def __post_init__(self):
-        if self.labeling not in ("na_nb", "n_delta"):
-            raise ValueError("labeling must be 'na_nb' or 'n_delta'")
-
-    @property
-    def povm_id(self) -> str:
-        return f"counting:{self.labeling}"
-
-    def key(self, n_a: int, n_b: int) -> tuple[int, int]:
-        if self.labeling == "na_nb":
-            return (n_a, n_b)
-        return (n_a + n_b, n_b - n_a)
-
-    def to_na_nb(self, outcome: tuple[int, int]) -> tuple[int, int]:
-        if self.labeling == "na_nb":
-            return outcome
-        n, delta = outcome
-        return ((n - delta) // 2, (n + delta) // 2)
-
-    def outcomes(self, cutoff: int) -> list[tuple[int, int]]:
-        """Every outcome of the truncated space, in canonical (N, n_a) order."""
-        out = []
-        for n in range(cutoff + 1):
-            for n_a in range(n + 1):
-                out.append(self.key(n_a, n - n_a))
-        return out
 
 
 @dataclass(frozen=True)
@@ -402,25 +359,22 @@ def _outcome_table(split: _Split, phi: float, derivative=True):
     return na[order], nb[order], z[order], np.concatenate(dz)[order] if derivative else None
 
 
-def likelihood(
-    state: TwoModeState, phi: float, pipeline: str, povm: CountingPOVM | None = None
-) -> dict[tuple[int, int], float]:
-    """Outcome probabilities of the counting measurement keyed by povm: a
-    dict view of _outcome_table, so every port split of each occupied
-    total-photon sector is listed, including zero-probability ones."""
-    povm = povm or CountingPOVM()
+def likelihood(state: TwoModeState, phi: float, pipeline: str) -> dict[tuple[int, int], float]:
+    """Outcome probabilities of the counting measurement keyed by the port
+    counts (n_a, n_b): a dict view of _outcome_table, so every port split of
+    each occupied total-photon sector is listed, including zero-probability
+    ones."""
     na, nb, z, _ = _outcome_table(_split(state, pipeline), phi, False)
-    return {povm.key(a, b): x for a, b, x in zip(na.tolist(), nb.tolist(), (np.abs(z) ** 2).tolist())}
+    return dict(zip(zip(na.tolist(), nb.tolist()), (np.abs(z) ** 2).tolist()))
 
 
 def likelihood_with_derivative(
-    state: TwoModeState, phi: float, pipeline: str, povm: CountingPOVM | None = None
+    state: TwoModeState, phi: float, pipeline: str
 ) -> dict[tuple[int, int], tuple[float, float]]:
-    """Outcome probabilities together with analytic d/dphi, keyed by povm."""
-    povm = povm or CountingPOVM()
+    """Outcome probabilities together with analytic d/dphi, keyed by (n_a, n_b)."""
     na, nb, z, dz = _outcome_table(_split(state, pipeline), phi)
     p, dp = (np.abs(z) ** 2).tolist(), (2.0 * np.real(np.conj(z) * dz)).tolist()
-    return {povm.key(a, b): (x, dx) for a, b, x, dx in zip(na.tolist(), nb.tolist(), p, dp)}
+    return dict(zip(zip(na.tolist(), nb.tolist()), zip(p, dp)))
 
 
 def _period(split: _Split) -> float:
@@ -552,26 +506,18 @@ def _fi_reduce(split: _Split, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return fi, singular
 
 
-def classical_fi(
-    state: TwoModeState,
-    phi: float,
-    pipeline: str,
-    povm: CountingPOVM | None = None,
-) -> FisherReport:
+def classical_fi(state: TwoModeState, phi: float, pipeline: str) -> FisherReport:
     """Fisher information of the counting measurement at phase phi.
 
     The companion qfi field is 4 Var(J3) of the phase-encoded state of the
     chosen pipeline, so fi <= qfi holds configuration by configuration.
-    Both outcome labelings key the same projectors, so the labeling only
-    names the POVM in the report.
     """
-    povm = povm or CountingPOVM()
     fi, singular = _fi_reduce(_split(state, pipeline), np.array([float(phi)]))
     return FisherReport(
         phi=float(phi),
         fi=float(fi[0]),
         qfi=qfi_pure(state, pipeline),
-        povm=povm.povm_id,
+        povm="counting:na_nb",
         pipeline=pipeline,
         singular=bool(singular[0]),
     )
@@ -671,45 +617,3 @@ def fi_observable(
         povm="observable:f(na,nb)",
         pipeline=pipeline,
     )
-
-
-def j3_measurement_fi(state: TwoModeState, phi: float) -> FisherReport:
-    """Fisher information of measuring J3 on the phase-encoded state itself,
-    before any closing splitter.
-
-    The phase only changes amplitude arguments, never the J3-eigenvalue
-    weights, so this distribution is phase independent and the
-    information is exactly 0.0 for every state. Imbalance readout becomes
-    informative only after the closing splitter, where it is the counting
-    measurement in (N, Delta) labels.
-    """
-    return FisherReport(
-        phi=float(phi),
-        fi=0.0,
-        qfi=qfi_pure(state),
-        povm="j3_intermediate",
-        pipeline="MMZI",
-    )
-
-
-class ZenoTime(NamedTuple):
-    value: float
-    qfi_divergent: bool
-
-
-def zeno_time(m_measurements: int, qfi: float | Moment) -> ZenoTime:
-    """Zeno timescale 2/sqrt(m * QFI).
-
-    A divergent QFI collapses the timescale to exactly 0, reported with a
-    flag rather than as an underflowed float.
-    """
-    if m_measurements < 1:
-        raise ValueError("m_measurements must be >= 1")
-    if isinstance(qfi, Moment):
-        if qfi.divergent:
-            return ZenoTime(0.0, True)
-        qfi = qfi.value
-    q = float(qfi)
-    if q <= 0.0:
-        raise NonpositiveQFIError("zeno time needs a positive QFI")
-    return ZenoTime(2.0 / math.sqrt(m_measurements * q), False)

@@ -217,8 +217,8 @@ _RESCALE_ABOVE = 2.0**200
 def _log_factorials(n: int) -> np.ndarray:
     """ln(x!) for x = 0..n, a read-only slice of one module table that at
     least doubles when it grows, so the sectors of an outcome table make
-    O(cutoff) math.lgamma calls in all, not N + 1 per sector (scipy.special
-    would cost more to import than it saves here)."""
+    O(cutoff) math.lgamma calls in all, not N + 1 per sector (a vectorized
+    gammaln would cost more to import than it saves here)."""
     global _LOG_FACTORIALS
     table = _LOG_FACTORIALS
     if n >= table.size:

@@ -1,4 +1,6 @@
-"""Dense angular-momentum blocks used as test oracles."""
+"""Dense angular-momentum blocks and closed forms used as test oracles."""
+
+import math
 
 import numpy as np
 
@@ -46,3 +48,27 @@ def mzi_probabilities(state, phis) -> dict:
     """Counting probabilities {(n_a, n_b): array over phis} of state sent
     through an MZI, from mzi_amplitudes."""
     return {k: np.abs(z) ** 2 for k, (z, _) in mzi_amplitudes(state, phis).items()}
+
+
+def dual_fock_after_bs(n: int):
+    """Closed-form image of |N,N> under the 50:50 splitter, N >= 1.
+
+    Only even occupations survive; the amplitude on |2k, 2N-2k> is
+    i^N * sqrt(C(2k,k) * C(2N-2k,N-k)) / 2^N, its binomials taken in log
+    space so the expression stays finite at large N. Component k has J3
+    eigenvalue 2k-N, so the per-component sensitivity weights are
+    (2N-4k)^2. Independent of the library's splitter columns and rotation.
+    """
+    from scipy.special import gammaln
+
+    from qfilab import InvalidNError, make_state
+
+    if n < 1:
+        raise InvalidNError("closed form defined for N >= 1")
+    k = np.arange(n + 1)
+    log_mag = 0.5 * (
+        gammaln(2 * k + 1) - 2 * gammaln(k + 1)
+        + gammaln(2 * (n - k) + 1) - 2 * gammaln(n - k + 1)
+    ) - n * math.log(2.0)
+    amps = np.exp(log_mag) * (1j ** n)
+    return make_state(list(zip((2 * k).tolist(), (2 * (n - k)).tolist(), amps.tolist())), cutoff=2 * n)

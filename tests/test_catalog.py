@@ -14,7 +14,6 @@ from qfilab import (
     apply_beamsplitter,
     distribution_from_state,
     dual_fock,
-    dual_fock_after_bs_closed_form,
     expect,
     noon,
     sector_decompose,
@@ -26,6 +25,8 @@ from qfilab import (
     zeta_noon,
     zeta_noon_doubled,
 )
+
+from sector_operators import dual_fock_after_bs
 
 ALL_FAMILIES = [
     lambda: zeta_noon(3.0, 50),
@@ -110,17 +111,18 @@ def test_dual_fock():
 
 
 # ---------------------------------------------------------------------------
-# splitter image of |N,N>
+# splitter image of |N,N>: the closed-form oracle of the tests, pinned
+# against the library's splitter
 
 def test_closed_form_n1_is_two_photon_branch_pair():
-    s = dual_fock_after_bs_closed_form(1)
+    s = dual_fock_after_bs(1)
     assert abs(abs(s.amplitude(2, 0)) - 1 / math.sqrt(2)) < 1e-12
     assert abs(abs(s.amplitude(0, 2)) - 1 / math.sqrt(2)) < 1e-12
     assert abs(s.amplitude(1, 1)) < 1e-12
 
 
 def test_closed_form_n2_support_and_weights():
-    s = dual_fock_after_bs_closed_form(2)
+    s = dual_fock_after_bs(2)
     assert {k for k, _ in s.items()} == {(4, 0), (2, 2), (0, 4)}
     weights = {
         k: abs(amp) ** 2 * (2 * 2 - 2 * k[0]) ** 2 for k, amp in s.items()
@@ -133,14 +135,14 @@ def test_closed_form_n2_support_and_weights():
 
 def test_closed_form_matches_unitary_oracle():
     for n in range(1, 16):
-        closed = dual_fock_after_bs_closed_form(n)
+        closed = dual_fock_after_bs(n)
         direct = apply_beamsplitter(dual_fock(n))
         assert abs(closed.overlap(direct)) >= 1.0 - 1e-10
 
 
 def test_closed_form_guard():
     with pytest.raises(InvalidNError):
-        dual_fock_after_bs_closed_form(0)
+        dual_fock_after_bs(0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qfilab import CountingPOVM, fisher
+from qfilab import fisher
 from qfilab import (
     DegenerateLikelihoodError,
-    crb_convergence_study,
+    classical_fi,
     default_window,
     likelihood,
     likelihood_period,
@@ -44,15 +44,6 @@ def test_sampling_deterministic_outcome_at_unit_probability():
     # at phi = pi/2 the (0,1) outcome has probability 1
     out = sample_outcomes(noon(1), math.pi / 2, "MMZI", 500, seed=8)
     assert out == {(0, 1): 500}
-
-
-def test_sampling_builds_no_outcome_keys(monkeypatch):
-    def refuse(*_):
-        raise AssertionError("sample_outcomes keyed an outcome through the POVM")
-
-    monkeypatch.setattr(CountingPOVM, "key", refuse)
-    out = sample_outcomes(zeta_noon(3.0, 200)[0], 0.3, "MMZI", 1000, seed=0)
-    assert sum(out.values()) == 1000
 
 
 def test_sampled_frequencies_track_likelihood():
@@ -189,37 +180,42 @@ def test_run_records_metadata():
     assert sum(run.outcomes.values()) == 200
 
 
+def mean_squared_error(state, phi_true, m_trials, reps, seed, m_index=0):
+    """Mean squared error of reps windowed MLEs from m_trials draws each at
+    phi_true on the MMZI, record rep drawn from the substream
+    SeedSequence(seed, spawn_key=(m_index, rep)): one trial count of a
+    convergence study, composed of sample_outcomes and mle_phase."""
+    window = default_window(state, phi_true)
+    sq = []
+    for rep in range(reps):
+        sub = np.random.SeedSequence(seed, spawn_key=(m_index, rep))
+        outcomes = sample_outcomes(state, phi_true, "MMZI", m_trials, sub)
+        sq.append((mle_phase(outcomes, state, "MMZI", window) - phi_true) ** 2)
+    return float(np.mean(sq))
+
+
 def test_convergence_study_ratios_near_one():
-    rows = crb_convergence_study(
-        noon(1), 0.3, "MMZI", [100, 1000], repetitions=200, seed=0
-    )
-    assert rows[0].crb_m == pytest.approx(1e-2, rel=1e-9)
-    assert rows[1].crb_m == pytest.approx(1e-3, rel=1e-9)
-    assert 0.9 <= rows[1].ratio <= 1.5
-    assert not rows[0].flagged
+    fi = classical_fi(noon(1), 0.3, "MMZI").fi
+    assert 1.0 / (100 * fi) == pytest.approx(1e-2, rel=1e-9)
+    assert 1.0 / (1000 * fi) == pytest.approx(1e-3, rel=1e-9)
+    ratio = mean_squared_error(noon(1), 0.3, 1000, 200, seed=0, m_index=1) * (1000 * fi)
+    assert 0.9 <= ratio <= 1.5
 
 
 def test_convergence_study_noon2_half_period_window():
-    rows = crb_convergence_study(
-        noon(2), 0.4, "MMZI", [1000], repetitions=100, seed=11
-    )
-    assert rows[0].ratio == pytest.approx(1.0, abs=0.4)
+    fi = classical_fi(noon(2), 0.4, "MMZI").fi
+    ratio = mean_squared_error(noon(2), 0.4, 1000, 100, seed=11) * (1000 * fi)
+    assert ratio == pytest.approx(1.0, abs=0.4)
 
 
 def test_mse_nonincreasing_in_trials():
-    rows = crb_convergence_study(
-        noon(1), 0.3, "MMZI", [100, 1000, 10_000], repetitions=100, seed=2
-    )
-    mses = [r.empirical_mse for r in rows]
+    mses = [mean_squared_error(noon(1), 0.3, m, 100, seed=2, m_index=mi)
+            for mi, m in enumerate([100, 1000, 10_000])]
     assert mses[0] > mses[1] > mses[2]
 
 
-def test_study_rejects_tiny_trial_counts():
-    with pytest.raises(ValueError):
-        crb_convergence_study(noon(1), 0.3, "MMZI", [5], repetitions=3, seed=0)
-
-
-def test_study_flags_uninformative_point():
-    rows = crb_convergence_study(vacuum(), 0.3, "MMZI", [50], repetitions=3, seed=1)
-    assert rows[0].flagged
-    assert rows[0].ratio is None and rows[0].crb_m is None
+def test_run_estimation_refuses_an_uninformative_state():
+    # the vacuum's record carries no phase: its first record raises, with
+    # the message mle_phase gives
+    with pytest.raises(DegenerateLikelihoodError, match="log-likelihood is constant over the window"):
+        run_estimation(vacuum(), 0.3, "MMZI", 50, seed=1, reps=3)

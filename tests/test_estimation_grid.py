@@ -2,10 +2,9 @@
 
 The log-likelihood grid (phases in blocks, one exponential per distinct J3
 eigenvalue, splitter columns only for the observed sectors) must equal the
-per-sector formula it replaced to the last bit; run_estimation and
-crb_convergence_study must equal compositions of the public sample_outcomes
-and mle_phase; the set-up they share runs once per command, and the
-coarse grid once per MLE_CHUNK records.
+per-sector formula it replaced to the last bit; run_estimation must equal
+a composition of the public sample_outcomes and mle_phase; its set-up runs
+once per command, and the coarse grid once per MLE_CHUNK records.
 """
 
 import dataclasses
@@ -21,8 +20,6 @@ import pytest
 
 import qfilab
 from qfilab import (
-    classical_fi,
-    crb_convergence_study,
     default_window,
     estimation,
     fisher,
@@ -148,24 +145,6 @@ def test_run_estimation_equals_public_composition():
         assert run.period == likelihood_period(state, "MZI")
 
 
-def test_convergence_rows_equal_public_composition():
-    state = zeta_dual_fock(3.0, 8)[0]
-    m_list = [100, 1000]
-    rows = crb_convergence_study(state, 0.3, "MZI", m_list, repetitions=3, seed=5)
-    window = default_window(state, 0.3, "MZI")
-    fi = classical_fi(state, 0.3, "MZI").fi
-    for mi, (m, row) in enumerate(zip(m_list, rows)):
-        sq = []
-        for rep in range(3):
-            sub = np.random.SeedSequence(5, spawn_key=(mi, rep))
-            outcomes = sample_outcomes(state, 0.3, "MZI", m, sub)
-            sq.append((mle_phase(outcomes, state, "MZI", window) - 0.3) ** 2)
-        assert row.m_trials == m
-        assert row.empirical_mse == float(np.mean(sq))
-        assert row.crb_m == 1.0 / (m * fi)
-        assert not row.flagged
-
-
 def counting(monkeypatch, module, name, calls):
     real = getattr(module, name)
 
@@ -206,9 +185,8 @@ def test_run_estimation_rejects_trial_counts_below_one(m_trials):
     "call",
     [
         lambda w: run_estimation(noon(2), 0.4, "MMZI", 200, seed=1, window=w),
-        lambda w: crb_convergence_study(noon(2), 0.4, "MMZI", [100], 2, seed=1, window=w),
     ],
-    ids=["run_estimation", "crb_convergence_study"],
+    ids=["run_estimation"],
 )
 def test_window_wider_than_the_period_raises_before_any_draw(monkeypatch, call):
     def refuse(_seed):

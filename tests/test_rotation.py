@@ -10,9 +10,11 @@ spread is N, and the outcome probabilities of a balanced input |J,J> are
 rotation's P and dP against dense expm splitters for every |J,J> with
 N <= 60, its elements at J = 2000 against mpmath's Legendre functions and
 unitarity, the FI closed form against the table route (first splitter,
-then the phase kernel) for every single input with N <= 30, and, on states
+then the phase kernel) for every single input with N <= 30, on states
 that mix single-input, two-branch and general sectors, every MZI reader
-built from kinds against the first splitter plus the MMZI readers.
+built from kinds against the first splitter plus the MMZI readers, and
+|N,N> through the MZI against the closed-form splitter image of |N,N>
+through the MMZI.
 """
 
 import json
@@ -40,7 +42,7 @@ from qfilab import (
 from qfilab import fisher
 from qfilab.cli import main
 from qfilab.fisher import _rotation, premeasurement_state
-from sector_operators import mzi_amplitudes
+from sector_operators import dual_fock_after_bs, mzi_amplitudes
 
 ORACLE_PHASES = [0.0, 1e-9, 0.3, math.pi / 2, math.pi - 1e-9, math.pi, 2.5]
 
@@ -199,3 +201,19 @@ def test_cli_default_dual_fock_mzi_qfi_is_a_closed_form_sum(tmp_path, monkeypatc
     assert report["phi"] == 0.0
     assert math.isclose(report["fi"], expected, rel_tol=1e-13)
     assert math.isclose(report["divergence"]["truncated_qfi"], expected, rel_tol=1e-13)
+
+
+def test_dual_fock_via_mzi_equals_its_closed_form_splitter_image_via_mmzi():
+    # the rotation reads |N,N> with no splitter; the MMZI reads the closed
+    # form of its first-splitter image through the phase kernel
+    phis = np.linspace(0.0, 2.0 * math.pi, 181)
+    for n in range(1, 16):
+        image = dual_fock_after_bs(n)
+        np.testing.assert_allclose(fi_scan(dual_fock(n), phis, "MZI"), fi_scan(image, phis, "MMZI"),
+                                   rtol=1e-12, atol=0.0, err_msg=f"N={n}")
+        assert math.isclose(qfi_pure(dual_fock(n), "MZI"), qfi_pure(image, "MMZI"), rel_tol=1e-12), n
+
+
+def test_the_closed_form_splitter_image_is_no_catalog_family(capsys):
+    assert main(["qfi", "catalog:dual_fock_bs:3"]) == 2
+    assert "unknown catalog family" in capsys.readouterr().err

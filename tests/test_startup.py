@@ -1,13 +1,15 @@
 """Which scipy subpackages, and whether numpy.ma, a fresh qfilab process
-loads.
+loads; which modules import scipy at all; and the public API.
 
 scipy is imported inside the functions that use it, so the package and
 the commands that need no scipy routine start without it: import time is
-most of the wall time of a small command. numpy imports numpy.ma lazily;
+most of the wall time of a small command. Only curves.py, for fig3a and
+fig3b, imports it. numpy imports numpy.ma lazily;
 in numpy 2.x np.unique does (it asks np.ma.is_masked), so a command that
 calls no np.unique starts without it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -87,3 +89,33 @@ def test_mzi_qfi_on_general_sectors_loads_no_numpy_ma(tmp_path):
     # scipy.special (which imports numpy.ma itself)
     loaded = _loaded_modules(["qfi", "catalog:noon:3", "--pipeline", "MZI", "--out", str(tmp_path / "q.json")])
     assert loaded == set()
+
+
+def test_only_the_curves_module_imports_scipy():
+    # read from the source text, so an import inside a function counts too
+    importers = set()
+    for path in sorted(Path(qfilab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "scipy" for name in modules):
+                importers.add(path.name)
+    assert importers == {"curves.py"}
+
+
+def test_public_api_snapshot():
+    # a change to the public API shows up here, in review
+    assert sorted(qfilab.__all__) == [
+        "CutoffViolationError", "DegenerateLikelihoodError", "EmptyStateError", "EstimationRun",
+        "FisherReport", "InvalidNError", "Moment", "PhotonDistribution", "PoleProximityError",
+        "SectorComponent", "SpecError", "TailTooHeavyError", "TwoModeState",
+        "apply_beamsplitter", "apply_phase", "beamsplitter_matrix", "catalog", "classical_fi",
+        "crossing_mean", "curves", "default_window", "distribution_from_state", "dual_fock",
+        "estimation", "expect", "fi_observable", "fi_scan", "fig3a_point", "fig3b_point",
+        "fisher", "fock", "likelihood", "likelihood_period", "likelihood_with_derivative",
+        "load_state", "make_state", "max_qfi_bound", "mle_phase", "noon", "qfi_pure",
+        "run_estimation", "sample_outcomes", "save_state", "sector_decompose",
+        "sector_fi_decomposition", "splitter_columns", "state_from_json_dict",
+        "state_to_json_dict", "tmsv", "tmsv_cutoff_for", "tmsv_noon", "vacuum", "zeta",
+        "zeta_dual_fock", "zeta_noon", "zeta_noon_doubled",
+    ]
