@@ -94,10 +94,22 @@ def default_window(
     return _quarter_window(likelihood_period(state, pipeline), phi_true)
 
 
-def _checked_window(window, period: float) -> tuple[float, float]:
-    """The window as floats (lo, hi), once it is known to be narrower than
-    the likelihood period."""
-    lo, hi = float(window[0]), float(window[1])
+def _checked_window(window, period: float, phi_true=None) -> tuple[float, float]:
+    """The window as floats (lo, hi), by default the quarter-period window
+    about phi_true, once it spans _WINDOW_ULPS float spacings at its edges
+    and at phi_true, if given (at 3e15 the default window of noon(3) rounds
+    to 1.0 wide, not 0.52, and at 1e16 to one point, refused for that; a
+    given window with no width is refused for its width), and is narrower
+    than the likelihood period."""
+    default = window is None
+    lo, hi = (float(edge) for edge in (_quarter_window(period, phi_true) if default else window))
+    spacing = max(math.ulp(lo), math.ulp(hi), 0.0 if phi_true is None else math.ulp(float(phi_true)))
+    if (default or hi > lo) and hi - lo < _WINDOW_ULPS * spacing:
+        what = "the phases are" if phi_true is None else f"phi_true {phi_true!r} is"
+        raise ValueError(
+            f"{what} too large for the window [{lo!r}, {hi!r}]: floats there lie "
+            f"{spacing:.3g} apart, more than 1/{_WINDOW_ULPS} of its width {hi - lo:.3g}"
+        )
     if not hi > lo:
         raise ValueError("window must have positive width")
     if hi - lo > period + 1e-12:
@@ -113,8 +125,9 @@ def _sampler(split: _Split, phi_true: float):
     from the split state; the outcome table is built here, once for every
     draw."""
     na, nb, z, _ = _outcome_table(split, phi_true, False)  # no derivative
-    p = np.abs(z) ** 2
-    probs = p / p.sum()
+    probs = np.abs(z)
+    probs *= probs  # |z|^2 in place, the bits of np.abs(z) ** 2
+    probs /= probs.sum()
 
     def draw(m_trials: int, seed) -> dict[tuple[int, int], int]:
         counts = _rng(seed).multinomial(m_trials, probs)
@@ -296,9 +309,9 @@ def mle_phase(
     most MLE_REFINE_TOL wide or stops narrowing; ties on every grid resolve
     toward the smallest phase, and the estimate never leaves the window.
     The estimate is resolved only to the log-likelihood's rounding band
-    (~1e-8 at 2000 trials), coarser than MLE_REFINE_TOL. Raises
-    DegenerateLikelihoodError when the outcome record carries no phase
-    information over the window.
+    (~1e-8 at 2000 trials), coarser than MLE_REFINE_TOL. The window is
+    checked as run_estimation's (_checked_window); a record without phase
+    information over it raises DegenerateLikelihoodError.
     """
     split = _split(state, pipeline)
     (phi_hat,) = _mle(split, [outcomes], *_checked_window(window, _period(split)))
@@ -371,10 +384,7 @@ def run_estimation(
     draws come from are computed once, before any draw; the likelihood
     kernels once, after every draw, for the sectors any record observed;
     the coarse grid once per MLE_CHUNK records (_mle). A phase too large
-    for its window is refused: where floats lie more than 1/_WINDOW_ULPS
-    of the window's width apart, its edges, grids and squared errors round
-    to a few representable phases (at 3e15 the default window of noon(3)
-    comes out 1.0 wide, not 0.52, and at 1e16 it is one point). Raises
+    for its window is refused (_checked_window). Raises
     DegenerateLikelihoodError at the first record without phase
     information over the window.
     """
@@ -384,15 +394,7 @@ def run_estimation(
         raise ValueError("m_trials must be >= 1")
     split = _split(state, pipeline)
     period = _period(split)
-    default = window is None
-    lo, hi = (float(edge) for edge in (_quarter_window(period, phi_true) if default else window))
-    spacing = max(math.ulp(float(phi_true)), math.ulp(lo), math.ulp(hi))
-    if (default or hi > lo) and hi - lo < _WINDOW_ULPS * spacing:
-        raise ValueError(
-            f"phi_true {phi_true!r} is too large for the window [{lo!r}, {hi!r}]: floats there lie "
-            f"{spacing:.3g} apart, more than 1/{_WINDOW_ULPS} of its width {hi - lo:.3g}"
-        )
-    lo, hi = _checked_window((lo, hi), period)
+    lo, hi = _checked_window(window, period, phi_true)
     fi = float(_fi_reduce(split, np.array([float(phi_true)]))[0][0])
     draw = _sampler(split, phi_true)
     crb_m = 1.0 / (m_trials * fi) if fi > 1e-12 else None

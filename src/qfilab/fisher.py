@@ -67,8 +67,8 @@ Per block it takes one exponential per distinct J3 eigenvalue (found by
 a sort, _distinct, as np.unique would import numpy.ma) and gathers each
 sector's columns with take(), which keeps them C-ordered, so every bit
 equals an exponential per sector input. The likelihoods, the sampler and
-the readouts read flat (N, n_a)-ordered arrays (_outcome_table) that
-merge the rotation's outcomes with the kernel's.
+the readouts read flat (N, n_a)-ordered arrays (_outcome_table), which
+each kernel sector and each rotation step write in place.
 
 The counting FI over a phase grid (_fi_reduce, shared by classical_fi and
 fi_scan, so by the qfi and fi-scan commands) sums kind by kind, in this
@@ -331,32 +331,29 @@ def _outcome_table(split: _Split, phi: float, derivative=True):
     in canonical (N, n_a) order: the port counts, the outcome amplitude at
     phi and its phase derivative (None without derivative), so P = |z|^2
     and dP = 2 Re(conj(z) dz). Zero-probability port splits are included.
-    A rotation sector's z and dz share a phase factor that does not depend
-    on phi and that neither P nor dP sees."""
+    The kernel's sectors and the rotation's never share an N, so each is
+    written in place. A rotation sector's z and dz share a phase factor
+    that does not depend on phi and that neither P nor dP sees."""
     phis = np.array([float(phi)])
-    na, nb, z, dz = ([np.zeros(0, dtype)] for dtype in (np.int64, np.int64, complex, complex))
-    for _, n, out, dout in _amplitudes(split.table, phis, derivative=derivative):
-        na.append(np.arange(n + 1))
-        nb.append(n - na[-1])
-        z.append(out[0])
-        dz.append(dout[0] if derivative else None)
     rot = split.single.subset(split.single.na == split.single.nb)
-    j, sizes = rot.na, 2 * rot.na + 1
-    centre = np.cumsum(sizes) - j - 1  # where each ladder's n_a = J outcome lands
-    ladder = np.zeros((2, sizes.sum()))
-    for _, t, sel, d, dd in _rotation(j, phis, derivative):
+    j = rot.na
+    ns = np.sort(np.concatenate((sector_bounds(split.table)[0], 2 * j)))
+    start = np.cumsum(ns + 1) - ns - 1  # where each sector's n_a = 0 outcome lands
+    na = np.arange(np.sum(ns + 1)) - np.repeat(start, ns + 1)
+    nb = np.repeat(ns, ns + 1) - na
+    z, dz = np.empty(na.size, complex), np.empty(na.size, complex) if derivative else None
+    cols = (z, dz) if derivative else (z,)
+    for _, n, *values in _amplitudes(split.table, phis, derivative):
+        lo = start[ns.searchsorted(n)]
+        for col, value in zip(cols, values):
+            col[lo:lo + n + 1] = value[0]
+    centre = start[ns.searchsorted(2 * j)] + j  # where each ladder's n_a = J outcome lands
+    for _, t, sel, *values in _rotation(j, phis, derivative):
         m = j[sel] - t
-        for row, value in enumerate((d, dd) if derivative else (d,)):
-            ladder[row, centre[sel] + m] = value[:, 0]
-            ladder[row, centre[sel] - m] = value[:, 0] * (1.0 - 2.0 * (m % 2))
-    weight = np.repeat(rot.amps, sizes)
-    na.append(np.arange(sizes.sum()) - np.repeat(centre - j, sizes))
-    nb.append(np.repeat(2 * j, sizes) - na[-1])
-    z.append(weight * ladder[0])
-    dz.append(weight * ladder[1] if derivative else None)
-    na, nb, z = (np.concatenate(col) for col in (na, nb, z))
-    order = np.argsort(na + nb, kind="stable")  # each part is in (N, n_a) order already
-    return na[order], nb[order], z[order], np.concatenate(dz)[order] if derivative else None
+        for col, value in zip(cols, values):
+            col[centre[sel] + m] = rot.amps[sel] * value[:, 0]
+            col[centre[sel] - m] = rot.amps[sel] * (value[:, 0] * (1.0 - 2.0 * (m % 2)))
+    return na, nb, z, dz
 
 
 def likelihood(state: TwoModeState, phi: float, pipeline: str) -> dict[tuple[int, int], float]:
@@ -381,7 +378,7 @@ def _period(split: _Split) -> float:
     """likelihood_period of a split state: a single input's spread is its N,
     since the rotation reaches every port split of its sector."""
     _, lo, hi = sector_bounds(split.pre)
-    spread = np.max(np.concatenate((split.single.n_total, split.pre.na[hi - 1] - split.pre.na[lo])), initial=0)
+    spread = int(np.max(np.concatenate((split.single.n_total, split.pre.na[hi - 1] - split.pre.na[lo])), initial=0))
     return 2.0 * math.pi / spread if spread else math.inf
 
 

@@ -563,3 +563,15 @@ def test_estimate_refuses_a_phase_too_large_for_its_window(phi_true, window, tmp
     assert not out.exists()
     if window:
         assert f"[{float(window[0])!r}, {float(window[1])!r}]" in err
+
+
+@pytest.mark.parametrize("phi_true", ["0.3", "1e16"])
+def test_estimate_refuses_a_given_zero_width_window_for_its_width(phi_true, tmp_path, capsys):
+    # a given window with no width is refused for that, whatever the float
+    # spacing at the phase; only a default window that rounds to a point is
+    # refused for its spacing
+    out = tmp_path / "out"
+    argv = ["estimate", "catalog:noon:3", "--phi-true", phi_true, "--trials", "100", "--out", str(out)]
+    assert main(argv + ["--window", phi_true, phi_true]) == 2
+    assert capsys.readouterr().err == "error: window must have positive width\n"
+    assert not out.exists()

@@ -124,6 +124,22 @@ def test_mle_window_wider_than_period_rejected():
         mle_phase({(2, 0): 5}, noon(2), "MMZI", (0.0, 2 * math.pi))
 
 
+def test_mle_refuses_a_window_its_floats_cannot_resolve():
+    # floats at 3e15 lie 0.5 apart: the default window of noon(3), 0.52
+    # wide, rounds to 1.0 and holds three floats, as run_estimation refuses
+    s = noon(3)
+    window = default_window(s, 3e15)
+    outcomes = sample_outcomes(s, 3e15, "MMZI", 1000, seed=0)
+    with pytest.raises(ValueError, match=r"too large for the window \[2999999999999999\.5, 3000000000000000\.5\]"):
+        mle_phase(outcomes, s, "MMZI", window)
+
+
+def test_period_and_default_window_are_python_floats():
+    for state, pipeline in ((noon(4), "MMZI"), (zeta_dual_fock(3.0, 8)[0], "MZI"), (vacuum(), "MMZI")):
+        assert type(likelihood_period(state, pipeline)) is float
+        assert all(type(edge) is float for edge in default_window(state, 0.3, pipeline))
+
+
 def test_mle_rejects_outcomes_outside_the_occupied_sectors():
     # strays from sectors 2 and 3, interleaved with each other and with a
     # valid sector-1 outcome, are named in histogram order

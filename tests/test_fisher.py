@@ -15,6 +15,7 @@ from qfilab import (
     expect,
     fi_observable,
     fi_scan,
+    fisher,
     likelihood,
     likelihood_with_derivative,
     make_state,
@@ -405,3 +406,20 @@ def test_mzi_scan_retains_no_splitter_memory():
     finally:
         tracemalloc.stop()
     assert retained < 2**20
+
+
+@pytest.mark.parametrize("derivative, most", [(False, 40), (True, 56)], ids=["table", "with-derivative"])
+def test_outcome_table_holds_each_number_once(derivative, most):
+    # na, nb and z take 32 B per outcome, dz 16 more: the table is written
+    # in place, so no concatenation, sort or gather of outcome size may
+    # double it on the way
+    split = fisher._split(zeta_noon(3.0, 2000)[0], "MMZI")
+    fisher._outcome_table(fisher._split(noon(2), "MMZI"), 0.3, derivative)  # warm-up
+    tracemalloc.start()
+    try:
+        table = fisher._outcome_table(split, 0.3, derivative)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table[0].size == 2_003_000
+    assert peak <= most * table[0].size

@@ -52,10 +52,19 @@ ORACLE_PHASES = [0.0, 1e-9, 0.3, math.pi / 2, math.pi - 1e-9, math.pi, 2.5]
 def test_rotation_matches_dense_splitters(state):
     # every |J,J> with N = 2J <= 60, and their zeta-weighted superposition;
     # dP pins the sign of the neighbour formula for the derivative
+    assert_mzi_table_matches_dense_splitters(state)
+
+
+def assert_mzi_table_matches_dense_splitters(state):
+    """The MZI likelihoods of state list every port split of every occupied
+    sector once, in (N, n_a) order, with P and dP within 1e-12 of dense
+    splitters at ORACLE_PHASES."""
     dense = mzi_amplitudes(state, ORACLE_PHASES)
+    want = [(a, n - a) for n in sorted(set(state.n_total.tolist())) for a in range(n + 1)]
     for i, phi in enumerate(ORACLE_PHASES):
+        assert list(likelihood(state, phi, "MZI")) == want
         got = likelihood_with_derivative(state, phi, "MZI")
-        assert list(got) == list(dense)
+        assert list(got) == want
         for key, (p, dp) in got.items():
             z, dz = dense[key]
             assert abs(p - abs(z[i]) ** 2) <= 1e-12
@@ -165,6 +174,17 @@ def test_mzi_readers_from_kinds_equal_the_first_splitter_then_mmzi(state, phi):
     probs, ref = likelihood(state, phi, "MZI"), likelihood(pre, phi, "MMZI")
     assert set(ref) <= set(probs)  # the first splitter prunes, the kinds list every port split
     assert all(abs(p - ref.get(k, 0.0)) <= 1e-12 for k, p in probs.items())
+
+
+# sectors 2 to 5 alternate in kind: rotation, general, rotation, unbalanced single input
+INTERLEAVED = make_state([(1, 1, 1.0), (0, 3, 0.6), (1, 2, 0.4j), (2, 2, 0.5), (1, 4, 0.3)], 6)
+
+
+@given(mixed_states())
+@example(INTERLEAVED)
+def test_table_of_interleaved_kinds_is_in_canonical_order(state):
+    # the rotation's outcomes and the phase kernel's land in one table
+    assert_mzi_table_matches_dense_splitters(state)
 
 
 def test_mzi_qfi_equals_four_var_j2_without_a_splitter(monkeypatch):
