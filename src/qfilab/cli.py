@@ -289,6 +289,8 @@ def _cmd_estimate(args) -> int:
         raise SpecError("--trials must be >= 1")
     if args.reps < 1:
         raise SpecError("--reps must be >= 1")
+    if args.seed < 0:
+        raise SpecError("--seed must be >= 0")
     runs = run_estimation(state, args.phi_true, args.pipeline, args.trials,
                           seed=args.seed, reps=args.reps, window=args.window)
     _write_text(args.out, "".join(run.to_json_line() + "\n" for run in runs))
@@ -302,6 +304,15 @@ def _cmd_catalog_list(_args) -> int:
     return 0
 
 
+def _raw_norm(amps) -> float:
+    """The norm of a state file's amplitudes, inf beyond the float range.
+    Scaling the parts by a power of two keeps every square finite, and the
+    bits of the unscaled sum wherever that is finite and normal."""
+    shift = math.frexp(max(max(abs(a.real), abs(a.imag)) for a in amps))[1]
+    norm = math.sqrt(sum(math.ldexp(a.real, -shift) ** 2 + math.ldexp(a.imag, -shift) ** 2 for a in amps))
+    return math.inf if math.frexp(norm)[1] + shift > 1024 else math.ldexp(norm, shift)
+
+
 def _cmd_state_validate(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
@@ -311,12 +322,12 @@ def _cmd_state_validate(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"invalid state file: {exc}\n")
         return 2
-    raw_norm = math.sqrt(sum(amp.real ** 2 + amp.imag ** 2 for _, _, amp in entries))
+    raw_norm = _raw_norm([amp for _, _, amp in entries])
     summary = {
         "valid": True,
         "cutoff": state.cutoff,
         "entries": len(state),
-        "raw_norm": raw_norm,
+        "raw_norm": "inf" if math.isinf(raw_norm) else raw_norm,
         "renormalized": abs(raw_norm - 1.0) > DEFAULT_NORM_TOL,
         "occupied_sectors": state.occupied_sectors(),
     }
@@ -409,7 +420,7 @@ def main(argv=None) -> int:
         return 2
     except (MemoryError, ArithmeticError) as exc:
         # an input too large for memory, or for a float or C integer
-        subject = getattr(args, "state", args.command)
+        subject = getattr(args, "state", getattr(args, "path", args.command))
         kind = "out of memory" if isinstance(exc, MemoryError) else type(exc).__name__
         reason = f": {exc}" if str(exc) else ""
         sys.stderr.write(f"error: {kind} while evaluating {subject!r}{reason}\n")

@@ -124,7 +124,7 @@ def _sampler(split: _Split, phi_true: float):
     """Function (m_trials, seed) -> histogram of m_trials draws at phi_true
     from the split state; the outcome table is built here, once for every
     draw."""
-    na, nb, z, _ = _outcome_table(split, phi_true, False)  # no derivative
+    na, nb, z = _outcome_table(split, phi_true)
     probs = np.abs(z)
     probs *= probs  # |z|^2 in place, the bits of np.abs(z) ** 2
     probs /= probs.sum()
@@ -158,7 +158,7 @@ class _Grid(NamedTuple):
     """The log-likelihood kernels of one command, set up once for the union
     of its records' observed sectors (_grid). held is the phase kernel's
     (_phased): the distinct J3 eigenvalues of sub and, by N, each sector's
-    (N, vec, m, gather indices, bs_t). rot maps N = 2J to the index of an
+    (N, vec, gather indices, bs_t). rot maps N = 2J to the index of an
     observed rotation sector |J, J> in j (ascending), weight their
     |amplitude|^2."""
 
@@ -175,7 +175,7 @@ def _grid(split: _Split, records) -> _Grid:
     observed = sorted({a + b for outcomes in records for a, b in outcomes})
     sub = split.table.subset(np.isin(split.table.n_total, observed))
     unique_m = _distinct(sub.j3_values)
-    held = {n: (n, vec, m, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(sub)}
+    held = {n: (n, vec, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(sub)}
     single = split.single
     rot = single.subset((single.na == single.nb) & np.isin(single.n_total, observed))
     index = {2 * jj: i for i, jj in enumerate(rot.na.tolist())}
@@ -207,7 +207,7 @@ def _logliks(grid: _Grid, records) -> Callable[[np.ndarray], np.ndarray]:
         steps = {}  # (t, sector): counts of n_a = J +- (J - t)
         for n, group in by_sector.items():
             if n in grid.held:
-                cols = grid.held[n][4][:, [a for a, _ in group]]
+                cols = grid.held[n][3][:, [a for a, _ in group]]
                 users.setdefault(n, []).append((r, cols, np.array([c for _, c in group], dtype=float)))
                 continue
             for a, cnt in group:
@@ -236,10 +236,10 @@ def _logliks(grid: _Grid, records) -> Callable[[np.ndarray], np.ndarray]:
     def loglik(phis: np.ndarray) -> np.ndarray:
         ll = np.zeros((len(records), phis.size))
         if users:
-            for rows, n, _, chi, _ in _phased(grid.sub, phis, held):
+            for rows, n, chi, _ in _phased(grid.sub, phis, held):
                 for r, cols, counts in users[n]:
                     ll[r, rows] += np.log(np.maximum(np.abs(chi @ cols) ** 2, _LOG_FLOOR)) @ counts
-        for rows, t, sel, d, _ in _rotation(j, phis, False, seen):
+        for rows, t, sel, d in _rotation(j, phis, seen):
             logp = np.log(np.maximum(weight[sel, None] * (d * d), _LOG_FLOOR))
             for r, ix, counts in by_step[t]:
                 ll[r, rows] += counts @ logp[ix]
@@ -395,7 +395,7 @@ def run_estimation(
     split = _split(state, pipeline)
     period = _period(split)
     lo, hi = _checked_window(window, period, phi_true)
-    fi = float(_fi_reduce(split, np.array([float(phi_true)]))[0][0])
+    fi = float(_fi_reduce(split, np.array([float(phi_true)]))[0])
     draw = _sampler(split, phi_true)
     crb_m = 1.0 / (m_trials * fi) if fi > 1e-12 else None
     records = [draw(m_trials, np.random.SeedSequence(int(seed), spawn_key=(rep,))) for rep in range(reps)]

@@ -13,17 +13,18 @@ leaves every |amplitude| of the encoded state unchanged (fock.apply_phase),
 so a J3 readout before the closing splitter carries no information; the
 counting readout after it does.
 
-Derivatives of outcome probabilities are analytic: the derivative of the
-phase-encoded state is -i*J3 applied before the final splitter, so for an
-outcome amplitude z one has P = |z|^2 and dP = 2 Re(conj(z) dz). One rule
-(_fi_terms) makes every Fisher-information term, of a counting outcome or
-of a group of outcomes a readout merges: dP^2/P while the amplitude,
-sqrt(P) of the group, is above rounding-noise scale _AMP_NOISE (dP scales
-like sqrt(P), so the ratio stays faithful down to there), and at noise
-scale the analytic transversal limit 4 sum |dz|^2, which is finite
-whenever the amplitudes are smooth. A counting point is flagged singular
-only if the computed numbers violate the bound |dP| <= 2 |z| |dz| that
-smoothness implies.
+Derivatives of outcome probabilities are analytic. In both pipelines the
+phase acts on the counted outcomes as exp(-i phi J2) (the final splitter
+turns J3 into J2), so an outcome amplitude z has the phase derivative
+dz = -i J2 z, a real three-term stencil of the amplitudes themselves
+(_derivative, the one code that computes it); then P = |z|^2 and
+dP = 2 Re(conj(z) dz). One rule (_fi_terms) makes every
+Fisher-information term, of a counting outcome or of a group of outcomes a
+readout merges: dP^2/P while the amplitude, sqrt(P) of the group, is above
+rounding-noise scale _AMP_NOISE (dP scales like sqrt(P), so the ratio
+stays faithful down to there), and at noise scale the analytic
+transversal limit 4 sum |dz|^2, which is finite whenever the amplitudes
+are smooth.
 
 Sector kinds
 ------------
@@ -52,32 +53,23 @@ first splitter there and only where a kind needs it:
 The MZI qfi field needs no kind and no splitter: the first splitter turns
 J3 into -J2, so it is 4 Var(J2) of the input (_j2_variance), O(entries).
 
-The phase kernel, _phased, takes the pre-measurement state; its sectors
-(_sectors) are the contiguous slices of the state's canonical table
-(fock.sector_bounds): the occupied inputs, their J3 eigenvalues and the
-matching columns of the final splitter (fock.splitter_columns), built
-afresh and never cached. It yields each sector's inputs after the phase,
-which _amplitudes multiplies by the splitter columns and the estimation
-grid by each record's observed ones. A caller that needs some sectors
-passes their sub-state: the FI its general sectors, the estimation grid
-the ones its records observed. It cuts the phases into near-equal blocks
-of at most _PHASE_BLOCK (_phase_blocks), never a one-phase block (a
-one-row matmul takes BLAS's matrix-vector path, whose last bits differ).
-Per block it takes one exponential per distinct J3 eigenvalue (found by
-a sort, _distinct, as np.unique would import numpy.ma) and gathers each
-sector's columns with take(), which keeps them C-ordered, so every bit
-equals an exponential per sector input. The likelihoods, the sampler and
-the readouts read flat (N, n_a)-ordered arrays (_outcome_table), which
-each kernel sector and each rotation step write in place.
+The phase kernel (_phased, _amplitudes) takes the pre-measurement state,
+or the sub-state of the sectors a caller needs, one contiguous slice per
+sector (_sectors) with the final splitter's columns of its occupied inputs
+(fock.splitter_columns), built afresh and never cached. Per block of
+phases (_phase_blocks) it takes one exponential per distinct J3 eigenvalue
+(_distinct) and gathers each sector's with take(), which keeps them
+C-ordered, so every bit equals an exponential per sector input. The
+likelihoods, the sampler and the readouts read flat (N, n_a)-ordered
+arrays (_outcome_table), which each kernel sector and each rotation step
+write in place.
 
-The counting FI over a phase grid (_fi_reduce, shared by classical_fi and
-fi_scan, so by the qfi and fi-scan commands) sums kind by kind, in this
-order: the phase-independent total of the MZI single inputs and of the
-equal-weight two-branch sectors (each (A+B) N^2), summed once and
-broadcast, so a state of such sectors scans exactly flat; the
-unequal-weight two-branch sectors; the general sectors; each kind in
-sector order. Where the kinds interleave, this differs from the sector
-order by rounding only.
+The counting FI over a phase grid (_fi_reduce, behind classical_fi and
+fi_scan) sums kind by kind: the phase-independent total of the MZI single
+inputs and of the equal-weight two-branch sectors, summed once and
+broadcast, so a state of such sectors scans exactly flat; then the
+unequal-weight two-branch sectors; then the general sectors; each kind in
+sector order, which differs from the sector order by rounding only.
 """
 
 from __future__ import annotations
@@ -103,6 +95,7 @@ from .fock import (
 PIPELINES = ("MZI", "MMZI")
 _PHASE_BLOCK = 2048  # most phases per exponential table in _amplitudes
 _CLOSED_FORM_CELLS = 1 << 16  # most (phase, sector) cells per closed-form temporary
+_STENCIL_CHUNK = 1 << 16  # most outcomes per temporary in _derivative
 
 
 @dataclass(frozen=True)
@@ -115,7 +108,6 @@ class FisherReport:
     povm: str
     pipeline: str
     qfi_divergent: bool = False
-    singular: bool = False
 
     @property
     def crb_single(self) -> float:
@@ -131,13 +123,7 @@ class FisherReport:
         return 1.0 / math.sqrt(m_trials * self.fi) if self.fi > 0 else math.inf
 
     def to_json_dict(self) -> dict:
-        crb: float | None
-        if self.qfi_divergent:
-            crb = 0.0
-        elif self.fi > 0:
-            crb = self.crb_single
-        else:
-            crb = None
+        crb = 0.0 if self.qfi_divergent else self.crb_single if self.fi > 0 else None
         return {
             "phi": self.phi,
             "fi": self.fi,
@@ -162,12 +148,10 @@ def premeasurement_state(state: TwoModeState, pipeline: str) -> TwoModeState:
 class _Split(NamedTuple):
     """A state sorted by sector kind for one pipeline (_split).
 
-    single: for "MZI", the source's single-input sectors. Two splitters
-    around the phase act on one Fock input |n_a, n_b> as a rotation
-    exp(-i phi J2) of the swapped input, so no reader sends these through
-    the first splitter: their FI and fringe spread have closed forms, and
-    the outcome amplitudes of a balanced input n_a = n_b = J come from
-    the rotation (_rotation). Empty for "MMZI".
+    single: for "MZI", the source's single-input sectors, which no reader
+    sends through the first splitter (module docstring): their FI and
+    fringe spread have closed forms, and a balanced input |J, J> takes its
+    outcome amplitudes from the rotation (_rotation). Empty for "MMZI".
     pre: the pre-measurement state of every other sector.
     table: pre plus the splitter image of the unbalanced single inputs,
     which the outcome-table readers still take through the phase kernel.
@@ -218,52 +202,71 @@ def _phase_blocks(size: int) -> list[slice]:
 
 
 def _phased(pre: TwoModeState, phis: np.ndarray, held=None):
-    """Yield (rows, N, m, chi, bs_t) per block of phases and sector: chi[i, j]
+    """Yield (rows, N, chi, bs_t) per block of phases and sector: chi[i, j]
     is the sector's j-th occupied input amplitude after the phase
-    phis[rows][i], m their J3 eigenvalues, bs_t their splitter columns. held
-    is pre's kernel set up once by a caller that evaluates it many times: its
-    distinct J3 eigenvalues and per sector (N, vec, m, gather indices, bs_t);
-    by default each block walks pre's sectors afresh, holding one sector's
-    columns."""
+    phis[rows][i], bs_t their splitter columns. held is pre's kernel set up
+    once by a caller that evaluates it many times: its distinct J3
+    eigenvalues and per sector (N, vec, gather indices, bs_t); by default
+    each block walks pre's sectors afresh, holding one sector's columns."""
     if not len(pre):
         return
     unique_m = _distinct(pre.j3_values) if held is None else held[0]
     for rows in _phase_blocks(phis.size):
         table = np.exp(-1j * np.outer(phis[rows], unique_m))
         walk = held[1] if held is not None else (
-            (n, vec, m, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(pre))
-        for n, vec, m, ix, bs_t in walk:
-            yield rows, n, m, table.take(ix, axis=1) * vec, bs_t
+            (n, vec, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(pre))
+        for n, vec, ix, bs_t in walk:
+            yield rows, n, table.take(ix, axis=1) * vec, bs_t
 
 
-def _amplitudes(pre: TwoModeState, phis: np.ndarray, derivative=True):
-    """Yield (rows, N, out, dout) per block of phases and sector: out[i, k]
-    is the amplitude at phis[rows][i] of outcome (k, N - k), dout its phase
-    derivative or None without derivative (_phased, walking pre afresh)."""
-    for rows, n, m, chi, bs_t in _phased(pre, phis):
-        yield rows, n, chi @ bs_t, (chi * (-1j * m)) @ bs_t if derivative else None
+def _amplitudes(pre: TwoModeState, phis: np.ndarray):
+    """Yield (rows, N, out) per block of phases and sector: out[i, k] is the
+    amplitude at phis[rows][i] of outcome (k, N - k) (_phased, walking pre
+    afresh)."""
+    for rows, n, chi, bs_t in _phased(pre, phis):
+        yield rows, n, chi @ bs_t
+
+
+def _derivative(z: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """The phase derivative dz = -i J2 z of outcome amplitudes z whose last
+    axis runs over whole sectors in (N, n_a) order, na and nb its port
+    counts: a (phases x N+1) kernel block or the flat outcome table. It is
+    the stencil dz_k = e_k z_{k+1} - e_{k-1} z_{k-1}, e_k = sqrt((k+1)(N-k))/2,
+    and e_N = 0, so no term crosses a sector edge or a block's row end: a
+    block is one pass over its rows end to end, e tiled, and the table is
+    taken in chunks of _STENCIL_CHUNK outcomes, one temporary each."""
+    flat, dz = z.reshape(-1), np.empty(z.size, complex)
+    rows = flat.size // na.size if z.ndim > 1 else 1
+    step = flat.size if rows > 1 else _STENCIL_CHUNK
+    for lo in range(0, flat.size, step):
+        hi = min(lo + step, flat.size)
+        below, top, first = max(lo - 1, 0), min(hi, flat.size - 1), max(lo, 1)
+        part = slice(below, hi) if rows == 1 else slice(None)
+        e = np.tile(0.5 * np.sqrt((na[part] + 1.0) * nb[part]), rows)  # e_k for k = below .. hi - 1
+        np.multiply(flat[lo + 1:top + 1], e[lo - below:top - below], out=dz[lo:top])
+        dz[top:hi] = 0.0  # the last outcome, n_b = 0: e_N z_{N+1} is 0
+        dz[first:hi] -= flat[first - 1:hi - 1] * e[first - 1 - below:hi - 1 - below]
+    return dz.reshape(z.shape)
 
 
 _FLAT = 2.0**-600  # |sin phi| below which the rotation is the permutation to every bit of P
 
 
-def _rotation(j: np.ndarray, phis: np.ndarray, derivative=True, cols=None):
-    """Yield (rows, t, sel, d, dd) per block of phases and step t = 0, 1, ...:
+def _rotation(j: np.ndarray, phis: np.ndarray, cols=None):
+    """Yield (rows, t, sel, d) per block of phases and step t = 0, 1, ...:
     d[c, i] is the Wigner element d^J_{J-t,0}(phis[rows][i]) of the balanced
-    single input |J, J> with J = j[sel[c]] (j ascending), and dd its phase
-    derivative, or None without derivative. sel is every sector with
-    J >= t, or cols[t] when a caller reads only those (a step with none
-    is not yielded).
+    single input |J, J> with J = j[sel[c]] (j ascending). sel is every
+    sector with J >= t, or cols[t] when a caller reads only those (a step
+    with none is not yielded).
 
     The MZI sends |J, J> to exp(-i phi J2)|J, J> up to a constant phase,
     so outcome (J + m, J - m) has amplitude d^J_{m,0}(phi), the same at
     -m up to the sign (-1)^m. The elements follow from
     e_{m-1} d_{m-1} = -2 m cot(phi) d_m - e_m d_{m+1}, e_m = <m+1|J+|m>,
     run down from m = J, where d grows or oscillates, so the run is
-    stable, and dd = (e_m d_{m+1} - e_{m-1} d_{m-1})/2. The seed
-    |d^J_{J,0}| = sqrt(C(2J,J)) |sin(phi)/2|^J is taken in log2 space,
-    its binomial as a running product of (2i-1)/(2i), which rounds far
-    less than lgamma at large J. Values are held as a mantissa times
+    stable. The seed |d^J_{J,0}| = sqrt(C(2J,J)) |sin(phi)/2|^J is taken
+    in log2 space, its binomial as a running product of (2i-1)/(2i), which
+    rounds far less than lgamma at large J. Values are held as a mantissa times
     2^scale per sector and phase, so a ladder that starts below the float
     range underflows only at its true size; a running bound on the
     mantissas' growth decides when they are rescaled against overflow.
@@ -286,7 +289,7 @@ def _rotation(j: np.ndarray, phis: np.ndarray, derivative=True, cols=None):
     reach = np.maximum.reduceat(np.abs(turn), start[:-1]), np.maximum.reduceat(np.abs(back), start[:-1])
     k = np.arange(1, top + 1)
     lead = 0.5 * np.log2(np.cumprod(np.concatenate(([1.0], (2 * k - 1) / (2 * k)))))[j, None]
-    up, down, turn, back = (col[:, None] for col in (up, down, turn, back))
+    turn, back = turn[:, None], back[:, None]
     for rows in _phase_blocks(phis.size):
         sin, cos = np.sin(phis[rows]), np.cos(phis[rows])
         flat = np.abs(sin) < _FLAT
@@ -302,21 +305,14 @@ def _rotation(j: np.ndarray, phis: np.ndarray, derivative=True, cols=None):
             p, c, n = prev[lo:], cur[lo:], nxt[lo:]
             np.multiply(turn[seg], cot, out=n)
             n *= c
-            if derivative:
-                n += back[seg] * p
-                dd = 0.5 * (up[seg] * p - down[seg] * n)
-            else:
-                p *= back[seg]
-                n += p
+            p *= back[seg]
+            n += p
             sel = np.arange(lo, j.size) if cols is None else cols[step]
             if sel.size:
                 d = np.ldexp(c[sel - lo], scale[sel])
-                dd = np.ldexp(dd[sel - lo], scale[sel]) if derivative else None
                 if flat.any():
                     d = np.where(flat, (jf[sel] == step)[:, None], d)
-                    if derivative:
-                        dd = np.where(flat, (jf[sel] == step + 1)[:, None] * (-0.5 * down[seg][sel - lo]), dd)
-                yield rows, step, sel, d, dd
+                yield rows, step, sel, d
             prev, cur, nxt = cur, nxt, prev
             bound *= max(1.0, steep * reach[0][step] + reach[1][step])
             if bound > _RESCALE_ABOVE:
@@ -326,14 +322,14 @@ def _rotation(j: np.ndarray, phis: np.ndarray, derivative=True, cols=None):
                 bound = 1.0
 
 
-def _outcome_table(split: _Split, phi: float, derivative=True):
-    """Every outcome of the occupied sectors as flat arrays (na, nb, z, dz)
-    in canonical (N, n_a) order: the port counts, the outcome amplitude at
-    phi and its phase derivative (None without derivative), so P = |z|^2
-    and dP = 2 Re(conj(z) dz). Zero-probability port splits are included.
-    The kernel's sectors and the rotation's never share an N, so each is
-    written in place. A rotation sector's z and dz share a phase factor
-    that does not depend on phi and that neither P nor dP sees."""
+def _outcome_table(split: _Split, phi: float):
+    """Every outcome of the occupied sectors as flat arrays (na, nb, z) in
+    canonical (N, n_a) order: the port counts and the outcome amplitude at
+    phi, so P = |z|^2 (and dz = _derivative(z, na, nb)). Zero-probability
+    port splits are included. The kernel's sectors and the rotation's never
+    share an N, so each is written in place. A rotation sector's amplitudes
+    share a phase factor that does not depend on phi and that neither P nor
+    dP sees."""
     phis = np.array([float(phi)])
     rot = split.single.subset(split.single.na == split.single.nb)
     j = rot.na
@@ -341,19 +337,16 @@ def _outcome_table(split: _Split, phi: float, derivative=True):
     start = np.cumsum(ns + 1) - ns - 1  # where each sector's n_a = 0 outcome lands
     na = np.arange(np.sum(ns + 1)) - np.repeat(start, ns + 1)
     nb = np.repeat(ns, ns + 1) - na
-    z, dz = np.empty(na.size, complex), np.empty(na.size, complex) if derivative else None
-    cols = (z, dz) if derivative else (z,)
-    for _, n, *values in _amplitudes(split.table, phis, derivative):
+    z = np.empty(na.size, complex)
+    for _, n, out in _amplitudes(split.table, phis):
         lo = start[ns.searchsorted(n)]
-        for col, value in zip(cols, values):
-            col[lo:lo + n + 1] = value[0]
+        z[lo:lo + n + 1] = out[0]
     centre = start[ns.searchsorted(2 * j)] + j  # where each ladder's n_a = J outcome lands
-    for _, t, sel, *values in _rotation(j, phis, derivative):
+    for _, t, sel, d in _rotation(j, phis):
         m = j[sel] - t
-        for col, value in zip(cols, values):
-            col[centre[sel] + m] = rot.amps[sel] * value[:, 0]
-            col[centre[sel] - m] = rot.amps[sel] * (value[:, 0] * (1.0 - 2.0 * (m % 2)))
-    return na, nb, z, dz
+        z[centre[sel] + m] = rot.amps[sel] * d[:, 0]
+        z[centre[sel] - m] = rot.amps[sel] * (d[:, 0] * (1.0 - 2.0 * (m % 2)))
+    return na, nb, z
 
 
 def likelihood(state: TwoModeState, phi: float, pipeline: str) -> dict[tuple[int, int], float]:
@@ -361,7 +354,7 @@ def likelihood(state: TwoModeState, phi: float, pipeline: str) -> dict[tuple[int
     counts (n_a, n_b): a dict view of _outcome_table, so every port split of
     each occupied total-photon sector is listed, including zero-probability
     ones."""
-    na, nb, z, _ = _outcome_table(_split(state, pipeline), phi, False)
+    na, nb, z = _outcome_table(_split(state, pipeline), phi)
     return dict(zip(zip(na.tolist(), nb.tolist()), (np.abs(z) ** 2).tolist()))
 
 
@@ -369,8 +362,8 @@ def likelihood_with_derivative(
     state: TwoModeState, phi: float, pipeline: str
 ) -> dict[tuple[int, int], tuple[float, float]]:
     """Outcome probabilities together with analytic d/dphi, keyed by (n_a, n_b)."""
-    na, nb, z, dz = _outcome_table(_split(state, pipeline), phi)
-    p, dp = (np.abs(z) ** 2).tolist(), (2.0 * np.real(np.conj(z) * dz)).tolist()
+    na, nb, z = _outcome_table(_split(state, pipeline), phi)
+    p, dp = (np.abs(z) ** 2).tolist(), (2.0 * np.real(np.conj(z) * _derivative(z, na, nb))).tolist()
     return dict(zip(zip(na.tolist(), nb.tolist()), zip(p, dp)))
 
 
@@ -403,8 +396,7 @@ def _running_total(x: np.ndarray) -> float:
 
 def _fi_terms(p, dp, dz_sq):
     """Fisher-information terms of outcomes, or of groups of merged outcomes,
-    from their probabilities p, derivatives dp and summed |dz|^2; and which
-    terms were trusted.
+    from their probabilities p, derivatives dp and summed |dz|^2.
 
     dp scales like sqrt(p), so dp^2/p stays numerically faithful while the
     amplitude sqrt(p) is large enough to carry a meaningful phase
@@ -414,7 +406,7 @@ def _fi_terms(p, dp, dz_sq):
     outcome is never occupied, since then dz vanishes identically too).
     """
     trusted = p > _AMP_NOISE ** 2
-    return np.where(trusted, dp * dp / np.where(trusted, p, 1.0), 4.0 * dz_sq), trusted
+    return np.where(trusted, dp * dp / np.where(trusted, p, 1.0), 4.0 * dz_sq)
 
 
 def _sector_kinds(pre: TwoModeState) -> tuple[np.ndarray, TwoModeState]:
@@ -448,10 +440,9 @@ def _two_branch_fi(pre: TwoModeState, two: np.ndarray, phis: np.ndarray, lead: n
     read from it, and Im(w) from it or from w, whichever product (|u||v| = |q|
     or 2|a||b|) is smaller, so near a dark fringe, where u or v is small,
     neither term comes out of a cancellation; at s2 == 0 the factor is 0.
-    No limit branch of _fi_terms is involved, so these sectors are never
-    singular. The phase-independent terms lead, then the equal-weight
-    sectors, are summed first (_running_total) and broadcast to every
-    phase; then the others, in chunks of about
+    No limit branch of _fi_terms is involved. The phase-independent terms
+    lead, then the equal-weight sectors, are summed first (_running_total)
+    and broadcast to every phase; then the others, in chunks of about
     _CLOSED_FORM_CELLS cells laid out sectors x phases, whose rows numpy
     adds one after another, so every phase sums in sector order.
     """
@@ -477,30 +468,25 @@ def _two_branch_fi(pre: TwoModeState, two: np.ndarray, phis: np.ndarray, lead: n
     return fi
 
 
-def _fi_reduce(split: _Split, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Counting-measurement FI at each phase, summed kind by kind, and
-    whether the limit algebra failed there. An MZI single input |n_a, n_b>
-    adds its phase-independent n_a + n_b + 2 n_a n_b (2J(J+1) for |J,J>),
-    its weight times 4 Var(J2); these come first, with the two-branch
-    sectors of the pre-measurement state in closed form (_two_branch_fi);
-    then each general sector from the phase kernel, in sector order. A
-    single-input sector of the pre-measurement state adds exactly 0. Only
-    the untrusted entries of _fi_terms are checked against
-    |dp| <= 2 |z| |dz|, as a masked reduction rather than a gather.
-    """
+def _fi_reduce(split: _Split, phis: np.ndarray) -> np.ndarray:
+    """Counting-measurement FI at each phase, summed kind by kind. An MZI
+    single input |n_a, n_b> adds its phase-independent n_a + n_b + 2 n_a n_b
+    (2J(J+1) for |J,J>), its weight times 4 Var(J2); these come first, with
+    the two-branch sectors of the pre-measurement state in closed form
+    (_two_branch_fi); then each general sector from the phase kernel and
+    the derivative rule, in sector order. A single-input sector of the
+    pre-measurement state adds exactly 0."""
     single, pre = split.single, split.pre
     two, general = _sector_kinds(pre)
     lead = np.abs(single.amps) ** 2 * (single.n_total + 2 * single.na * single.nb)
     fi = _two_branch_fi(pre, two, phis, lead)
-    singular = np.zeros(phis.size, dtype=bool)
-    for rows, _, out, dout in _amplitudes(general, phis):
-        dp = 2.0 * np.real(np.conj(out) * dout)
-        abs_dout = np.abs(dout)
-        terms, trusted = _fi_terms(np.abs(out) ** 2, dp, abs_dout ** 2)
+    for rows, n, out in _amplitudes(general, phis):
+        k = np.arange(n + 1)
+        dout = _derivative(out, k, n - k)
+        terms = _fi_terms(np.abs(out) ** 2, 2.0 * np.real(np.conj(out) * dout), np.abs(dout) ** 2)
         fi[rows] += np.sum(terms, axis=1)
-        singular[rows] |= np.any(np.abs(dp) > 2.0 * _AMP_NOISE * abs_dout + 1e-30, axis=1, where=~trusted)
-        del dp, abs_dout, terms, trusted  # not held while the next sector's arrays are made
-    return fi, singular
+        del dout, terms  # not held while the next sector's arrays are made
+    return fi
 
 
 def classical_fi(state: TwoModeState, phi: float, pipeline: str) -> FisherReport:
@@ -509,21 +495,20 @@ def classical_fi(state: TwoModeState, phi: float, pipeline: str) -> FisherReport
     The companion qfi field is 4 Var(J3) of the phase-encoded state of the
     chosen pipeline, so fi <= qfi holds configuration by configuration.
     """
-    fi, singular = _fi_reduce(_split(state, pipeline), np.array([float(phi)]))
+    fi = _fi_reduce(_split(state, pipeline), np.array([float(phi)]))
     return FisherReport(
         phi=float(phi),
         fi=float(fi[0]),
         qfi=qfi_pure(state, pipeline),
         povm="counting:na_nb",
         pipeline=pipeline,
-        singular=bool(singular[0]),
     )
 
 
 def fi_scan(state: TwoModeState, phis: np.ndarray, pipeline: str) -> np.ndarray:
     """Vectorized counting-measurement FI over a phase grid."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    return _fi_reduce(_split(state, pipeline), phis)[0]
+    return _fi_reduce(_split(state, pipeline), phis)
 
 
 def qfi_pure(state: TwoModeState, pipeline: str = "MMZI") -> float:
@@ -578,12 +563,10 @@ def sector_fi_decomposition(
     """Per-sector information split: rows (N, P(N), FI_N) and their
     probability-weighted total, which equals the whole-state FI because
     both unitaries preserve the total photon number."""
-    rows = []
+    rows = [(c.n_total, c.probability, classical_fi(c.state, phi, pipeline).fi) for c in sector_decompose(state)]
     total = 0.0
-    for comp in sector_decompose(state):
-        rep = classical_fi(comp.state, phi, pipeline)
-        rows.append((comp.n_total, comp.probability, rep.fi))
-        total += comp.probability * rep.fi
+    for _, probability, fi in rows:
+        total += probability * fi
     return rows, total
 
 
@@ -602,11 +585,12 @@ def fi_observable(
     and |dz|^2 are summed per value, and the groups' terms added in
     sorted-value order (_running_total).
     """
-    na, nb, z, dz = _outcome_table(_split(state, pipeline), phi)
+    na, nb, z = _outcome_table(_split(state, pipeline), phi)
+    dz = _derivative(z, na, nb)
     keys, group = np.unique([float(f(a, b)) for a, b in zip(na.tolist(), nb.tolist())], return_inverse=True)
     summed = (np.bincount(group, weights=w, minlength=keys.size)
               for w in (np.abs(z) ** 2, 2.0 * np.real(np.conj(z) * dz), np.abs(dz) ** 2))
-    terms, _ = _fi_terms(*summed)
+    terms = _fi_terms(*summed)
     return FisherReport(
         phi=float(phi),
         fi=_running_total(terms),

@@ -363,15 +363,18 @@ def state_to_json_dict(state: TwoModeState) -> dict:
     }
 
 
-def _integral(value, field: str) -> int:
+def _integral(value, field: str, limit=math.inf) -> int:
     """An occupation or cutoff field as an int; a ValueError naming the field
-    when it is not integral, rather than int()'s silent truncation."""
-    if isinstance(value, int):
-        return int(value)
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"malformed state file: {field} must be an integer, got {value!r}")
-    return int(number)
+    when it is not integral, rather than int()'s silent truncation, or when
+    its magnitude reaches limit."""
+    if not isinstance(value, int):
+        number = float(value)
+        if not number.is_integer():
+            raise ValueError(f"malformed state file: {field} must be an integer, got {value!r}")
+        value = number
+    if abs(value) >= limit:
+        raise ValueError(f"malformed state file: {field} {value!r} is out of range")
+    return int(value)
 
 
 def _json_entries(data: dict) -> tuple[int, list[tuple[int, int, complex]]]:
@@ -380,7 +383,8 @@ def _json_entries(data: dict) -> tuple[int, list[tuple[int, int, complex]]]:
     try:
         cutoff = _integral(data["cutoff"], "cutoff")
         entries = [
-            (_integral(e["na"], f"entries[{i}].na"), _integral(e["nb"], f"entries[{i}].nb"),
+            # occupations below 2**62, so that n_a + n_b fits a state's int64 arrays
+            (_integral(e["na"], f"entries[{i}].na", 2**62), _integral(e["nb"], f"entries[{i}].nb", 2**62),
              float(e["re"]) + 1j * float(e["im"]))
             for i, e in enumerate(data["entries"])
         ]

@@ -20,6 +20,18 @@ def schwinger_matrices(n_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return j1, j2, j3
 
 
+def j2_stencil(z, n_total: int) -> np.ndarray:
+    """-i J2 z along the last axis of one N-photon sector's outcome
+    amplitudes (n_a = 0..N), written as the rule's per-sector formula
+    e_k z_{k+1} - e_{k-1} z_{k-1} with e_k = sqrt((k+1)(N-k))/2."""
+    k = np.arange(n_total)
+    e = 0.5 * np.sqrt((k + 1.0) * (n_total - k))
+    dz = np.zeros_like(z)
+    dz[..., :-1] = z[..., 1:] * e
+    dz[..., 1:] -= z[..., :-1] * e
+    return dz
+
+
 def mzi_amplitudes(state, phis) -> dict:
     """Counting amplitudes {(n_a, n_b): (z, dz)}, arrays over phis, of state
     sent through an MZI, with dz their phase derivative: dense splitters

@@ -260,6 +260,13 @@ def test_estimate_rejects_zero_counts(flag, capsys):
     assert captured.out == "" and f"{flag} must be >= 1" in captured.err
 
 
+def test_estimate_rejects_a_negative_seed(capsys):
+    argv = ["estimate", "catalog:noon:3", "--phi-true", "0.1", "--seed", "-1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --seed must be >= 0\n"
+
+
 @pytest.mark.parametrize(
     "argv, module, name",
     [
@@ -340,6 +347,49 @@ def test_state_validate_reads_numeric_string_amplitudes_as_qfi_does(tmp_path, ca
     assert payload["raw_norm"] == math.sqrt(0.6**2 + 0.0**2 + (0.5**2 + 0.5**2))
     assert payload["renormalized"] and payload["occupied_sectors"] == [1]
     assert main(["qfi", path]) == 0
+
+
+def strict_json(text):
+    """json.loads that refuses the non-standard Infinity and NaN tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("im", [0.0, 1e308], ids=["finite-norm", "norm-beyond-floats"])
+def test_state_validate_accepts_amplitudes_whose_squares_overflow(tmp_path, capsys, im):
+    # qfi reads this file; its raw norm, sqrt(3) 1e308 or 2e308, is taken
+    # without squaring a part beyond the float range, and a norm beyond it
+    # prints as the string "inf"
+    entries = [{"na": 1, "nb": 0, "re": 1e308, "im": 1e308}, {"na": 0, "nb": 1, "re": 1e308, "im": im}]
+    path = write_state(tmp_path / "s.json", entries, 5)
+    assert main(["state", "validate", path]) == 0
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["raw_norm"] == (math.sqrt(3.0) * 1e308 if im == 0.0 else "inf")
+    assert payload["renormalized"] and payload["occupied_sectors"] == [1]
+    assert main(["qfi", path]) == 0
+
+
+@pytest.mark.parametrize("command, prefix", [(["state", "validate"], "invalid state file: "), (["qfi"], "error: ")],
+                         ids=["validate", "qfi"])
+@pytest.mark.parametrize("field", ["na", "nb"])
+def test_occupations_beyond_int64_are_malformed(tmp_path, capsys, command, prefix, field):
+    entry = {"na": 0, "nb": 1, "re": 1.0, "im": 0.0, field: 10**20}
+    path = write_state(tmp_path / "s.json", [entry], 5)
+    assert main([*command, path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{prefix}malformed state file: entries[0].{field} {10**20!r} is out of range\n"
+
+
+def test_state_validate_names_its_file_when_out_of_memory(tmp_path, monkeypatch, capsys):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError
+
+    path = write_state(tmp_path / "s.json", [{"na": 1, "nb": 0, "re": 1.0, "im": 0.0}])
+    monkeypatch.setattr("qfilab.cli.make_state", exhausted)
+    assert main(["state", "validate", path]) == 2
+    assert capsys.readouterr().err == f"error: out of memory while evaluating {path!r}\n"
 
 
 def test_state_validate_rejects_garbage(tmp_path, capsys):

@@ -132,7 +132,7 @@ def test_single_input_sectors_carry_exactly_zero_information(phi):
     # ~3e-32 of rounding at 0.3 and 1.7)
     state = make_state([(0, 3, 1j), (4, 0, 0.5), (2, 5, 1.0)], 7)
     rep = classical_fi(state, phi, "MMZI")
-    assert rep.fi == 0.0 and not rep.singular
+    assert rep.fi == 0.0
     assert fi_scan(state, np.array([phi]), "MMZI")[0] == 0.0
 
 
@@ -141,6 +141,18 @@ def test_fi_noon_saturates_squared_photon_number():
     for n in range(1, 7):
         scan = fi_scan(noon(n), phis, "MMZI")
         assert scan.max() == pytest.approx(n * n, rel=1e-9)
+
+
+def test_noon_through_the_mzi_gives_fi_and_qfi_n():
+    # a closed form: a NOON state sent into an MZI keeps only N of its N^2
+    # (its first-splitter image is a general sector, read by the phase
+    # kernel and the derivative rule), except N = 2, whose image is |1,1>
+    phis = np.linspace(0.0, 2.0 * math.pi, 181)
+    for n in [1, *range(3, 61)]:
+        assert np.abs(fi_scan(noon(n), phis, "MZI") / n - 1.0).max() <= 1e-12
+        assert abs(qfi_pure(noon(n), "MZI") / n - 1.0) <= 1e-12
+    assert np.abs(fi_scan(noon(2), phis, "MZI")).max() <= 1e-12
+    assert abs(qfi_pure(noon(2), "MZI")) <= 1e-12
 
 
 @pytest.mark.parametrize("cutoff", [40, 300])
@@ -222,7 +234,7 @@ def test_sector_additivity_catalog():
     "which carry ~1e-4 relative rounding error into dP^2/P",
 )
 def test_sector_additivity_near_amplitude_noise():
-    # whole-state FI 5.073160875639421 against a sector sum of 5.072932583322995
+    # whole-state FI 5.07441356265944 against a sector sum of 5.074354579639021
     tiny = 9.703756478475513e-13
     state = TwoModeState(
         np.array([0, 0, 1, 2]),
@@ -411,13 +423,17 @@ def test_mzi_scan_retains_no_splitter_memory():
 @pytest.mark.parametrize("derivative, most", [(False, 40), (True, 56)], ids=["table", "with-derivative"])
 def test_outcome_table_holds_each_number_once(derivative, most):
     # na, nb and z take 32 B per outcome, dz 16 more: the table is written
-    # in place, so no concatenation, sort or gather of outcome size may
-    # double it on the way
+    # in place and its derivative in chunks, so no concatenation, sort,
+    # gather or temporary of outcome size may double it on the way
+    def build(split):
+        na, nb, z = fisher._outcome_table(split, 0.3)
+        return (na, nb, z, fisher._derivative(z, na, nb)) if derivative else (na, nb, z)
+
     split = fisher._split(zeta_noon(3.0, 2000)[0], "MMZI")
-    fisher._outcome_table(fisher._split(noon(2), "MMZI"), 0.3, derivative)  # warm-up
+    build(fisher._split(noon(2), "MMZI"))  # warm-up
     tracemalloc.start()
     try:
-        table = fisher._outcome_table(split, 0.3, derivative)
+        table = build(split)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

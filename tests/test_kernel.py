@@ -1,12 +1,14 @@
 """The fisher phase kernel, pinned bit for bit.
 
-fisher._amplitudes is the one code path from sectors and phases to outcome
+fisher._amplitudes is the phase kernel from sectors and phases to outcome
 amplitudes. It cuts the phases into blocks and takes one exponential per
 distinct J3 eigenvalue, yet the FI scan of the general sectors must equal
 the per-sector formula over the whole grid (an exponential of each
-sector's own eigenvalues) to the last bit, on either side of every block
-boundary; and the sampler's table, which skips the phase derivative, must
-keep every bit of the amplitudes.
+sector's own eigenvalues, then the stencil dz = -i J2 z of each sector's
+outcomes) to the last bit, on either side of every block boundary. The
+derivative rule (fisher._derivative) must give the same bits on a kernel
+block and on the flat outcome table, whatever its chunking, and the
+sampler and the likelihood must read the table without it.
 
 Two-branch sectors (occupied n_a exactly {0, N}) left that table path for
 a closed form, so they are held to the same per-sector formula within
@@ -41,10 +43,14 @@ from qfilab import (
     zeta_dual_fock,
     zeta_noon,
 )
+from qfilab import fisher
 from qfilab.cli import main
+from qfilab.estimation import _sampler
 from qfilab.fisher import (
     _AMP_NOISE,
     _PHASE_BLOCK,
+    _amplitudes,
+    _derivative,
     _outcome_table,
     _sector_kinds,
     _sectors,
@@ -52,18 +58,20 @@ from qfilab.fisher import (
     premeasurement_state,
 )
 from qfilab.fock import sector_slices
+from sector_operators import j2_stencil
 
 
 def reference_fi_scan(pre, phis):
     """The per-sector formula: every phase at once, exp(-i phi m) of each
-    sector's own eigenvalues, then the transversal-limit reduction trusting
+    sector's own eigenvalues, dz = -i J2 z of its outcomes as the stencil
+    written per sector, then the transversal-limit reduction trusting
     a probability of at least 1e-12 or an amplitude above _AMP_NOISE; the
     floor is implied by the amplitude test, so fisher's one rule must give
     the same bits."""
     fi = np.zeros(phis.size)
-    for _, vec, m, bs_t in _sectors(pre):
-        chi = np.exp(-1j * np.outer(phis, m)) * vec
-        out, dout = chi @ bs_t, (chi * (-1j * m)) @ bs_t
+    for n, vec, m, bs_t in _sectors(pre):
+        out = (np.exp(-1j * np.outer(phis, m)) * vec) @ bs_t
+        dout = j2_stencil(out, n)
         p = np.abs(out) ** 2
         dp = 2.0 * np.real(np.conj(out) * dout)
         trusted = (p >= 1e-12) | (np.abs(out) > _AMP_NOISE)
@@ -191,11 +199,39 @@ def test_two_branch_scan_takes_no_splitter_column(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_sampling_table_skips_the_derivative_and_keeps_p(case):
+def test_sampling_table_skips_the_derivative_and_keeps_p(case, monkeypatch):
+    # the derivative is read from the table, never written into it: the
+    # likelihoods list the same P bit for bit with and without it, and the
+    # sampler and the plain likelihood never take it
+    state, pipeline = CASES[case]
+    with_dp = fisher.likelihood_with_derivative(state, 0.3, pipeline)
+
+    def forbidden(*_args):
+        raise AssertionError("derivative taken")
+
+    monkeypatch.setattr(fisher, "_derivative", forbidden)
+    plain = fisher.likelihood(state, 0.3, pipeline)
+    assert list(plain) == list(with_dp)
+    assert [p for p, _ in with_dp.values()] == list(plain.values())
+    assert sum(_sampler(_split(state, pipeline), 0.3)(1000, 5).values()) == 1000
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
+@pytest.mark.parametrize("case", list(CASES))
+def test_table_derivative_equals_the_kernel_blocks(case, chunk, monkeypatch):
+    # one pass of the rule over the flat table: its coefficient is 0 across
+    # every sector edge and chunk boundary, so each kernel sector's dz has
+    # the bits of the rule on that sector's block alone
     state, pipeline = CASES[case]
     split = _split(state, pipeline)
-    *full, dz = _outcome_table(split, 0.3)
-    *bare, none = _outcome_table(split, 0.3, False)
-    assert none is None and dz.shape == full[2].shape
-    for got, want in zip(bare, full):
-        assert np.array_equal(got, want)
+    na, nb, z = _outcome_table(split, 0.3)
+    monkeypatch.setattr(fisher, "_STENCIL_CHUNK", chunk)
+    dz = _derivative(z, na, nb)
+    blocks = {n: out for _, n, out in _amplitudes(split.table, np.array([0.3]))}
+    for lo in np.flatnonzero(na == 0).tolist():  # every sector, the rotation's too
+        n = int(nb[lo])
+        sector = slice(lo, lo + n + 1)
+        assert np.array_equal(dz[sector], j2_stencil(z[sector], n))
+        if n in blocks:
+            k = np.arange(n + 1)
+            assert np.array_equal(dz[sector], _derivative(blocks[n], k, n - k)[0])

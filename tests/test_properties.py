@@ -4,11 +4,13 @@ Each property ties two routes to the same number: the pointwise and the
 vectorized Fisher information, the quantum bound, the sector split, the
 estimation path's log-likelihood against the fisher path's likelihood,
 and the array outcome table and the sampler against outcome-by-outcome
-references, and the closed form of two-branch sectors against the table
-route and a 50-digit mpmath FI. One property is the paper's "only": the
+references, the phase derivative rule against the dense -i J2 and a
+40-digit mpmath expm, and the closed form of two-branch sectors against
+the table route and a 50-digit mpmath FI. One property is the paper's "only": the
 counting FI reaches <N^2> only on equal-weight two-branch sectors.
 """
 
+import functools
 import math
 
 import mpmath
@@ -33,7 +35,16 @@ from qfilab import (
     sector_fi_decomposition,
 )
 from qfilab.estimation import _grid, _logliks
-from qfilab.fisher import _PHASE_BLOCK, _amplitudes, _outcome_table, _sector_kinds, _split, premeasurement_state
+from qfilab.fisher import (
+    _PHASE_BLOCK,
+    _amplitudes,
+    _derivative,
+    _outcome_table,
+    _sector_kinds,
+    _split,
+    premeasurement_state,
+)
+from sector_operators import j2_stencil, schwinger_matrices
 
 MAX_SECTOR = 6
 AMP_NOISE = 1e-13  # amplitude scale below which an outcome sits at a zero
@@ -70,14 +81,13 @@ def states(draw):
 
 
 def reference_fi(state, phi, pipeline, p_floor=1e-12):
-    """Outcome-by-outcome FI and singular flag from the analytic amplitudes.
+    """Outcome-by-outcome FI from the analytic amplitudes.
 
     Trusted outcomes (P at or above p_floor, or an amplitude above noise
     scale) contribute dP^2/P; an outcome at an amplitude zero
-    contributes its transversal limit 4|dz|^2 and is singular when
-    |dP| > 2|z||dz| is violated at noise scale.
+    contributes its transversal limit 4|dz|^2.
     """
-    fi, singular = 0.0, False
+    fi = 0.0
     for (a, b), (p, dp) in likelihood_with_derivative(state, phi, pipeline).items():
         if p >= p_floor:
             fi += dp * dp / p
@@ -88,8 +98,7 @@ def reference_fi(state, phi, pipeline, p_floor=1e-12):
             fi += dp * dp / p if p > 0.0 else 0.0
         else:
             fi += 4.0 * abs(dz) ** 2
-            singular = singular or abs(dp) > 2.0 * AMP_NOISE * abs(dz) + 1e-30
-    return fi, singular
+    return fi
 
 
 def _outcome_amplitude(state, phi, pipeline, n_a, n_b):
@@ -139,10 +148,8 @@ def close(a, b, rel=1e-12):
 def test_classical_fi_matches_scan_and_reference(state, phi, pipeline):
     rep = classical_fi(state, phi, pipeline)
     scan = fi_scan(state, np.array([phi]), pipeline)
-    ref_fi, ref_singular = reference_fi(state, phi, pipeline)
     assert rep.fi == float(scan[0])  # one reduction serves both
-    assert close(rep.fi, ref_fi, rel=1e-10)
-    assert rep.singular == ref_singular
+    assert close(rep.fi, reference_fi(state, phi, pipeline), rel=1e-10)
 
 
 @given(states(), phases, pipelines)
@@ -169,9 +176,8 @@ def test_two_branch_closed_form_matches_table_and_mpmath(state, phi, pipeline):
         exact = mpmath_two_branch_fi(sector, phi)
         scale = float(np.sum(np.abs(sector.amps) ** 2)) * int(sector.n_total[0]) ** 2
         assert math.isclose(rep.fi, exact, rel_tol=1e-13, abs_tol=1e-15 * scale)
-        table = reference_fi(sector, phi, "MMZI")[0]
+        table = reference_fi(sector, phi, "MMZI")
         assert close(rep.fi, table, rel=1e-13) or abs(rep.fi - exact) < abs(table - exact)
-        assert not rep.singular
 
 
 @given(st.integers(1, 40), parts, parts, st.integers(0, 3))
@@ -361,13 +367,82 @@ def test_shared_pass_equals_each_record_alone_on_both_kinds(recs):
     shared_pass_equals_each_record_alone(MIXED, "MMZI", recs, phis)
 
 
+# phi = 0 and pi put outcomes on analytic zeros, pi/2 makes the splitter
+# images real or imaginary, and +-1e-300 take the rotation's flat branch
+RULE_PHASES = [0.0, math.pi / 2, math.pi, 1e-300, -1e-300]
+
+
+@given(states(), pipelines)
+def test_derivative_is_minus_i_j2_sector_by_sector(state, pipeline):
+    # the rule on the flat table (rotation sectors included) and on the
+    # kernel's (phases x N+1) blocks, against the dense -i J2 of each sector
+    for phi in RULE_PHASES:
+        na, nb, z = _outcome_table(_split(state, pipeline), phi)
+        dz = _derivative(z, na, nb)
+        for lo in np.flatnonzero(na == 0).tolist():
+            n = int(nb[lo])
+            sector = slice(lo, lo + n + 1)
+            dense = -1j * (schwinger_matrices(n)[1] @ z[sector])
+            np.testing.assert_allclose(dz[sector], dense, rtol=0.0, atol=1e-15)
+    for _, n, out in _amplitudes(premeasurement_state(state, pipeline), np.array(RULE_PHASES)):
+        k = np.arange(n + 1)
+        dense = -1j * (out @ schwinger_matrices(n)[1].T)
+        np.testing.assert_allclose(_derivative(out, k, n - k), dense, rtol=0.0, atol=1e-15)
+
+
+@functools.lru_cache(maxsize=None)
+def mp_splitter(n):
+    """expm(i pi J1 / 2) on the N-photon sector at 40 digits."""
+    with mpmath.workdps(40):
+        j1 = mpmath.matrix(n + 1, n + 1)
+        for k in range(n):
+            j1[k + 1, k] = j1[k, k + 1] = mpmath.sqrt((k + 1) * (n - k)) / 2
+        return mpmath.expm(1j * mpmath.pi / 2 * j1)
+
+
+def mp_counting(state, phi, pipeline):
+    """{(n_a, n_b): (P, dP)} at 40 digits from dense mpmath splitters around
+    exp(-i phi J3), dP from the derivative -i J3 taken before the final
+    splitter; shares no code with the library's kernel, rotation or rule."""
+    rows = {}
+    with mpmath.workdps(40):
+        for n in sorted({int(x) for x in state.n_total}):
+            split = mp_splitter(n)
+            vec = mpmath.matrix(n + 1, 1)
+            for (a, b), amp in state.items():
+                if a + b == n:
+                    vec[a] = mpmath.mpc(complex(amp))
+            if pipeline == "MZI":
+                vec = split * vec
+            m = [k - mpmath.mpf(n) / 2 for k in range(n + 1)]
+            chi = mpmath.matrix([mpmath.expj(-mpmath.mpf(phi) * m[k]) * vec[k] for k in range(n + 1)])
+            z = split * chi
+            dz = split * mpmath.matrix([-1j * m[k] * chi[k] for k in range(n + 1)])
+            for k in range(n + 1):
+                rows[(k, n - k)] = (abs(z[k]) ** 2, 2 * mpmath.re(mpmath.conj(z[k]) * dz[k]))
+    return rows
+
+
+@given(states(), st.one_of(phases, st.sampled_from(RULE_PHASES)), pipelines)
+def test_likelihood_derivative_matches_mpmath_expm(state, phi, pipeline):
+    # dP from the rule, to 1e-14 absolute on a normalized state, whichever
+    # kind (rotation, kernel) made the amplitudes
+    exact = mp_counting(state, phi, pipeline)
+    got = likelihood_with_derivative(state, phi, pipeline)
+    assert set(got) == set(exact)
+    for key, (p, dp) in got.items():
+        assert abs(p - float(exact[key][0])) <= 1e-14
+        assert abs(dp - float(exact[key][1])) <= 1e-14
+
+
 def reference_table(state, phi, pipeline):
     """Rows (n_a, n_b, P, dP) built outcome by outcome from the sector
-    amplitudes, in canonical (N, n_a) order."""
+    amplitudes and the rule's per-sector formula, in canonical (N, n_a)
+    order."""
     rows = []
-    for _, n, out, dout in _amplitudes(premeasurement_state(state, pipeline), np.array([float(phi)])):
+    for _, n, out in _amplitudes(premeasurement_state(state, pipeline), np.array([float(phi)])):
         p = np.abs(out[0]) ** 2
-        dp = 2.0 * np.real(np.conj(out[0]) * dout[0])
+        dp = 2.0 * np.real(np.conj(out[0]) * j2_stencil(out[0], n))
         for k in range(n + 1):
             rows.append((k, n - k, float(p[k]), float(dp[k])))
     return rows
@@ -376,8 +451,8 @@ def reference_table(state, phi, pipeline):
 @given(states(), phases, pipelines)
 def test_outcome_table_matches_reference(state, phi, pipeline):
     # the phase kernel's table on the pre-measurement state, read as an MMZI source
-    na, nb, z, dz = _outcome_table(_split(premeasurement_state(state, pipeline), "MMZI"), phi)
-    p, dp = np.abs(z) ** 2, 2.0 * np.real(np.conj(z) * dz)
+    na, nb, z = _outcome_table(_split(premeasurement_state(state, pipeline), "MMZI"), phi)
+    p, dp = np.abs(z) ** 2, 2.0 * np.real(np.conj(z) * _derivative(z, na, nb))
     assert list(zip(*(col.tolist() for col in (na, nb, p, dp)))) == reference_table(state, phi, pipeline)
 
 

@@ -135,7 +135,7 @@ def test_empty_state_has_no_sectors_and_no_fringes():
         assert fisher.likelihood_with_derivative(EMPTY, 0.3, pipeline) == {}
         assert fisher.fi_scan(EMPTY, np.array([0.1, 0.2]), pipeline).tolist() == [0.0, 0.0]
         report = fisher.classical_fi(EMPTY, 0.3, pipeline)
-        assert (report.fi, report.qfi, report.singular) == (0.0, 0.0, False)
+        assert (report.fi, report.qfi) == (0.0, 0.0)
         assert fisher.fi_observable(EMPTY, 0.3, pipeline, lambda a, b: b - a).fi == 0.0
     # an empty record is cut to the empty sub-state, whose log-likelihood is 0
     grid = estimation._grid(fisher._split(GAPPED, "MMZI"), [{}])

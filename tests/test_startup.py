@@ -10,6 +10,7 @@ calls no np.unique starts without it.
 """
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -101,6 +102,17 @@ def test_only_the_curves_module_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in modules):
                 importers.add(path.name)
     assert importers == {"curves.py"}
+
+
+def test_report_fields_snapshot():
+    # a field added to or dropped from a report shows up here, in review
+    assert [f.name for f in dataclasses.fields(qfilab.FisherReport)] == [
+        "phi", "fi", "qfi", "povm", "pipeline", "qfi_divergent",
+    ]
+    assert [f.name for f in dataclasses.fields(qfilab.EstimationRun)] == [
+        "phi_true", "m_trials", "seed", "repetition", "window", "pipeline", "outcomes", "phi_hat",
+        "empirical_mse", "crb_m", "period", "rng_algorithm",
+    ]
 
 
 def test_public_api_snapshot():
