@@ -14,16 +14,12 @@ set-up once per command, before any draw: the state sorted by sector
 kind (fisher._split, which applies an MZI's first splitter where a kind
 needs it), the likelihood period, the window and its checks, the FI
 behind the bound, and the outcome table every repetition draws from. It
-then draws every record and sets up the log-likelihood kernels once, for
-the union of the sectors the records observed (_grid): for the phase
-kernel the splitter columns, the distinct J3 eigenvalues and the gather
-indices; for the rotation of the MZI's |J,J> inputs the sectors and
-their weights. The coarse grid depends only on the state and the window,
-so one pass of each kernel serves a chunk of MLE_CHUNK records (_logliks,
-_estimates); only the zoomed grids run per record. A record without
-phase information over the window raises DegenerateLikelihoodError where
-its estimate is due. A record's log-likelihood is the same to the last bit
-whether it is evaluated alone or with others. Windows must stay
+then draws every record and sets up the log-likelihood once
+(fisher._grid). The coarse grid depends only on the state and the
+window, so one pass (fisher._logliks) serves a chunk of MLE_CHUNK
+records (_estimates); only the zoomed grids run per record. A record
+without phase information over the window raises
+DegenerateLikelihoodError where its estimate is due. Windows must stay
 narrower than the likelihood's fundamental period (2*pi over the largest
 occupied J3 spread), otherwise the phase is not identifiable; the bound
 being probed is local in exactly that sense. They must also span many
@@ -38,19 +34,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .fisher import (
-    _distinct,
     _fi_reduce,
+    _grid,
+    _logliks,
     _outcome_table,
     _period,
     _phase_blocks,
-    _phased,
-    _rotation,
-    _sectors,
     _split,
     _Split,
     likelihood_period,
@@ -63,7 +56,6 @@ MLE_REFINE_TOL = 1e-10
 MLE_ZOOM_POINTS = 33
 MLE_CHUNK = 64  # records per coarse-grid pass
 _WINDOW_ULPS = 1000  # fewest float spacings at the phase that a window must span
-_LOG_FLOOR = 1e-300
 
 
 class DegenerateLikelihoodError(ValueError):
@@ -146,106 +138,14 @@ def sample_outcomes(
 ) -> dict[tuple[int, int], int]:
     """Histogram of m_trials i.i.d. counting outcomes at the true phase.
 
-    Deterministic for a given seed (int or numpy SeedSequence); outcomes
-    with zero draws are omitted.
+    Deterministic for a given seed (int >= 0 or numpy SeedSequence);
+    outcomes with zero draws are omitted.
     """
     if m_trials < 1:
         raise ValueError("m_trials must be >= 1")
+    if not isinstance(seed, np.random.SeedSequence) and int(seed) < 0:
+        raise ValueError("seed must be >= 0")
     return _sampler(_split(state, pipeline), phi_true)(m_trials, seed)
-
-
-class _Grid(NamedTuple):
-    """The log-likelihood kernels of one command, set up once for the union
-    of its records' observed sectors (_grid). held is the phase kernel's
-    (_phased): the distinct J3 eigenvalues of sub and, by N, each sector's
-    (N, vec, gather indices, bs_t). rot maps N = 2J to the index of an
-    observed rotation sector |J, J> in j (ascending), weight their
-    |amplitude|^2."""
-
-    sub: TwoModeState
-    unique_m: np.ndarray
-    held: dict
-    rot: dict
-    j: np.ndarray
-    weight: np.ndarray
-
-
-def _grid(split: _Split, records) -> _Grid:
-    """The _Grid of split for the sectors any of records observed."""
-    observed = sorted({a + b for outcomes in records for a, b in outcomes})
-    sub = split.table.subset(np.isin(split.table.n_total, observed))
-    unique_m = _distinct(sub.j3_values)
-    held = {n: (n, vec, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(sub)}
-    single = split.single
-    rot = single.subset((single.na == single.nb) & np.isin(single.n_total, observed))
-    index = {2 * jj: i for i, jj in enumerate(rot.na.tolist())}
-    return _Grid(sub, unique_m, held, index, rot.na, np.abs(rot.amps) ** 2)
-
-
-def _logliks(grid: _Grid, records) -> Callable[[np.ndarray], np.ndarray]:
-    """Log-likelihoods of outcome histograms on a phase grid, a row per
-    record. Once, here, the histograms are checked and each one's share of
-    the grid's kernels is set up: the observed columns of each phase-kernel
-    sector, and each rotation sector's counts per ladder step, m and -m
-    together, as P is even in m. A call of the returned function of phis
-    runs each kernel once for every record, over the sectors any of them
-    observed, and takes each rotation step's log-probabilities once; each
-    record then adds its own counts on its own row, by the products it
-    would take alone (a matmul's bits depend on its operands' shapes), and
-    sector rows do not interact, so its row equals its row alone, bit for
-    bit."""
-    users, ladders = {}, []  # N -> [(record, columns, counts)]; (record, step, sectors, counts)
-    for r, outcomes in enumerate(records):
-        by_sector = {}
-        for (a, b), cnt in outcomes.items():
-            if a < 0 or b < 0 or cnt < 0:
-                raise ValueError(f"outcome {(a, b)} with count {cnt}: port counts and counts must be >= 0")
-            by_sector.setdefault(a + b, []).append((a, cnt))
-        stray = [k for k in outcomes if k[0] + k[1] not in grid.held and k[0] + k[1] not in grid.rot]
-        if stray:
-            raise ValueError(f"outcomes {stray} lie outside the occupied sectors")
-        steps = {}  # (t, sector): counts of n_a = J +- (J - t)
-        for n, group in by_sector.items():
-            if n in grid.held:
-                cols = grid.held[n][3][:, [a for a, _ in group]]
-                users.setdefault(n, []).append((r, cols, np.array([c for _, c in group], dtype=float)))
-                continue
-            for a, cnt in group:
-                key = (n // 2 - abs(a - n // 2), grid.rot[n])
-                steps[key] = steps.get(key, 0.0) + cnt
-        rungs = {}
-        for (t, i), cnt in sorted(steps.items()):
-            if cnt:
-                rungs.setdefault(t, []).append((i, cnt))
-        for t, rung in rungs.items():
-            ladders.append((r, t, np.array([i for i, _ in rung]), np.array([c for _, c in rung], dtype=float)))
-    held = (grid.unique_m, [grid.held[n] for n in sorted(users)])
-    used = np.zeros(grid.j.size, dtype=bool)
-    for _, _, sectors, _ in ladders:
-        used[sectors] = True
-    local = np.cumsum(used) - 1  # an observed rotation sector's place among the used ones
-    j, weight = grid.j[used], grid.weight[used]
-    seen = np.zeros((j.max(initial=-1) + 1, j.size), dtype=bool)
-    for _, t, sectors, _ in ladders:
-        seen[t, local[sectors]] = True
-    seen = [np.flatnonzero(row) for row in seen]
-    by_step = [[] for _ in seen]
-    for r, t, sectors, counts in ladders:
-        by_step[t].append((r, seen[t].searchsorted(local[sectors]), counts))
-
-    def loglik(phis: np.ndarray) -> np.ndarray:
-        ll = np.zeros((len(records), phis.size))
-        if users:
-            for rows, n, chi, _ in _phased(grid.sub, phis, held):
-                for r, cols, counts in users[n]:
-                    ll[r, rows] += np.log(np.maximum(np.abs(chi @ cols) ** 2, _LOG_FLOOR)) @ counts
-        for rows, t, sel, d in _rotation(j, phis, seen):
-            logp = np.log(np.maximum(weight[sel, None] * (d * d), _LOG_FLOOR))
-            for r, ix, counts in by_step[t]:
-                ll[r, rows] += counts @ logp[ix]
-        return ll
-
-    return loglik
 
 
 def _mle(split: _Split, records, lo: float, hi: float):
@@ -260,7 +160,7 @@ def _mle(split: _Split, records, lo: float, hi: float):
         yield from _estimates(grid, records[start:start + MLE_CHUNK], coarse)
 
 
-def _estimates(grid: _Grid, chunk, phis: np.ndarray):
+def _estimates(grid, chunk, phis: np.ndarray):
     """The estimates of a chunk of records from one coarse pass over phis,
     taken block by block (_phase_blocks, as the kernels cut it) so that
     only a block's rows are held: per record and block its maximum, first
@@ -392,6 +292,8 @@ def run_estimation(
         raise ValueError("reps must be >= 1")
     if m_trials < 1:
         raise ValueError("m_trials must be >= 1")
+    if int(seed) < 0:
+        raise ValueError("seed must be >= 0")
     split = _split(state, pipeline)
     period = _period(split)
     lo, hi = _checked_window(window, period, phi_true)

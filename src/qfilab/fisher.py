@@ -64,6 +64,13 @@ likelihoods, the sampler and the readouts read flat (N, n_a)-ordered
 arrays (_outcome_table), which each kernel sector and each rotation step
 write in place.
 
+The MLE's log-likelihood is set up once per estimation command, for the
+sectors its records observed (_grid): the phase kernel's splitter
+columns, distinct J3 eigenvalues and gather indices, and the rotation's
+|J,J> sectors and weights. One pass of each kernel then serves a chunk
+of records (_logliks), and a record's row is the same to the last bit
+alone or with others.
+
 The counting FI over a phase grid (_fi_reduce, behind classical_fi and
 fi_scan) sums kind by kind: the phase-independent total of the MZI single
 inputs and of the equal-weight two-branch sectors, summed once and
@@ -96,6 +103,7 @@ PIPELINES = ("MZI", "MMZI")
 _PHASE_BLOCK = 2048  # most phases per exponential table in _amplitudes
 _CLOSED_FORM_CELLS = 1 << 16  # most (phase, sector) cells per closed-form temporary
 _STENCIL_CHUNK = 1 << 16  # most outcomes per temporary in _derivative
+_LOG_FLOOR = 1e-300  # least probability a log-likelihood takes the log of
 
 
 @dataclass(frozen=True)
@@ -113,14 +121,6 @@ class FisherReport:
     def crb_single(self) -> float:
         """Single-trial phase bound 1/sqrt(FI); inf when FI vanishes."""
         return 1.0 / math.sqrt(self.fi) if self.fi > 0 else math.inf
-
-    def crb_m(self, m_trials: int) -> float:
-        """Phase bound after m_trials independent repetitions, as a standard
-        deviation 1/sqrt(m_trials * FI); EstimationRun.crb_m is its square,
-        the variance bound 1/(M * FI)."""
-        if m_trials < 1:
-            raise ValueError("m_trials must be >= 1")
-        return 1.0 / math.sqrt(m_trials * self.fi) if self.fi > 0 else math.inf
 
     def to_json_dict(self) -> dict:
         crb = 0.0 if self.qfi_divergent else self.crb_single if self.fi > 0 else None
@@ -349,6 +349,113 @@ def _outcome_table(split: _Split, phi: float):
     return na, nb, z
 
 
+def _table_with_derivative(split: _Split, phi: float):
+    """The outcome table (na, nb, z) of split at phi and dz = _derivative(z,
+    na, nb), set to exactly 0 on each sector of split.table with one
+    occupied input: the phase cannot move its probabilities, and the stencil
+    cancels there only to rounding (_fi_reduce skips such sectors by kind)."""
+    na, nb, z = _outcome_table(split, phi)
+    dz = _derivative(z, na, nb)
+    n, lo, hi = sector_bounds(split.table)
+    sizes = nb[na == 0] + 1  # each sector's outcome count, in table order
+    dz[np.repeat(np.isin(sizes - 1, n[hi - lo == 1]), sizes)] = 0.0
+    return na, nb, z, dz
+
+
+class _Grid(NamedTuple):
+    """The log-likelihood kernels of one command, set up once for the union
+    of its records' observed sectors (_grid). held is the phase kernel's
+    (_phased): the distinct J3 eigenvalues of sub and, by N, each sector's
+    (N, vec, gather indices, bs_t). rot maps N = 2J to the index of an
+    observed rotation sector |J, J> in j (ascending), weight their
+    |amplitude|^2."""
+
+    sub: TwoModeState
+    unique_m: np.ndarray
+    held: dict
+    rot: dict
+    j: np.ndarray
+    weight: np.ndarray
+
+
+def _grid(split: _Split, records) -> _Grid:
+    """The _Grid of split for the sectors any of records observed."""
+    observed = sorted({a + b for outcomes in records for a, b in outcomes})
+    sub = split.table.subset(np.isin(split.table.n_total, observed))
+    unique_m = _distinct(sub.j3_values)
+    held = {n: (n, vec, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(sub)}
+    single = split.single
+    rot = single.subset((single.na == single.nb) & np.isin(single.n_total, observed))
+    index = {2 * jj: i for i, jj in enumerate(rot.na.tolist())}
+    return _Grid(sub, unique_m, held, index, rot.na, np.abs(rot.amps) ** 2)
+
+
+def _logliks(grid: _Grid, records) -> Callable[[np.ndarray], np.ndarray]:
+    """Log-likelihoods of outcome histograms on a phase grid, a row per
+    record. Once, here, the histograms are checked and each one's share of
+    the grid's kernels is set up: the observed columns of each phase-kernel
+    sector, and each rotation sector's counts per ladder step, m and -m
+    together, as P is even in m. A call of the returned function of phis
+    runs each kernel once for every record, over the sectors any of them
+    observed, and takes each rotation step's log-probabilities once; each
+    record then adds its own counts on its own row, by the products it
+    would take alone (a matmul's bits depend on its operands' shapes), and
+    sector rows do not interact, so its row equals its row alone, bit for
+    bit."""
+    users, ladders = {}, []  # N -> [(record, columns, counts)]; (record, step, sectors, counts)
+    for r, outcomes in enumerate(records):
+        by_sector = {}
+        for (a, b), cnt in outcomes.items():
+            if a < 0 or b < 0 or cnt < 0:
+                raise ValueError(f"outcome {(a, b)} with count {cnt}: port counts and counts must be >= 0")
+            by_sector.setdefault(a + b, []).append((a, cnt))
+        stray = [k for k in outcomes if k[0] + k[1] not in grid.held and k[0] + k[1] not in grid.rot]
+        if stray:
+            raise ValueError(f"outcomes {stray} lie outside the occupied sectors")
+        steps = {}  # (t, sector): counts of n_a = J +- (J - t)
+        for n, group in by_sector.items():
+            if n in grid.held:
+                cols = grid.held[n][3][:, [a for a, _ in group]]
+                users.setdefault(n, []).append((r, cols, np.array([c for _, c in group], dtype=float)))
+                continue
+            for a, cnt in group:
+                key = (n // 2 - abs(a - n // 2), grid.rot[n])
+                steps[key] = steps.get(key, 0.0) + cnt
+        rungs = {}
+        for (t, i), cnt in sorted(steps.items()):
+            if cnt:
+                rungs.setdefault(t, []).append((i, cnt))
+        for t, rung in rungs.items():
+            ladders.append((r, t, np.array([i for i, _ in rung]), np.array([c for _, c in rung], dtype=float)))
+    held = (grid.unique_m, [grid.held[n] for n in sorted(users)])
+    used = np.zeros(grid.j.size, dtype=bool)
+    for _, _, sectors, _ in ladders:
+        used[sectors] = True
+    local = np.cumsum(used) - 1  # an observed rotation sector's place among the used ones
+    j, weight = grid.j[used], grid.weight[used]
+    seen = np.zeros((j.max(initial=-1) + 1, j.size), dtype=bool)
+    for _, t, sectors, _ in ladders:
+        seen[t, local[sectors]] = True
+    seen = [np.flatnonzero(row) for row in seen]
+    by_step = [[] for _ in seen]
+    for r, t, sectors, counts in ladders:
+        by_step[t].append((r, seen[t].searchsorted(local[sectors]), counts))
+
+    def loglik(phis: np.ndarray) -> np.ndarray:
+        ll = np.zeros((len(records), phis.size))
+        if users:
+            for rows, n, chi, _ in _phased(grid.sub, phis, held):
+                for r, cols, counts in users[n]:
+                    ll[r, rows] += np.log(np.maximum(np.abs(chi @ cols) ** 2, _LOG_FLOOR)) @ counts
+        for rows, t, sel, d in _rotation(j, phis, seen):
+            logp = np.log(np.maximum(weight[sel, None] * (d * d), _LOG_FLOOR))
+            for r, ix, counts in by_step[t]:
+                ll[r, rows] += counts @ logp[ix]
+        return ll
+
+    return loglik
+
+
 def likelihood(state: TwoModeState, phi: float, pipeline: str) -> dict[tuple[int, int], float]:
     """Outcome probabilities of the counting measurement keyed by the port
     counts (n_a, n_b): a dict view of _outcome_table, so every port split of
@@ -362,8 +469,8 @@ def likelihood_with_derivative(
     state: TwoModeState, phi: float, pipeline: str
 ) -> dict[tuple[int, int], tuple[float, float]]:
     """Outcome probabilities together with analytic d/dphi, keyed by (n_a, n_b)."""
-    na, nb, z = _outcome_table(_split(state, pipeline), phi)
-    p, dp = (np.abs(z) ** 2).tolist(), (2.0 * np.real(np.conj(z) * _derivative(z, na, nb))).tolist()
+    na, nb, z, dz = _table_with_derivative(_split(state, pipeline), phi)
+    p, dp = (np.abs(z) ** 2).tolist(), (2.0 * np.real(np.conj(z) * dz)).tolist()
     return dict(zip(zip(na.tolist(), nb.tolist()), zip(p, dp)))
 
 
@@ -585,8 +692,7 @@ def fi_observable(
     and |dz|^2 are summed per value, and the groups' terms added in
     sorted-value order (_running_total).
     """
-    na, nb, z = _outcome_table(_split(state, pipeline), phi)
-    dz = _derivative(z, na, nb)
+    na, nb, z, dz = _table_with_derivative(_split(state, pipeline), phi)
     keys, group = np.unique([float(f(a, b)) for a, b in zip(na.tolist(), nb.tolist())], return_inverse=True)
     summed = (np.bincount(group, weights=w, minlength=keys.size)
               for w in (np.abs(z) ** 2, 2.0 * np.real(np.conj(z) * dz), np.abs(dz) ** 2))

@@ -32,8 +32,7 @@ from qfilab import (
     zeta_dual_fock,
     zeta_noon,
 )
-from qfilab.estimation import _grid, _logliks
-from qfilab.fisher import _PHASE_BLOCK, _phase_blocks, _sectors, _split, premeasurement_state
+from qfilab.fisher import _PHASE_BLOCK, _grid, _logliks, _phase_blocks, _sectors, _split, premeasurement_state
 
 
 def loglik_grid(split, record):
@@ -126,7 +125,6 @@ def test_loglik_grid_calls_only_evaluate_the_kernel_set_up_once(monkeypatch):
     monkeypatch.setattr(fisher, "sector_bounds", forbidden)
     monkeypatch.setattr(fisher, "splitter_columns", forbidden)
     monkeypatch.setattr(np, "unique", forbidden)
-    monkeypatch.setattr(estimation, "_distinct", forbidden)
     monkeypatch.setattr(fisher, "_distinct", forbidden)
     for phis, ll in zip(grids, expected):
         assert np.array_equal(loglik(phis), ll)
@@ -198,6 +196,23 @@ def test_window_wider_than_the_period_raises_before_any_draw(monkeypatch, call):
         call((0.0, 2 * math.pi))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_estimation(noon(2), 0.3, "MMZI", 100, seed=-1),
+        lambda: sample_outcomes(noon(2), 0.3, "MMZI", 100, -1),
+    ],
+    ids=["run_estimation", "sample_outcomes"],
+)
+def test_negative_seed_raises_before_any_table(monkeypatch, call):
+    def refuse(*_args):
+        raise AssertionError("built the outcome table before checking the seed")
+
+    monkeypatch.setattr(estimation, "_outcome_table", refuse)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        call()
+
+
 def grid_sizes_per_set_up(monkeypatch):
     """Wrap _logliks so that each set-up's calls append their phase counts
     to a list of their own, after the number of records it serves."""
@@ -244,16 +259,17 @@ def test_coarse_grid_runs_once_per_chunk_whatever_the_reps(monkeypatch):
     monkeypatch.setattr(estimation, "MLE_CHUNK", 4)
     blocks = _phase_blocks(estimation.MLE_GRID_POINTS)
     block = blocks[0].stop - blocks[0].start
+    passes = {"_phased": 0, "_rotation": 0}
+    for name in passes:
+        real = getattr(fisher, name)
+
+        def counted(pre, phis, *args, name=name, real=real):
+            passes[name] += phis.size == block
+            return real(pre, phis, *args)
+
+        monkeypatch.setattr(fisher, name, counted)
     for reps in (1, 4, 9):
-        passes = {"_phased": 0, "_rotation": 0}
-        for name in passes:
-            real = getattr(fisher, name)
-
-            def counted(pre, phis, *args, name=name, real=real):
-                passes[name] += phis.size == block
-                return real(pre, phis, *args)
-
-            monkeypatch.setattr(estimation, name, counted)
+        passes.update(_phased=0, _rotation=0)
         run_estimation(state, 0.3, "MZI", 2000, seed=1, reps=reps)
         chunks = -(-reps // estimation.MLE_CHUNK)
         assert passes == {"_phased": chunks * len(blocks), "_rotation": chunks * len(blocks)}

@@ -2,7 +2,7 @@
 
 Each property ties two routes to the same number: the pointwise and the
 vectorized Fisher information, the quantum bound, the sector split, the
-estimation path's log-likelihood against the fisher path's likelihood,
+MLE's log-likelihood against the likelihood,
 and the array outcome table and the sampler against outcome-by-outcome
 references, the phase derivative rule against the dense -i J2 and a
 40-digit mpmath expm, and the closed form of two-branch sectors against
@@ -34,11 +34,12 @@ from qfilab import (
     sample_outcomes,
     sector_fi_decomposition,
 )
-from qfilab.estimation import _grid, _logliks
 from qfilab.fisher import (
     _PHASE_BLOCK,
     _amplitudes,
     _derivative,
+    _grid,
+    _logliks,
     _outcome_table,
     _sector_kinds,
     _split,

@@ -1,5 +1,6 @@
 """Which scipy subpackages, and whether numpy.ma, a fresh qfilab process
-loads; which modules import scipy at all; and the public API.
+loads; which modules import scipy at all; that estimation reads no
+kernel internals of fisher; and the public API.
 
 scipy is imported inside the functions that use it, so the package and
 the commands that need no scipy routine start without it: import time is
@@ -102,6 +103,17 @@ def test_only_the_curves_module_imports_scipy():
             if any(name.split(".")[0] == "scipy" for name in modules):
                 importers.add(path.name)
     assert importers == {"curves.py"}
+
+
+def test_estimation_imports_no_kernel_internals():
+    # fisher owns the sector kinds and both kernels; estimation reads
+    # records and phases through _grid and _logliks only
+    internals = {"_phased", "_rotation", "_sectors", "_distinct", "_amplitudes", "_derivative", "_sector_kinds"}
+    source = (Path(qfilab.__file__).parent / "estimation.py").read_text(encoding="utf-8")
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "fisher" and node.level == 1
+                for alias in node.names}
+    assert sorted(imported & internals) == []
 
 
 def test_report_fields_snapshot():
