@@ -267,8 +267,8 @@ def _cmd_qfi(args) -> int:
 
 
 def _cmd_fi_scan(args) -> int:
+    phis = _sweep(args)  # flags first: the state may be large
     state, dist, _ = resolve_state(args.state)
-    phis = _sweep(args)
     fi = fi_scan(state, phis, args.pipeline)
     qfi = qfi_pure(state, args.pipeline)
     columns = ["phi", "fi", "qfi"]
@@ -284,13 +284,13 @@ def _cmd_fi_scan(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    state, _, _ = resolve_state(args.state)
-    if args.trials < 1:
+    if args.trials < 1:  # flags first: the state may be large
         raise SpecError("--trials must be >= 1")
     if args.reps < 1:
         raise SpecError("--reps must be >= 1")
     if args.seed < 0:
         raise SpecError("--seed must be >= 0")
+    state, _, _ = resolve_state(args.state)
     runs = run_estimation(state, args.phi_true, args.pipeline, args.trials,
                           seed=args.seed, reps=args.reps, window=args.window)
     _write_text(args.out, "".join(run.to_json_line() + "\n" for run in runs))

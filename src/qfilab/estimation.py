@@ -14,12 +14,13 @@ set-up once per command, before any draw: the state sorted by sector
 kind (fisher._split, which applies an MZI's first splitter where a kind
 needs it), the likelihood period, the window and its checks, the FI
 behind the bound, and the outcome table every repetition draws from. It
-then draws every record and sets up the log-likelihood once
-(fisher._grid). The coarse grid depends only on the state and the
-window, so one pass (fisher._logliks) serves a chunk of MLE_CHUNK
-records (_estimates); only the zoomed grids run per record. A record
-without phase information over the window raises
-DegenerateLikelihoodError where its estimate is due. Windows must stay
+then draws every record and takes them in chunks of MLE_CHUNK, setting
+the log-likelihood up once per chunk (fisher._logliks). The coarse grid
+depends only on the state and the window, so one pass serves the whole
+chunk; then the chunk's records zoom in lockstep, one call per step
+holding each live record's own grid (_estimates). A record without phase
+information over the window raises DegenerateLikelihoodError when its
+chunk comes, before any of the chunk zooms. Windows must stay
 narrower than the likelihood's fundamental period (2*pi over the largest
 occupied J3 spread), otherwise the phase is not identifiable; the bound
 being probed is local in exactly that sense. They must also span many
@@ -39,7 +40,6 @@ import numpy as np
 
 from .fisher import (
     _fi_reduce,
-    _grid,
     _logliks,
     _outcome_table,
     _period,
@@ -54,7 +54,7 @@ RNG_ALGORITHM = "philox4x64"
 MLE_GRID_POINTS = 10_000
 MLE_REFINE_TOL = 1e-10
 MLE_ZOOM_POINTS = 33
-MLE_CHUNK = 64  # records per coarse-grid pass
+MLE_CHUNK = 62  # records per kernel set-up; their zoomed grids fill one _PHASE_BLOCK
 _WINDOW_ULPS = 1000  # fewest float spacings at the phase that a window must span
 
 
@@ -151,49 +151,50 @@ def sample_outcomes(
 def _mle(split: _Split, records, lo: float, hi: float):
     """Grid maximum-likelihood estimates of records on a checked window,
     yielded record by record; a record without phase information over the
-    window raises DegenerateLikelihoodError when its turn comes. The
-    kernels are set up once (_grid), and the coarse grid runs once per
-    MLE_CHUNK records (_estimates)."""
-    grid = _grid(split, records)
+    window raises DegenerateLikelihoodError when its chunk comes. The
+    kernels are set up once per chunk of MLE_CHUNK records (_logliks),
+    which share the coarse grid and zoom in lockstep (_estimates)."""
     coarse = np.linspace(lo, hi, MLE_GRID_POINTS)
     for start in range(0, len(records), MLE_CHUNK):
-        yield from _estimates(grid, records[start:start + MLE_CHUNK], coarse)
+        chunk = records[start:start + MLE_CHUNK]
+        yield from _estimates(_logliks(split, chunk), chunk, coarse)
 
 
-def _estimates(grid, chunk, phis: np.ndarray):
+def _estimates(loglik, chunk, phis: np.ndarray) -> list[float]:
     """The estimates of a chunk of records from one coarse pass over phis,
     taken block by block (_phase_blocks, as the kernels cut it) so that
     only a block's rows are held: per record and block its maximum, first
-    maximizer and minimum. Then each record's own grids of MLE_ZOOM_POINTS
-    zoom onto the bracket of its best point's neighbours, until the bracket
-    is at most MLE_REFINE_TOL wide or a zoom no longer narrows it (beyond
-    |phi| = 2**19 an ulp exceeds the tolerance). Ties resolve to the first
-    maximum, the smallest phase."""
-    loglik, blocks = _logliks(grid, chunk), _phase_blocks(phis.size)
+    maximizer and minimum. Every record is checked for phase information
+    before any zoom. Then each record's grids of MLE_ZOOM_POINTS zoom onto
+    the bracket of its best point's neighbours, until the bracket is at
+    most MLE_REFINE_TOL wide or a zoom no longer narrows it (beyond
+    |phi| = 2**19 an ulp exceeds the tolerance); the live records zoom
+    together, one loglik call per step, each on its own grid. Ties resolve
+    to the first maximum, the smallest phase."""
+    blocks = _phase_blocks(phis.size)
     tops, ats, lows = (np.empty((len(chunk), len(blocks)), dtype) for dtype in (float, int, float))
     for i, rows in enumerate(blocks):
         ll = loglik(phis[rows])
         tops[:, i], ats[:, i], lows[:, i] = ll.max(axis=1), ll.argmax(axis=1) + rows.start, ll.min(axis=1)
-    for outcomes, top, at, low in zip(chunk, tops, ats, lows):
+    for outcomes, top, low in zip(chunk, tops, lows):
         peak = float(top.max())
         if sum(outcomes.values()) == 0:
             raise DegenerateLikelihoodError("empty outcome record")
         if peak - float(low.min()) <= 1e-9 * max(1.0, abs(peak)):
             raise DegenerateLikelihoodError("log-likelihood is constant over the window")
-        yield _zoom(_logliks(grid, [outcomes]), phis, int(at[np.argmax(top)]))
-
-
-def _zoom(loglik, phis: np.ndarray, best: int) -> float:
-    """The phase that grids of MLE_ZOOM_POINTS on loglik find from the best
-    point of phis."""
-    width = math.inf
-    while True:
-        a, b = phis[max(best - 1, 0)], phis[min(best + 1, phis.size - 1)]
-        if b - a <= MLE_REFINE_TOL or b - a >= width:
-            return float(phis[best])
-        width = b - a
-        phis = np.linspace(a, b, MLE_ZOOM_POINTS)
-        best = int(np.argmax(loglik(phis)[0]))
+    live, width, found = np.arange(len(chunk)), np.inf, np.empty(len(chunk))
+    grids = np.broadcast_to(phis, (live.size, phis.size))  # a row per live record
+    best = ats[live, tops.argmax(axis=1)]
+    while live.size:
+        k = np.arange(live.size)
+        a, b = grids[k, np.maximum(best - 1, 0)], grids[k, np.minimum(best + 1, grids.shape[1] - 1)]
+        done = (b - a <= MLE_REFINE_TOL) | (b - a >= width)
+        found[live[done]] = grids[k[done], best[done]]
+        live, width, a, b = live[~done], (b - a)[~done], a[~done], b[~done]
+        if live.size:
+            grids = np.linspace(a, b, MLE_ZOOM_POINTS, axis=1)
+            best = loglik(grids.ravel(), live).argmax(axis=1)
+    return found.tolist()
 
 
 def mle_phase(
@@ -281,9 +282,10 @@ def run_estimation(
     """Sample, estimate, and record reps runs; run r draws from the substream
     SeedSequence(seed, spawn_key=(r,)). The first splitter, the period, the
     window and its checks, the FI behind crb_m and the outcome table the
-    draws come from are computed once, before any draw; the likelihood
-    kernels once, after every draw, for the sectors any record observed;
-    the coarse grid once per MLE_CHUNK records (_mle). A phase too large
+    draws come from are computed once, before any draw; after every draw,
+    the likelihood kernels and the coarse grid once per chunk of MLE_CHUNK
+    records, for the sectors its records observed, whose zooms then run in
+    lockstep (_mle). A phase too large
     for its window is refused (_checked_window). Raises
     DegenerateLikelihoodError at the first record without phase
     information over the window.

@@ -53,23 +53,23 @@ first splitter there and only where a kind needs it:
 The MZI qfi field needs no kind and no splitter: the first splitter turns
 J3 into -J2, so it is 4 Var(J2) of the input (_j2_variance), O(entries).
 
-The phase kernel (_phased, _amplitudes) takes the pre-measurement state,
-or the sub-state of the sectors a caller needs, one contiguous slice per
-sector (_sectors) with the final splitter's columns of its occupied inputs
-(fock.splitter_columns), built afresh and never cached. Per block of
-phases (_phase_blocks) it takes one exponential per distinct J3 eigenvalue
-(_distinct) and gathers each sector's with take(), which keeps them
-C-ordered, so every bit equals an exponential per sector input. The
+The phase kernel (_amplitudes, and the MLE's _logliks) takes the
+pre-measurement state, or the sub-state of the sectors a caller needs, one
+contiguous slice per sector (_sectors) with the final splitter's columns of
+its occupied inputs (fock.splitter_columns), built afresh and never cached.
+Per block of phases (_phase_blocks) it takes one exponential per distinct
+J3 eigenvalue (_distinct) and gathers each sector's with take(), which
+keeps them C-ordered, so every bit equals an exponential per sector input. The
 likelihoods, the sampler and the readouts read flat (N, n_a)-ordered
 arrays (_outcome_table), which each kernel sector and each rotation step
 write in place.
 
-The MLE's log-likelihood is set up once per estimation command, for the
-sectors its records observed (_grid): the phase kernel's splitter
-columns, distinct J3 eigenvalues and gather indices, and the rotation's
-|J,J> sectors and weights. One pass of each kernel then serves a chunk
-of records (_logliks), and a record's row is the same to the last bit
-alone or with others.
+The MLE's log-likelihood is set up once per chunk of records, for the
+sectors they observed (_logliks): the phase kernel's splitter columns,
+distinct J3 eigenvalues and gather indices, and the rotation's |J,J>
+sectors and weights. One pass of each kernel then serves every record of
+the chunk, on one shared grid or each on its own grid, end to end, and a
+record's row is the same to the last bit alone or with others.
 
 The counting FI over a phase grid (_fi_reduce, behind classical_fi and
 fi_scan) sums kind by kind: the phase-independent total of the MZI single
@@ -201,30 +201,17 @@ def _phase_blocks(size: int) -> list[slice]:
     return [slice(b * size // blocks, (b + 1) * size // blocks) for b in range(blocks)]
 
 
-def _phased(pre: TwoModeState, phis: np.ndarray, held=None):
-    """Yield (rows, N, chi, bs_t) per block of phases and sector: chi[i, j]
-    is the sector's j-th occupied input amplitude after the phase
-    phis[rows][i], bs_t their splitter columns. held is pre's kernel set up
-    once by a caller that evaluates it many times: its distinct J3
-    eigenvalues and per sector (N, vec, gather indices, bs_t); by default
-    each block walks pre's sectors afresh, holding one sector's columns."""
-    if not len(pre):
-        return
-    unique_m = _distinct(pre.j3_values) if held is None else held[0]
-    for rows in _phase_blocks(phis.size):
-        table = np.exp(-1j * np.outer(phis[rows], unique_m))
-        walk = held[1] if held is not None else (
-            (n, vec, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(pre))
-        for n, vec, ix, bs_t in walk:
-            yield rows, n, table.take(ix, axis=1) * vec, bs_t
-
-
 def _amplitudes(pre: TwoModeState, phis: np.ndarray):
     """Yield (rows, N, out) per block of phases and sector: out[i, k] is the
-    amplitude at phis[rows][i] of outcome (k, N - k) (_phased, walking pre
-    afresh)."""
-    for rows, n, chi, bs_t in _phased(pre, phis):
-        yield rows, n, chi @ bs_t
+    amplitude at phis[rows][i] of outcome (k, N - k). Each block walks pre's
+    sectors afresh, holding one sector's columns."""
+    if not len(pre):
+        return
+    unique_m = _distinct(pre.j3_values)
+    for rows in _phase_blocks(phis.size):
+        table = np.exp(-1j * np.outer(phis[rows], unique_m))
+        for n, vec, m, bs_t in _sectors(pre):
+            yield rows, n, (table.take(unique_m.searchsorted(m), axis=1) * vec) @ bs_t
 
 
 def _derivative(z: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
@@ -362,46 +349,27 @@ def _table_with_derivative(split: _Split, phi: float):
     return na, nb, z, dz
 
 
-class _Grid(NamedTuple):
-    """The log-likelihood kernels of one command, set up once for the union
-    of its records' observed sectors (_grid). held is the phase kernel's
-    (_phased): the distinct J3 eigenvalues of sub and, by N, each sector's
-    (N, vec, gather indices, bs_t). rot maps N = 2J to the index of an
-    observed rotation sector |J, J> in j (ascending), weight their
-    |amplitude|^2."""
-
-    sub: TwoModeState
-    unique_m: np.ndarray
-    held: dict
-    rot: dict
-    j: np.ndarray
-    weight: np.ndarray
-
-
-def _grid(split: _Split, records) -> _Grid:
-    """The _Grid of split for the sectors any of records observed."""
+def _logliks(split: _Split, records) -> Callable[..., np.ndarray]:
+    """Log-likelihoods of outcome histograms on phase grids, a row per
+    record. Here, once, the kernels are set up for the sectors any record
+    observed (the phase kernel's distinct J3 eigenvalues, gather indices and
+    splitter columns, and the rotation's |J,J> sectors and weights), and
+    each histogram is checked and given its share: the observed columns
+    of each kernel sector, and each rotation sector's counts per ladder
+    step, m and -m together, as P is even in m. The returned function
+    evaluates every record on phis; with own, a list of record indices,
+    phis holds one equal grid per listed record, end to end, and row i is
+    own[i]'s on its own grid. A record adds its counts on its own span by
+    the products it would take alone (a matmul's bits depend on its
+    operands' shapes and layout), and sector rows do not interact, so its
+    row equals its row alone, bit for bit, unless a phase block cuts it."""
     observed = sorted({a + b for outcomes in records for a, b in outcomes})
     sub = split.table.subset(np.isin(split.table.n_total, observed))
     unique_m = _distinct(sub.j3_values)
-    held = {n: (n, vec, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(sub)}
+    kernel = {n: (vec, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(sub)}
     single = split.single
     rot = single.subset((single.na == single.nb) & np.isin(single.n_total, observed))
-    index = {2 * jj: i for i, jj in enumerate(rot.na.tolist())}
-    return _Grid(sub, unique_m, held, index, rot.na, np.abs(rot.amps) ** 2)
-
-
-def _logliks(grid: _Grid, records) -> Callable[[np.ndarray], np.ndarray]:
-    """Log-likelihoods of outcome histograms on a phase grid, a row per
-    record. Once, here, the histograms are checked and each one's share of
-    the grid's kernels is set up: the observed columns of each phase-kernel
-    sector, and each rotation sector's counts per ladder step, m and -m
-    together, as P is even in m. A call of the returned function of phis
-    runs each kernel once for every record, over the sectors any of them
-    observed, and takes each rotation step's log-probabilities once; each
-    record then adds its own counts on its own row, by the products it
-    would take alone (a matmul's bits depend on its operands' shapes), and
-    sector rows do not interact, so its row equals its row alone, bit for
-    bit."""
+    index = {2 * jj: i for i, jj in enumerate(rot.na.tolist())}  # N = 2J -> its place in rot
     users, ladders = {}, []  # N -> [(record, columns, counts)]; (record, step, sectors, counts)
     for r, outcomes in enumerate(records):
         by_sector = {}
@@ -409,17 +377,17 @@ def _logliks(grid: _Grid, records) -> Callable[[np.ndarray], np.ndarray]:
             if a < 0 or b < 0 or cnt < 0:
                 raise ValueError(f"outcome {(a, b)} with count {cnt}: port counts and counts must be >= 0")
             by_sector.setdefault(a + b, []).append((a, cnt))
-        stray = [k for k in outcomes if k[0] + k[1] not in grid.held and k[0] + k[1] not in grid.rot]
+        stray = [k for k in outcomes if k[0] + k[1] not in kernel and k[0] + k[1] not in index]
         if stray:
             raise ValueError(f"outcomes {stray} lie outside the occupied sectors")
         steps = {}  # (t, sector): counts of n_a = J +- (J - t)
         for n, group in by_sector.items():
-            if n in grid.held:
-                cols = grid.held[n][3][:, [a for a, _ in group]]
+            if n in kernel:
+                cols = kernel[n][2][:, [a for a, _ in group]]
                 users.setdefault(n, []).append((r, cols, np.array([c for _, c in group], dtype=float)))
                 continue
             for a, cnt in group:
-                key = (n // 2 - abs(a - n // 2), grid.rot[n])
+                key = (n // 2 - abs(a - n // 2), index[n])
                 steps[key] = steps.get(key, 0.0) + cnt
         rungs = {}
         for (t, i), cnt in sorted(steps.items()):
@@ -427,12 +395,11 @@ def _logliks(grid: _Grid, records) -> Callable[[np.ndarray], np.ndarray]:
                 rungs.setdefault(t, []).append((i, cnt))
         for t, rung in rungs.items():
             ladders.append((r, t, np.array([i for i, _ in rung]), np.array([c for _, c in rung], dtype=float)))
-    held = (grid.unique_m, [grid.held[n] for n in sorted(users)])
-    used = np.zeros(grid.j.size, dtype=bool)
+    used = np.zeros(len(rot), dtype=bool)
     for _, _, sectors, _ in ladders:
         used[sectors] = True
     local = np.cumsum(used) - 1  # an observed rotation sector's place among the used ones
-    j, weight = grid.j[used], grid.weight[used]
+    j, weight = rot.na[used], np.abs(rot.amps[used]) ** 2
     seen = np.zeros((j.max(initial=-1) + 1, j.size), dtype=bool)
     for _, t, sectors, _ in ladders:
         seen[t, local[sectors]] = True
@@ -441,16 +408,32 @@ def _logliks(grid: _Grid, records) -> Callable[[np.ndarray], np.ndarray]:
     for r, t, sectors, counts in ladders:
         by_step[t].append((r, seen[t].searchsorted(local[sectors]), counts))
 
-    def loglik(phis: np.ndarray) -> np.ndarray:
-        ll = np.zeros((len(records), phis.size))
-        if users:
-            for rows, n, chi, _ in _phased(grid.sub, phis, held):
-                for r, cols, counts in users[n]:
-                    ll[r, rows] += np.log(np.maximum(np.abs(chi @ cols) ** 2, _LOG_FLOOR)) @ counts
+    def loglik(phis: np.ndarray, own=None) -> np.ndarray:
+        width = phis.size // (1 if own is None else len(own))
+        listed = range(len(records)) if own is None else own
+        start = {r: (i, 0 if own is None else i * width) for i, r in enumerate(listed)}  # record -> row, first phase
+        ll = np.zeros((len(start), width))
+
+        def spans(rows: slice, entries):  # (row, its columns, the block's rows, *entry) where a span meets rows
+            for r, *entry in entries:
+                i, lo = start.get(r, (None, 0))
+                a, b = max(lo, rows.start), min(lo + width, rows.stop)
+                if i is not None and a < b:
+                    yield (i, slice(a - lo, b - lo), slice(a - rows.start, b - rows.start), *entry)
+
+        for rows in _phase_blocks(phis.size):
+            table = np.exp(-1j * np.outer(phis[rows], unique_m))
+            for n, (vec, ix, _) in kernel.items():
+                chis = {}  # a span's sector inputs after the phase, made once for the records it serves
+                for i, out, part, cols, counts in spans(rows, users[n]):
+                    key = (part.start, part.stop)
+                    if key not in chis:
+                        chis[key] = table[part].take(ix, axis=1) * vec
+                    ll[i, out] += np.log(np.maximum(np.abs(chis[key] @ cols) ** 2, _LOG_FLOOR)) @ counts
         for rows, t, sel, d in _rotation(j, phis, seen):
             logp = np.log(np.maximum(weight[sel, None] * (d * d), _LOG_FLOOR))
-            for r, ix, counts in by_step[t]:
-                ll[r, rows] += counts @ logp[ix]
+            for i, out, part, ix, counts in spans(rows, by_step[t]):
+                ll[i, out] += counts @ np.ascontiguousarray(logp[ix][:, part])
         return ll
 
     return loglik

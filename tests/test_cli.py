@@ -268,6 +268,29 @@ def test_estimate_rejects_a_negative_seed(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "--phi-true", "0.3", "--trials", "0"], "--trials must be >= 1"),
+        (["estimate", "--phi-true", "0.3", "--reps", "0"], "--reps must be >= 1"),
+        (["estimate", "--phi-true", "0.3", "--seed", "-1"], "--seed must be >= 0"),
+        (["fi-scan", "--points", "1"], "--points must be >= 2"),
+        (["fi-scan", "--x-min", "1", "--x-max", "1"], "--x-max must exceed --x-min"),
+    ],
+    ids=["trials", "reps", "seed", "points", "x-range"],
+)
+def test_bad_flags_exit_2_before_the_state_is_built(argv, message, monkeypatch, capsys):
+    # a large catalog state takes seconds and hundreds of MiB to build, or
+    # runs out of memory, which must not hide a bad flag
+    def refuse(_spec):
+        raise AssertionError("built the state before checking the flags")
+
+    monkeypatch.setattr("qfilab.cli.resolve_state", refuse)
+    assert main(argv[:1] + ["catalog:zeta_noon:3:10000000"] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, module, name",
     [
         (["qfi", "catalog:dual_fock:3"], fisher, "apply_beamsplitter"),

@@ -4,7 +4,8 @@ The log-likelihood grid (phases in blocks, one exponential per distinct J3
 eigenvalue, splitter columns only for the observed sectors) must equal the
 per-sector formula it replaced to the last bit; run_estimation must equal
 a composition of the public sample_outcomes and mle_phase; its set-up runs
-once per command, and the coarse grid once per MLE_CHUNK records.
+once per command, and the log-likelihood's once per MLE_CHUNK records,
+which share one coarse grid and zoom together.
 """
 
 import dataclasses
@@ -32,13 +33,13 @@ from qfilab import (
     zeta_dual_fock,
     zeta_noon,
 )
-from qfilab.fisher import _PHASE_BLOCK, _grid, _logliks, _phase_blocks, _sectors, _split, premeasurement_state
+from qfilab.fisher import _PHASE_BLOCK, _logliks, _phase_blocks, _sectors, _split, premeasurement_state
 
 
 def loglik_grid(split, record):
     """One record's log-likelihood on a phase grid, through kernels set up
     for it alone."""
-    loglik = _logliks(_grid(split, [record]), [record])
+    loglik = _logliks(split, [record])
     return lambda phis: loglik(phis)[0]
 
 
@@ -165,7 +166,9 @@ def test_run_estimation_does_its_set_up_once(monkeypatch):
     sectors = sorted({int(n) for n in state.n_total})
     # the FI behind crb_m takes every two-branch sector in closed form, so
     # the fisher kernel walks every sector once first, for the sampling
-    # table; the grids then ask once for the sectors any record saw
+    # table; the log-likelihood set-up, once per chunk of MLE_CHUNK records
+    # (here the three records make one chunk), then asks once for the
+    # sectors any of its records saw
     table_side, grid_side = columns[:len(sectors)], columns[len(sectors):]
     assert [n for n, _ in table_side] == sectors
     observed = sorted({a + b for run in runs for a, b in run.outcomes})
@@ -214,19 +217,20 @@ def test_negative_seed_raises_before_any_table(monkeypatch, call):
 
 
 def grid_sizes_per_set_up(monkeypatch):
-    """Wrap _logliks so that each set-up's calls append their phase counts
-    to a list of their own, after the number of records it serves."""
+    """Wrap _logliks so that each set-up's calls append (phases, records
+    evaluated, or None for all) to a list of their own, after the number of
+    records it serves."""
     set_ups = []
     real = estimation._logliks
 
-    def counted(grid, records):
-        loglik = real(grid, records)
+    def counted(split, records):
+        loglik = real(split, records)
         sizes = [len(records)]
         set_ups.append(sizes)
 
-        def call(phis):
-            sizes.append(phis.size)
-            return loglik(phis)
+        def call(phis, own=None):
+            sizes.append((phis.size, None if own is None else len(own)))
+            return loglik(phis, own)
 
         return call
 
@@ -241,38 +245,57 @@ def test_mle_evaluates_only_whole_grids_in_a_few_calls(monkeypatch):
     big = noon(3)  # one ulp of 6e5 exceeds MLE_REFINE_TOL: the no-progress stop ends it
     outcomes = sample_outcomes(big, 6e5, "MMZI", 100, seed=0)
     mle_phase(outcomes, big, "MMZI", default_window(big, 6e5))
-    # the coarse grid, block by block, once for all three records, then
-    # each record's zooms; then the same for the one record of mle_phase
+    run_estimation(zeta_dual_fock(3.0, 8)[0], 0.3, "MZI", 200, seed=5, reps=130)
+    # one set-up per chunk of MLE_CHUNK records, never one per record: the
+    # three records of the first run, the one of mle_phase, then 130 records
+    # in chunks of 62, 62 and 6. Each chunk passes the coarse grid block by
+    # block over all its records, then zooms its live records together: a
+    # call takes one grid of MLE_ZOOM_POINTS per live record, and records
+    # only leave
     blocks = [rows.stop - rows.start for rows in _phase_blocks(estimation.MLE_GRID_POINTS)]
-    assert [sizes[0] for sizes in set_ups] == [3, 1, 1, 1, 1, 1]
-    for coarse in (set_ups[0], set_ups[4]):
-        assert coarse[1:] == blocks
-    for sizes in set_ups[1:4] + set_ups[5:]:
-        assert set(sizes[1:]) == {estimation.MLE_ZOOM_POINTS}
-        assert len(sizes) <= 8
+    assert [sizes[0] for sizes in set_ups] == [3, 1, 62, 62, 6]
+    for records, *calls in set_ups:
+        coarse, zooms = calls[:len(blocks)], calls[len(blocks):]
+        assert coarse == [(size, None) for size in blocks]
+        assert 1 <= len(zooms) <= 8
+        live = [n for _, n in zooms]
+        assert all(size == estimation.MLE_ZOOM_POINTS * n for size, n in zooms)
+        assert live == sorted(live, reverse=True) and live[0] <= records <= estimation.MLE_CHUNK
+
+
+def test_a_chunk_of_zoomed_grids_fits_one_phase_block():
+    # no phase block cuts a record's zoomed grid, so each record takes the
+    # products it would take alone
+    assert estimation.MLE_CHUNK * estimation.MLE_ZOOM_POINTS <= _PHASE_BLOCK
 
 
 def test_coarse_grid_runs_once_per_chunk_whatever_the_reps(monkeypatch):
     # via MZI, |1,1> and |2,2> take the rotation and N = 3 the phase kernel;
-    # each kernel passes over the coarse grid block by block, once per chunk
+    # each kernel passes over the coarse grid block by block, once per
+    # chunk: one exponential table (np.outer of the phases and the J3
+    # eigenvalues) and one _rotation per block
     state = make_state([(1, 1, 1.0), (2, 2, 0.5), (0, 3, 0.6), (1, 2, 0.4j)], 4)
     monkeypatch.setattr(estimation, "MLE_CHUNK", 4)
     blocks = _phase_blocks(estimation.MLE_GRID_POINTS)
     block = blocks[0].stop - blocks[0].start
-    passes = {"_phased": 0, "_rotation": 0}
-    for name in passes:
-        real = getattr(fisher, name)
+    passes = {"table": 0, "_rotation": 0}
+    real_outer, real_rotation = np.outer, fisher._rotation
 
-        def counted(pre, phis, *args, name=name, real=real):
-            passes[name] += phis.size == block
-            return real(pre, phis, *args)
+    def outer(phis, m):
+        passes["table"] += np.size(phis) == block
+        return real_outer(phis, m)
 
-        monkeypatch.setattr(fisher, name, counted)
+    def rotation(j, phis, *args):
+        passes["_rotation"] += phis.size == block
+        return real_rotation(j, phis, *args)
+
+    monkeypatch.setattr(np, "outer", outer)
+    monkeypatch.setattr(fisher, "_rotation", rotation)
     for reps in (1, 4, 9):
-        passes.update(_phased=0, _rotation=0)
+        passes.update(table=0, _rotation=0)
         run_estimation(state, 0.3, "MZI", 2000, seed=1, reps=reps)
         chunks = -(-reps // estimation.MLE_CHUNK)
-        assert passes == {"_phased": chunks * len(blocks), "_rotation": chunks * len(blocks)}
+        assert passes == {"table": chunks * len(blocks), "_rotation": chunks * len(blocks)}
 
 
 def peak_rss_kib(argv):
@@ -302,8 +325,13 @@ def test_estimate_memory_does_not_grow_with_the_reps():
 
 def synthetic_mle(monkeypatch, loglik, lo, hi):
     """_mle on a window, with loglik standing in for every record's grid."""
-    monkeypatch.setattr(estimation, "_grid", lambda split, records: None)
-    monkeypatch.setattr(estimation, "_logliks", lambda grid, records: lambda p: np.array([loglik(p)] * len(records)))
+    def set_up(split, records):
+        def call(phis, own=None):
+            return loglik(np.broadcast_to(phis, (len(records), phis.size)) if own is None
+                          else phis.reshape(len(own), -1))
+        return call
+
+    monkeypatch.setattr(estimation, "_logliks", set_up)
     (phi_hat,) = estimation._mle(None, [{(0, 1): 1}], lo, hi)
     return phi_hat
 

@@ -33,12 +33,15 @@ from qfilab import (
     qfi_pure,
     sample_outcomes,
     sector_fi_decomposition,
+    zeta_dual_fock,
+    zeta_noon,
 )
+from qfilab import fisher
+from qfilab.estimation import MLE_ZOOM_POINTS
 from qfilab.fisher import (
     _PHASE_BLOCK,
     _amplitudes,
     _derivative,
-    _grid,
     _logliks,
     _outcome_table,
     _sector_kinds,
@@ -320,14 +323,28 @@ def test_loglik_grid_matches_likelihood(state, pipeline, phis, counts):
 def loglik_alone(split, record, phis):
     """One record's log-likelihood on phis, through kernels set up for it
     alone."""
-    return _logliks(_grid(split, [record]), [record])(phis)[0]
+    return _logliks(split, [record])(phis)[0]
 
 
 def shared_pass_equals_each_record_alone(state, pipeline, records, phis):
     split = _split(state, pipeline)
-    shared = _logliks(_grid(split, records), records)(phis)
+    shared = _logliks(split, records)(phis)
     for row, record in zip(shared, records):
         assert np.array_equal(row, loglik_alone(split, record, phis))
+
+
+def lockstep_equals_each_record_alone(split, records, grids, own):
+    """records[own[i]] on grids[i], all in one call as the MLE's zoom makes
+    it, row for row the bits of each record alone on its own grid."""
+    rows = _logliks(split, records)(np.concatenate(grids), own)
+    assert rows.shape == (len(own), MLE_ZOOM_POINTS)
+    for row, r, grid in zip(rows, own, grids):
+        assert np.array_equal(row, loglik_alone(split, records[r], grid))
+
+
+def zoomed_grids(phi, count):
+    """count grids of MLE_ZOOM_POINTS phases from phi on, 1 to 10**-(count-1) wide."""
+    return [phi + i + np.linspace(0.0, 10.0**-i, MLE_ZOOM_POINTS) for i in range(count)]
 
 
 # Each record is drawn as (outcome index, count) pairs, the index taken
@@ -339,13 +356,16 @@ records = st.lists(
 )
 
 
-@given(states(), pipelines, records, phases, st.sampled_from([1, 33, _PHASE_BLOCK + 1]))
-def test_shared_pass_equals_each_record_alone(state, pipeline, drawn, phi, size):
+@given(states(), pipelines, records, phases, st.sampled_from([1, 33, _PHASE_BLOCK + 1]), st.data())
+def test_shared_pass_equals_each_record_alone(state, pipeline, drawn, phi, size, data):
     # one pass of each kernel for all records, over the union of their
-    # sectors, gives each record's log-likelihood bit for bit
+    # sectors, gives each record's log-likelihood bit for bit; so does the
+    # lockstep zoom, some of the records in any order, each on its own grid
     outcomes = list(likelihood(state, phi, pipeline))
     recs = [{outcomes[i % len(outcomes)]: c for i, c in pairs} for pairs in drawn]
     shared_pass_equals_each_record_alone(state, pipeline, recs, phi + np.linspace(0.0, 1.0, size))
+    own = data.draw(st.lists(st.sampled_from(range(len(recs))), min_size=1, unique=True))
+    lockstep_equals_each_record_alone(_split(state, pipeline), recs, zoomed_grids(phi, len(own)), own)
 
 
 # MZI: |1,1> and |2,2> are rotation sectors; N = 3 and N = 5 reach the
@@ -364,8 +384,53 @@ MIXED = make_state([(1, 1, 1.0), (2, 2, 0.3), (0, 3, 0.5), (1, 2, 0.7j), (0, 5, 
 )
 def test_shared_pass_equals_each_record_alone_on_both_kinds(recs):
     phis = np.linspace(-0.4, 0.9, 10_000)
-    shared_pass_equals_each_record_alone(MIXED, "MZI", recs, phis)
-    shared_pass_equals_each_record_alone(MIXED, "MMZI", recs, phis)
+    for pipeline in ("MZI", "MMZI"):
+        shared_pass_equals_each_record_alone(MIXED, pipeline, recs, phis)
+        own = list(range(len(recs)))[::-1]
+        lockstep_equals_each_record_alone(_split(MIXED, pipeline), recs, zoomed_grids(-0.4, len(own)), own)
+
+
+# Larger records than the drawn ones, so that a product over the union of
+# the grids would round differently from the product over a record's own:
+# many observed outcomes per kernel sector, and many rotation sectors at
+# one ladder step. Via MZI every sector of zeta_dual_fock is a rotation
+# sector |J, J>, and every sector of zeta_noon a general one of the phase
+# kernel. The ladder's running bound passes _RESCALE_ABOVE sooner on a
+# steep grid (large |cot phi|) than on a flat one: record 0 (J = 80) alone
+# on its flat grid is never rescaled, while record 2 on the steepest grid
+# is, and so is every row of their lockstep call.
+LADDER = zeta_dual_fock(3.0, 80)[0], [
+    {(80, 80): 2, (100, 60): 1, (3, 1): 4, **{(2 * j, 0): 1 for j in range(1, 81, 3)}},
+    {(40, 40): 3, (1, 1): 2},
+    {(150, 10): 1, (75, 85): 2, **{(2 * j - 5, 5): 2 for j in range(5, 80, 4)}},
+    {(20, 20): 5, (50, 10): 1},
+]
+
+
+def every_outcome(a, b, lo, hi):
+    """Every outcome of the sectors lo <= N < hi, counted 1 + (a n_a + b N) % 97."""
+    return {(k, n - k): 1 + (a * k + b * n) % 97 for n in range(lo, hi) for k in range(n + 1)}
+
+
+DENSE = zeta_noon(3.0, 60)[0], [every_outcome(29, 13, 1, 61), {(1, 0): 5}, every_outcome(31, 7, 20, 40),
+                                every_outcome(17, 3, 1, 30)]
+STEEP_AND_FLAT = [
+    np.linspace(1e-3, 2e-3, MLE_ZOOM_POINTS),
+    np.linspace(0.3, 0.3 + 1e-9, MLE_ZOOM_POINTS),
+    np.linspace(math.pi / 2 - 0.01, math.pi / 2 + 0.01, MLE_ZOOM_POINTS),
+    np.linspace(-1.2, -0.4, MLE_ZOOM_POINTS),
+]
+
+
+@pytest.mark.parametrize(
+    "case,rescale_above",
+    [(LADDER, fisher._RESCALE_ABOVE), (LADDER, 2.0**8), (DENSE, fisher._RESCALE_ABOVE)],
+    ids=["rotation", "rotation-rescaled-often", "phase-kernel"],
+)
+def test_lockstep_equals_each_record_alone_on_large_records(monkeypatch, case, rescale_above):
+    monkeypatch.setattr(fisher, "_RESCALE_ABOVE", rescale_above)
+    state, recs = case
+    lockstep_equals_each_record_alone(_split(state, "MZI"), recs, STEEP_AND_FLAT, [2, 0, 3, 1])
 
 
 # phi = 0 and pi put outcomes on analytic zeros, pi/2 makes the splitter

@@ -103,7 +103,7 @@ def test_scalar_sector_readers_walk_no_sector(monkeypatch):
     two, general = fisher._sector_kinds(state)
     assert two.size == k and len(general) == 0
     record = {(1, 0): 4, (0, 2): 3, (5, 0): 2}
-    loglik = fisher._logliks(fisher._grid(fisher._split(state, "MMZI"), [record]), [record])
+    loglik = fisher._logliks(fisher._split(state, "MMZI"), [record])
     assert np.isfinite(loglik(np.array([0.3]))).all()
 
     # the set-up scans only the sub-state of the record's sectors
@@ -118,7 +118,7 @@ def test_scalar_sector_readers_walk_no_sector(monkeypatch):
     for module in (fock, fisher, estimation):
         if hasattr(module, "sector_bounds"):
             monkeypatch.setattr(module, "sector_bounds", sized_bounds)
-    fisher._logliks(fisher._grid(fisher._split(state, "MMZI"), [record]), [record])
+    fisher._logliks(fisher._split(state, "MMZI"), [record])
     assert observed == 6 and sizes == [observed]
 
 
@@ -138,8 +138,7 @@ def test_empty_state_has_no_sectors_and_no_fringes():
         assert (report.fi, report.qfi) == (0.0, 0.0)
         assert fisher.fi_observable(EMPTY, 0.3, pipeline, lambda a, b: b - a).fi == 0.0
     # an empty record is cut to the empty sub-state, whose log-likelihood is 0
-    grid = fisher._grid(fisher._split(GAPPED, "MMZI"), [{}])
-    assert not fisher._logliks(grid, [{}])(np.array([0.1, 0.2])).any()
+    assert not fisher._logliks(fisher._split(GAPPED, "MMZI"), [{}])(np.array([0.1, 0.2])).any()
 
 
 @given(states())
