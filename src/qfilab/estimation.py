@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import (
+    _PHASE_BLOCK,
     _fi_reduce,
     _logliks,
     _outcome_table,
@@ -54,7 +55,7 @@ RNG_ALGORITHM = "philox4x64"
 MLE_GRID_POINTS = 10_000
 MLE_REFINE_TOL = 1e-10
 MLE_ZOOM_POINTS = 33
-MLE_CHUNK = 62  # records per kernel set-up; their zoomed grids fill one _PHASE_BLOCK
+MLE_CHUNK = _PHASE_BLOCK // MLE_ZOOM_POINTS  # records per kernel set-up: as many zoomed grids as one phase block holds
 _WINDOW_ULPS = 1000  # fewest float spacings at the phase that a window must span
 
 

@@ -17,8 +17,9 @@ Derivatives of outcome probabilities are analytic. In both pipelines the
 phase acts on the counted outcomes as exp(-i phi J2) (the final splitter
 turns J3 into J2), so an outcome amplitude z has the phase derivative
 dz = -i J2 z, a real three-term stencil of the amplitudes themselves
-(_derivative, the one code that computes it); then P = |z|^2 and
-dP = 2 Re(conj(z) dz). One rule (_fi_terms) makes every
+(_derivative, the one code that computes it, on a kernel block or the
+flat outcome table alike); then P = |z|^2 and dP = 2 Re(conj(z) dz). One
+rule (_fi_terms) makes every
 Fisher-information term, of a counting outcome or of a group of outcomes a
 readout merges: dP^2/P while the amplitude, sqrt(P) of the group, is above
 rounding-noise scale _AMP_NOISE (dP scales like sqrt(P), so the ratio
@@ -30,8 +31,9 @@ Sector kinds
 ------------
 Both unitaries preserve the total photon number, so every reader works
 sector by sector, and each sector is read by its kind. _split sorts a
-state once per call, or once per estimation command, applying an MZI's
-first splitter there and only where a kind needs it:
+state once per call, or once per estimation command, into two parts
+(_Split), applying an MZI's first splitter there and only where a kind
+needs it:
 
 - single input (MZI only): a sector of the source with one occupied input
   |n_a, n_b>. Two splitters around the phase act on it as the rotation
@@ -67,12 +69,14 @@ write in place.
 The MLE's log-likelihood is set up once per chunk of records, for the
 sectors they observed (_logliks): the phase kernel's splitter columns,
 distinct J3 eigenvalues and gather indices, and the rotation's |J,J>
-sectors and weights. One pass of each kernel then serves every record of
+sectors and weights, each indexed by its place among the observed |J,J>
+sectors. One pass of each kernel then serves every record of
 the chunk, on one shared grid or each on its own grid, end to end, and a
 record's row is the same to the last bit alone or with others.
 
 The counting FI over a phase grid (_fi_reduce, behind classical_fi and
-fi_scan) sums kind by kind: the phase-independent total of the MZI single
+fi_scan) drops the single inputs' splitter images from the table and sums
+kind by kind: the phase-independent total of the MZI single
 inputs and of the equal-weight two-branch sectors, summed once and
 broadcast, so a state of such sectors scans exactly flat; then the
 unequal-weight two-branch sectors; then the general sectors; each kind in
@@ -101,8 +105,7 @@ from .fock import (
 
 PIPELINES = ("MZI", "MMZI")
 _PHASE_BLOCK = 2048  # most phases per exponential table in _amplitudes
-_CLOSED_FORM_CELLS = 1 << 16  # most (phase, sector) cells per closed-form temporary
-_STENCIL_CHUNK = 1 << 16  # most outcomes per temporary in _derivative
+_TEMP_CELLS = 1 << 16  # most elements of one temporary: a _derivative chunk of one row, a _two_branch_fi chunk
 _LOG_FLOOR = 1e-300  # least probability a log-likelihood takes the log of
 
 
@@ -152,13 +155,13 @@ class _Split(NamedTuple):
     sends through the first splitter (module docstring): their FI and
     fringe spread have closed forms, and a balanced input |J, J> takes its
     outcome amplitudes from the rotation (_rotation). Empty for "MMZI".
-    pre: the pre-measurement state of every other sector.
-    table: pre plus the splitter image of the unbalanced single inputs,
-    which the outcome-table readers still take through the phase kernel.
+    table: the pre-measurement state of every other sector, plus the
+    splitter image of the unbalanced single inputs, which the outcome-table
+    readers take through the phase kernel; _fi_reduce drops those images,
+    as it reads single inputs in closed form.
     """
 
     single: TwoModeState
-    pre: TwoModeState
     table: TwoModeState
 
 
@@ -166,14 +169,11 @@ def _split(state: TwoModeState, pipeline: str) -> _Split:
     """state sorted into _Split's kinds; the first splitter, if any, is
     applied here, once, and only to the sectors that need it."""
     if pipeline != "MZI":
-        pre = premeasurement_state(state, pipeline)  # rejects an unknown pipeline
-        return _Split(state.subset(slice(0)), pre, pre)
+        return _Split(state.subset(slice(0)), premeasurement_state(state, pipeline))  # rejects an unknown pipeline
     _, lo, hi = sector_bounds(state)
     alone = np.zeros(len(state), dtype=bool)
     alone[lo[hi - lo == 1]] = True
-    table = apply_beamsplitter(state.subset(~(alone & (state.na == state.nb))))
-    pre = table.subset(~np.isin(table.n_total, state.n_total[alone]))
-    return _Split(state.subset(alone), pre, table)
+    return _Split(state.subset(alone), apply_beamsplitter(state.subset(~(alone & (state.na == state.nb)))))
 
 
 def _sectors(pre: TwoModeState):
@@ -217,23 +217,20 @@ def _amplitudes(pre: TwoModeState, phis: np.ndarray):
 def _derivative(z: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
     """The phase derivative dz = -i J2 z of outcome amplitudes z whose last
     axis runs over whole sectors in (N, n_a) order, na and nb its port
-    counts: a (phases x N+1) kernel block or the flat outcome table. It is
-    the stencil dz_k = e_k z_{k+1} - e_{k-1} z_{k-1}, e_k = sqrt((k+1)(N-k))/2,
-    and e_N = 0, so no term crosses a sector edge or a block's row end: a
-    block is one pass over its rows end to end, e tiled, and the table is
-    taken in chunks of _STENCIL_CHUNK outcomes, one temporary each."""
-    flat, dz = z.reshape(-1), np.empty(z.size, complex)
-    rows = flat.size // na.size if z.ndim > 1 else 1
-    step = flat.size if rows > 1 else _STENCIL_CHUNK
-    for lo in range(0, flat.size, step):
-        hi = min(lo + step, flat.size)
-        below, top, first = max(lo - 1, 0), min(hi, flat.size - 1), max(lo, 1)
-        part = slice(below, hi) if rows == 1 else slice(None)
-        e = np.tile(0.5 * np.sqrt((na[part] + 1.0) * nb[part]), rows)  # e_k for k = below .. hi - 1
-        np.multiply(flat[lo + 1:top + 1], e[lo - below:top - below], out=dz[lo:top])
-        dz[top:hi] = 0.0  # the last outcome, n_b = 0: e_N z_{N+1} is 0
-        dz[first:hi] -= flat[first - 1:hi - 1] * e[first - 1 - below:hi - 1 - below]
-    return dz.reshape(z.shape)
+    counts: a (phases x N+1) kernel block or the flat outcome table alike.
+    It is the stencil dz_k = e_k z_{k+1} - e_{k-1} z_{k-1},
+    e_k = sqrt((k+1)(N-k))/2, and e_N = 0, so no term crosses a sector
+    edge. One pass over the last axis takes chunks [lo, hi) of _TEMP_CELLS
+    outcomes, the last first: it writes e_k z_{k+1} at k, then subtracts
+    e_k z_k at k + 1, which the chunk after it (or the final 0) wrote."""
+    dz = np.empty(z.shape, complex)
+    dz[..., -1:] = 0.0
+    for lo in reversed(range(0, na.size - 1, _TEMP_CELLS)):
+        hi = min(lo + _TEMP_CELLS, na.size - 1)
+        e = 0.5 * np.sqrt((na[lo:hi] + 1.0) * nb[lo:hi])
+        np.multiply(z[..., lo + 1:hi + 1], e, out=dz[..., lo:hi])
+        dz[..., lo + 1:hi + 1] -= z[..., lo:hi] * e
+    return dz
 
 
 _FLAT = 2.0**-600  # |sin phi| below which the rotation is the permutation to every bit of P
@@ -395,18 +392,14 @@ def _logliks(split: _Split, records) -> Callable[..., np.ndarray]:
                 rungs.setdefault(t, []).append((i, cnt))
         for t, rung in rungs.items():
             ladders.append((r, t, np.array([i for i, _ in rung]), np.array([c for _, c in rung], dtype=float)))
-    used = np.zeros(len(rot), dtype=bool)
-    for _, _, sectors, _ in ladders:
-        used[sectors] = True
-    local = np.cumsum(used) - 1  # an observed rotation sector's place among the used ones
-    j, weight = rot.na[used], np.abs(rot.amps[used]) ** 2
+    j, weight = rot.na, np.abs(rot.amps) ** 2
     seen = np.zeros((j.max(initial=-1) + 1, j.size), dtype=bool)
     for _, t, sectors, _ in ladders:
-        seen[t, local[sectors]] = True
+        seen[t, sectors] = True
     seen = [np.flatnonzero(row) for row in seen]
     by_step = [[] for _ in seen]
     for r, t, sectors, counts in ladders:
-        by_step[t].append((r, seen[t].searchsorted(local[sectors]), counts))
+        by_step[t].append((r, seen[t].searchsorted(sectors), counts))
 
     def loglik(phis: np.ndarray, own=None) -> np.ndarray:
         width = phis.size // (1 if own is None else len(own))
@@ -459,9 +452,10 @@ def likelihood_with_derivative(
 
 def _period(split: _Split) -> float:
     """likelihood_period of a split state: a single input's spread is its N,
-    since the rotation reaches every port split of its sector."""
-    _, lo, hi = sector_bounds(split.pre)
-    spread = int(np.max(np.concatenate((split.single.n_total, split.pre.na[hi - 1] - split.pre.na[lo])), initial=0))
+    since the rotation reaches every port split of its sector, and no
+    splitter image in split.table spreads wider than its N."""
+    _, lo, hi = sector_bounds(split.table)
+    spread = int(np.max(np.concatenate((split.single.n_total, split.table.na[hi - 1] - split.table.na[lo])), initial=0))
     return 2.0 * math.pi / spread if spread else math.inf
 
 
@@ -533,16 +527,16 @@ def _two_branch_fi(pre: TwoModeState, two: np.ndarray, phis: np.ndarray, lead: n
     No limit branch of _fi_terms is involved. The phase-independent terms
     lead, then the equal-weight sectors, are summed first (_running_total)
     and broadcast to every phase; then the others, in chunks of about
-    _CLOSED_FORM_CELLS cells laid out sectors x phases, whose rows numpy
+    _TEMP_CELLS cells laid out sectors x phases, whose rows numpy
     adds one after another, so every phase sums in sector order.
     """
     n = pre.n_total[two]
     a, b = pre.amps[two], pre.amps[two + 1] * _I_POWERS[n % 4]
     pa, pb = np.abs(a) ** 2, np.abs(b) ** 2
-    weight, ab4, flat = (pa + pb) * (n * n), 4.0 * pa * pb, pa == pb
+    weight, ab4, flat = (pa + pb) * (n * n.astype(float)), 4.0 * pa * pb, pa == pb
     fi = np.full(phis.size, _running_total(np.concatenate((lead, weight[flat]))))
     n, a, b, weight, ab4 = (col[~flat, None] for col in (n, a, b, weight, ab4))  # a row per sector
-    step = max(1, _CLOSED_FORM_CELLS // max(1, phis.size))
+    step = max(1, _TEMP_CELLS // max(1, phis.size))
     for c in range(0, len(n), step):
         cut = slice(c, c + step)
         turned = b[cut] * np.exp(-1j * (n[cut] * phis))
@@ -565,10 +559,13 @@ def _fi_reduce(split: _Split, phis: np.ndarray) -> np.ndarray:
     the two-branch sectors of the pre-measurement state in closed form
     (_two_branch_fi); then each general sector from the phase kernel and
     the derivative rule, in sector order. A single-input sector of the
-    pre-measurement state adds exactly 0."""
-    single, pre = split.single, split.pre
+    pre-measurement state adds exactly 0. The single inputs' splitter
+    images are dropped from split.table, which is copied only if any are."""
+    single, pre = split
+    imaged = np.isin(pre.n_total, single.n_total)
+    pre = pre.subset(~imaged) if imaged.any() else pre
     two, general = _sector_kinds(pre)
-    lead = np.abs(single.amps) ** 2 * (single.n_total + 2 * single.na * single.nb)
+    lead = np.abs(single.amps) ** 2 * (single.n_total + 2.0 * single.na * single.nb)
     fi = _two_branch_fi(pre, two, phis, lead)
     for rows, n, out in _amplitudes(general, phis):
         k = np.arange(n + 1)

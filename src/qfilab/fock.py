@@ -167,8 +167,8 @@ def _canonical_state(
         raise EmptyStateError("state needs at least one nonzero amplitude")
     keep = mags > DEFAULT_PRUNE_THRESHOLD * peak
     na, nb, amps = na[keep], nb[keep], amps[keep]
-    if not 1e-100 < peak < 1e100:  # else a square below would underflow or overflow
-        amps = amps / peak
+    # scaled exactly, by the power of two that puts even a subnormal peak in [0.5, 1)
+    amps = np.ldexp(amps.view(float), -np.frexp(peak)[1]).view(complex)
     amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2))
     return TwoModeState(na, nb, amps, int(cutoff))
 

@@ -1,5 +1,6 @@
 """Dense angular-momentum blocks and closed forms used as test oracles."""
 
+import functools
 import math
 
 import numpy as np
@@ -32,34 +33,56 @@ def j2_stencil(z, n_total: int) -> np.ndarray:
     return dz
 
 
-def mzi_amplitudes(state, phis) -> dict:
-    """Counting amplitudes {(n_a, n_b): (z, dz)}, arrays over phis, of state
-    sent through an MZI, with dz their phase derivative: dense splitters
-    expm(i*pi*J1/2) of each sector's J1 block around exp(-i*phi*J3);
-    independent of the library's splitter columns, phase kernel and
-    rotation."""
+@functools.lru_cache(maxsize=None)
+def dense_splitter(n_total: int) -> np.ndarray:
+    """The 50:50 splitter expm(i*pi*J1/2) of the N-photon sector's dense J1
+    block, read-only (it is cached)."""
     from scipy.linalg import expm
 
+    split = expm(0.5j * np.pi * schwinger_matrices(n_total)[0])
+    split.flags.writeable = False
+    return split
+
+
+def _phased_inputs(state, phis, pipeline: str, sectors=None):
+    """Yield (N, chi, m) per occupied sector of state, or per one in
+    sectors: chi[i] its input at phis[i] after exp(-i*phi*J3), which for
+    "MZI" follows a dense_splitter, and m its J3 eigenvalues."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     inputs = {}
     for (a, b), amp in state.items():
-        inputs.setdefault(a + b, np.zeros(a + b + 1, dtype=np.complex128))[a] = amp
-    amps = {}
+        if sectors is None or a + b in sectors:
+            inputs.setdefault(a + b, np.zeros(a + b + 1, dtype=np.complex128))[a] = amp
     for n, vec in inputs.items():
-        j1, _, j3 = schwinger_matrices(n)
-        split = expm(0.5j * np.pi * j1)
-        m = np.diag(j3).real
-        chi = np.exp(-1j * np.outer(phis, m)) * (split @ vec)
+        m = np.arange(n + 1) - n / 2.0
+        yield n, np.exp(-1j * np.outer(phis, m)) * (dense_splitter(n) @ vec if pipeline == "MZI" else vec), m
+
+
+def counting_amplitudes(state, phis, pipeline: str) -> dict:
+    """Counting amplitudes {(n_a, n_b): (z, dz)}, arrays over phis, of state
+    sent through a pipeline, with dz their phase derivative: exp(-i*phi*J3)
+    and then a dense_splitter, for "MZI" after a dense_splitter once before
+    the phase too; independent of the library's splitter columns, phase
+    kernel and rotation."""
+    amps = {}
+    for n, chi, m in _phased_inputs(state, phis, pipeline):
+        split = dense_splitter(n)
         out, dout = chi @ split.T, (chi * (-1j * m)) @ split.T
         for a in range(n + 1):
             amps[(a, n - a)] = (out[:, a], dout[:, a])
     return amps
 
 
-def mzi_probabilities(state, phis) -> dict:
-    """Counting probabilities {(n_a, n_b): array over phis} of state sent
-    through an MZI, from mzi_amplitudes."""
-    return {k: np.abs(z) ** 2 for k, (z, _) in mzi_amplitudes(state, phis).items()}
+def counting_probabilities(state, phis, pipeline: str, keys) -> dict:
+    """Counting probabilities {(n_a, n_b): array over phis} of the outcomes
+    keys of state sent through a pipeline, by counting_amplitudes' route,
+    taking only those outcomes' rows of the final splitter."""
+    probs = {}
+    for n, chi, _ in _phased_inputs(state, phis, pipeline, {a + b for a, b in keys}):
+        a = [k[0] for k in keys if sum(k) == n]
+        for k, z in zip(a, (chi @ dense_splitter(n)[a].T).T):
+            probs[(k, n - k)] = np.abs(z) ** 2
+    return probs
 
 
 def dual_fock_after_bs(n: int):

@@ -444,6 +444,44 @@ def test_non_finite_amplitude_in_a_state_file_exits_2(tmp_path, capsys, field):
     assert not (tmp_path / "q.json").exists()
 
 
+def strict_json(text):
+    """JSON that must hold no NaN or Infinity."""
+    def refuse(constant):
+        raise AssertionError(f"non-finite JSON value {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_state_file_with_a_subnormal_peak_gives_a_finite_qfi(tmp_path, capsys):
+    # the largest |amplitude| 1e-320 is subnormal: dividing by it made the
+    # state NaN, and qfi printed "qfi": NaN with exit code 0
+    path = write_state(tmp_path / "s.json", [{"na": 0, "nb": 2, "re": 1e-320, "im": 0.0}], 4)
+    assert main(["qfi", path]) == 0
+    report = strict_json(capsys.readouterr().out)
+    assert report["fi"] == 0.0 and abs(report["qfi"]) <= 1e-14  # |0,2> has Var(J3) = 0
+
+
+BILLIONS = {  # N of billions, where an int64 N^2 or 2 n_a n_b wrapped round to a negative FI
+    "two_branch": ([{"na": 0, "nb": 4_000_000_000, "re": 1.0, "im": 0.0},
+                    {"na": 4_000_000_000, "nb": 0, "re": 1.0, "im": 0.0}], "MMZI"),
+    "mzi_single_input": ([{"na": 3_000_000_000, "nb": 3_000_000_000, "re": 1.0, "im": 0.0}], "MZI"),
+}
+
+
+@pytest.mark.parametrize("case", list(BILLIONS))
+def test_fi_at_billions_of_photons_equals_the_qfi(tmp_path, capsys, case):
+    # both states reach the quantum limit at every phase: FI = QFI
+    entries, pipeline = BILLIONS[case]
+    path = write_state(tmp_path / "s.json", entries, 8_000_000_000)
+    assert main(["qfi", path, "--pipeline", pipeline]) == 0
+    report = strict_json(capsys.readouterr().out)
+    assert math.isclose(report["fi"], report["qfi"], rel_tol=1e-12, abs_tol=0.0)
+    out = tmp_path / "scan.csv"
+    assert main(["fi-scan", path, "--pipeline", pipeline, "--points", "5", "--out", str(out)]) == 0
+    for _, fi, qfi in read_csv(out)[2]:
+        assert math.isclose(fi, qfi, rel_tol=1e-12, abs_tol=0.0)
+
+
 def test_resolve_state_file_and_catalog(tmp_path):
     path = tmp_path / "s.json"
     save_state(make_state([(2, 0, 1.0)], cutoff=2), path)

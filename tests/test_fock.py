@@ -142,6 +142,14 @@ def test_make_state_normalizes_amplitudes_whose_squares_leave_the_float_range(sc
     np.testing.assert_allclose(s.amps, np.array([1j, 3.0]) / math.sqrt(10.0), rtol=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1e-310, 1e-320])
+def test_make_state_scales_a_subnormal_peak_exactly(scale):
+    # dividing by a subnormal peak overflowed to inf and then NaN; the peak
+    # is scaled by a power of two instead, which is exact, with no warning
+    s = make_state([(0, 2, scale), (2, 0, 1j * scale)], 2)
+    np.testing.assert_allclose(s.amps, make_state([(0, 2, 1.0), (2, 0, 1j)], 2).amps, rtol=1e-15, atol=0.0)
+
+
 def test_canonical_order():
     s = make_state([(2, 0, 1.0), (0, 1, 1.0), (0, 2, 1.0), (1, 0, 1.0)], cutoff=2)
     assert [k for k, _ in s.items()] == [(0, 1), (1, 0), (0, 2), (2, 0)]

@@ -34,10 +34,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from qfilab import dual_fock, fi_scan, likelihood, qfi_pure, sector_decompose, zeta_dual_fock
+from qfilab import dual_fock, fi_scan, likelihood, qfi_pure, sector_decompose, zeta_dual_fock, zeta_noon
 from qfilab.cli import main
 from qfilab.fisher import premeasurement_state
-from sector_operators import mzi_probabilities
+from sector_operators import counting_probabilities
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -71,10 +71,10 @@ BYTE_EXACT = [
     ("fig3b_200.csv", ["fig3b", "--points", "200"], 0),
 ]
 
-# byte for byte only: more records than one MLE chunk holds, so the
-# grouping of records into chunks is pinned, on rotation sectors via MZI and
-# on the phase kernel; at 200 trials some estimates sit on a window edge,
-# which the dense-oracle test below does not model
+# more records than one MLE chunk holds, so the grouping of records into
+# chunks is pinned, on rotation sectors via MZI and on the phase kernel; at
+# 200 trials some estimates sit on a window edge, which the dense-oracle
+# test below checks against the window's grid points only
 CHUNKED = [
     (
         "estimate_zeta_dual_fock_3_8_mzi_130reps.jsonl",
@@ -198,34 +198,50 @@ def test_estimate_golden_phi_hat_attains_the_likelihood_maximum(tmp_path):
         assert min(grid[0], grid[-1]) < hat - 64 * np.finfo(float).eps * abs(hat)
 
 
-ESTIMATE_GOLDENS = [c[:2] for c in CASES + BYTE_EXACT if c[0].startswith("estimate_")]
+ESTIMATE_GOLDENS = [c[:2] for c in CASES + BYTE_EXACT + CHUNKED if c[0].startswith("estimate_")]
 
 
 @pytest.mark.parametrize("name,argv", ESTIMATE_GOLDENS, ids=[c[0] for c in ESTIMATE_GOLDENS])
 def test_estimate_golden_agrees_with_dense_oracles(name, argv):
     # The golden files themselves, against oracles that share no code with
     # the library's splitter or kernel: phi_hat maximizes an expm likelihood
-    # to rounding on a 1e-9 grid of +-1e-7, and crb_m is 1/(M * FI) with the
-    # |N,N> counting FI 2N(N+1) at every phase, weighted by the sectors.
-    cutoff = int(argv[1].rsplit(":", 1)[1])
-    state, _ = zeta_dual_fock(3.0, cutoff)
-    fi = math.fsum(c.probability * c.n_total * (c.n_total // 2 + 1) for c in sector_decompose(state))
-    period = math.pi / cutoff  # 2 pi over the largest n_a spread, 2K
+    # to rounding on a 1e-9 grid of +-1e-7 (+-2e-7 below FI = 4) clipped to
+    # the window, and crb_m
+    # is 1/(M * FI) with FI = sum P_N FI_N over the sectors, FI_N the
+    # counting FI 2J(J+1) of |J,J> via MZI at every phase, or N^2 of an
+    # equal-weight N00N sector via MMZI. On a window_edge line the window,
+    # not the data, set phi_hat, so it need only score at least as well as
+    # every in-window grid point.
+    family, _, cutoff = argv[1].split(":")[1:]
+    cutoff, pipeline = int(cutoff), "MZI" if "MZI" in argv else "MMZI"
+    if family == "zeta_dual_fock":
+        state, spread, fi_n = zeta_dual_fock(3.0, cutoff)[0], 2 * cutoff, lambda n: n * (n // 2 + 1)
+    else:
+        state, spread, fi_n = zeta_noon(3.0, cutoff)[0], cutoff, lambda n: n * n
+    fi = math.fsum(c.probability * fi_n(c.n_total) for c in sector_decompose(state))
+    period = 2.0 * math.pi / spread  # 2 pi over the largest n_a spread
+    # the log-likelihood falls by M FI d^2 / 2 at d off its peak, against
+    # rounding of order M, so its band narrows like 1/sqrt(FI): about 1e-7
+    # wide at FI = 4, where the grid's reach of 1e-7 is doubled
+    reach = math.ceil(math.sqrt(4.0 / fi))
     for run in parse(name, (GOLDEN / name).read_text(encoding="utf-8")):
+        assert run["pipeline"] == pipeline
         assert math.isclose(run["period"], period, rel_tol=1e-15)
-        assert np.allclose(run["window"], [0.3 - period / 8, 0.3 + period / 8], rtol=1e-15, atol=0)
+        lo, hi = run["window"]
+        assert np.allclose([lo, hi], [0.3 - period / 8, 0.3 + period / 8], rtol=1e-15, atol=0)
         assert math.isclose(run["crb_m"], 1.0 / (run["m_trials"] * fi), rel_tol=1e-15)
         assert run["empirical_mse"] == (run["phi_hat"] - run["phi_true"]) ** 2
         phi_hat = run["phi_hat"]
-        phis = np.append(np.linspace(phi_hat - 1e-7, phi_hat + 1e-7, 201), phi_hat)
-        probs = mzi_probabilities(state, phis)
-        terms = [
-            count * np.log(probs[tuple(int(v) for v in key.split(","))])
-            for key, count in run["outcomes"].items()
-        ]
+        assert lo <= phi_hat <= hi
+        phis = np.linspace(phi_hat - 1e-7 * reach, phi_hat + 1e-7 * reach, 200 * reach + 1)
+        phis = np.append(np.clip(phis, lo, hi), phi_hat)
+        outcomes = {tuple(int(v) for v in key.split(",")): count for key, count in run["outcomes"].items()}
+        probs = counting_probabilities(state, phis, pipeline, outcomes)
+        terms = [count * np.log(probs[key]) for key, count in outcomes.items()]
         *grid, hat = (math.fsum(col) for col in np.array(terms).T)
         assert hat >= max(grid) - 8 * np.finfo(float).eps * abs(hat)
-        assert min(grid[0], grid[-1]) < hat - 64 * np.finfo(float).eps * abs(hat)
+        if not run["window_edge"]:
+            assert min(grid[0], grid[-1]) < hat - 64 * np.finfo(float).eps * abs(hat)
 
 
 def test_dual_fock_mzi_golden_is_flat_at_the_quantum_limit(tmp_path):

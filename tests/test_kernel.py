@@ -219,14 +219,28 @@ def test_sampling_table_skips_the_derivative_and_keeps_p(case, monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
 @pytest.mark.parametrize("case", list(CASES))
 def test_table_derivative_equals_the_kernel_blocks(case, chunk, monkeypatch):
-    # one pass of the rule over the flat table: its coefficient is 0 across
-    # every sector edge and chunk boundary, so each kernel sector's dz has
-    # the bits of the rule on that sector's block alone
+    # one pass of the rule over the flat table has, whatever its chunks,
+    # the bytes of the rule taken over the whole table at once; its
+    # coefficient is 0 across every sector edge, so each sector's dz equals
+    # the rule on that sector alone (in value: the +-0 that the edge term
+    # subtracts can flip the sign of a zero). On blocks of many phases, one
+    # of 3 and two that _phase_blocks cuts from 2049, every row of the
+    # rule's pass has the bytes of the rule on that row, signed zeros too
     state, pipeline = CASES[case]
     split = _split(state, pipeline)
     na, nb, z = _outcome_table(split, 0.3)
-    monkeypatch.setattr(fisher, "_STENCIL_CHUNK", chunk)
+    monkeypatch.setattr(fisher, "_TEMP_CELLS", chunk)
+    pre = premeasurement_state(state, pipeline)
+    for size in (3, _PHASE_BLOCK + 1):
+        for _, n, out in _amplitudes(pre, np.linspace(0.0, 2.0 * math.pi, size)):
+            k = np.arange(n + 1)
+            assert _derivative(out, k, n - k).tobytes() == j2_stencil(out, n).tobytes()
     dz = _derivative(z, na, nb)
+    e = 0.5 * np.sqrt((na[:-1] + 1.0) * nb[:-1])
+    whole = np.zeros_like(z)
+    whole[:-1] = z[1:] * e
+    whole[1:] -= z[:-1] * e
+    assert dz.tobytes() == whole.tobytes()
     blocks = {n: out for _, n, out in _amplitudes(split.table, np.array([0.3]))}
     for lo in np.flatnonzero(na == 0).tolist():  # every sector, the rotation's too
         n = int(nb[lo])

@@ -42,7 +42,7 @@ from qfilab import (
 from qfilab import fisher
 from qfilab.cli import main
 from qfilab.fisher import _rotation, premeasurement_state
-from sector_operators import dual_fock_after_bs, mzi_amplitudes
+from sector_operators import counting_amplitudes, dual_fock_after_bs
 
 ORACLE_PHASES = [0.0, 1e-9, 0.3, math.pi / 2, math.pi - 1e-9, math.pi, 2.5]
 
@@ -59,7 +59,7 @@ def assert_mzi_table_matches_dense_splitters(state):
     """The MZI likelihoods of state list every port split of every occupied
     sector once, in (N, n_a) order, with P and dP within 1e-12 of dense
     splitters at ORACLE_PHASES."""
-    dense = mzi_amplitudes(state, ORACLE_PHASES)
+    dense = counting_amplitudes(state, ORACLE_PHASES, "MZI")
     want = [(a, n - a) for n in sorted(set(state.n_total.tolist())) for a in range(n + 1)]
     for i, phi in enumerate(ORACLE_PHASES):
         assert list(likelihood(state, phi, "MZI")) == want
