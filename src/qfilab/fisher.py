@@ -236,6 +236,13 @@ def _derivative(z: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
 _FLAT = 2.0**-600  # |sin phi| below which the rotation is the permutation to every bit of P
 
 
+def _ldexp(x: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """np.ldexp(x, exp) for int64 exponents, to the bit, through numpy's
+    C-int loop (the int64 one is ~20x slower): a float lies in
+    [2^-1074, 2^1024), so past +-4096 every x gives inf or +-0 either way."""
+    return np.ldexp(x, np.clip(exp, -4096, 4096).astype(np.intc))
+
+
 def _rotation(j: np.ndarray, phis: np.ndarray, cols=None):
     """Yield (rows, t, sel, d) per block of phases and step t = 0, 1, ...:
     d[c, i] is the Wigner element d^J_{J-t,0}(phis[rows][i]) of the balanced
@@ -293,7 +300,7 @@ def _rotation(j: np.ndarray, phis: np.ndarray, cols=None):
             n += p
             sel = np.arange(lo, j.size) if cols is None else cols[step]
             if sel.size:
-                d = np.ldexp(c[sel - lo], scale[sel])
+                d = _ldexp(c[sel - lo], scale[sel])
                 if flat.any():
                     d = np.where(flat, (jf[sel] == step)[:, None], d)
                 yield rows, step, sel, d
@@ -620,12 +627,16 @@ def _j2_variance(state: TwoModeState) -> float:
     pairs entries one apart in n_a and <J2^2> (diagonal e_{k-1}^2 + e_k^2,
     <k+2|J2^2|k> = -e_k e_{k+1}) entries two apart."""
     na, n, c = state.na, state.n_total, state.amps
-    key = n * (n + 1) // 2 + na  # the entry's place among all outcomes in (N, n_a) order
 
     def pairs(gap):  # entries k and the entry k + gap of the same sector, if occupied
-        at = np.minimum(np.searchsorted(key, key + gap), key.size - 1)
-        lo = np.flatnonzero((key[at] == key + gap) & (na + gap <= n))
-        return lo, at[lo], na[lo], n[lo]
+        # entries are sorted by (N, n_a) with no duplicates, so that entry
+        # sits 1 to gap places on
+        partner = np.full(n.size, -1)
+        for step in range(1, gap + 1):
+            at = np.flatnonzero((n[step:] == n[:-step]) & (na[step:] == na[:-step] + gap))
+            partner[at] = at + step
+        lo = np.flatnonzero(partner >= 0)
+        return lo, partner[lo], na[lo], n[lo]
 
     e = 0.5 * np.sqrt((na + 1.0) * (n - na))
     lo, hi, _, _ = pairs(1)

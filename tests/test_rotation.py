@@ -14,7 +14,9 @@ then the phase kernel) for every single input with N <= 30, on states
 that mix single-input, two-branch and general sectors, every MZI reader
 built from kinds against the first splitter plus the MMZI readers, and
 |N,N> through the MZI against the closed-form splitter image of |N,N>
-through the MMZI.
+through the MMZI. The MZI qfi field, 4 Var(J2) of the input, is pinned
+to a pairwise sum in Python ints, also where N(N+1)/2 passes int64, and
+the rotation's ldexp through C ints to the int64 call.
 """
 
 import json
@@ -196,6 +198,55 @@ def test_mzi_qfi_equals_four_var_j2_without_a_splitter(monkeypatch):
 
     monkeypatch.setattr(fisher, "apply_beamsplitter", forbidden)
     assert math.isclose(qfi_pure(state, "MZI"), want, rel_tol=1e-13)
+
+
+def j2_variance_pairwise(state):
+    """Var(J2) from every pair of entries one or two apart in n_a within a
+    sector, the ladder factors (k+1)(N-k) in Python ints."""
+    amps = {(int(n), int(a)): complex(c) for n, a, c in zip(state.n_total, state.na, state.amps)}
+
+    def e(k, n):  # <k+1|J2|k> = -i e_k
+        return 0.5 * math.sqrt((k + 1) * (n - k))
+
+    mean, square = [], []
+    for (n, a), c in amps.items():
+        square.append(abs(c) ** 2 * (e(a, n) ** 2 + e(a - 1, n) ** 2))
+        if (n, a + 1) in amps:
+            mean.append(2.0 * e(a, n) * (amps[n, a + 1].conjugate() * c).imag)
+        if (n, a + 2) in amps:
+            square.append(-2.0 * e(a, n) * e(a + 1, n) * (c.conjugate() * amps[n, a + 2]).real)
+    return math.fsum(square) - math.fsum(mean) ** 2
+
+
+def test_mzi_qfi_pairs_entries_beyond_int64_outcome_keys():
+    # N(N+1)/2 + n_a wraps round in int64 above N ~ 3.04e9, where a key
+    # search missed neighbour pairs (1.3e-10 relative off)
+    n = 3 * 10**9
+    state = make_state([(n, n, 1), (n + 1, n - 1, 0.7j), (n + 2, n - 2, 0.3), (2, 1, 0.5), (3, 0, 0.5j)], 9 * 10**9)
+    want = j2_variance_pairwise(state)
+    assert math.isclose(fisher._j2_variance(state), want, rel_tol=1e-15)
+
+
+@given(mixed_states())
+def test_j2_variance_equals_the_pairwise_sum(state):
+    want = j2_variance_pairwise(state)
+    assert math.isclose(fisher._j2_variance(state), want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+special_floats = st.sampled_from([0.0, -0.0, 5e-324, -2.0**-1060, 2.0**-1022, 1.7976931348623157e308, -math.inf])
+special_exponents = st.sampled_from([0, -1075, 1024, -4096, 4096, -4097, 4097, -2**62, 2**62])
+
+
+@given(st.lists(st.tuples(st.one_of(st.floats(), special_floats),
+                          st.one_of(st.integers(-4200, 4200), st.integers(-2**63, 2**63 - 1), special_exponents)),
+                min_size=1, max_size=20))
+def test_ldexp_through_c_ints_equals_the_int64_call(pairs):
+    # the rotation's scales are int64; clipped to +-4096 they take the
+    # C-int loop and give the same bits, zeros, subnormals and infs included
+    x = np.array([v for v, _ in pairs])
+    exp = np.array([k for _, k in pairs], dtype=np.int64)
+    with np.errstate(all="ignore"):
+        assert fisher._ldexp(x, exp).tobytes() == np.ldexp(x, exp).tobytes()
 
 
 def test_single_input_spread_is_its_photon_number():

@@ -1,6 +1,6 @@
 """Which scipy subpackages, and whether numpy.ma, a fresh qfilab process
-loads; which modules import scipy at all; that estimation reads no
-kernel internals of fisher; and the public API.
+loads, and how many threads it runs; which modules import scipy at all;
+that estimation reads no kernel internals of fisher; and the public API.
 
 scipy is imported inside the functions that use it, so the package and
 the commands that need no scipy routine start without it: import time is
@@ -33,19 +33,36 @@ _REPORT = (
 )
 
 
-def _loaded_modules(argv):
-    """The scipy and numpy.ma modules loaded by a fresh process that
-    imports qfilab.cli and runs main(argv) when argv is not empty."""
-    pythonpath = [str(Path(qfilab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+_THREADS = (
+    "import json, os, sys\n"
+    "import qfilab.cli\n"
+    "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task'))]),\n"
+    "      file=sys.stderr)\n"
+)
+
+
+def _fresh_report(script, argv=(), env=None):
+    """The JSON of the last stderr line of a fresh process that runs
+    script with argv, with src importable, in env (default: this
+    process's environment)."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(qfilab.__file__).parents[1]),
+                                                      env.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _REPORT, *argv],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath))),
+        [sys.executable, "-c", script, *argv],
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stderr.splitlines()[-1]))
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def _loaded_modules(argv):
+    """The scipy and numpy.ma modules loaded by a fresh process that
+    imports qfilab.cli and runs main(argv) when argv is not empty."""
+    return set(_fresh_report(_REPORT, argv))
 
 
 @pytest.mark.parametrize("argv", [[], ["catalog", "list"]], ids=["import", "catalog-list"])
@@ -91,6 +108,23 @@ def test_mzi_qfi_on_general_sectors_loads_no_numpy_ma(tmp_path):
     # scipy.special (which imports numpy.ma itself)
     loaded = _loaded_modules(["qfi", "catalog:noon:3", "--pipeline", "MZI", "--out", str(tmp_path / "q.json")])
     assert loaded == set()
+
+
+needs_two_cpus = pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+                                    reason="reads /proc/self/task; OpenBLAS starts no worker on one CPU")
+
+
+@needs_two_cpus
+def test_import_runs_openblas_on_one_thread():
+    # an idle OpenBLAS worker spins, which made short commands use more
+    # CPU than wall time; the import sets the variable before numpy loads
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert _fresh_report(_THREADS, env=env) == ["1", 1]
+
+
+@needs_two_cpus
+def test_a_users_openblas_thread_setting_stands():
+    assert _fresh_report(_THREADS, env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))[0] == "2"
 
 
 def test_only_the_curves_module_imports_scipy():
