@@ -6,13 +6,16 @@ Importing qfilab before numpy gives OpenBLAS one thread (see README.md,
 "Threads")."""
 
 import os as _os
+import sys as _sys
 
 # OpenBLAS reads this once, when numpy (or scipy's bundled copy) loads.
 # Its idle worker spins: on 2 cores `qfi catalog:zeta_noon:3:300` (4 ms of
 # work) took 0.22 s of CPU in 0.14 s of wall time, 0.14 s on one thread.
-# A second thread pays only on large matmuls (README.md, "Threads"). Does
-# nothing if the variable is already set or numpy was imported first.
-_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# A second thread pays only on large matmuls (README.md, "Threads"). Left
+# alone if the user set the variable, and if numpy is already loaded, when
+# it could no longer change this process and would only cap its children.
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -236,13 +236,6 @@ def _derivative(z: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
 _FLAT = 2.0**-600  # |sin phi| below which the rotation is the permutation to every bit of P
 
 
-def _ldexp(x: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    """np.ldexp(x, exp) for int64 exponents, to the bit, through numpy's
-    C-int loop (the int64 one is ~20x slower): a float lies in
-    [2^-1074, 2^1024), so past +-4096 every x gives inf or +-0 either way."""
-    return np.ldexp(x, np.clip(exp, -4096, 4096).astype(np.intc))
-
-
 def _rotation(j: np.ndarray, phis: np.ndarray, cols=None):
     """Yield (rows, t, sel, d) per block of phases and step t = 0, 1, ...:
     d[c, i] is the Wigner element d^J_{J-t,0}(phis[rows][i]) of the balanced
@@ -300,7 +293,7 @@ def _rotation(j: np.ndarray, phis: np.ndarray, cols=None):
             n += p
             sel = np.arange(lo, j.size) if cols is None else cols[step]
             if sel.size:
-                d = _ldexp(c[sel - lo], scale[sel])
+                d = np.ldexp(c[sel - lo], scale[sel])
                 if flat.any():
                     d = np.where(flat, (jf[sel] == step)[:, None], d)
                 yield rows, step, sel, d

@@ -15,8 +15,7 @@ that mix single-input, two-branch and general sectors, every MZI reader
 built from kinds against the first splitter plus the MMZI readers, and
 |N,N> through the MZI against the closed-form splitter image of |N,N>
 through the MMZI. The MZI qfi field, 4 Var(J2) of the input, is pinned
-to a pairwise sum in Python ints, also where N(N+1)/2 passes int64, and
-the rotation's ldexp through C ints to the int64 call.
+to a pairwise sum in Python ints, also where N(N+1)/2 passes int64.
 """
 
 import json
@@ -231,22 +230,6 @@ def test_mzi_qfi_pairs_entries_beyond_int64_outcome_keys():
 def test_j2_variance_equals_the_pairwise_sum(state):
     want = j2_variance_pairwise(state)
     assert math.isclose(fisher._j2_variance(state), want, rel_tol=1e-12, abs_tol=1e-12)
-
-
-special_floats = st.sampled_from([0.0, -0.0, 5e-324, -2.0**-1060, 2.0**-1022, 1.7976931348623157e308, -math.inf])
-special_exponents = st.sampled_from([0, -1075, 1024, -4096, 4096, -4097, 4097, -2**62, 2**62])
-
-
-@given(st.lists(st.tuples(st.one_of(st.floats(), special_floats),
-                          st.one_of(st.integers(-4200, 4200), st.integers(-2**63, 2**63 - 1), special_exponents)),
-                min_size=1, max_size=20))
-def test_ldexp_through_c_ints_equals_the_int64_call(pairs):
-    # the rotation's scales are int64; clipped to +-4096 they take the
-    # C-int loop and give the same bits, zeros, subnormals and infs included
-    x = np.array([v for v, _ in pairs])
-    exp = np.array([k for _, k in pairs], dtype=np.int64)
-    with np.errstate(all="ignore"):
-        assert fisher._ldexp(x, exp).tobytes() == np.ldexp(x, exp).tobytes()
 
 
 def test_single_input_spread_is_its_photon_number():

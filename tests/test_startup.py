@@ -127,6 +127,15 @@ def test_a_users_openblas_thread_setting_stands():
     assert _fresh_report(_THREADS, env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))[0] == "2"
 
 
+def test_import_after_numpy_leaves_the_thread_setting_unset():
+    # numpy's OpenBLAS already runs its threads, so setting the variable
+    # would change nothing here and only cap the threads of child processes
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    script = ("import json, os, sys\nimport numpy\nimport qfilab\n"
+              "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS')]), file=sys.stderr)\n")
+    assert _fresh_report(script, env=env) == [None]
+
+
 def test_only_the_curves_module_imports_scipy():
     # read from the source text, so an import inside a function counts too
     importers = set()
