@@ -27,11 +27,12 @@ import numpy as np
 from .fock import TwoModeState, _canonical_state, make_state, sector_decompose
 
 ZETA_POLE_GUARD = 1e-6
+ZETA_MAX_TERMS = 10_000_000  # most terms a partial sum may hold: two float64 arrays of 80 MB
 TMSV_TAIL_BOUND = 1e-10  # largest geometric tail a truncated tmsv may discard
 
 
 class PoleProximityError(ValueError):
-    """zeta(x) requested too close to the x = 1 pole."""
+    """zeta(x) requested outside x > 1, or within ZETA_POLE_GUARD of the pole."""
 
 
 class InvalidNError(ValueError):
@@ -51,15 +52,15 @@ def zeta(x: float, tol: float = 1e-12) -> float:
     Partial sum of K terms plus a first-order Euler-Maclaurin tail
     K^(1-x)/(x-1) - K^(-x)/2 + x*K^(-x-1)/12; K is chosen from tol via the
     next-order remainder bound, so the result is within tol of the true
-    value. Arguments within ZETA_POLE_GUARD of the pole are rejected.
+    value. x must exceed 1 + ZETA_POLE_GUARD (PoleProximityError, NaN
+    too), and K may not exceed ZETA_MAX_TERMS (ValueError).
     """
     x = float(x)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if x <= 1.0 + ZETA_POLE_GUARD:
-        raise PoleProximityError(
-            f"zeta argument {x} is within {ZETA_POLE_GUARD} of the x=1 pole"
-        )
+    if not x > 1.0 + ZETA_POLE_GUARD:
+        where = f"within {ZETA_POLE_GUARD} of the x=1 pole" if x > 1.0 else "outside the domain x > 1"
+        raise PoleProximityError(f"zeta argument {x} is {where}")
     return _zeta_sum(x, float(tol))
 
 
@@ -67,9 +68,11 @@ def zeta(x: float, tol: float = 1e-12) -> float:
 # again, so a small table catches the repeats without growing with the sweep.
 @functools.lru_cache(maxsize=64)
 def _zeta_sum(x: float, tol: float) -> float:
-    """zeta(x) for checked arguments: partial sum plus tail."""
+    """zeta(x) for checked arguments: partial sum plus tail, of at most ZETA_MAX_TERMS terms."""
     # remainder after the K^(-x-1) correction is < x(x+1)(x+2)/720 * K^(-x-3)
     k_terms = max(32, math.ceil((x * (x + 1) * (x + 2) / (180.0 * tol)) ** (1.0 / (x + 3))))
+    if k_terms > ZETA_MAX_TERMS:  # refused before any array exists
+        raise ValueError(f"zeta({x}) within tol {tol:g} needs {k_terms:.3g} terms, more than {ZETA_MAX_TERMS}")
     n = np.arange(1, k_terms + 1, dtype=np.float64)
     partial = float(np.sum(n ** (-x)))
     kf = float(k_terms)

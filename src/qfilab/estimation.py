@@ -163,12 +163,12 @@ def _mle(split: _Split, records, lo: float, hi: float):
 
 def _estimates(loglik, chunk, phis: np.ndarray) -> list[float]:
     """The estimates of a chunk of records from one coarse pass over phis,
-    taken block by block (_phase_blocks, as the kernels cut it) so that
-    only a block's rows are held: per record and block its maximum, first
-    maximizer and minimum. Every record is checked for phase information
-    before any zoom. Then each record's grids of MLE_ZOOM_POINTS zoom onto
-    the bracket of its best point's neighbours, until the bracket is at
-    most MLE_REFINE_TOL wide or a zoom no longer narrows it (beyond
+    cut here into phase blocks (_phase_blocks), one loglik call each, so
+    that only a block's rows are held: per record and block its maximum,
+    first maximizer and minimum. Every record is checked for phase
+    information before any zoom. Then each record's grids of MLE_ZOOM_POINTS
+    zoom onto the bracket of its best point's neighbours, until the bracket
+    is at most MLE_REFINE_TOL wide or a zoom no longer narrows it (beyond
     |phi| = 2**19 an ulp exceeds the tolerance); the live records zoom
     together, one loglik call per step, each on its own grid. Ties resolve
     to the first maximum, the smallest phase."""

@@ -59,12 +59,14 @@ The phase kernel (_amplitudes, and the MLE's _logliks) takes the
 pre-measurement state, or the sub-state of the sectors a caller needs, one
 contiguous slice per sector (_sectors) with the final splitter's columns of
 its occupied inputs (fock.splitter_columns), built afresh and never cached.
-Per block of phases (_phase_blocks) it takes one exponential per distinct
-J3 eigenvalue (_distinct) and gathers each sector's with take(), which
-keeps them C-ordered, so every bit equals an exponential per sector input. The
-likelihoods, the sampler and the readouts read flat (N, n_a)-ordered
-arrays (_outcome_table), which each kernel sector and each rotation step
-write in place.
+It takes one exponential per distinct J3 eigenvalue (_distinct) and gathers
+each sector's with take(), which keeps them C-ordered, so every bit equals
+an exponential per sector input. Both kernels evaluate exactly the phases
+they are passed; a reader of many phases cuts them once into blocks
+(_phase_blocks): _fi_reduce, the function _logliks returns, and
+estimation._estimates. The likelihoods, the sampler and the readouts read
+flat (N, n_a)-ordered arrays (_outcome_table), which each kernel sector
+and each rotation step write in place.
 
 The MLE's log-likelihood is set up once per chunk of records, for the
 sectors they observed (_logliks): the phase kernel's splitter columns,
@@ -104,7 +106,7 @@ from .fock import (
 )
 
 PIPELINES = ("MZI", "MMZI")
-_PHASE_BLOCK = 2048  # most phases per exponential table in _amplitudes
+_PHASE_BLOCK = 2048  # most phases a reader passes the kernels at once (_phase_blocks)
 _TEMP_CELLS = 1 << 16  # most elements of one temporary: a _derivative chunk of one row, a _two_branch_fi chunk
 _LOG_FLOOR = 1e-300  # least probability a log-likelihood takes the log of
 
@@ -202,16 +204,13 @@ def _phase_blocks(size: int) -> list[slice]:
 
 
 def _amplitudes(pre: TwoModeState, phis: np.ndarray):
-    """Yield (rows, N, out) per block of phases and sector: out[i, k] is the
-    amplitude at phis[rows][i] of outcome (k, N - k). Each block walks pre's
-    sectors afresh, holding one sector's columns."""
-    if not len(pre):
-        return
+    """Yield (N, out) per sector of pre: out[i, k] is the amplitude at
+    phis[i] of outcome (k, N - k), from one exponential table, holding one
+    sector's columns at a time."""
     unique_m = _distinct(pre.j3_values)
-    for rows in _phase_blocks(phis.size):
-        table = np.exp(-1j * np.outer(phis[rows], unique_m))
-        for n, vec, m, bs_t in _sectors(pre):
-            yield rows, n, (table.take(unique_m.searchsorted(m), axis=1) * vec) @ bs_t
+    table = np.exp(-1j * np.outer(phis, unique_m))
+    for n, vec, m, bs_t in _sectors(pre):
+        yield n, (table.take(unique_m.searchsorted(m), axis=1) * vec) @ bs_t
 
 
 def _derivative(z: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
@@ -237,11 +236,10 @@ _FLAT = 2.0**-600  # |sin phi| below which the rotation is the permutation to ev
 
 
 def _rotation(j: np.ndarray, phis: np.ndarray, cols=None):
-    """Yield (rows, t, sel, d) per block of phases and step t = 0, 1, ...:
-    d[c, i] is the Wigner element d^J_{J-t,0}(phis[rows][i]) of the balanced
-    single input |J, J> with J = j[sel[c]] (j ascending). sel is every
-    sector with J >= t, or cols[t] when a caller reads only those (a step
-    with none is not yielded).
+    """Yield (t, sel, d) per step t = 0, 1, ...: d[c, i] is the Wigner
+    element d^J_{J-t,0}(phis[i]) of the balanced single input |J, J> with
+    J = j[sel[c]] (j ascending). sel is every sector with J >= t, or cols[t]
+    when a caller reads only those (a step with none is not yielded).
 
     The MZI sends |J, J> to exp(-i phi J2)|J, J> up to a constant phase,
     so outcome (J + m, J - m) has amplitude d^J_{m,0}(phi), the same at
@@ -274,36 +272,35 @@ def _rotation(j: np.ndarray, phis: np.ndarray, cols=None):
     k = np.arange(1, top + 1)
     lead = 0.5 * np.log2(np.cumprod(np.concatenate(([1.0], (2 * k - 1) / (2 * k)))))[j, None]
     turn, back = turn[:, None], back[:, None]
-    for rows in _phase_blocks(phis.size):
-        sin, cos = np.sin(phis[rows]), np.cos(phis[rows])
-        flat = np.abs(sin) < _FLAT
-        frac, power = np.frexp(np.where(flat, 1.0, np.abs(sin)))
-        cot = np.where(flat, 0.0, cos / np.where(flat, 1.0, sin))
-        seed = lead + jf[:, None] * np.log2(frac)
-        whole = np.floor(seed)
-        cur, scale = np.where(flat, 0.0, np.exp2(seed - whole)), whole.astype(np.int64) + j[:, None] * power
-        prev, nxt = np.zeros(seed.shape), np.empty(seed.shape)
-        bound, steep = 2.0, float(np.abs(cot).max(initial=0.0))  # |prev|, |cur| <= bound
-        for step in range(top + 1):
-            lo, seg = int(first[step]), slice(start[step], start[step + 1])
-            p, c, n = prev[lo:], cur[lo:], nxt[lo:]
-            np.multiply(turn[seg], cot, out=n)
-            n *= c
-            p *= back[seg]
-            n += p
-            sel = np.arange(lo, j.size) if cols is None else cols[step]
-            if sel.size:
-                d = np.ldexp(c[sel - lo], scale[sel])
-                if flat.any():
-                    d = np.where(flat, (jf[sel] == step)[:, None], d)
-                yield rows, step, sel, d
-            prev, cur, nxt = cur, nxt, prev
-            bound *= max(1.0, steep * reach[0][step] + reach[1][step])
-            if bound > _RESCALE_ABOVE:
-                _, shift = np.frexp(np.maximum(np.abs(prev[lo:]), np.abs(cur[lo:])))
-                prev[lo:], cur[lo:] = np.ldexp(prev[lo:], -shift), np.ldexp(cur[lo:], -shift)
-                scale[lo:] += shift
-                bound = 1.0
+    sin, cos = np.sin(phis), np.cos(phis)
+    flat = np.abs(sin) < _FLAT
+    frac, power = np.frexp(np.where(flat, 1.0, np.abs(sin)))
+    cot = np.where(flat, 0.0, cos / np.where(flat, 1.0, sin))
+    seed = lead + jf[:, None] * np.log2(frac)
+    whole = np.floor(seed)
+    cur, scale = np.where(flat, 0.0, np.exp2(seed - whole)), whole.astype(np.int64) + j[:, None] * power
+    prev, nxt = np.zeros(seed.shape), np.empty(seed.shape)
+    bound, steep = 2.0, float(np.abs(cot).max(initial=0.0))  # |prev|, |cur| <= bound
+    for step in range(top + 1):
+        lo, seg = int(first[step]), slice(start[step], start[step + 1])
+        p, c, n = prev[lo:], cur[lo:], nxt[lo:]
+        np.multiply(turn[seg], cot, out=n)
+        n *= c
+        p *= back[seg]
+        n += p
+        sel = np.arange(lo, j.size) if cols is None else cols[step]
+        if sel.size:
+            d = np.ldexp(c[sel - lo], scale[sel])
+            if flat.any():
+                d = np.where(flat, (jf[sel] == step)[:, None], d)
+            yield step, sel, d
+        prev, cur, nxt = cur, nxt, prev
+        bound *= max(1.0, steep * reach[0][step] + reach[1][step])
+        if bound > _RESCALE_ABOVE:
+            _, shift = np.frexp(np.maximum(np.abs(prev[lo:]), np.abs(cur[lo:])))
+            prev[lo:], cur[lo:] = np.ldexp(prev[lo:], -shift), np.ldexp(cur[lo:], -shift)
+            scale[lo:] += shift
+            bound = 1.0
 
 
 def _outcome_table(split: _Split, phi: float):
@@ -322,11 +319,11 @@ def _outcome_table(split: _Split, phi: float):
     na = np.arange(np.sum(ns + 1)) - np.repeat(start, ns + 1)
     nb = np.repeat(ns, ns + 1) - na
     z = np.empty(na.size, complex)
-    for _, n, out in _amplitudes(split.table, phis):
+    for n, out in _amplitudes(split.table, phis):
         lo = start[ns.searchsorted(n)]
         z[lo:lo + n + 1] = out[0]
     centre = start[ns.searchsorted(2 * j)] + j  # where each ladder's n_a = J outcome lands
-    for _, t, sel, d in _rotation(j, phis):
+    for t, sel, d in _rotation(j, phis):
         m = j[sel] - t
         z[centre[sel] + m] = rot.amps[sel] * d[:, 0]
         z[centre[sel] - m] = rot.amps[sel] * (d[:, 0] * (1.0 - 2.0 * (m % 2)))
@@ -341,8 +338,7 @@ def _table_with_derivative(split: _Split, phi: float):
     na, nb, z = _outcome_table(split, phi)
     dz = _derivative(z, na, nb)
     n, lo, hi = sector_bounds(split.table)
-    sizes = nb[na == 0] + 1  # each sector's outcome count, in table order
-    dz[np.repeat(np.isin(sizes - 1, n[hi - lo == 1]), sizes)] = 0.0
+    dz[np.isin(na + nb, n[hi - lo == 1])] = 0.0
     return na, nb, z, dz
 
 
@@ -351,13 +347,13 @@ def _logliks(split: _Split, records) -> Callable[..., np.ndarray]:
     record. Here, once, the kernels are set up for the sectors any record
     observed (the phase kernel's distinct J3 eigenvalues, gather indices and
     splitter columns, and the rotation's |J,J> sectors and weights), and
-    each histogram is checked and given its share: the observed columns
-    of each kernel sector, and each rotation sector's counts per ladder
-    step, m and -m together, as P is even in m. The returned function
-    evaluates every record on phis; with own, a list of record indices,
-    phis holds one equal grid per listed record, end to end, and row i is
-    own[i]'s on its own grid. A record adds its counts on its own span by
-    the products it would take alone (a matmul's bits depend on its
+    each histogram is checked and given its share: the observed columns of
+    each kernel sector, and each rotation sector's counts per ladder step, m
+    and -m together, as P is even in m. The returned function evaluates
+    every record on phis, block by block; with own, a list of record
+    indices, phis holds one equal grid per listed record, end to end, and
+    row i is own[i]'s on its own grid. A record adds its counts on its own
+    span by the products it would take alone (a matmul's bits depend on its
     operands' shapes and layout), and sector rows do not interact, so its
     row equals its row alone, bit for bit, unless a phase block cuts it."""
     observed = sorted({a + b for outcomes in records for a, b in outcomes})
@@ -423,10 +419,10 @@ def _logliks(split: _Split, records) -> Callable[..., np.ndarray]:
                     if key not in chis:
                         chis[key] = table[part].take(ix, axis=1) * vec
                     ll[i, out] += np.log(np.maximum(np.abs(chis[key] @ cols) ** 2, _LOG_FLOOR)) @ counts
-        for rows, t, sel, d in _rotation(j, phis, seen):
-            logp = np.log(np.maximum(weight[sel, None] * (d * d), _LOG_FLOOR))
-            for i, out, part, ix, counts in spans(rows, by_step[t]):
-                ll[i, out] += counts @ np.ascontiguousarray(logp[ix][:, part])
+            for t, sel, d in _rotation(j, phis[rows], seen):
+                logp = np.log(np.maximum(weight[sel, None] * (d * d), _LOG_FLOOR))
+                for i, out, part, ix, counts in spans(rows, by_step[t]):
+                    ll[i, out] += counts @ np.ascontiguousarray(logp[ix][:, part])
         return ll
 
     return loglik
@@ -557,22 +553,24 @@ def _fi_reduce(split: _Split, phis: np.ndarray) -> np.ndarray:
     single input |n_a, n_b> adds its phase-independent n_a + n_b + 2 n_a n_b
     (2J(J+1) for |J,J>), its weight times 4 Var(J2); these come first, with
     the two-branch sectors of the pre-measurement state in closed form
-    (_two_branch_fi); then each general sector from the phase kernel and
-    the derivative rule, in sector order. A single-input sector of the
-    pre-measurement state adds exactly 0. The single inputs' splitter
-    images are dropped from split.table, which is copied only if any are."""
+    (_two_branch_fi); then each general sector from the phase kernel and the
+    derivative rule, in sector order, block by block (_phase_blocks), if
+    any. A single-input sector of the pre-measurement state adds exactly 0.
+    The single inputs' splitter images are dropped from split.table, which
+    is copied only if any are."""
     single, pre = split
     imaged = np.isin(pre.n_total, single.n_total)
     pre = pre.subset(~imaged) if imaged.any() else pre
     two, general = _sector_kinds(pre)
     lead = np.abs(single.amps) ** 2 * (single.n_total + 2.0 * single.na * single.nb)
     fi = _two_branch_fi(pre, two, phis, lead)
-    for rows, n, out in _amplitudes(general, phis):
-        k = np.arange(n + 1)
-        dout = _derivative(out, k, n - k)
-        terms = _fi_terms(np.abs(out) ** 2, 2.0 * np.real(np.conj(out) * dout), np.abs(dout) ** 2)
-        fi[rows] += np.sum(terms, axis=1)
-        del dout, terms  # not held while the next sector's arrays are made
+    for rows in _phase_blocks(phis.size) if len(general) else ():
+        for n, out in _amplitudes(general, phis[rows]):
+            k = np.arange(n + 1)
+            dout = _derivative(out, k, n - k)
+            terms = _fi_terms(np.abs(out) ** 2, 2.0 * np.real(np.conj(out) * dout), np.abs(dout) ** 2)
+            fi[rows] += np.sum(terms, axis=1)
+            del dout, terms  # not held while the next sector's arrays are made
     return fi
 
 

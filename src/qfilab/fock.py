@@ -6,12 +6,12 @@ cutoff, sorted by (N, n_a) with N = n_a + n_b. Both interferometer unitaries
 are block diagonal over the N sectors (the phase shift exp(-i*phi*J3) is
 diagonal, the 50:50 splitter exp(i*pi*J1/2) an (N+1)x(N+1) block), and each
 occupied sector is one contiguous slice of the table: sector_bounds finds
-them all in one vectorized scan (the fisher kernel reads it on the sub-state
-it is passed), and sector_slices walks them for the splitter and sector
-split. splitter_columns gives the splitter columns of occupied inputs alone,
-never cached: the two-branch ones (n_a = 0, N) in closed form over one
-growing table of log-factorials, any other from a three-term recurrence,
-O(N) each.
+them all in one vectorized scan, and every sector walk reads it (the
+splitter, the sector split, and the fisher kernel on the sub-state it is
+passed). splitter_columns gives the splitter columns of occupied inputs
+alone, never cached: the two-branch ones (n_a = 0, N) in closed form over
+one growing table of log-factorials, any other from a three-term
+recurrence, O(N) each.
 """
 
 from __future__ import annotations
@@ -113,13 +113,6 @@ def sector_bounds(state: TwoModeState) -> tuple[np.ndarray, np.ndarray, np.ndarr
     nt = state.n_total
     edges = np.flatnonzero(np.diff(nt, prepend=-1, append=-1))  # every start, and the end
     return nt[edges[:-1]], edges[:-1], edges[1:]
-
-
-def sector_slices(state: TwoModeState):
-    """Yield (N, sl) for each occupied sector in increasing N: sl slices the
-    sector's entries, in increasing n_a, out of the state's arrays."""
-    for n, lo, hi in zip(*(col.tolist() for col in sector_bounds(state))):
-        yield n, slice(lo, hi)
 
 
 def _canonical_state(
@@ -290,10 +283,10 @@ def apply_beamsplitter(state: TwoModeState) -> TwoModeState:
     if not len(state):
         return state
     na_parts, nb_parts, amp_parts = [], [], []
-    for n, sl in sector_slices(state):
+    for n, lo, hi in zip(*(col.tolist() for col in sector_bounds(state))):
         na_parts.append(np.arange(n + 1, dtype=np.int64))
         nb_parts.append(n - na_parts[-1])
-        amp_parts.append(splitter_columns(n, state.na[sl]) @ state.amps[sl])
+        amp_parts.append(splitter_columns(n, state.na[lo:hi]) @ state.amps[lo:hi])
     na, nb, amps = (np.concatenate(p) for p in (na_parts, nb_parts, amp_parts))
     keep = np.abs(amps) > DEFAULT_PRUNE_THRESHOLD * np.abs(amps).max()
     # sectors in increasing N, each filled in increasing n_a: already canonical
@@ -341,11 +334,11 @@ class SectorComponent:
 def sector_decompose(state: TwoModeState) -> list[SectorComponent]:
     """Split a state into normalized fixed-N components with probabilities."""
     comps = []
-    for n, sl in sector_slices(state):
-        prob = float(np.sum(np.abs(state.amps[sl]) ** 2))
-        amps = state.amps[sl] / np.sqrt(prob)
+    for n, lo, hi in zip(*(col.tolist() for col in sector_bounds(state))):
+        prob = float(np.sum(np.abs(state.amps[lo:hi]) ** 2))
+        amps = state.amps[lo:hi] / np.sqrt(prob)
         phase = amps[0] / abs(amps[0])
-        sector = TwoModeState(state.na[sl], state.nb[sl], amps / phase, n)
+        sector = TwoModeState(state.na[lo:hi], state.nb[lo:hi], amps / phase, n)
         comps.append(SectorComponent(n, prob, sector, complex(phase)))
     return comps
 

@@ -1,6 +1,10 @@
 import concurrent.futures
 import math
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -61,6 +65,44 @@ def test_zeta_pole_guard():
         zeta(1.0000001)
     with pytest.raises(PoleProximityError):
         zeta(0.5)
+
+
+@pytest.mark.parametrize("x,message", [
+    (-3.0, "zeta argument -3.0 is outside the domain x > 1"),
+    (0.5, "zeta argument 0.5 is outside the domain x > 1"),
+    (math.nan, "zeta argument nan is outside the domain x > 1"),
+    (1.0000001, "zeta argument 1.0000001 is within 1e-06 of the x=1 pole"),
+])
+def test_zeta_names_its_domain(x, message):
+    # an argument far below the pole, or NaN, is outside the domain, not
+    # near the pole; only 1 < x <= 1 + ZETA_POLE_GUARD is
+    with pytest.raises(PoleProximityError) as err:
+        zeta(x)
+    assert str(err.value) == message
+
+
+def test_zeta_near_the_pole_keeps_its_default_tol():
+    # fig3 reaches zeta(x - 2) just above the guard: 428 terms at tol 1e-12
+    assert zeta(1.000002) == pytest.approx(float(mpmath.zeta(1.000002)), rel=1e-12)
+
+
+def test_zeta_refuses_a_partial_sum_it_cannot_hold():
+    # 7.6e8 terms near the pole at tol 1e-37, two float64 arrays of 5.7 GiB:
+    # refused before any array exists. The child runs under a 1 GiB
+    # address-space cap, so a sum that tries fails by a refused allocation
+    # instead of filling the host
+    code = "from qfilab import zeta\ntry:\n    zeta(1.000002, 1e-37)\nexcept ValueError as exc:\n    print(exc)\n"
+    pythonpath = [str(Path(catalog.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath))),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"zeta(1.000002) within tol 1e-37 needs 7.6e+08 terms, more than {catalog.ZETA_MAX_TERMS}\n"
 
 
 def test_zeta_bad_tol():

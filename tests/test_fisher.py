@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import minimize
 
 from qfilab import (
     TwoModeState,
@@ -204,6 +205,42 @@ def test_superposed_noon_states_attain_the_photon_number_bound(state, dist):
     scan = fi_scan(state, np.linspace(0.0, 2.0 * math.pi, 181), "MMZI")
     assert np.abs(scan / bound - 1.0).max() <= 1e-13
     assert abs(qfi_pure(state) / bound - 1.0) <= 1e-13
+
+
+def one_sector(n, x):
+    """The N-photon sector state whose amplitudes at n_a = 0..N have real
+    parts x[:N+1] and imaginary parts x[N+1:]."""
+    amps = x[:n + 1] + 1j * x[n + 1:]
+    return make_state([(k, n - k, a) for k, a in enumerate(amps.tolist()) if a != 0], n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [3, 6])
+def test_maximizing_one_sectors_fi_finds_the_equal_weight_noon_state(n, seed):
+    # the paper's other claim, constructively: from a random complex start,
+    # ascend the counting FI (MMZI, phi = 0.3) over all N+1 amplitudes of one
+    # N-photon sector. It climbs to N^2, and only by moving all the weight,
+    # in equal halves, onto n_a in {0, N}
+    x0 = np.random.default_rng(seed).standard_normal(2 * (n + 1))
+    best = minimize(lambda x: -classical_fi(one_sector(n, x), 0.3, "MMZI").fi, x0, method="BFGS")
+    found = one_sector(n, best.x)
+    assert n * n * (1.0 - 1e-9) <= -best.fun <= n * n * (1.0 + 1e-12)
+    weight = dict(zip(found.na.tolist(), (np.abs(found.amps) ** 2).tolist()))
+    ends = [weight.get(0, 0.0), weight.get(n, 0.0)]
+    assert 1.0 - sum(ends) <= 1e-9
+    assert max(abs(w - 0.5) for w in ends) <= 1e-5
+    # read on that support alone, where the two-branch closed form takes
+    # over: equal halves are the one maximum, as a 0.6/0.4 split stays below
+    # 0.96 N^2 at any relative phase of the branches ...
+    branches = [found.amplitude(0, n), found.amplitude(n, 0)]
+    phases = [b / abs(b) for b in branches]
+    tilted = make_state([(0, n, 0.6**0.5 * phases[0]), (n, 0, 0.4**0.5 * phases[1])], n)
+    assert classical_fi(tilted, 0.3, "MMZI").fi < 0.97 * n * n
+    # ... and N^2 is held at every phase, a dark fringe included: phi = 0
+    # for |0,N> + (-i)^N |N,0>, where the outcomes of odd n_a are exactly dark
+    noon_state = make_state([(0, n, 1.0), (n, 0, (-1j) ** n)], n)
+    scan = fi_scan(noon_state, np.array([0.0, 0.3, 1.0]), "MMZI")
+    assert np.abs(scan / (n * n) - 1.0).max() <= 1e-15
 
 
 def test_fi_vacuum_zero():

@@ -1,14 +1,15 @@
 """The fisher phase kernel, pinned bit for bit.
 
 fisher._amplitudes is the phase kernel from sectors and phases to outcome
-amplitudes. It cuts the phases into blocks and takes one exponential per
-distinct J3 eigenvalue, yet the FI scan of the general sectors must equal
-the per-sector formula over the whole grid (an exponential of each
-sector's own eigenvalues, then the stencil dz = -i J2 z of each sector's
-outcomes) to the last bit, on either side of every block boundary. The
-derivative rule (fisher._derivative) must give the same bits on a kernel
-block and on the flat outcome table, whatever its chunking, and the
-sampler and the likelihood must read the table without it.
+amplitudes. It takes one exponential per distinct J3 eigenvalue, and the
+FI scan passes it the phases a block at a time, yet the scan of the
+general sectors must equal the per-sector formula over the whole grid (an
+exponential of each sector's own eigenvalues, then the stencil
+dz = -i J2 z of each sector's outcomes) to the last bit, on either side of
+every block boundary. The derivative rule (fisher._derivative) must give
+the same bits on a kernel block and on the flat outcome table, whatever
+its chunking, and the sampler and the likelihood must read the table
+without it.
 
 Two-branch sectors (occupied n_a exactly {0, N}) left that table path for
 a closed form, so they are held to the same per-sector formula within
@@ -57,7 +58,7 @@ from qfilab.fisher import (
     _split,
     premeasurement_state,
 )
-from qfilab.fock import sector_slices
+from qfilab.fock import sector_bounds
 from sector_operators import j2_stencil
 
 
@@ -151,8 +152,8 @@ MIXED_WEIGHTS = make_state([(0, 1, 0.3), (1, 0, 0.3j), (0, 2, 0.5), (2, 0, -0.2)
 
 def by_sector(state):
     """Each sector of state as a sub-state, its amplitudes not renormalized."""
-    return [TwoModeState(state.na[sl], state.nb[sl], state.amps[sl], state.cutoff)
-            for _, sl in sector_slices(state)]
+    return [TwoModeState(state.na[lo:hi], state.nb[lo:hi], state.amps[lo:hi], state.cutoff)
+            for _, lo, hi in zip(*(col.tolist() for col in sector_bounds(state)))]
 
 
 @pytest.mark.parametrize("size", [181, 2 * _PHASE_BLOCK + 1, 40_000])
@@ -224,15 +225,15 @@ def test_table_derivative_equals_the_kernel_blocks(case, chunk, monkeypatch):
     # coefficient is 0 across every sector edge, so each sector's dz equals
     # the rule on that sector alone (in value: the +-0 that the edge term
     # subtracts can flip the sign of a zero). On blocks of many phases, one
-    # of 3 and two that _phase_blocks cuts from 2049, every row of the
-    # rule's pass has the bytes of the rule on that row, signed zeros too
+    # of 3 and one of 2049, every row of the rule's pass has the bytes of
+    # the rule on that row, signed zeros too
     state, pipeline = CASES[case]
     split = _split(state, pipeline)
     na, nb, z = _outcome_table(split, 0.3)
     monkeypatch.setattr(fisher, "_TEMP_CELLS", chunk)
     pre = premeasurement_state(state, pipeline)
     for size in (3, _PHASE_BLOCK + 1):
-        for _, n, out in _amplitudes(pre, np.linspace(0.0, 2.0 * math.pi, size)):
+        for n, out in _amplitudes(pre, np.linspace(0.0, 2.0 * math.pi, size)):
             k = np.arange(n + 1)
             assert _derivative(out, k, n - k).tobytes() == j2_stencil(out, n).tobytes()
     dz = _derivative(z, na, nb)
@@ -241,7 +242,7 @@ def test_table_derivative_equals_the_kernel_blocks(case, chunk, monkeypatch):
     whole[:-1] = z[1:] * e
     whole[1:] -= z[:-1] * e
     assert dz.tobytes() == whole.tobytes()
-    blocks = {n: out for _, n, out in _amplitudes(split.table, np.array([0.3]))}
+    blocks = {n: out for n, out in _amplitudes(split.table, np.array([0.3]))}
     for lo in np.flatnonzero(na == 0).tolist():  # every sector, the rotation's too
         n = int(nb[lo])
         sector = slice(lo, lo + n + 1)

@@ -450,7 +450,7 @@ def test_derivative_is_minus_i_j2_sector_by_sector(state, pipeline):
             sector = slice(lo, lo + n + 1)
             dense = -1j * (schwinger_matrices(n)[1] @ z[sector])
             np.testing.assert_allclose(dz[sector], dense, rtol=0.0, atol=1e-15)
-    for _, n, out in _amplitudes(premeasurement_state(state, pipeline), np.array(RULE_PHASES)):
+    for n, out in _amplitudes(premeasurement_state(state, pipeline), np.array(RULE_PHASES)):
         k = np.arange(n + 1)
         dense = -1j * (out @ schwinger_matrices(n)[1].T)
         np.testing.assert_allclose(_derivative(out, k, n - k), dense, rtol=0.0, atol=1e-15)
@@ -506,7 +506,7 @@ def reference_table(state, phi, pipeline):
     amplitudes and the rule's per-sector formula, in canonical (N, n_a)
     order."""
     rows = []
-    for _, n, out in _amplitudes(premeasurement_state(state, pipeline), np.array([float(phi)])):
+    for n, out in _amplitudes(premeasurement_state(state, pipeline), np.array([float(phi)])):
         p = np.abs(out[0]) ** 2
         dp = 2.0 * np.real(np.conj(out[0]) * j2_stencil(out[0], n))
         for k in range(n + 1):

@@ -84,7 +84,7 @@ def test_rotation_is_the_permutation_where_sin_phi_vanishes(phi):
 def ladder(j, phis):
     """d^J_{J-t,0}(phi) for t = 0..J, rows phases."""
     out = np.zeros((len(phis), j + 1))
-    for _, t, _, d in _rotation(np.array([j]), np.asarray(phis, dtype=float)):
+    for t, _, d in _rotation(np.array([j]), np.asarray(phis, dtype=float)):
         out[:, t] = d[0]
     return out
 

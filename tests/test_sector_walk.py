@@ -89,13 +89,13 @@ def test_sector_bounds_match_scan(state):
 def test_scalar_sector_readers_walk_no_sector(monkeypatch):
     # 200,000 sectors: the period, the sector list, the kinds and the
     # likelihood set-up of a record that touches three sectors all answer
-    # from the one scan, with the per-sector walk made to raise
+    # from the one scan, with the walks over every sector made to raise
     def forbidden(*_args, **_kwargs):
         raise AssertionError("sector walk")
 
-    for module in (fock, fisher, estimation):
-        if hasattr(module, "sector_slices"):
-            monkeypatch.setattr(module, "sector_slices", forbidden)
+    for module in (fock, fisher):
+        for walk in ("apply_beamsplitter", "sector_decompose"):
+            monkeypatch.setattr(module, walk, forbidden)
     k = 200_000
     state = zeta_noon(3.0, k)[0]
     assert likelihood_period(state, "MMZI") == 2.0 * math.pi / k

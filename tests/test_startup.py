@@ -159,6 +159,32 @@ def test_estimation_imports_no_kernel_internals():
     assert sorted(imported & internals) == []
 
 
+def test_phases_are_cut_into_blocks_only_by_the_readers():
+    # the kernels (_amplitudes, _rotation) evaluate exactly the phases they
+    # are passed; each reader that takes many phases cuts them into blocks
+    # once: the FI scan, the log-likelihood function _logliks returns, and
+    # the coarse MLE pass
+    source = Path(qfilab.__file__).parent
+    trees = {name: ast.parse((source / f"{name}.py").read_text(encoding="utf-8")) for name in ("fisher", "estimation")}
+    callers = set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "_phase_blocks":
+                callers.add(".".join(path))
+            visit(child, path)
+
+    for name, tree in trees.items():
+        visit(tree, [name])
+    logliks = next(node for node in trees["fisher"].body if isinstance(node, ast.FunctionDef) and node.name == "_logliks")
+    returned = next(node.value.id for node in logliks.body if isinstance(node, ast.Return))
+    assert returned in {node.name for node in logliks.body if isinstance(node, ast.FunctionDef)}
+    assert callers == {"fisher._fi_reduce", f"fisher._logliks.{returned}", "estimation._estimates"}
+
+
 def test_report_fields_snapshot():
     # a field added to or dropped from a report shows up here, in review
     assert [f.name for f in dataclasses.fields(qfilab.FisherReport)] == [
