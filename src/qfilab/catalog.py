@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TwoModeState, _canonical_state, make_state, sector_decompose
+from .fock import TwoModeState, _normalized_state
 
 ZETA_POLE_GUARD = 1e-6
 ZETA_MAX_TERMS = 10_000_000  # most terms a partial sum may hold: two float64 arrays of 80 MB
@@ -69,14 +69,16 @@ def zeta(x: float, tol: float = 1e-12) -> float:
 @functools.lru_cache(maxsize=64)
 def _zeta_sum(x: float, tol: float) -> float:
     """zeta(x) for checked arguments: partial sum plus tail, of at most ZETA_MAX_TERMS terms."""
-    # remainder after the K^(-x-1) correction is < x(x+1)(x+2)/720 * K^(-x-3)
-    k_terms = max(32, math.ceil((x * (x + 1) * (x + 2) / (180.0 * tol)) ** (1.0 / (x + 3))))
+    # remainder after the K^(-x-1) correction is < x(x+1)(x+2)/720 * K^(-x-3); where the bound on K
+    # overflows (x above ~1e100), 32 terms are exact to an ulp, and at x = inf the last term's limit is 0
+    bound = (x * (x + 1) * (x + 2) / (180.0 * tol)) ** (1.0 / (x + 3))
+    k_terms = max(32, math.ceil(bound)) if math.isfinite(bound) else 32
     if k_terms > ZETA_MAX_TERMS:  # refused before any array exists
         raise ValueError(f"zeta({x}) within tol {tol:g} needs {k_terms:.3g} terms, more than {ZETA_MAX_TERMS}")
     n = np.arange(1, k_terms + 1, dtype=np.float64)
     partial = float(np.sum(n ** (-x)))
     kf = float(k_terms)
-    tail = kf ** (1.0 - x) / (x - 1.0) - 0.5 * kf ** (-x) + x / 12.0 * kf ** (-x - 1.0)
+    tail = kf ** (1.0 - x) / (x - 1.0) - 0.5 * kf ** (-x) + (x / 12.0 * kf ** (-x - 1.0) if x < math.inf else 0.0)
     return partial + tail
 
 
@@ -131,9 +133,9 @@ def _moments(n: np.ndarray, p: np.ndarray) -> tuple[float, float]:
 
 def distribution_from_state(state: TwoModeState) -> PhotonDistribution:
     """Empirical photon-number distribution of a concrete state (no tail)."""
-    comps = sector_decompose(state)
-    n = np.array([c.n_total for c in comps], dtype=np.int64)
-    p = np.array([c.probability for c in comps])
+    n, lo, hi = state.sectors
+    weights = np.abs(state.amps) ** 2
+    p = np.array([np.sum(weights[a:b]) for a, b in zip(lo.tolist(), hi.tolist())])
     m1, m2 = _moments(n.astype(float), p)
     return PhotonDistribution(
         totals=n,
@@ -152,15 +154,14 @@ def noon(n: int) -> TwoModeState:
     """Two-branch path-entangled state (|N,0> + |0,N>)/sqrt(2)."""
     if n < 1:
         raise InvalidNError("noon requires N >= 1; use vacuum() for N = 0")
-    r = 1.0 / math.sqrt(2.0)
-    return make_state([(n, 0, r), (0, n, r)], cutoff=n)
+    return _two_branch_state(np.array([n], dtype=np.int64), np.array([1.0]), n)
 
 
 def dual_fock(n: int) -> TwoModeState:
     """Equal-occupation state |N,N>."""
     if n < 0:
         raise InvalidNError("dual_fock requires N >= 0")
-    return make_state([(n, n, 1.0)], cutoff=2 * n)
+    return _dual_fock_state(np.array([n], dtype=np.int64), np.array([1.0]), 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -170,33 +171,28 @@ def _two_branch_state(
     totals: np.ndarray, probs: np.ndarray, cutoff: int
 ) -> TwoModeState:
     """Superposition of (|N,0>+|0,N>)/sqrt(2) branches with given sector
-    probabilities; the totals of 0 make one vacuum component (of
-    amplitude 0.0, which is pruned, when there is none)."""
-    totals = np.asarray(totals, dtype=np.int64)
-    probs = np.asarray(probs, dtype=np.float64)
-    pos = totals > 0
-    t_pos = totals[pos]
-    branch = np.sqrt(probs[pos] / 2.0)
-    zeros = np.zeros_like(t_pos)
-    na = np.concatenate([t_pos, zeros, [0]])
-    nb = np.concatenate([zeros, t_pos, [0]])
-    amps = np.concatenate([branch, branch, [math.sqrt(probs[~pos].sum())]]).astype(np.complex128)
-    return _canonical_state(na, nb, amps, cutoff)
+    probabilities, for increasing int64 totals, a first total of 0 the
+    vacuum; written in canonical order, (0, N) before (N, 0)."""
+    v = int(totals[0] == 0)  # entries before the first branch: the vacuum's
+    na, nb = np.zeros((2, 2 * totals.size - v), dtype=np.int64)
+    amps = np.empty(na.size, dtype=np.complex128)
+    na[v + 1::2] = nb[v::2] = totals[v:]
+    amps[:v] = np.sqrt(probs[:v])
+    amps[v::2] = amps[v + 1::2] = np.sqrt(probs[v:] / 2.0)
+    return _normalized_state(na, nb, amps, cutoff)
 
 
 def _dual_fock_state(n: np.ndarray, probs: np.ndarray, cutoff: int) -> TwoModeState:
-    """Superposition of |N,N> components with given probabilities."""
-    idx = n.astype(np.int64)
-    return _canonical_state(idx, idx, np.sqrt(probs).astype(np.complex128), cutoff)
+    """Superposition of |N,N> components, N increasing int64, with given probabilities."""
+    return _normalized_state(n, n, np.sqrt(probs).astype(np.complex128), cutoff)
 
 
 def _zeta_family(
     x: float, cutoff: int, scale: int, label: str
-) -> tuple[np.ndarray, np.ndarray, PhotonDistribution]:
-    """Indices N = 1..cutoff, their weights N^-x renormalized on that
-    support, and the distribution of a zeta family whose component N
-    carries scale*N total photons (scale 1 for plain, 2 for doubled
-    families)."""
+) -> tuple[np.ndarray, PhotonDistribution]:
+    """The weights N^-x of N = 1..cutoff renormalized on that support, and
+    the distribution of a zeta family whose component N carries scale*N
+    total photons (scale 1 for plain, 2 for doubled families)."""
     if cutoff < 1:
         raise InvalidNError("cutoff must be >= 1")
     z = zeta(x)
@@ -217,7 +213,7 @@ def _zeta_family(
         mean_square=Moment(m2, divergent=x <= 3.0, limit=lim2),
         family=f"{label}(x={x:g})",
     )
-    return n, renorm, dist
+    return renorm, dist
 
 
 def zeta_noon(x: float, cutoff: int) -> tuple[TwoModeState, PhotonDistribution]:
@@ -229,22 +225,22 @@ def zeta_noon(x: float, cutoff: int) -> tuple[TwoModeState, PhotonDistribution]:
     realizes an arbitrarily large mean-square photon number at finite
     mean, which is the whole point of this family.
     """
-    n, renorm, dist = _zeta_family(x, cutoff, 1, "zeta_noon")
-    return _two_branch_state(n, renorm, cutoff), dist
+    renorm, dist = _zeta_family(x, cutoff, 1, "zeta_noon")
+    return _two_branch_state(dist.totals, renorm, cutoff), dist
 
 
 def zeta_noon_doubled(x: float, cutoff: int) -> tuple[TwoModeState, PhotonDistribution]:
     """zeta-weighted superposition whose N-th component is the two-branch
     state with 2N photons; shares its photon distribution with
     zeta_dual_fock so the two are directly comparable."""
-    n, renorm, dist = _zeta_family(x, cutoff, 2, "zeta_noon_doubled")
-    return _two_branch_state(2 * n, renorm, 2 * cutoff), dist
+    renorm, dist = _zeta_family(x, cutoff, 2, "zeta_noon_doubled")
+    return _two_branch_state(dist.totals, renorm, 2 * cutoff), dist
 
 
 def zeta_dual_fock(x: float, cutoff: int) -> tuple[TwoModeState, PhotonDistribution]:
     """zeta-weighted superposition of |N,N>, N = 1..cutoff (2N photons each)."""
-    n, renorm, dist = _zeta_family(x, cutoff, 2, "zeta_dual_fock")
-    return _dual_fock_state(n, renorm, 2 * cutoff), dist
+    renorm, dist = _zeta_family(x, cutoff, 2, "zeta_dual_fock")
+    return _dual_fock_state(dist.totals // 2, renorm, 2 * cutoff), dist
 
 
 def tmsv_cutoff_for(mean_total: float) -> int:
@@ -260,10 +256,10 @@ def tmsv_cutoff_for(mean_total: float) -> int:
 
 def _tmsv_family(
     mean_total: float, cutoff: int, label: str
-) -> tuple[np.ndarray, np.ndarray, PhotonDistribution]:
-    """Indices N = 0..cutoff, their geometric weights renormalized on that
-    support, and the distribution of a family whose component N carries 2N
-    total photons."""
+) -> tuple[np.ndarray, PhotonDistribution]:
+    """The geometric weights of N = 0..cutoff renormalized on that support,
+    and the distribution of a family whose component N carries 2N total
+    photons."""
     if mean_total <= 0:
         raise ValueError("mean_total must be positive")
     if cutoff < 0:
@@ -287,7 +283,7 @@ def _tmsv_family(
         mean_square=Moment(m2, limit=2.0 * mean_total**2 + 2.0 * mean_total),
         family=f"{label}(mean={mean_total:g})",
     )
-    return n, renorm, dist
+    return renorm, dist
 
 
 def tmsv(mean_total: float, cutoff: int) -> tuple[TwoModeState, PhotonDistribution]:
@@ -298,8 +294,8 @@ def tmsv(mean_total: float, cutoff: int) -> tuple[TwoModeState, PhotonDistributi
     Raises TailTooHeavyError when the discarded geometric tail would exceed
     TMSV_TAIL_BOUND; tmsv_cutoff_for gives the smallest cutoff that meets it.
     """
-    n, renorm, dist = _tmsv_family(mean_total, cutoff, "tmsv")
-    return _dual_fock_state(n, renorm, 2 * cutoff), dist
+    renorm, dist = _tmsv_family(mean_total, cutoff, "tmsv")
+    return _dual_fock_state(dist.totals // 2, renorm, 2 * cutoff), dist
 
 
 def tmsv_noon(mean_total: float, cutoff: int) -> tuple[TwoModeState, PhotonDistribution]:
@@ -308,5 +304,5 @@ def tmsv_noon(mean_total: float, cutoff: int) -> tuple[TwoModeState, PhotonDistr
     N = 0 component is the vacuum). Attains the largest sensitivity
     compatible with that distribution. The cutoff obeys the same
     TMSV_TAIL_BOUND as tmsv."""
-    n, renorm, dist = _tmsv_family(mean_total, cutoff, "tmsv_noon")
-    return _two_branch_state(2 * n, renorm, 2 * cutoff), dist
+    renorm, dist = _tmsv_family(mean_total, cutoff, "tmsv_noon")
+    return _two_branch_state(dist.totals, renorm, 2 * cutoff), dist

@@ -30,10 +30,10 @@ are smooth.
 Sector kinds
 ------------
 Both unitaries preserve the total photon number, so every reader works
-sector by sector, and each sector is read by its kind. _split sorts a
-state once per call, or once per estimation command, into two parts
-(_Split), applying an MZI's first splitter there and only where a kind
-needs it:
+sector by sector, on the sectors its state found when it was built
+(fock.TwoModeState.sectors), and reads each by the kind _split decided
+and recorded for it (_Split), once per call or per estimation command;
+_split applies an MZI's first splitter only where a kind needs it:
 
 - single input (MZI only): a sector of the source with one occupied input
   |n_a, n_b>. Two splitters around the phase act on it as the rotation
@@ -42,15 +42,15 @@ needs it:
   its fringe spread is N. A balanced input |J, J> (every sector of
   dual_fock, zeta_dual_fock and tmsv) takes its outcome amplitudes
   d^J_{m,0}(phi) from a real three-term recurrence (_rotation),
-  vectorized over sectors and phases; an unbalanced one still takes the
-  first splitter and the kernel below for its outcome table.
-- two-branch: a sector of the pre-measurement state with occupied n_a
-  exactly {0, N}. It records the phase only through the parity of n_a,
-  and its FI has a closed form in its two amplitudes (_two_branch_fi),
-  with no splitter column and no matmul.
-- single input of the pre-measurement state: phase-independent
-  probabilities, FI exactly 0.
-- general: every other sector, through the phase kernel _amplitudes.
+  vectorized over sectors and phases (_ROTATION); an unbalanced one still
+  takes the first splitter and the kernel below for its outcome table
+  (_IMAGE).
+- two-branch (_TWO_BRANCH): a sector of the pre-measurement state with
+  occupied n_a exactly {0, N}. It records the phase only through the
+  parity of n_a, and its FI has a closed form in its two amplitudes
+  (_two_branch_fi), with no splitter column and no matmul.
+- one input of the pre-measurement state (_FIXED): FI exactly 0.
+- general (_GENERAL): every other sector, through the kernel _amplitudes.
 
 The MZI qfi field needs no kind and no splitter: the first splitter turns
 J3 into -J2, so it is 4 Var(J2) of the input (_j2_variance), O(entries).
@@ -77,12 +77,12 @@ the chunk, on one shared grid or each on its own grid, end to end, and a
 record's row is the same to the last bit alone or with others.
 
 The counting FI over a phase grid (_fi_reduce, behind classical_fi and
-fi_scan) drops the single inputs' splitter images from the table and sums
-kind by kind: the phase-independent total of the MZI single
-inputs and of the equal-weight two-branch sectors, summed once and
-broadcast, so a state of such sectors scans exactly flat; then the
-unequal-weight two-branch sectors; then the general sectors; each kind in
-sector order, which differs from the sector order by rounding only.
+fi_scan) skips the single inputs' splitter images and sums kind by kind:
+the phase-independent total of the MZI single inputs and of the
+equal-weight two-branch sectors, summed once and broadcast, so a state
+of such sectors scans exactly flat; then the unequal-weight two-branch
+sectors; then the general sectors; each kind in sector order, which
+differs from the sector order by rounding only.
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ from .fock import (
     TwoModeState,
     apply_beamsplitter,
     expect,
-    sector_bounds,
     sector_decompose,
     splitter_columns,
 )
@@ -150,32 +149,40 @@ def premeasurement_state(state: TwoModeState, pipeline: str) -> TwoModeState:
     return apply_beamsplitter(state) if pipeline == "MZI" else state
 
 
+_ROTATION, _IMAGE, _FIXED, _TWO_BRANCH, _GENERAL = np.arange(5, dtype=np.int8)  # sector kinds (module docstring)
+
+
 class _Split(NamedTuple):
     """A state sorted by sector kind for one pipeline (_split).
 
     single: for "MZI", the source's single-input sectors, which no reader
-    sends through the first splitter (module docstring): their FI and
-    fringe spread have closed forms, and a balanced input |J, J> takes its
-    outcome amplitudes from the rotation (_rotation). Empty for "MMZI".
+    sends through the first splitter (module docstring). Empty for "MMZI".
     table: the pre-measurement state of every other sector, plus the
-    splitter image of the unbalanced single inputs, which the outcome-table
-    readers take through the phase kernel; _fi_reduce drops those images,
-    as it reads single inputs in closed form.
+    splitter image of the unbalanced single inputs (kind _IMAGE).
+    n, kind: every outcome sector's N, in increasing N, and its kind: the
+    sectors of table are those not of kind _ROTATION, the balanced inputs
+    of single those of that kind, each in order.
     """
 
     single: TwoModeState
     table: TwoModeState
+    n: np.ndarray
+    kind: np.ndarray
 
 
 def _split(state: TwoModeState, pipeline: str) -> _Split:
-    """state sorted into _Split's kinds; the first splitter, if any, is
-    applied here, once, and only to the sectors that need it."""
-    if pipeline != "MZI":
-        return _Split(state.subset(slice(0)), premeasurement_state(state, pipeline))  # rejects an unknown pipeline
-    _, lo, hi = sector_bounds(state)
-    alone = np.zeros(len(state), dtype=bool)
-    alone[lo[hi - lo == 1]] = True
-    return _Split(state.subset(alone), apply_beamsplitter(state.subset(~(alone & (state.na == state.nb)))))
+    """state sorted into _Split's kinds, once; any first splitter goes only where a kind needs it."""
+    n, lo, hi = state.sectors
+    alone = (hi - lo == 1) & (pipeline == "MZI")
+    rotated = alone & (state.na[lo] == state.nb[lo])
+    single = state.subset(np.repeat(alone, hi - lo))
+    table = premeasurement_state(state.subset(np.repeat(~rotated, hi - lo)), pipeline)  # rejects an unknown pipeline
+    tn, tlo, thi = table.sectors
+    size = thi - tlo
+    two = (size == 2) & (table.na[tlo] == 0) & (table.nb[thi - 1] == 0)
+    kind = np.select([size == 1, np.isin(tn, n[alone]), two], [_FIXED, _IMAGE, _TWO_BRANCH], _GENERAL)
+    at = tn.searchsorted(n[rotated])  # where the rotated sectors go among table's
+    return _Split(single, table, np.insert(tn, at, n[rotated]), np.insert(kind, at, _ROTATION))
 
 
 def _sectors(pre: TwoModeState):
@@ -183,7 +190,7 @@ def _sectors(pre: TwoModeState):
     state pre, restricted to its occupied inputs: their amplitudes, their J3
     eigenvalues, and bs_t[j, k] the final splitter from input j to n_a = k.
     A caller that needs only some sectors passes their sub-state."""
-    for n, start, stop in zip(*(col.tolist() for col in sector_bounds(pre))):
+    for n, start, stop in zip(*(col.tolist() for col in pre.sectors)):
         na = pre.na[start:stop]
         yield n, pre.amps[start:stop], na - n / 2.0, splitter_columns(n, na).T
 
@@ -312,33 +319,31 @@ def _outcome_table(split: _Split, phi: float):
     share a phase factor that does not depend on phi and that neither P nor
     dP sees."""
     phis = np.array([float(phi)])
-    rot = split.single.subset(split.single.na == split.single.nb)
-    j = rot.na
-    ns = np.sort(np.concatenate((sector_bounds(split.table)[0], 2 * j)))
+    ns, rotated = split.n, split.kind == _ROTATION
     start = np.cumsum(ns + 1) - ns - 1  # where each sector's n_a = 0 outcome lands
     na = np.arange(np.sum(ns + 1)) - np.repeat(start, ns + 1)
     nb = np.repeat(ns, ns + 1) - na
     z = np.empty(na.size, complex)
-    for n, out in _amplitudes(split.table, phis):
-        lo = start[ns.searchsorted(n)]
+    for lo, (n, out) in zip(start[~rotated].tolist(), _amplitudes(split.table, phis)):
         z[lo:lo + n + 1] = out[0]
-    centre = start[ns.searchsorted(2 * j)] + j  # where each ladder's n_a = J outcome lands
+    balanced = split.single.na == split.single.nb
+    j, amps = split.single.na[balanced], split.single.amps[balanced]
+    centre = start[rotated] + j  # where each ladder's n_a = J outcome lands
     for t, sel, d in _rotation(j, phis):
         m = j[sel] - t
-        z[centre[sel] + m] = rot.amps[sel] * d[:, 0]
-        z[centre[sel] - m] = rot.amps[sel] * (d[:, 0] * (1.0 - 2.0 * (m % 2)))
+        z[centre[sel] + m] = amps[sel] * d[:, 0]
+        z[centre[sel] - m] = amps[sel] * (d[:, 0] * (1.0 - 2.0 * (m % 2)))
     return na, nb, z
 
 
 def _table_with_derivative(split: _Split, phi: float):
     """The outcome table (na, nb, z) of split at phi and dz = _derivative(z,
-    na, nb), set to exactly 0 on each sector of split.table with one
-    occupied input: the phase cannot move its probabilities, and the stencil
-    cancels there only to rounding (_fi_reduce skips such sectors by kind)."""
+    na, nb), set to exactly 0 on each sector of kind _FIXED: the phase
+    cannot move its probabilities, and the stencil cancels there only to
+    rounding (_fi_reduce skips such sectors by kind)."""
     na, nb, z = _outcome_table(split, phi)
     dz = _derivative(z, na, nb)
-    n, lo, hi = sector_bounds(split.table)
-    dz[np.isin(na + nb, n[hi - lo == 1])] = 0.0
+    dz[np.repeat(split.kind == _FIXED, split.n + 1)] = 0.0
     return na, nb, z, dz
 
 
@@ -361,8 +366,9 @@ def _logliks(split: _Split, records) -> Callable[..., np.ndarray]:
     unique_m = _distinct(sub.j3_values)
     kernel = {n: (vec, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(sub)}
     single = split.single
-    rot = single.subset((single.na == single.nb) & np.isin(single.n_total, observed))
-    index = {2 * jj: i for i, jj in enumerate(rot.na.tolist())}  # N = 2J -> its place in rot
+    rot = (single.na == single.nb) & np.isin(single.n_total, observed)
+    j, weight = single.na[rot], np.abs(single.amps[rot]) ** 2
+    index = {2 * jj: i for i, jj in enumerate(j.tolist())}  # N = 2J -> its place among the observed |J,J>
     users, ladders = {}, []  # N -> [(record, columns, counts)]; (record, step, sectors, counts)
     for r, outcomes in enumerate(records):
         by_sector = {}
@@ -388,7 +394,6 @@ def _logliks(split: _Split, records) -> Callable[..., np.ndarray]:
                 rungs.setdefault(t, []).append((i, cnt))
         for t, rung in rungs.items():
             ladders.append((r, t, np.array([i for i, _ in rung]), np.array([c for _, c in rung], dtype=float)))
-    j, weight = rot.na, np.abs(rot.amps) ** 2
     seen = np.zeros((j.max(initial=-1) + 1, j.size), dtype=bool)
     for _, t, sectors, _ in ladders:
         seen[t, sectors] = True
@@ -450,7 +455,7 @@ def _period(split: _Split) -> float:
     """likelihood_period of a split state: a single input's spread is its N,
     since the rotation reaches every port split of its sector, and no
     splitter image in split.table spreads wider than its N."""
-    _, lo, hi = sector_bounds(split.table)
+    _, lo, hi = split.table.sectors
     spread = int(np.max(np.concatenate((split.single.n_total, split.table.na[hi - 1] - split.table.na[lo])), initial=0))
     return 2.0 * math.pi / spread if spread else math.inf
 
@@ -469,9 +474,9 @@ def likelihood_period(state: TwoModeState, pipeline: str = "MMZI") -> float:
 _AMP_NOISE = 1e-13  # amplitudes below this are splitter-column rounding noise
 
 
-def _running_total(x: np.ndarray) -> float:
-    """x added one entry after another (np.sum adds pairwise); 0.0 if empty."""
-    return float(np.concatenate(([0.0], x)).cumsum()[-1])
+def _running_total(x: np.ndarray, start: float = 0.0) -> float:
+    """x added one entry after another onto start (np.sum adds pairwise)."""
+    return float(np.concatenate(([start], x)).cumsum()[-1])
 
 
 def _fi_terms(p, dp, dz_sq):
@@ -487,21 +492,6 @@ def _fi_terms(p, dp, dz_sq):
     """
     trusted = p > _AMP_NOISE ** 2
     return np.where(trusted, dp * dp / np.where(trusted, p, 1.0), 4.0 * dz_sq)
-
-
-def _sector_kinds(pre: TwoModeState) -> tuple[np.ndarray, TwoModeState]:
-    """Sort the sectors of pre by kind: the index of the n_a = 0 entry of
-    each two-branch sector (occupied n_a exactly {0, N}, N >= 1), and pre
-    restricted to its general sectors (any other support of two or more
-    inputs). A single-input sector is in neither: its outcome
-    probabilities do not depend on the phase, so its FI is exactly 0."""
-    _, first, stop = sector_bounds(pre)
-    size = stop - first
-    pairs = first[size == 2]
-    two = pairs[(pre.na[pairs] == 0) & (pre.nb[pairs + 1] == 0)]
-    general = np.repeat(size > 1, size)
-    general[two] = general[two + 1] = False
-    return two, pre.subset(general)
 
 
 def _two_branch_fi(pre: TwoModeState, two: np.ndarray, phis: np.ndarray, lead: np.ndarray) -> np.ndarray:
@@ -521,17 +511,24 @@ def _two_branch_fi(pre: TwoModeState, two: np.ndarray, phis: np.ndarray, lead: n
     or 2|a||b|) is smaller, so near a dark fringe, where u or v is small,
     neither term comes out of a cancellation; at s2 == 0 the factor is 0.
     No limit branch of _fi_terms is involved. The phase-independent terms
-    lead, then the equal-weight sectors, are summed first (_running_total)
-    and broadcast to every phase; then the others, in chunks of about
-    _TEMP_CELLS cells laid out sectors x phases, whose rows numpy
-    adds one after another, so every phase sums in sector order.
+    lead, then the equal-weight sectors, are summed first (_running_total),
+    _TEMP_CELLS sectors at a time, and broadcast to every phase; then the
+    others, in chunks of about _TEMP_CELLS cells laid out sectors x phases,
+    whose rows numpy adds one after another, so every phase sums in sector
+    order.
     """
-    n = pre.n_total[two]
+    total, steep = _running_total(lead), [two[:0]]
+    for c in range(0, two.size, _TEMP_CELLS):
+        at = two[c:c + _TEMP_CELLS]
+        n, pa, pb = pre.na[at + 1], np.abs(pre.amps[at]) ** 2, np.abs(pre.amps[at + 1]) ** 2  # B = |b i^N|^2 to the bit
+        total = _running_total(((pa + pb) * (n * n.astype(float)))[pa == pb], total)
+        steep.append(at[pa != pb])
+    two = np.concatenate(steep)
+    n = pre.na[two + 1]
     a, b = pre.amps[two], pre.amps[two + 1] * _I_POWERS[n % 4]
     pa, pb = np.abs(a) ** 2, np.abs(b) ** 2
-    weight, ab4, flat = (pa + pb) * (n * n.astype(float)), 4.0 * pa * pb, pa == pb
-    fi = np.full(phis.size, _running_total(np.concatenate((lead, weight[flat]))))
-    n, a, b, weight, ab4 = (col[~flat, None] for col in (n, a, b, weight, ab4))  # a row per sector
+    fi = np.full(phis.size, total)
+    n, a, b, weight, ab4 = (col[:, None] for col in (n, a, b, (pa + pb) * (n * n.astype(float)), 4.0 * pa * pb))
     step = max(1, _TEMP_CELLS // max(1, phis.size))
     for c in range(0, len(n), step):
         cut = slice(c, c + step)
@@ -555,15 +552,14 @@ def _fi_reduce(split: _Split, phis: np.ndarray) -> np.ndarray:
     the two-branch sectors of the pre-measurement state in closed form
     (_two_branch_fi); then each general sector from the phase kernel and the
     derivative rule, in sector order, block by block (_phase_blocks), if
-    any. A single-input sector of the pre-measurement state adds exactly 0.
-    The single inputs' splitter images are dropped from split.table, which
-    is copied only if any are."""
-    single, pre = split
-    imaged = np.isin(pre.n_total, single.n_total)
-    pre = pre.subset(~imaged) if imaged.any() else pre
-    two, general = _sector_kinds(pre)
+    any. A sector of kind _FIXED adds exactly 0, and one of kind _IMAGE
+    nothing: its single input is read in closed form."""
+    single, table, _, kind = split
+    kind = kind[kind != _ROTATION]  # table's sectors, in order
+    _, lo, hi = table.sectors
+    general = table.subset(np.repeat(kind == _GENERAL, hi - lo))
     lead = np.abs(single.amps) ** 2 * (single.n_total + 2.0 * single.na * single.nb)
-    fi = _two_branch_fi(pre, two, phis, lead)
+    fi = _two_branch_fi(table, lo[kind == _TWO_BRANCH], phis, lead)
     for rows in _phase_blocks(phis.size) if len(general) else ():
         for n, out in _amplitudes(general, phis[rows]):
             k = np.arange(n + 1)

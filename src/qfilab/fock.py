@@ -5,20 +5,20 @@ table of complex amplitudes over occupation pairs (n_a, n_b), n_a + n_b <=
 cutoff, sorted by (N, n_a) with N = n_a + n_b. Both interferometer unitaries
 are block diagonal over the N sectors (the phase shift exp(-i*phi*J3) is
 diagonal, the 50:50 splitter exp(i*pi*J1/2) an (N+1)x(N+1) block), and each
-occupied sector is one contiguous slice of the table: sector_bounds finds
-them all in one vectorized scan, and every sector walk reads it (the
-splitter, the sector split, and the fisher kernel on the sub-state it is
-passed). splitter_columns gives the splitter columns of occupied inputs
-alone, never cached: the two-branch ones (n_a = 0, N) in closed form over
-one growing table of log-factorials, any other from a three-term
-recurrence, O(N) each.
+occupied sector is one contiguous slice of the table. A state finds them
+all in one vectorized scan when it is built (TwoModeState.sectors), and
+every sector walk reads that table (the splitter, the sector split, and
+the fisher kernel on the sub-state it is passed). splitter_columns gives
+the splitter columns of occupied inputs alone, never cached: the
+two-branch ones (n_a = 0, N) in closed form over one growing table of
+log-factorials, any other from a three-term recurrence, O(N) each.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,21 +44,29 @@ class TwoModeState:
     identical tables; direct construction rejects (ValueError) a table out
     of that order, with duplicates or with an exact-zero amplitude. Arrays
     are read-only; every operation returns a new state, which makes states
-    safe to share between worker threads.
+    safe to share between worker threads. sectors, found when the state is
+    built, are the occupied sectors as arrays (N, lo, hi) in increasing N:
+    entries lo[i]:hi[i], in increasing n_a, are sector N[i]'s.
     """
 
     na: np.ndarray
     nb: np.ndarray
     amps: np.ndarray
     cutoff: int
+    sectors: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        n_step = np.diff(self.n_total)
-        out_of_order = (n_step < 0) | ((n_step == 0) & (np.diff(self.na) <= 0))
+        n_total = self.n_total
+        n_step = np.diff(n_total)
+        out_of_order = (n_step < 0) | ((n_step == 0) & (self.na[1:] <= self.na[:-1]))
         if np.any(out_of_order) or np.any(self.amps == 0):
             raise ValueError("entries need strictly increasing (N, n_a) and nonzero amplitudes")
-        for arr in (self.na, self.nb, self.amps):
+        # each sector's start, then the end (the end alone if no entry): the one scan for sectors
+        edges = np.flatnonzero(np.concatenate(([True], n_step != 0, [True])))[:n_total.size + 1]
+        sectors = (n_total[edges[:-1]], edges[:-1], edges[1:])
+        for arr in (self.na, self.nb, self.amps, *sectors):
             arr.flags.writeable = False
+        object.__setattr__(self, "sectors", sectors)
 
     @property
     def n_total(self) -> np.ndarray:
@@ -84,13 +92,13 @@ class TwoModeState:
         for a, b, c in zip(self.na, self.nb, self.amps):
             yield (int(a), int(b)), complex(c)
 
-    def subset(self, keep) -> "TwoModeState":
-        """The entries that keep (a mask or a slice) selects, not
-        renormalized: a sub-state of whole sectors for the fisher kernels."""
-        return TwoModeState(self.na[keep], self.nb[keep], self.amps[keep], self.cutoff)
+    def subset(self, keep: np.ndarray) -> "TwoModeState":
+        """The entries that the boolean mask keep selects, not renormalized
+        (a sub-state of whole sectors for the fisher kernels): self if all."""
+        return self if keep.all() else TwoModeState(self.na[keep], self.nb[keep], self.amps[keep], self.cutoff)
 
     def occupied_sectors(self) -> list[int]:
-        return sector_bounds(self)[0].tolist()
+        return self.sectors[0].tolist()
 
     def allclose(self, other: "TwoModeState", tol: float = 1e-12) -> bool:
         keys = {k for k, _ in self.items()} | {k for k, _ in other.items()}
@@ -104,15 +112,6 @@ class TwoModeState:
         for (a, b), amp in self.items():
             acc += np.conj(amp) * other.amplitude(a, b)
         return complex(acc)
-
-
-def sector_bounds(state: TwoModeState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The occupied sectors as arrays (N, lo, hi) in increasing N: entries
-    lo[i]:hi[i] of the state's arrays, in increasing n_a, are sector N[i]'s.
-    One vectorized scan; the only place sector boundaries are computed."""
-    nt = state.n_total
-    edges = np.flatnonzero(np.diff(nt, prepend=-1, append=-1))  # every start, and the end
-    return nt[edges[:-1]], edges[:-1], edges[1:]
 
 
 def _canonical_state(
@@ -153,16 +152,24 @@ def _canonical_state(
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ValueError(f"entry ({int(na[bad])}, {int(nb[bad])}) has a non-finite amplitude {amps[bad]}")
+    return _normalized_state(na, nb, amps, cutoff)
 
+
+def _normalized_state(na: np.ndarray, nb: np.ndarray, amps: np.ndarray, cutoff: int) -> TwoModeState:
+    """_canonical_state's pruning and normalization of a canonical table with finite
+    amplitudes; amps, given up by the caller, is normalized in place if all are kept."""
     mags = np.abs(amps)
     peak = mags.max()
     if peak == 0.0:
         raise EmptyStateError("state needs at least one nonzero amplitude")
     keep = mags > DEFAULT_PRUNE_THRESHOLD * peak
-    na, nb, amps = na[keep], nb[keep], amps[keep]
+    del mags
+    if not keep.all():
+        na, nb, amps = na[keep], nb[keep], amps[keep]
     # scaled exactly, by the power of two that puts even a subnormal peak in [0.5, 1)
-    amps = np.ldexp(amps.view(float), -np.frexp(peak)[1]).view(complex)
-    amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2))
+    parts = amps.view(float)
+    np.ldexp(parts, -np.frexp(peak)[1], out=parts)
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
     return TwoModeState(na, nb, amps, int(cutoff))
 
 
@@ -283,7 +290,7 @@ def apply_beamsplitter(state: TwoModeState) -> TwoModeState:
     if not len(state):
         return state
     na_parts, nb_parts, amp_parts = [], [], []
-    for n, lo, hi in zip(*(col.tolist() for col in sector_bounds(state))):
+    for n, lo, hi in zip(*(col.tolist() for col in state.sectors)):
         na_parts.append(np.arange(n + 1, dtype=np.int64))
         nb_parts.append(n - na_parts[-1])
         amp_parts.append(splitter_columns(n, state.na[lo:hi]) @ state.amps[lo:hi])
@@ -334,7 +341,7 @@ class SectorComponent:
 def sector_decompose(state: TwoModeState) -> list[SectorComponent]:
     """Split a state into normalized fixed-N components with probabilities."""
     comps = []
-    for n, lo, hi in zip(*(col.tolist() for col in sector_bounds(state))):
+    for n, lo, hi in zip(*(col.tolist() for col in state.sectors)):
         prob = float(np.sum(np.abs(state.amps[lo:hi]) ** 2))
         amps = state.amps[lo:hi] / np.sqrt(prob)
         phase = amps[0] / abs(amps[0])

@@ -1,9 +1,21 @@
-"""Dense angular-momentum blocks and closed forms used as test oracles."""
+"""Dense angular-momentum blocks and closed forms used as test oracles,
+and the sector kinds the fisher split records, read as the tests need them."""
 
 import functools
 import math
 
 import numpy as np
+
+from qfilab.fisher import _GENERAL, _TWO_BRANCH, _split
+
+
+def sector_kinds(pre):
+    """The index of the n_a = 0 entry of each two-branch sector of the
+    pre-measurement state pre, and pre restricted to its general sectors:
+    the kinds fisher._split records for pre read with no first splitter."""
+    kind = _split(pre, "MMZI").kind
+    _, lo, hi = pre.sectors
+    return lo[kind == _TWO_BRANCH], pre.subset(np.repeat(kind == _GENERAL, hi - lo))
 
 
 def schwinger_matrices(n_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

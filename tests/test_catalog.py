@@ -9,6 +9,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qfilab import catalog
 from qfilab import (
@@ -29,6 +31,7 @@ from qfilab import (
     zeta_noon,
     zeta_noon_doubled,
 )
+from qfilab.fock import _canonical_state, make_state
 
 from sector_operators import dual_fock_after_bs
 
@@ -103,6 +106,13 @@ def test_zeta_refuses_a_partial_sum_it_cannot_hold():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"zeta(1.000002) within tol 1e-37 needs 7.6e+08 terms, more than {catalog.ZETA_MAX_TERMS}\n"
+
+
+@pytest.mark.parametrize("x", [1e15, 1e100, 1e300, math.inf])
+def test_zeta_at_huge_exponents_is_one(x):
+    # above x ~ 1e100 the float bound on the term count overflows, and at
+    # x = inf the tail's last term is inf * 0: both must give the limit 1
+    assert zeta(x) == 1.0
 
 
 def test_zeta_bad_tol():
@@ -362,3 +372,67 @@ def test_tmsv_noon_moments_match_tmsv():
     assert da.mean.value == pytest.approx(db.mean.value, rel=1e-12)
     assert da.mean_square.value == pytest.approx(db.mean_square.value, rel=1e-12)
     assert da.mean_square.limit == pytest.approx(12.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# direct construction against the sort-and-merge reference
+
+def two_branch_reference(totals, probs, cutoff):
+    """A two-branch family's entries as listed before the family wrote its
+    table in canonical order (every n_a = N branch, every n_a = 0 branch,
+    then the vacuum, of amplitude 0.0 when there is none), put in order,
+    pruned and normalized by the reference fock._canonical_state."""
+    pos = totals > 0
+    branch = np.sqrt(probs[pos] / 2.0)
+    zeros = np.zeros_like(totals[pos])
+    na = np.concatenate([totals[pos], zeros, [0]])
+    nb = np.concatenate([zeros, totals[pos], [0]])
+    amps = np.concatenate([branch, branch, [math.sqrt(probs[~pos].sum())]]).astype(np.complex128)
+    return _canonical_state(na, nb, amps, cutoff)
+
+
+def dual_fock_reference(totals, probs, cutoff):
+    """A |N,N> family's entries through the reference fock._canonical_state."""
+    idx = totals // 2
+    return _canonical_state(idx, idx, np.sqrt(probs).astype(np.complex128), cutoff)
+
+
+def assert_same_table(state, reference):
+    for got, want in ((state.na, reference.na), (state.nb, reference.nb), (state.amps, reference.amps)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert state.cutoff == reference.cutoff
+
+
+exponents = st.one_of(st.floats(1.01, 10.0), st.floats(10.0, 1e300))
+
+
+@given(exponents, st.integers(1, 2000))
+@example(1e300, 2000)
+@example(1.01, 1)
+@example(3.0, 2000)
+def test_zeta_families_write_the_reference_table(x, cutoff):
+    probs, dist = catalog._zeta_family(x, cutoff, 1, "zeta_noon")
+    assert_same_table(zeta_noon(x, cutoff)[0], two_branch_reference(dist.totals, probs, cutoff))
+    probs, dist = catalog._zeta_family(x, cutoff, 2, "zeta_noon_doubled")
+    assert_same_table(zeta_noon_doubled(x, cutoff)[0], two_branch_reference(dist.totals, probs, 2 * cutoff))
+    assert_same_table(zeta_dual_fock(x, cutoff)[0], dual_fock_reference(dist.totals, probs, 2 * cutoff))
+
+
+@given(st.floats(1e-3, 50.0), st.integers(0, 200))
+@example(1e-3, 0)  # a state of almost only vacuum
+@example(2.0, 0)
+def test_tmsv_families_write_the_reference_table(mean, extra):
+    cutoff = min(2000, tmsv_cutoff_for(mean) + extra)
+    probs, dist = catalog._tmsv_family(mean, cutoff, "tmsv")
+    assert_same_table(tmsv(mean, cutoff)[0], dual_fock_reference(dist.totals, probs, 2 * cutoff))
+    state = tmsv_noon(mean, cutoff)[0]
+    assert state.na[0] == state.nb[0] == 0  # the vacuum component
+    assert_same_table(state, two_branch_reference(dist.totals, probs, 2 * cutoff))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 1000, 2000])
+def test_fixed_photon_families_write_the_reference_table(n):
+    r = 1.0 / math.sqrt(2.0)
+    if n:
+        assert_same_table(noon(n), make_state([(n, 0, r), (0, n, r)], cutoff=n))
+    assert_same_table(dual_fock(n), make_state([(n, n, 1.0)], cutoff=2 * n))

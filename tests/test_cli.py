@@ -516,6 +516,28 @@ def test_default_zeta_noon_qfi_fits_in_one_gib(tmp_path):
     assert math.isclose(json.loads(out.read_text())["fi"], expected, rel_tol=1e-9)
 
 
+def test_million_sector_qfi_fits_in_320_mib(tmp_path):
+    # the family writes its table in canonical order and each reader takes
+    # the sectors from the one table the state holds: at K = 10^6 the
+    # command peaks near 190 MiB, where sorting and copying the table took
+    # 312 MiB and failed under this cap
+    out = tmp_path / "qfi.json"
+    k = 1_000_000
+    pythonpath = [str(Path(qfilab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfilab", "qfi", f"catalog:zeta_noon:3:{k}", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath))),
+        preexec_fn=lambda: _cap_address_space(320 << 20),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    with mpmath.workdps(30):
+        expected = float(mpmath.harmonic(k) / (mpmath.zeta(3) - mpmath.zeta(3, k + 1)))
+    assert math.isclose(json.loads(out.read_text())["fi"], expected, rel_tol=1e-9)
+
+
 def test_long_fi_scan_fits_in_one_gib(tmp_path):
     # the kernel takes phases in blocks, so memory does not grow with
     # --points; whole-grid arrays of 30000 x 401 amplitudes would not fit
@@ -618,10 +640,9 @@ def test_out_of_memory_exits_2_naming_the_state(monkeypatch, capsys):
     [
         ["qfi", "catalog:noon:100000000000000000000"],  # N beyond a C long
         ["estimate", "catalog:noon:1", "--phi-true", "0.3", "--trials", "100000000000000000000"],
-        ["qfi", "catalog:zeta_noon:1e300:5"],  # 1/N^x underflows, its zeta sum overflows
         ["qfi", "catalog:tmsv:1e300"],  # the squeezing parameter rounds to 1
     ],
-    ids=["noon-N", "estimate-trials", "zeta-x", "tmsv-mean"],
+    ids=["noon-N", "estimate-trials", "tmsv-mean"],
 )
 def test_extreme_finite_inputs_exit_2_naming_the_state(argv):
     pythonpath = [str(Path(qfilab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -635,6 +656,23 @@ def test_extreme_finite_inputs_exit_2_naming_the_state(argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and argv[1] in proc.stderr
     assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, fi",
+    [
+        # 1/N^x underflows beyond N = 1, which leaves the N = 1 NOON state
+        (["qfi", "catalog:zeta_noon:1e300:5"], 1.0),
+        # the float bound on zeta's term count overflows: 32 terms
+        (["qfi", "catalog:zeta_noon:1e100:5"], 1.0),
+        # |1,1> through the MZI: 2J(J+1)
+        (["qfi", "catalog:zeta_dual_fock:1e300:2", "--pipeline", "MZI"], 4.0),
+    ],
+    ids=["zeta-x", "zeta-x-1e100", "zeta_dual_fock-x"],
+)
+def test_huge_zeta_exponents_leave_the_first_component(argv, fi, capsys):
+    assert main(argv) == 0
+    assert math.isclose(json.loads(capsys.readouterr().out)["fi"], fi, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("phi_true", ["6e5", "1e12", "-3e9"])

@@ -24,6 +24,7 @@ from qfilab import (
     default_window,
     estimation,
     fisher,
+    fock,
     likelihood_period,
     make_state,
     mle_phase,
@@ -123,7 +124,7 @@ def test_loglik_grid_calls_only_evaluate_the_kernel_set_up_once(monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("per-record set-up repeated in a call")
 
-    monkeypatch.setattr(fisher, "sector_bounds", forbidden)
+    monkeypatch.setattr(fock.TwoModeState, "__post_init__", forbidden)
     monkeypatch.setattr(fisher, "splitter_columns", forbidden)
     monkeypatch.setattr(np, "unique", forbidden)
     monkeypatch.setattr(fisher, "_distinct", forbidden)

@@ -53,13 +53,11 @@ from qfilab.fisher import (
     _amplitudes,
     _derivative,
     _outcome_table,
-    _sector_kinds,
     _sectors,
     _split,
     premeasurement_state,
 )
-from qfilab.fock import sector_bounds
-from sector_operators import j2_stencil
+from sector_operators import j2_stencil, sector_kinds
 
 
 def reference_fi_scan(pre, phis):
@@ -92,7 +90,7 @@ SIZES = [1, 181, _PHASE_BLOCK - 1, _PHASE_BLOCK, _PHASE_BLOCK + 1, 2 * _PHASE_BL
 
 def split_two_branch(pre):
     """pre as two states: its two-branch sectors, and every other sector."""
-    two, _ = _sector_kinds(pre)
+    two, _ = sector_kinds(pre)
     mask = np.zeros(len(pre), dtype=bool)
     mask[two] = mask[two + 1] = True
     return [TwoModeState(pre.na[m], pre.nb[m], pre.amps[m], pre.cutoff) for m in (mask, ~mask)]
@@ -134,7 +132,7 @@ def test_general_sector_below_a_two_branch_one(size):
     # the FI adds the two-branch total before the general sectors, out of
     # sector order here, so it may move from the per-sector formula and the
     # sector sum by rounding only
-    two, general = _sector_kinds(GENERAL_FIRST)
+    two, general = sector_kinds(GENERAL_FIRST)
     assert GENERAL_FIRST.n_total[two].tolist() == [3] and general.occupied_sectors() == [2]
     phis = np.linspace(0.0, 2.0 * math.pi, size)
     np.testing.assert_allclose(fi_scan(GENERAL_FIRST, phis, "MMZI"), reference_fi_scan(GENERAL_FIRST, phis),
@@ -153,12 +151,12 @@ MIXED_WEIGHTS = make_state([(0, 1, 0.3), (1, 0, 0.3j), (0, 2, 0.5), (2, 0, -0.2)
 def by_sector(state):
     """Each sector of state as a sub-state, its amplitudes not renormalized."""
     return [TwoModeState(state.na[lo:hi], state.nb[lo:hi], state.amps[lo:hi], state.cutoff)
-            for _, lo, hi in zip(*(col.tolist() for col in sector_bounds(state)))]
+            for _, lo, hi in zip(*(col.tolist() for col in state.sectors))]
 
 
 @pytest.mark.parametrize("size", [181, 2 * _PHASE_BLOCK + 1, 40_000])
 def test_mixed_weight_two_branch_sectors(size):
-    two, general = _sector_kinds(MIXED_WEIGHTS)
+    two, general = sector_kinds(MIXED_WEIGHTS)
     a, b = MIXED_WEIGHTS.amps[two], MIXED_WEIGHTS.amps[two + 1]
     assert (np.abs(a) == np.abs(b)).tolist() == [True, False, False, True]
     assert general.occupied_sectors() == [5]

@@ -44,11 +44,10 @@ from qfilab.fisher import (
     _derivative,
     _logliks,
     _outcome_table,
-    _sector_kinds,
     _split,
     premeasurement_state,
 )
-from sector_operators import j2_stencil, schwinger_matrices
+from sector_operators import j2_stencil, schwinger_matrices, sector_kinds
 
 MAX_SECTOR = 6
 AMP_NOISE = 1e-13  # amplitude scale below which an outcome sits at a zero
@@ -173,7 +172,7 @@ def test_two_branch_closed_form_matches_table_and_mpmath(state, phi, pipeline):
     # not the one further from that sum (a trusted dark outcome of 1e-7
     # carries ~1e-9 relative rounding into the table)
     pre = premeasurement_state(state, pipeline)
-    two, _ = _sector_kinds(pre)
+    two, _ = sector_kinds(pre)
     for i in two.tolist():
         sector = TwoModeState(pre.na[i:i + 2], pre.nb[i:i + 2], pre.amps[i:i + 2], pre.cutoff)
         rep = classical_fi(sector, phi, "MMZI")

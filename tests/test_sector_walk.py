@@ -1,10 +1,11 @@
 """The sector walk against a brute-force scan, and the canonical-order
 invariant of TwoModeState that the walk relies on.
 
-Every reader of a state's sectors (fock.sector_bounds and the readers
-built on it: occupied_sectors, sector_decompose, likelihood_period and the
-fisher kernel's _sectors) must see exactly what a scan of every entry for
-every photon number up to the cutoff sees. The readers that take a
+Every reader of a state's sectors (the table TwoModeState.sectors that a
+state finds when it is built, and the readers built on it:
+occupied_sectors, sector_decompose, likelihood_period and the fisher
+kernel's _sectors) must see exactly what a scan of every entry for every
+photon number up to the cutoff sees. The readers that take a
 maximum, a membership test or a subset of the sectors must do so without
 walking them one by one.
 """
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 from qfilab import (
     TwoModeState,
     apply_beamsplitter,
-    estimation,
     fisher,
     fock,
     likelihood_period,
@@ -30,6 +30,7 @@ from qfilab import (
     vacuum,
     zeta_noon,
 )
+from qfilab.cli import main
 
 MAX_SECTOR = 7
 
@@ -76,7 +77,7 @@ EMPTY = TwoModeState(NO_ENTRIES, NO_ENTRIES, np.array([], dtype=complex), MAX_SE
 @example(GAPPED)
 @example(EMPTY)
 def test_sector_bounds_match_scan(state):
-    n, lo, hi = fock.sector_bounds(state)
+    n, lo, hi = state.sectors
     ref = scan_sectors(state)
     assert n.tolist() == [m for m, *_ in ref]
     assert lo.size == hi.size == n.size
@@ -89,7 +90,8 @@ def test_sector_bounds_match_scan(state):
 def test_scalar_sector_readers_walk_no_sector(monkeypatch):
     # 200,000 sectors: the period, the sector list, the kinds and the
     # likelihood set-up of a record that touches three sectors all answer
-    # from the one scan, with the walks over every sector made to raise
+    # from the one scan made when the state was built, with the walks over
+    # every sector made to raise
     def forbidden(*_args, **_kwargs):
         raise AssertionError("sector walk")
 
@@ -100,30 +102,58 @@ def test_scalar_sector_readers_walk_no_sector(monkeypatch):
     state = zeta_noon(3.0, k)[0]
     assert likelihood_period(state, "MMZI") == 2.0 * math.pi / k
     assert state.occupied_sectors() == list(range(1, k + 1))
-    two, general = fisher._sector_kinds(state)
-    assert two.size == k and len(general) == 0
+    split = fisher._split(state, "MMZI")
+    assert (split.kind == fisher._TWO_BRANCH).sum() == k and split.n.size == k
     record = {(1, 0): 4, (0, 2): 3, (5, 0): 2}
-    loglik = fisher._logliks(fisher._split(state, "MMZI"), [record])
+    loglik = fisher._logliks(split, [record])
     assert np.isfinite(loglik(np.array([0.3]))).all()
 
     # the set-up scans only the sub-state of the record's sectors
     observed = int(np.isin(state.n_total, [a + b for a, b in record]).sum())
-    real_bounds, sizes = fock.sector_bounds, []
+    real_scan, sizes = TwoModeState.__post_init__, []
 
-    def sized_bounds(s):
+    def sized_scan(s):
         sizes.append(len(s))
-        assert len(s) <= observed, f"sector_bounds scanned {len(s)} entries"
-        return real_bounds(s)
+        assert len(s) <= observed, f"a sector scan of {len(s)} entries"
+        real_scan(s)
 
-    for module in (fock, fisher, estimation):
-        if hasattr(module, "sector_bounds"):
-            monkeypatch.setattr(module, "sector_bounds", sized_bounds)
-    fisher._logliks(fisher._split(state, "MMZI"), [record])
+    monkeypatch.setattr(TwoModeState, "__post_init__", sized_scan)
+    fisher._logliks(split, [record])
     assert observed == 6 and sizes == [observed]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qfi", "catalog:zeta_noon:3:300"],
+        ["qfi", "catalog:zeta_noon:3:40", "--pipeline", "MZI"],
+        ["fi-scan", "catalog:zeta_dual_fock:3:20", "--pipeline", "MZI", "--points", "101"],
+        ["estimate", "catalog:zeta_dual_fock:3:30", "--pipeline", "MZI", "--phi-true", "0.3",
+         "--trials", "10000", "--reps", "10", "--seed", "1"],
+        ["estimate", "catalog:zeta_noon:3:40", "--phi-true", "0.3", "--trials", "200", "--reps", "130",
+         "--seed", "5"],
+    ],
+    ids=["qfi", "qfi-mzi", "fi-scan-mzi", "estimate-mzi", "estimate-130-reps"],
+)
+def test_no_command_scans_a_table_twice(argv, monkeypatch, tmp_path):
+    # a state finds its sectors once, when it is built, and every reader
+    # takes them from it: no command rebuilds a table it holds (a copy, or a
+    # sub-state of every sector) only to scan its photon numbers again. An
+    # empty table has no sectors to scan.
+    real_scan, scanned = TwoModeState.__post_init__, []
+
+    def recorded(s):
+        if len(s):
+            scanned.append(s.n_total.tobytes())
+        real_scan(s)
+
+    monkeypatch.setattr(TwoModeState, "__post_init__", recorded)
+    assert main([*argv, "--out", str(tmp_path / "out")]) in (0, 3)
+    assert scanned and len(set(scanned)) == len(scanned)
+
+
 def test_empty_state_has_no_sectors_and_no_fringes():
-    n, lo, hi = fock.sector_bounds(EMPTY)
+    n, lo, hi = EMPTY.sectors
     assert n.size == lo.size == hi.size == 0
     assert len(apply_beamsplitter(EMPTY)) == 0
     for pipeline in ("MZI", "MMZI"):

@@ -151,7 +151,8 @@ def test_only_the_curves_module_imports_scipy():
 def test_estimation_imports_no_kernel_internals():
     # fisher owns the sector kinds and both kernels; estimation reads
     # records and phases through _logliks only
-    internals = {"_rotation", "_sectors", "_distinct", "_amplitudes", "_derivative", "_sector_kinds"}
+    internals = {"_rotation", "_sectors", "_distinct", "_amplitudes", "_derivative",
+                 "_ROTATION", "_IMAGE", "_FIXED", "_TWO_BRANCH", "_GENERAL"}
     source = (Path(qfilab.__file__).parent / "estimation.py").read_text(encoding="utf-8")
     imported = {alias.name for node in ast.walk(ast.parse(source))
                 if isinstance(node, ast.ImportFrom) and node.module == "fisher" and node.level == 1
