@@ -68,13 +68,13 @@ estimation._estimates. The likelihoods, the sampler and the readouts read
 flat (N, n_a)-ordered arrays (_outcome_table), which each kernel sector
 and each rotation step write in place.
 
-The MLE's log-likelihood is set up once per chunk of records, for the
-sectors they observed (_logliks): the phase kernel's splitter columns,
-distinct J3 eigenvalues and gather indices, and the rotation's |J,J>
-sectors and weights, each indexed by its place among the observed |J,J>
-sectors. One pass of each kernel then serves every record of
-the chunk, on one shared grid or each on its own grid, end to end, and a
-record's row is the same to the last bit alone or with others.
+The MLE's log-likelihood is set up once per chunk of records (_logliks):
+one pass reads each histogram once, checks it before any splitter column
+is built, and sends each outcome to a phase-kernel column or a rotation
+rung of its record; then the kernels are set up for the observed sectors
+alone. One pass of each kernel serves every record of the chunk, on one
+shared grid or each on its own grid, end to end, and a record's row is
+the same to the last bit alone or with others.
 
 The counting FI over a phase grid (_fi_reduce, behind classical_fi and
 fi_scan) skips the single inputs' splitter images and sums kind by kind:
@@ -349,58 +349,57 @@ def _table_with_derivative(split: _Split, phi: float):
 
 def _logliks(split: _Split, records) -> Callable[..., np.ndarray]:
     """Log-likelihoods of outcome histograms on phase grids, a row per
-    record. Here, once, the kernels are set up for the sectors any record
-    observed (the phase kernel's distinct J3 eigenvalues, gather indices and
-    splitter columns, and the rotation's |J,J> sectors and weights), and
-    each histogram is checked and given its share: the observed columns of
-    each kernel sector, and each rotation sector's counts per ladder step, m
-    and -m together, as P is even in m. The returned function evaluates
-    every record on phis, block by block; with own, a list of record
-    indices, phis holds one equal grid per listed record, end to end, and
-    row i is own[i]'s on its own grid. A record adds its counts on its own
-    span by the products it would take alone (a matmul's bits depend on its
+    record. One pass reads each histogram once: it checks the histogram
+    (port counts and counts >= 0, every outcome in an occupied sector) and
+    sends each outcome to its share, a column of the record's entry for its
+    phase-kernel sector, in the record's outcome order (users), or its
+    count to its rotation rung, keyed (ladder step, record), m and -m
+    together, as P is even in m (rungs). Then, once, the kernels are set up
+    for the sectors any record observed: the phase kernel's distinct J3
+    eigenvalues, gather indices and splitter columns, and the rotation's
+    |J,J> sectors and weights. The returned function evaluates every
+    record on phis, block by block; with own, a list of record indices,
+    phis holds one equal grid per listed record, end to end, and row i is
+    own[i]'s on its own grid. A record adds its counts on its own span by
+    the products it would take alone (a matmul's bits depend on its
     operands' shapes and layout), and sector rows do not interact, so its
     row equals its row alone, bit for bit, unless a phase block cuts it."""
-    observed = sorted({a + b for outcomes in records for a, b in outcomes})
-    sub = split.table.subset(np.isin(split.table.n_total, observed))
-    unique_m = _distinct(sub.j3_values)
-    kernel = {n: (vec, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(sub)}
-    single = split.single
-    rot = (single.na == single.nb) & np.isin(single.n_total, observed)
-    j, weight = single.na[rot], np.abs(single.amps[rot]) ** 2
-    index = {2 * jj: i for i, jj in enumerate(j.tolist())}  # N = 2J -> its place among the observed |J,J>
-    users, ladders = {}, []  # N -> [(record, columns, counts)]; (record, step, sectors, counts)
+    rotated = dict(zip(split.n.tolist(), (split.kind == _ROTATION).tolist()))  # occupied N -> read by the rotation
+    observed, users, rungs = set(), {}, {}  # N; N -> record -> [(n_a, count)]; (step, record) -> J -> count
     for r, outcomes in enumerate(records):
-        by_sector = {}
+        stray = []
         for (a, b), cnt in outcomes.items():
             if a < 0 or b < 0 or cnt < 0:
                 raise ValueError(f"outcome {(a, b)} with count {cnt}: port counts and counts must be >= 0")
-            by_sector.setdefault(a + b, []).append((a, cnt))
-        stray = [k for k in outcomes if k[0] + k[1] not in kernel and k[0] + k[1] not in index]
+            n = a + b
+            if n not in rotated:
+                stray.append((a, b))
+            elif not rotated[n]:
+                users.setdefault(n, {}).setdefault(r, []).append((a, cnt))
+            elif cnt:
+                rung = rungs.setdefault((n // 2 - abs(a - n // 2), r), {})
+                rung[n // 2] = rung.get(n // 2, 0.0) + cnt
+            observed.add(n)
         if stray:
             raise ValueError(f"outcomes {stray} lie outside the occupied sectors")
-        steps = {}  # (t, sector): counts of n_a = J +- (J - t)
-        for n, group in by_sector.items():
-            if n in kernel:
-                cols = kernel[n][2][:, [a for a, _ in group]]
-                users.setdefault(n, []).append((r, cols, np.array([c for _, c in group], dtype=float)))
-                continue
-            for a, cnt in group:
-                key = (n // 2 - abs(a - n // 2), index[n])
-                steps[key] = steps.get(key, 0.0) + cnt
-        rungs = {}
-        for (t, i), cnt in sorted(steps.items()):
-            if cnt:
-                rungs.setdefault(t, []).append((i, cnt))
-        for t, rung in rungs.items():
-            ladders.append((r, t, np.array([i for i, _ in rung]), np.array([c for _, c in rung], dtype=float)))
-    seen = np.zeros((j.max(initial=-1) + 1, j.size), dtype=bool)
-    for _, t, sectors, _ in ladders:
-        seen[t, sectors] = True
-    seen = [np.flatnonzero(row) for row in seen]
-    by_step = [[] for _ in seen]
-    for r, t, sectors, counts in ladders:
-        by_step[t].append((r, seen[t].searchsorted(sectors), counts))
+    observed = sorted(observed)
+    sub = split.table.subset(np.isin(split.table.n_total, observed))
+    unique_m = _distinct(sub.j3_values)
+    kernel = {n: (vec, unique_m.searchsorted(m), bs_t) for n, vec, m, bs_t in _sectors(sub)}
+    for n, groups in users.items():  # each record's (record, columns, counts) entry, columns in its outcome order
+        users[n] = [(r, kernel[n][2][:, [a for a, _ in g]], np.array([c for _, c in g], dtype=float))
+                    for r, g in groups.items()]
+    rot = (split.single.na == split.single.nb) & np.isin(split.single.n_total, observed)
+    j, weight = split.single.na[rot], np.abs(split.single.amps[rot]) ** 2
+    seen = [set() for _ in range(j.max(initial=-1) + 1)]  # the J whose rungs each step reads
+    for (t, _), rung in rungs.items():
+        seen[t].update(rung)
+    seen = [sorted(js) for js in seen]
+    by_step = [[] for _ in seen]  # per step: (record, its rungs' rows among the step's, their counts)
+    for (t, r), rung in sorted(rungs.items()):
+        js, counts = zip(*sorted(rung.items()))
+        by_step[t].append((r, np.searchsorted(seen[t], js), np.array(counts, dtype=float)))
+    seen = [j.searchsorted(js) for js in seen]  # each J's place among the observed |J,J>
 
     def loglik(phis: np.ndarray, own=None) -> np.ndarray:
         width = phis.size // (1 if own is None else len(own))

@@ -366,6 +366,22 @@ def test_distribution_from_state_point_mass():
     assert dist.tail_mass == 0.0
 
 
+def _sector_sums(state):
+    """Each sector's weight by its own np.sum, one sector at a time."""
+    weights = np.abs(state.amps) ** 2
+    return np.array([np.sum(weights[a:b]) for _, a, b in zip(*(col.tolist() for col in state.sectors))])
+
+
+def test_distribution_from_state_sums_each_sector_as_np_sum():
+    # one vectorized pass gives each sector's np.sum to the bit: on every
+    # catalog family and on its MZI splitter image, whose sectors are dense
+    # enough (up to 50 entries) for np.sum's pairwise blocks
+    for state in [noon(5), dual_fock(4)] + [build()[0] for build in ALL_FAMILIES]:
+        for s in (state, apply_beamsplitter(state)):
+            probs = distribution_from_state(s).probs
+            assert probs.dtype == np.float64 and probs.tobytes() == _sector_sums(s).tobytes()
+
+
 def test_tmsv_noon_moments_match_tmsv():
     _, da = tmsv_noon(2.0, 40)
     _, db = tmsv(2.0, 40)

@@ -149,6 +149,19 @@ def test_mle_rejects_outcomes_outside_the_occupied_sectors():
     assert str(exc.value) == "outcomes [(0, 2), (3, 0), (2, 0)] lie outside the occupied sectors"
 
 
+def test_mle_rejects_a_stray_outcome_before_any_splitter_column(monkeypatch):
+    # every record is checked before the observed sub-state or any splitter
+    # column is built: the stray is refused without one
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("splitter column built for a record that is refused")
+
+    monkeypatch.setattr(fisher, "splitter_columns", forbidden)
+    state = zeta_noon(3.0, 40)[0]
+    record = {(1, 0): 4, (0, 2): 3, (41, 0): 1, (5, 0): 2}
+    with pytest.raises(ValueError, match=r"outcomes \[\(41, 0\)\] lie outside the occupied sectors"):
+        mle_phase(record, state, "MMZI", default_window(state, 0.3))
+
+
 @pytest.mark.parametrize(
     "record",
     [

@@ -24,6 +24,7 @@ from qfilab import (
     apply_beamsplitter,
     beamsplitter_matrix,
     classical_fi,
+    distribution_from_state,
     expect,
     fi_observable,
     fi_scan,
@@ -227,6 +228,14 @@ def test_two_branch_closed_form_is_exact_at_a_dark_fringe():
 def test_fi_bounded_by_qfi(state, phi, pipeline):
     rep = classical_fi(state, phi, pipeline)
     assert rep.fi <= rep.qfi + 1e-9 * max(1.0, rep.qfi)
+
+
+@given(states())
+def test_distribution_from_state_matches_per_sector_sums(state):
+    # the one vectorized pass sums each sector as its own np.sum does, to the bit
+    weights = np.abs(state.amps) ** 2
+    sums = [np.sum(weights[a:b]) for _, a, b in zip(*(col.tolist() for col in state.sectors))]
+    assert distribution_from_state(state).probs.tolist() == sums
 
 
 @given(states(), pipelines)
