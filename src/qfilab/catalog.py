@@ -9,11 +9,12 @@ Families fall into two groups that share their photon-number weights:
   interferometer through its first splitter.
 
 Weight sequences are either geometric (two-mode squeezed vacuum) or
-power-law 1/N^x normalized by the Riemann zeta function. Truncated
-families are renormalized on the retained support; the discarded weight
-is reported as tail mass so truncation error stays auditable. Moments
-whose infinite-cutoff limit grows without bound are flagged divergent
-instead of being returned as float infinities.
+power-law 1/N^x normalized by the Riemann zeta function. One builder
+(_weighted_family) renormalizes a truncated family on the retained support
+and takes its moments; the discarded weight is reported as tail mass so
+truncation error stays auditable. Moments whose infinite-cutoff limit grows
+without bound are flagged divergent, not returned as float infinities. A
+state's own distribution reads fock's one sector-weight pass.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TwoModeState, _normalized_state
+from .fock import TwoModeState, _normalized_state, _sector_weights
 
 ZETA_POLE_GUARD = 1e-6
 ZETA_MAX_TERMS = 10_000_000  # most terms a partial sum may hold: two float64 arrays of 80 MB
@@ -132,19 +133,11 @@ def _moments(n: np.ndarray, p: np.ndarray) -> tuple[float, float]:
 
 
 def distribution_from_state(state: TwoModeState) -> PhotonDistribution:
-    """Empirical photon-number distribution of a concrete state (no tail)."""
-    n, lo, _ = state.sectors
-    # each sector's weight as np.sum sums it: pairwise from a 0.0 put before the sector
-    p = np.add.reduceat(np.insert(np.abs(state.amps) ** 2, lo, 0.0), lo + np.arange(lo.size))
+    """Empirical photon-number distribution of a concrete state (no tail):
+    the sector weights of fock._sector_weights."""
+    n, p = state.sectors[0], _sector_weights(state)
     m1, m2 = _moments(n.astype(float), p)
-    return PhotonDistribution(
-        totals=n,
-        probs=p,
-        tail_mass=0.0,
-        mean=Moment(m1, limit=m1),
-        mean_square=Moment(m2, limit=m2),
-        family="state",
-    )
+    return PhotonDistribution(n, p, 0.0, Moment(m1, limit=m1), Moment(m2, limit=m2), "state")
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +180,18 @@ def _dual_fock_state(n: np.ndarray, probs: np.ndarray, cutoff: int) -> TwoModeSt
     return _normalized_state(n, n, np.sqrt(probs).astype(np.complex128), cutoff)
 
 
+def _weighted_family(
+    totals: np.ndarray, w: np.ndarray, tail_mass: float, family: str, mean: tuple, mean_square: tuple
+) -> tuple[np.ndarray, PhotonDistribution]:
+    """Weights w of components of totals (float) photons renormalized on that
+    support, and the family's distribution, whose moments are taken on them
+    and flagged by their (divergent, limit) pairs mean and mean_square."""
+    renorm = w / w.sum()
+    m1, m2 = _moments(totals, renorm)
+    return renorm, PhotonDistribution(totals.astype(np.int64), w, tail_mass, Moment(m1, *mean),
+                                      Moment(m2, *mean_square), family)
+
+
 def _zeta_family(
     x: float, cutoff: int, scale: int, label: str
 ) -> tuple[np.ndarray, PhotonDistribution]:
@@ -198,22 +203,10 @@ def _zeta_family(
     z = zeta(x)
     n = np.arange(1, cutoff + 1, dtype=np.float64)
     w = n ** (-x) / z
-    renorm = w / w.sum()
-    m1, m2 = _moments(scale * n, renorm)
-    lim1 = lim2 = None
-    if x > 2.0 + ZETA_POLE_GUARD:
-        lim1 = scale * zeta(x - 1.0) / z
-    if x > 3.0 + ZETA_POLE_GUARD:
-        lim2 = scale * scale * zeta(x - 2.0) / z
-    dist = PhotonDistribution(
-        totals=(scale * n).astype(np.int64),
-        probs=w,
-        tail_mass=max(0.0, 1.0 - float(w.sum())),
-        mean=Moment(m1, divergent=x <= 2.0, limit=lim1),
-        mean_square=Moment(m2, divergent=x <= 3.0, limit=lim2),
-        family=f"{label}(x={x:g})",
-    )
-    return renorm, dist
+    lim1 = scale * zeta(x - 1.0) / z if x > 2.0 + ZETA_POLE_GUARD else None
+    lim2 = scale * scale * zeta(x - 2.0) / z if x > 3.0 + ZETA_POLE_GUARD else None
+    return _weighted_family(scale * n, w, max(0.0, 1.0 - float(w.sum())), f"{label}(x={x:g})",
+                            (x <= 2.0, lim1), (x <= 3.0, lim2))
 
 
 def zeta_noon(x: float, cutoff: int) -> tuple[TwoModeState, PhotonDistribution]:
@@ -272,18 +265,8 @@ def _tmsv_family(
             f" need cutoff >= {tmsv_cutoff_for(mean_total)}"
         )
     n = np.arange(cutoff + 1, dtype=np.float64)
-    w = (1.0 - t) * t ** n
-    renorm = w / w.sum()
-    m1, m2 = _moments(2 * n, renorm)
-    dist = PhotonDistribution(
-        totals=(2 * n).astype(np.int64),
-        probs=w,
-        tail_mass=float(tail),
-        mean=Moment(m1, limit=mean_total),
-        mean_square=Moment(m2, limit=2.0 * mean_total**2 + 2.0 * mean_total),
-        family=f"{label}(mean={mean_total:g})",
-    )
-    return renorm, dist
+    return _weighted_family(2 * n, (1.0 - t) * t ** n, float(tail), f"{label}(mean={mean_total:g})",
+                            (False, mean_total), (False, 2.0 * mean_total**2 + 2.0 * mean_total))
 
 
 def tmsv(mean_total: float, cutoff: int) -> tuple[TwoModeState, PhotonDistribution]:

@@ -99,7 +99,6 @@ from .fock import (
     _RESCALE_ABOVE,
     TwoModeState,
     apply_beamsplitter,
-    expect,
     sector_decompose,
     splitter_columns,
 )
@@ -350,14 +349,14 @@ def _table_with_derivative(split: _Split, phi: float):
 def _logliks(split: _Split, records) -> Callable[..., np.ndarray]:
     """Log-likelihoods of outcome histograms on phase grids, a row per
     record. One pass reads each histogram once: it checks the histogram
-    (port counts and counts >= 0, every outcome in an occupied sector) and
-    sends each outcome to its share, a column of the record's entry for its
-    phase-kernel sector, in the record's outcome order (users), or its
-    count to its rotation rung, keyed (ladder step, record), m and -m
-    together, as P is even in m (rungs). Then, once, the kernels are set up
-    for the sectors any record observed: the phase kernel's distinct J3
-    eigenvalues, gather indices and splitter columns, and the rotation's
-    |J,J> sectors and weights. The returned function evaluates every
+    (integer port counts >= 0, counts >= 0, every outcome in an occupied
+    sector) and sends each outcome to its share, a column of the record's
+    entry for its phase-kernel sector, in the record's outcome order
+    (users), or its count to its rotation rung, keyed (ladder step,
+    record), m and -m together, as P is even in m (rungs). Then, once, the
+    kernels are set up for the sectors any record observed: the phase
+    kernel's distinct J3 eigenvalues, gather indices and splitter columns,
+    and the rotation's |J,J> sectors and weights. The returned function evaluates every
     record on phis, block by block; with own, a list of record indices,
     phis holds one equal grid per listed record, end to end, and row i is
     own[i]'s on its own grid. A record adds its counts on its own span by
@@ -369,6 +368,8 @@ def _logliks(split: _Split, records) -> Callable[..., np.ndarray]:
     for r, outcomes in enumerate(records):
         stray = []
         for (a, b), cnt in outcomes.items():
+            if not (isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))):
+                raise ValueError(f"outcome {(a, b)}: port counts must be integers")
             if a < 0 or b < 0 or cnt < 0:
                 raise ValueError(f"outcome {(a, b)} with count {cnt}: port counts and counts must be >= 0")
             n = a + b
@@ -603,8 +604,9 @@ def qfi_pure(state: TwoModeState, pipeline: str = "MMZI") -> float:
     if pipeline == "MZI":
         return 4.0 * _j2_variance(state)
     pre = premeasurement_state(state, pipeline)  # the state itself; rejects an unknown pipeline
-    j3 = expect(pre, "j3")
-    return 4.0 * (expect(pre, "j3_sq") - j3 * j3)
+    p, m = np.abs(pre.amps) ** 2, pre.j3_values  # one pass, with fock.expect's operands for j3 and j3_sq
+    j3 = float(np.sum(p * m))
+    return 4.0 * (float(np.sum(p * m ** 2)) - j3 * j3)
 
 
 def _j2_variance(state: TwoModeState) -> float:
@@ -647,7 +649,7 @@ def sector_fi_decomposition(
     """Per-sector information split: rows (N, P(N), FI_N) and their
     probability-weighted total, which equals the whole-state FI because
     both unitaries preserve the total photon number."""
-    rows = [(c.n_total, c.probability, classical_fi(c.state, phi, pipeline).fi) for c in sector_decompose(state)]
+    rows = [(c.n_total, c.probability, float(fi_scan(c.state, phi, pipeline)[0])) for c in sector_decompose(state)]
     total = 0.0
     for _, probability, fi in rows:
         total += probability * fi

@@ -7,11 +7,11 @@ are block diagonal over the N sectors (the phase shift exp(-i*phi*J3) is
 diagonal, the 50:50 splitter exp(i*pi*J1/2) an (N+1)x(N+1) block), and each
 occupied sector is one contiguous slice of the table. A state finds them
 all in one vectorized scan when it is built (TwoModeState.sectors), and
-every sector walk reads that table (the splitter, the sector split, and
-the fisher kernel on the sub-state it is passed). splitter_columns gives
-the splitter columns of occupied inputs alone, never cached: the
-two-branch ones (n_a = 0, N) in closed form over one growing table of
-log-factorials, any other from a three-term recurrence, O(N) each.
+every sector walk reads that table: the splitter, the one sector-weight
+pass, the sector split and the fisher kernel on the sub-state it is
+passed. splitter_columns gives the occupied inputs' splitter columns,
+never cached: the two-branch ones (n_a = 0, N) in closed form over one
+growing table of log-factorials, any other in O(N) by a recurrence.
 """
 
 from __future__ import annotations
@@ -338,11 +338,18 @@ class SectorComponent:
     phase: complex
 
 
+def _sector_weights(state: TwoModeState) -> np.ndarray:
+    """Each sector's sum of |amplitude|^2 in sector order, bit for bit its np.sum:
+    one pairwise np.add.reduceat pass with a 0.0 put before each sector, as
+    np.sum starts from 0.0 (a bare reduceat starts from the first weight)."""
+    lo = state.sectors[1]
+    return np.add.reduceat(np.insert(np.abs(state.amps) ** 2, lo, 0.0), lo + np.arange(lo.size))
+
+
 def sector_decompose(state: TwoModeState) -> list[SectorComponent]:
     """Split a state into normalized fixed-N components with probabilities."""
     comps = []
-    for n, lo, hi in zip(*(col.tolist() for col in state.sectors)):
-        prob = float(np.sum(np.abs(state.amps[lo:hi]) ** 2))
+    for n, lo, hi, prob in zip(*(col.tolist() for col in (*state.sectors, _sector_weights(state)))):
         amps = state.amps[lo:hi] / np.sqrt(prob)
         phase = amps[0] / abs(amps[0])
         sector = TwoModeState(state.na[lo:hi], state.nb[lo:hi], amps / phase, n)

@@ -391,6 +391,61 @@ def test_tmsv_noon_moments_match_tmsv():
 
 
 # ---------------------------------------------------------------------------
+# each weighted family's distribution against the formulas, written out
+
+def reference_distribution(n, w, scale, tail_mass, family, divergent, limits):
+    """Weights w of components n (float), each of scale * n photons,
+    renormalized on their support, with both moments taken on the
+    renormalized weights, as the family formulas give them."""
+    totals = scale * n
+    renorm = w / w.sum()
+    m1, m2 = float(np.sum(totals * renorm)), float(np.sum(totals * totals * renorm))
+    mean, mean_square = catalog.Moment(m1, divergent[0], limits[0]), catalog.Moment(m2, divergent[1], limits[1])
+    return catalog.PhotonDistribution(totals.astype(np.int64), w, tail_mass, mean, mean_square, family)
+
+
+def zeta_reference(x, cutoff, scale, label):
+    z = zeta(x)
+    n = np.arange(1, cutoff + 1, dtype=np.float64)
+    w = n ** (-x) / z
+    limits = (scale * zeta(x - 1.0) / z if x > 2.0 + catalog.ZETA_POLE_GUARD else None,
+              scale * scale * zeta(x - 2.0) / z if x > 3.0 + catalog.ZETA_POLE_GUARD else None)
+    return reference_distribution(n, w, scale, max(0.0, 1.0 - float(w.sum())), f"{label}(x={x:g})",
+                                  (x <= 2.0, x <= 3.0), limits)
+
+
+def tmsv_reference(mean_total, cutoff, label):
+    t = mean_total / (mean_total + 2.0)
+    n = np.arange(cutoff + 1, dtype=np.float64)
+    return reference_distribution(n, (1.0 - t) * t ** n, 2, float(t ** (cutoff + 1)),
+                                  f"{label}(mean={mean_total:g})", (False, False),
+                                  (mean_total, 2.0 * mean_total**2 + 2.0 * mean_total))
+
+
+def assert_same_distribution(dist, reference):
+    # repr of a float round-trips, so equal reprs are equal bits
+    for got, want in ((dist.totals, reference.totals), (dist.probs, reference.probs)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for name in ("tail_mass", "mean", "mean_square", "family"):
+        assert repr(getattr(dist, name)) == repr(getattr(reference, name)), name
+
+
+@pytest.mark.parametrize("x", [1.5, 2.5, 3.0, 4.5])
+@pytest.mark.parametrize("cutoff", [1, 300])
+def test_zeta_family_distributions_follow_the_formulas_bit_for_bit(x, cutoff):
+    assert_same_distribution(zeta_noon(x, cutoff)[1], zeta_reference(x, cutoff, 1, "zeta_noon"))
+    for family in (zeta_noon_doubled, zeta_dual_fock):
+        assert_same_distribution(family(x, cutoff)[1], zeta_reference(x, cutoff, 2, family.__name__))
+
+
+@pytest.mark.parametrize("mean", [0.5, 2.0])
+def test_tmsv_family_distributions_follow_the_formulas_bit_for_bit(mean):
+    for cutoff in (tmsv_cutoff_for(mean), tmsv_cutoff_for(mean) + 40):
+        for family in (tmsv, tmsv_noon):
+            assert_same_distribution(family(mean, cutoff)[1], tmsv_reference(mean, cutoff, family.__name__))
+
+
+# ---------------------------------------------------------------------------
 # direct construction against the sort-and-merge reference
 
 def two_branch_reference(totals, probs, cutoff):

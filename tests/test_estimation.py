@@ -8,6 +8,7 @@ from qfilab import (
     DegenerateLikelihoodError,
     classical_fi,
     default_window,
+    dual_fock,
     likelihood,
     likelihood_period,
     mle_phase,
@@ -160,6 +161,27 @@ def test_mle_rejects_a_stray_outcome_before_any_splitter_column(monkeypatch):
     record = {(1, 0): 4, (0, 2): 3, (41, 0): 1, (5, 0): 2}
     with pytest.raises(ValueError, match=r"outcomes \[\(41, 0\)\] lie outside the occupied sectors"):
         mle_phase(record, state, "MMZI", default_window(state, 0.3))
+
+
+@pytest.mark.parametrize(
+    "bad, good, state, pipeline",
+    [
+        ((0.5, 0.5), (1, 0), noon(1), "MMZI"),  # sums to the occupied N = 1: a phase-kernel column index
+        ((1.5, 0.5), (1, 1), dual_fock(1), "MZI"),  # sums to the occupied N = 2: a rotation rung index
+        ((np.float64(2.0), np.int64(0)), (1, 1), dual_fock(1), "MZI"),  # integral, but a float
+    ],
+    ids=["half-mmzi", "half-mzi", "numpy-float-mzi"],
+)
+def test_mle_rejects_non_integer_port_counts_before_any_splitter_column(monkeypatch, bad, good, state, pipeline):
+    # the ValueError the other bad records get, not an IndexError or a
+    # TypeError from inside numpy, and before any splitter column is built
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("splitter column built for a record that is refused")
+
+    monkeypatch.setattr(fisher, "splitter_columns", forbidden)
+    with pytest.raises(ValueError) as exc:
+        mle_phase({good: 2, bad: 3}, state, pipeline, (0.1, 0.5))
+    assert str(exc.value) == f"outcome {bad}: port counts must be integers"
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from qfilab import (
     make_state,
     qfi_pure,
     sample_outcomes,
+    sector_decompose,
     sector_fi_decomposition,
     zeta_dual_fock,
     zeta_noon,
@@ -232,10 +233,12 @@ def test_fi_bounded_by_qfi(state, phi, pipeline):
 
 @given(states())
 def test_distribution_from_state_matches_per_sector_sums(state):
-    # the one vectorized pass sums each sector as its own np.sum does, to the bit
+    # the one vectorized pass sums each sector as its own np.sum does, to the
+    # bit, for the distribution and the sector components alike
     weights = np.abs(state.amps) ** 2
     sums = [np.sum(weights[a:b]) for _, a, b in zip(*(col.tolist() for col in state.sectors))]
     assert distribution_from_state(state).probs.tolist() == sums
+    assert [c.probability for c in sector_decompose(state)] == sums
 
 
 @given(states(), pipelines)
