@@ -237,10 +237,15 @@ def zeta_dual_fock(x: float, cutoff: int) -> tuple[TwoModeState, PhotonDistribut
 
 
 def tmsv_cutoff_for(mean_total: float) -> int:
-    """Smallest component cutoff K with geometric tail t^(K+1) <= TMSV_TAIL_BOUND."""
+    """Smallest component cutoff K with geometric tail t^(K+1) <= TMSV_TAIL_BOUND.
+    ValueError where t = mean/(mean + 2) rounds to 1 (means above ~1.8e16),
+    as then no cutoff meets the bound."""
     if mean_total <= 0:
         raise ValueError("mean_total must be positive")
     t = mean_total / (mean_total + 2.0)
+    if not t < 1.0:
+        raise ValueError(f"mean_total {mean_total:g}: no cutoff meets TMSV_TAIL_BOUND {TMSV_TAIL_BOUND:g},"
+                         " as the geometric ratio mean/(mean + 2) rounds to 1")
     k = max(0, math.ceil(math.log(TMSV_TAIL_BOUND) / math.log(t)) - 1)
     while t ** (k + 1) > TMSV_TAIL_BOUND:
         k += 1

@@ -259,41 +259,39 @@ def _rotation(j: np.ndarray, phis: np.ndarray, cols=None):
     range underflows only at its true size; a running bound on the
     mantissas' growth decides when they are rescaled against overflow.
     Rows are sectors and columns phases, so each step works on one
-    contiguous block. Where |sin(phi)| < _FLAT the rotation is the
-    identity, handled exactly.
+    contiguous block. Each step makes its own coefficients and growth
+    bound from its live sectors' J, so between steps the ladder holds only
+    its running state: three rows of mantissas and the scales per sector
+    and phase, and per-phase vectors. Where |sin(phi)| < _FLAT the rotation
+    is the identity, handled exactly.
     """
     if not j.size:
         return
     top, jf = int(j[-1]), j.astype(float)
     first = np.searchsorted(j, np.arange(top + 1))  # sectors from first[t] on are live at step t
-    width = j.size - first
-    start = np.concatenate(([0], np.cumsum(width)))  # step t's coefficients: [start[t], start[t + 1])
-    t = np.repeat(np.arange(top + 1.0), width)
-    jt = jf[np.arange(start[-1]) - np.repeat(start[:-1] - first, width)]
-    up = np.sqrt(t * (2.0 * jt - t + 1.0))
-    down = np.sqrt((t + 1.0) * (2.0 * jt - t))
-    down[down == 0.0] = 1.0  # only J = 0, whose terms vanish
-    turn, back = -2.0 * (jt - t) / down, -up / down
-    reach = np.maximum.reduceat(np.abs(turn), start[:-1]), np.maximum.reduceat(np.abs(back), start[:-1])
     k = np.arange(1, top + 1)
     lead = 0.5 * np.log2(np.cumprod(np.concatenate(([1.0], (2 * k - 1) / (2 * k)))))[j, None]
-    turn, back = turn[:, None], back[:, None]
     sin, cos = np.sin(phis), np.cos(phis)
     flat = np.abs(sin) < _FLAT
     frac, power = np.frexp(np.where(flat, 1.0, np.abs(sin)))
     cot = np.where(flat, 0.0, cos / np.where(flat, 1.0, sin))
-    seed = lead + jf[:, None] * np.log2(frac)
-    whole = np.floor(seed)
-    cur, scale = np.where(flat, 0.0, np.exp2(seed - whole)), whole.astype(np.int64) + j[:, None] * power
-    prev, nxt = np.zeros(seed.shape), np.empty(seed.shape)
+    cur = lead + jf[:, None] * np.log2(frac)  # the seed's log2, split into mantissa and 2^scale
+    scale = np.floor(cur)
+    cur, scale = np.where(flat, 0.0, np.exp2(cur - scale)), scale.astype(np.int64) + j[:, None] * power
+    prev, nxt = np.zeros(cur.shape), np.empty(cur.shape)
     bound, steep = 2.0, float(np.abs(cot).max(initial=0.0))  # |prev|, |cur| <= bound
     for step in range(top + 1):
-        lo, seg = int(first[step]), slice(start[step], start[step + 1])
-        p, c, n = prev[lo:], cur[lo:], nxt[lo:]
-        np.multiply(turn[seg], cot, out=n)
+        lo = int(first[step])
+        jt, p, c, n = jf[lo:], prev[lo:], cur[lo:], nxt[lo:]
+        up = np.sqrt(step * (2.0 * jt - step + 1.0))
+        down = np.sqrt((step + 1.0) * (2.0 * jt - step))
+        down[down == 0.0] = 1.0  # only J = 0, whose terms vanish
+        turn, back = -2.0 * (jt - step) / down, -up / down
+        np.multiply(turn[:, None], cot, out=n)
         n *= c
-        p *= back[seg]
+        p *= back[:, None]
         n += p
+        bound *= max(1.0, steep * np.abs(turn).max() + np.abs(back).max())
         sel = np.arange(lo, j.size) if cols is None else cols[step]
         if sel.size:
             d = np.ldexp(c[sel - lo], scale[sel])
@@ -301,7 +299,6 @@ def _rotation(j: np.ndarray, phis: np.ndarray, cols=None):
                 d = np.where(flat, (jf[sel] == step)[:, None], d)
             yield step, sel, d
         prev, cur, nxt = cur, nxt, prev
-        bound *= max(1.0, steep * reach[0][step] + reach[1][step])
         if bound > _RESCALE_ABOVE:
             _, shift = np.frexp(np.maximum(np.abs(prev[lo:]), np.abs(cur[lo:])))
             prev[lo:], cur[lo:] = np.ldexp(prev[lo:], -shift), np.ldexp(cur[lo:], -shift)
@@ -349,10 +346,10 @@ def _table_with_derivative(split: _Split, phi: float):
 def _logliks(split: _Split, records) -> Callable[..., np.ndarray]:
     """Log-likelihoods of outcome histograms on phase grids, a row per
     record. One pass reads each histogram once: it checks the histogram
-    (integer port counts >= 0, counts >= 0, every outcome in an occupied
-    sector) and sends each outcome to its share, a column of the record's
-    entry for its phase-kernel sector, in the record's outcome order
-    (users), or its count to its rotation rung, keyed (ladder step,
+    (integer port counts >= 0, not bool, finite counts >= 0, every outcome
+    in an occupied sector) and sends each outcome to its share, a column of
+    the record's entry for its phase-kernel sector, in the record's outcome
+    order (users), or its count to its rotation rung, keyed (ladder step,
     record), m and -m together, as P is even in m (rungs). Then, once, the
     kernels are set up for the sectors any record observed: the phase
     kernel's distinct J3 eigenvalues, gather indices and splitter columns,
@@ -368,8 +365,11 @@ def _logliks(split: _Split, records) -> Callable[..., np.ndarray]:
     for r, outcomes in enumerate(records):
         stray = []
         for (a, b), cnt in outcomes.items():
-            if not (isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))):
+            if isinstance(a, bool) or isinstance(b, bool) or not (
+                    isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))):
                 raise ValueError(f"outcome {(a, b)}: port counts must be integers")
+            if not math.isfinite(cnt):
+                raise ValueError(f"outcome {(a, b)} with count {cnt}: counts must be finite")
             if a < 0 or b < 0 or cnt < 0:
                 raise ValueError(f"outcome {(a, b)} with count {cnt}: port counts and counts must be >= 0")
             n = a + b

@@ -243,9 +243,13 @@ def splitter_columns(n_total: int, cols) -> np.ndarray:
     to the centre, where the column grows or oscillates, so it is stable;
     the run from k = N is its mirror, w_{N-k} = (-1)^c w_k, since U is
     symmetric. Columns are rescaled against overflow and normalized with
-    w_0 > 0, as U[0, c] = i^c sqrt(C(N, c))/2^(N/2).
+    w_0 > 0, as U[0, c] = i^c sqrt(C(N, c))/2^(N/2). ValueError unless
+    N >= 0 and every column is an integer in 0..N.
     """
-    cols = np.asarray(cols, dtype=np.int64)
+    cols = np.asarray(cols)
+    if n_total < 0 or cols.size and (cols.dtype.kind not in "iu" or cols.min() < 0 or cols.max() > n_total):
+        raise ValueError(f"splitter columns {cols.tolist()} of N = {n_total}: need N >= 0 and integer columns in 0..N")
+    cols = cols.astype(np.int64, copy=False)
     k = np.arange(n_total + 1)
     if np.all((cols == 0) | (cols == n_total)):
         log_fact = _log_factorials(n_total)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -231,6 +232,15 @@ def test_tmsv_tail_guard():
     k = tmsv_cutoff_for(8.0)
     assert (8.0 / 10.0) ** (k + 1) <= 1e-10
     assert (8.0 / 10.0) ** k > 1e-10
+
+
+def test_tmsv_cutoff_refuses_a_mean_whose_ratio_rounds_to_one():
+    assert tmsv_cutoff_for(1e16) == 103699213667968424
+    for mean in (1e17, 1e300):
+        with pytest.raises(ValueError, match=re.escape(f"mean_total {mean:g}: no cutoff meets TMSV_TAIL_BOUND")):
+            tmsv_cutoff_for(mean)
+        with pytest.raises(ValueError, match="no cutoff meets"):  # not from inside TailTooHeavyError's message
+            tmsv(mean, 5)
 
 
 # ---------------------------------------------------------------------------

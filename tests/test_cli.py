@@ -146,6 +146,17 @@ def test_qfi_malformed_catalog_uri_exits_2(capsys, uri, named):
     assert uri in captured.err and named in captured.err
 
 
+@pytest.mark.parametrize(
+    "uri, mean", [("catalog:tmsv:1e300:5", "1e+300"), ("catalog:tmsv_noon:1e17", "1e+17")], ids=["tmsv", "tmsv_noon"]
+)
+def test_qfi_tmsv_mean_that_admits_no_cutoff_exits_2(capsys, uri, mean):
+    # mean/(mean + 2) rounds to 1, so the cutoff search used to divide by log 1
+    assert main(["qfi", uri]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"mean_total {mean}: no cutoff meets TMSV_TAIL_BOUND" in captured.err
+    assert "ZeroDivisionError" not in captured.err
+
+
 NON_FINITE_FLAGS = [
     (["fi-scan", "catalog:noon:2", "--x-max", "inf", "--points", "3"], "--x-max"),
     (["fi-scan", "catalog:noon:2", "--x-min", "nan", "--points", "3"], "--x-min"),

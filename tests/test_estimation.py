@@ -169,8 +169,10 @@ def test_mle_rejects_a_stray_outcome_before_any_splitter_column(monkeypatch):
         ((0.5, 0.5), (1, 0), noon(1), "MMZI"),  # sums to the occupied N = 1: a phase-kernel column index
         ((1.5, 0.5), (1, 1), dual_fock(1), "MZI"),  # sums to the occupied N = 2: a rotation rung index
         ((np.float64(2.0), np.int64(0)), (1, 1), dual_fock(1), "MZI"),  # integral, but a float
+        ((True, 1), (2, 0), noon(2), "MMZI"),  # an int subclass: would index the columns as a mask
+        ((True, 1), (2, 0), dual_fock(1), "MZI"),  # would be read as 1
     ],
-    ids=["half-mmzi", "half-mzi", "numpy-float-mzi"],
+    ids=["half-mmzi", "half-mzi", "numpy-float-mzi", "bool-mmzi", "bool-mzi"],
 )
 def test_mle_rejects_non_integer_port_counts_before_any_splitter_column(monkeypatch, bad, good, state, pipeline):
     # the ValueError the other bad records get, not an IndexError or a
@@ -182,6 +184,32 @@ def test_mle_rejects_non_integer_port_counts_before_any_splitter_column(monkeypa
     with pytest.raises(ValueError) as exc:
         mle_phase({good: 2, bad: 3}, state, pipeline, (0.1, 0.5))
     assert str(exc.value) == f"outcome {bad}: port counts must be integers"
+
+
+@pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf, np.float64("nan")], ids=["nan", "inf", "-inf", "np-nan"])
+@pytest.mark.parametrize(
+    "outcome, good, state, pipeline",
+    [((1, 1), (2, 0), noon(2), "MMZI"), ((2, 0), (1, 1), dual_fock(1), "MZI")],
+    ids=["mmzi", "mzi"],
+)
+def test_mle_rejects_non_finite_counts_before_any_splitter_column(monkeypatch, count, outcome, good, state, pipeline):
+    # a nan or inf count used to pull the estimate to the window's edge
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("splitter column built for a record that is refused")
+
+    monkeypatch.setattr(fisher, "splitter_columns", forbidden)
+    with pytest.raises(ValueError) as exc:
+        mle_phase({good: 1, outcome: count}, state, pipeline, (0.1, 0.5))
+    assert str(exc.value) == f"outcome {outcome} with count {count}: counts must be finite"
+
+
+@pytest.mark.parametrize("state, pipeline", [(noon(2), "MMZI"), (dual_fock(1), "MZI")], ids=["mmzi", "mzi"])
+def test_mle_takes_finite_fractional_counts(state, pipeline):
+    # a weighted histogram: the same estimate as the integer one it scales
+    outcomes = sample_outcomes(state, 0.3, pipeline, 200, seed=2)
+    scaled = {k: 0.25 * v for k, v in outcomes.items()}
+    window = default_window(state, 0.3)
+    assert mle_phase(scaled, state, pipeline, window) == pytest.approx(mle_phase(outcomes, state, pipeline, window), abs=1e-6)
 
 
 @pytest.mark.parametrize(

@@ -278,6 +278,23 @@ def test_general_splitter_columns_slice_the_dense_matrix():
         assert np.array_equal(splitter_columns(7, cols), dense[:, cols])
 
 
+@pytest.mark.parametrize(
+    "n, cols",
+    [(3, [5]), (3, [4]), (3, [-1]), (3, [0, 5]), (3, [1.5]), (3, [1.0]), (3, [True]), (-1, []), (-1, [0])],
+)
+def test_splitter_columns_refuse_columns_the_splitter_does_not_have(n, cols):
+    # each used to return a unit vector, a truncated column or an IndexError
+    with pytest.raises(ValueError, match=r"need N >= 0 and integer columns in 0\.\.N"):
+        splitter_columns(n, cols)
+
+
+def test_beamsplitter_matrix_refuses_a_negative_photon_number():
+    with pytest.raises(ValueError, match="need N >= 0"):
+        beamsplitter_matrix(-1)
+    assert beamsplitter_matrix(0).tolist() == [[1.0]]
+    assert splitter_columns(3, []).shape == (4, 0)
+
+
 @pytest.mark.parametrize("n", [2000, 4000])
 def test_recurrence_columns_stay_finite_unitary_and_match_the_closed_form(n):
     # far beyond the scale where an unscaled recurrence overflows (2^(N/2))

@@ -9,17 +9,19 @@ spread is N, and the outcome probabilities of a balanced input |J,J> are
 |d^J_{m,0}(phi)|^2, from a three-term recurrence. Pinned here: the
 rotation's P and dP against dense expm splitters for every |J,J> with
 N <= 60, its elements at J = 2000 against mpmath's Legendre functions and
-unitarity, the FI closed form against the table route (first splitter,
-then the phase kernel) for every single input with N <= 30, on states
-that mix single-input, two-branch and general sectors, every MZI reader
-built from kinds against the first splitter plus the MMZI readers, and
-|N,N> through the MZI against the closed-form splitter image of |N,N>
+unitarity, its traced memory (the running state of the live ladders, no
+per-step tables), the FI closed form against the table route (first
+splitter, then the phase kernel) for every single input with N <= 30, on
+states that mix single-input, two-branch and general sectors, every MZI
+reader built from kinds against the first splitter plus the MMZI readers,
+and |N,N> through the MZI against the closed-form splitter image of |N,N>
 through the MMZI. The MZI qfi field, 4 Var(J2) of the input, is pinned
 to a pairwise sum in Python ints, also where N(N+1)/2 passes int64.
 """
 
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -114,6 +116,20 @@ def test_rotation_at_j_2000_is_unitary():
     d = ladder(2000, phis)
     norms = 2.0 * np.sum(d[:, :-1] ** 2, axis=1) + d[:, -1] ** 2
     assert np.abs(norms - 1.0).max() <= 1e-12
+
+
+def test_rotation_holds_only_its_running_state():
+    # each step's coefficients are made when the step is taken, so a pass
+    # over J = 1..3000 at one phase holds a few vectors of the live ladders,
+    # not tables over every (step, ladder) pair (4.5 million of them)
+    tracemalloc.start()
+    try:
+        for _ in _rotation(np.arange(1, 3001), np.array([0.3])):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_single_input_fi_closed_form_matches_the_table_route():
