@@ -93,12 +93,12 @@ def resolve_state(spec: str):
     if not 1 <= len(params) <= len(names):
         raise SpecError(f"{spec!r} gives {len(params)} parameters; {family} takes {_usage(names)}")
     values = [_catalog_param(spec, n, t) for n, t in zip(names, params)]
-    if len(values) < len(names):  # the default cutoff; a tmsv mean may admit none
-        try:
+    try:  # the family's own errors, and a tmsv mean that admits no default cutoff
+        if len(values) < len(names):
             values.append(1000 if family.startswith("zeta") else cat.tmsv_cutoff_for(values[0]))
-        except ValueError as exc:
-            raise SpecError(f"{spec!r}: {exc}") from None
-    made = make(*values)  # a fixed-N family makes a state, the others (state, dist)
+        made = make(*values)  # a fixed-N family makes a state, the others (state, dist)
+    except ValueError as exc:
+        raise SpecError(f"{spec!r}: {exc}") from None
     return (*made, spec) if isinstance(made, tuple) else (made, None, spec)
 
 

@@ -62,7 +62,7 @@ def zeta_family_mean(x: float, scale: int, tol: float = 1e-12) -> float:
 def crossing_mean(scale: int = 1, tol: float = 1e-12) -> float:
     """Mean above which the family's information bound diverges:
     scale * zeta(2)/zeta(3) (about 1.36843 for scale 1)."""
-    return scale * zeta(2.0, tol) / zeta(3.0, tol)
+    return zeta_family_mean(3.0, scale, tol)
 
 
 def truncated_mean_square_trend(
@@ -106,7 +106,6 @@ class CurvePoint:
     mean_n: float
     values: dict[str, float]
     divergent_columns: tuple[str, ...]
-    exponent: float | None
 
 
 def fig3a_point(mean_n: float, tol: float = 1e-12) -> CurvePoint:
@@ -127,7 +126,6 @@ def fig3a_point(mean_n: float, tol: float = 1e-12) -> CurvePoint:
             "zeta_noon_crb": zn,
         },
         divergent_columns=divergent,
-        exponent=x,
     )
 
 
@@ -136,20 +134,14 @@ def fig3b_point(mean_n: float, tol: float = 1e-12) -> CurvePoint:
     equal-occupation family with the same photon distribution."""
     x = solve_exponent_for_mean(mean_n, scale=2, tol=tol)
     if x is None:
-        return CurvePoint(
-            mean_n=mean_n,
-            values={"noon_crb": 0.0, "dualfock_crb": 0.0},
-            divergent_columns=("noon_crb", "dualfock_crb"),
-            exponent=None,
-        )
-    r2 = zeta(x - 2.0, tol) / zeta(x, tol)
-    r1 = zeta(x - 1.0, tol) / zeta(x, tol)
+        noon, dualfock, divergent = 0.0, 0.0, ("noon_crb", "dualfock_crb")
+    else:
+        r2 = zeta(x - 2.0, tol) / zeta(x, tol)
+        r1 = zeta(x - 1.0, tol) / zeta(x, tol)
+        noon, divergent = 1.0 / math.sqrt(4.0 * r2), ()
+        dualfock = 1.0 / math.sqrt(2.0 * r2 + 2.0 * r1)
     return CurvePoint(
         mean_n=mean_n,
-        values={
-            "noon_crb": 1.0 / math.sqrt(4.0 * r2),
-            "dualfock_crb": 1.0 / math.sqrt(2.0 * r2 + 2.0 * r1),
-        },
-        divergent_columns=(),
-        exponent=x,
+        values={"noon_crb": noon, "dualfock_crb": dualfock},
+        divergent_columns=divergent,
     )

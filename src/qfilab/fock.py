@@ -378,6 +378,8 @@ def _integral(value, field: str, limit=math.inf) -> int:
     """An occupation or cutoff field as an int; a ValueError naming the field
     when it is not integral, rather than int()'s silent truncation, or when
     its magnitude reaches limit."""
+    if isinstance(value, bool):  # JSON true and false, which Python counts as ints
+        raise ValueError(f"malformed state file: {field} must be an integer, got {value!r}")
     if not isinstance(value, int):
         number = float(value)
         if not number.is_integer():
@@ -388,6 +390,13 @@ def _integral(value, field: str, limit=math.inf) -> int:
     return int(value)
 
 
+def _real(value, field: str) -> float:
+    """An amplitude part as float() reads it, refusing JSON true and false."""
+    if isinstance(value, bool):
+        raise ValueError(f"malformed state file: {field} must be a number, got {value!r}")
+    return float(value)
+
+
 def _json_entries(data: dict) -> tuple[int, list[tuple[int, int, complex]]]:
     """The cutoff and the (n_a, n_b, amplitude) triples of a state
     dictionary, converted as state_from_json_dict reads them."""
@@ -396,7 +405,7 @@ def _json_entries(data: dict) -> tuple[int, list[tuple[int, int, complex]]]:
         entries = [
             # occupations below 2**62, so that n_a + n_b fits a state's int64 arrays
             (_integral(e["na"], f"entries[{i}].na", 2**62), _integral(e["nb"], f"entries[{i}].nb", 2**62),
-             float(e["re"]) + 1j * float(e["im"]))
+             _real(e["re"], f"entries[{i}].re") + 1j * _real(e["im"], f"entries[{i}].im"))
             for i, e in enumerate(data["entries"])
         ]
     except (KeyError, TypeError) as exc:

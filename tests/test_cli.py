@@ -157,6 +157,26 @@ def test_qfi_tmsv_mean_that_admits_no_cutoff_exits_2(capsys, uri, mean):
     assert "ZeroDivisionError" not in captured.err
 
 
+FAMILY_ERRORS = [
+    ["qfi", "catalog:tmsv:1e300"],
+    ["qfi", "catalog:tmsv:1e300:5"],
+    ["qfi", "catalog:zeta_noon:3:0"],
+    ["fi-scan", "catalog:zeta_dual_fock:0.5:4"],
+    ["qfi", "catalog:tmsv:2:5"],
+    ["qfi", "catalog:noon:0"],
+]
+
+
+@pytest.mark.parametrize("argv", FAMILY_ERRORS, ids=[a[1] for a in FAMILY_ERRORS])
+def test_a_catalog_family_error_names_the_uri_once(argv, capsys):
+    # the family's constructor rejects the parameters: its message alone
+    # does not say which state was asked for
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and captured.err.count(argv[1]) == 1
+
+
 NON_FINITE_FLAGS = [
     (["fi-scan", "catalog:noon:2", "--x-max", "inf", "--points", "3"], "--x-max"),
     (["fi-scan", "catalog:noon:2", "--x-min", "nan", "--points", "3"], "--x-min"),
@@ -247,6 +267,22 @@ def test_fi_scan_constant_for_single_photon(tmp_path):
     for _, fi, qfi in rows:
         assert fi == pytest.approx(1.0, abs=1e-9)
         assert qfi == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fi_scan_svg_of_a_flat_scan(tmp_path):
+    # FI = QFI = 4 at every phase: every y is equal, and the plot's y range
+    # must still have a width
+    out = tmp_path / "scan.csv"
+    assert main(["fi-scan", "catalog:noon:2", "--points", "5", "--out", str(out), "--svg"]) == 0
+    _, columns, rows = read_csv(out)
+    assert {v for row in rows for v in row[1:]} == {4.0}
+    svg = (tmp_path / "scan.svg").read_text()
+    polylines = [line for line in svg.splitlines() if line.startswith("<polyline")]
+    assert len(polylines) == len(columns) - 1
+    for line in polylines:
+        points = line.split('points="')[1].split('"')[0].split()
+        assert len(points) == len(rows)
+        assert all(math.isfinite(float(c)) for p in points for c in p.split(","))
 
 
 def test_estimate_bytes_reproducible(tmp_path):
@@ -356,14 +392,25 @@ def write_state(path, entries, cutoff=2):
         (2, {"na": 1.5, "nb": 0, "re": 1.0, "im": 0.0}, "entries[0].na"),
         (2, {"na": 1, "nb": 0.25, "re": 1.0, "im": 0.0}, "entries[0].nb"),
         (2.7, {"na": 1, "nb": 0, "re": 1.0, "im": 0.0}, "cutoff"),
+        # JSON true and false are ints to Python, and float(True) is 1.0
+        (2, {"na": True, "nb": 0, "re": 1.0, "im": 0.0}, "entries[0].na"),
+        (2, {"na": 1, "nb": False, "re": 1.0, "im": 0.0}, "entries[0].nb"),
+        (True, {"na": 1, "nb": 0, "re": 1.0, "im": 0.0}, "cutoff"),
     ],
-    ids=["na", "nb", "cutoff"],
+    ids=["na", "nb", "cutoff", "na-true", "nb-false", "cutoff-true"],
 )
 @pytest.mark.parametrize("command", [["state", "validate"], ["qfi"]], ids=["validate", "qfi"])
 def test_non_integral_occupations_and_cutoff_exit_2(tmp_path, capsys, command, cutoff, entry, field):
     path = write_state(tmp_path / "s.json", [entry], cutoff)
     assert main([*command, path]) == 2
     assert f"{field} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["state", "validate"], ["qfi"]], ids=["validate", "qfi"])
+def test_boolean_amplitude_exits_2(tmp_path, capsys, command):
+    path = write_state(tmp_path / "s.json", [{"na": 1, "nb": 0, "re": True, "im": 0}])
+    assert main([*command, path]) == 2
+    assert "entries[0].re must be a number, got True" in capsys.readouterr().err
 
 
 def test_integral_float_occupations_and_cutoff_are_accepted(tmp_path, capsys):
